@@ -13,7 +13,6 @@ from .ordercomplex import (
     InvalidPosetError,
     OrderComplex,
     Simplex,
-    build_order_complex,
     parse_simplex,
     proper_part_complex,
 )
@@ -25,7 +24,6 @@ from .perm import (
     QuotientComplex,
     act,
     orbits,
-    quotient_complex,
 )
 from .morse import (
     InvalidMatchingError,

@@ -272,7 +272,7 @@ def main(argv=None) -> int:
         code, payload = handlers[args.command](args)
         if payload is not None:
             _emit(_render(payload, args.format), args.out)
-    except (ValueError, PartitionParseError, KeyError) as exc:
+    except (ValueError, PartitionParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -4,7 +4,9 @@ A matching pairs cells with codimension-1 faces; acyclicity is decided on
 the modified face digraph (matched edges reversed).  Composition follows
 the patchwork pattern: an order-preserving map into a small poset plus one
 matching per fiber yields a matching on the whole complex, and a group
-action transports fiber matchings across orbits.
+action transports fiber matchings across orbits.  Group conditions are
+checked on the generators alone.  Assembly checks structure but not
+acyclicity: an assembled matching is certified once, by validate_matching.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .perm import Perm
 
 Cell = tuple[int, int]
 Pair = tuple[Cell, Cell]
@@ -27,17 +31,6 @@ def incidence_column(complex, d: int, j: int) -> dict[int, int]:
     for i, s in complex.faces(d, j):
         col[i] = col.get(i, 0) + s
     return col
-
-
-def subcomplex_cells(complex, vertex_indices) -> list[Cell]:
-    """All cells whose vertices lie inside the given vertex-index set."""
-    keep = set(vertex_indices)
-    out = []
-    for d in range(complex.dim + 1):
-        for i, chain in enumerate(complex.cells[d]):
-            if all(v in keep for v in chain):
-                out.append((d, i))
-    return out
 
 
 def _build_partner(complex, pairs) -> dict[Cell, Cell]:
@@ -197,19 +190,14 @@ def find_cycle(complex, partner: dict[Cell, Cell]) -> list[Cell] | None:
 
 
 def check_equivariance(matching: Matching, action) -> bool:
-    """True iff g applied to every pair lands on a pair, for all g.
+    """True iff every element of the acting group sends every pair to a pair.
 
-    Checking the generators suffices (pair stability composes), so the
-    full element list is only walked when it is small.
+    Only the generators are applied: a generator that maps the finite pair
+    set into itself permutes it, and products of such maps do too.
     """
-    pairs = matching.pairs
-    group = action.group
-    perms = list(group)
-    if len(perms) * len(pairs) > 2_000_000:
-        perms = list(group.generators)
     partner = matching.partner
-    for g in perms:
-        for a, b in pairs:
+    for g in action.group.generators:
+        for a, b in matching.pairs:
             if partner.get(action.cell_image(g, a)) != action.cell_image(g, b):
                 return False
     return True
@@ -252,13 +240,14 @@ def _coerce_pairs(piece) -> list[Pair]:
     return list(piece)
 
 
-def patchwork_matching(complex, cell_key, key_leq, fiber_pairs: dict, validate=True) -> Matching:
+def patchwork_matching(complex, cell_key, key_leq, fiber_pairs: dict) -> Matching:
     """Union of per-fiber matchings along an order-preserving cell key.
 
     cell_key maps cells to elements of a poset with order key_leq; it
     must be order-preserving on cover relations, and every supplied pair
-    must stay inside its own fiber.  The union is acyclic whenever each
-    piece is, which validate re-checks on the assembled matching.
+    must stay inside its own fiber; both conditions are checked.  The
+    union is acyclic whenever each piece is, which is not checked here:
+    certify the assembled matching with validate_matching.
     """
     for d in range(1, complex.dim + 1):
         for j in range(complex.n_cells(d)):
@@ -272,78 +261,66 @@ def patchwork_matching(complex, cell_key, key_leq, fiber_pairs: dict, validate=T
             if cell_key(a) != k or cell_key(b) != k:
                 raise ValueError(f"pair ({a},{b}) leaves fiber {k}")
             union.append((a, b))
-    matching = Matching(complex, union)
-    if validate:
-        cert = validate_matching(complex, matching)
-        if not cert.is_acyclic:
-            raise InvalidMatchingError(f"patchwork union is cyclic: {cert.witness_cycle}")
-    return matching
+    return Matching(complex, union)
 
 
-def equivariant_patchwork_matching(
-    complex, action, cell_key, key_action, key_leq, rep_pairs: dict, validate=True
-) -> Matching:
+def equivariant_patchwork_matching(complex, action, cell_key, key_action, key_leq, rep_pairs: dict) -> Matching:
     """Assemble a group-stable matching from one matching per key orbit.
 
     Keys are acted on through key_action; rep_pairs supplies exactly one
     fiber matching per key orbit, each stable under the stabilizer of its
-    key.  The remaining fibers receive transported copies g*(pairs); the
-    stabilizer condition makes the transport independent of the chosen g.
+    key.  A breadth-first search from each representative key r moves its
+    fiber one generator step at a time, recording a transversal element
+    t_q with t_q(r) = q for every key q it reaches.  A step g from q onto
+    an already reached key must reproduce, as a set, the fiber stored
+    there; the elements t_{gq}^-1 g t_q so tested generate the stabilizer
+    of r (Schreier's lemma), so the search checks the stabilizer condition,
+    covers the orbit and transports the fiber in one pass.
     """
-    group = action.group
-    keys = set()
-    for d in range(complex.dim + 1):
-        for i in range(complex.n_cells(d)):
-            keys.add(cell_key((d, i)))
-    orbit_of_key: dict = {}
-    for k in sorted(keys, key=repr):
-        if k not in orbit_of_key:
-            for g in group:
-                orbit_of_key[key_action(g, k)] = k
-    all_orbits = {orbit_of_key[k] for k in keys}
-    provided = [orbit_of_key.get(r) for r in rep_pairs]
-    if None in provided or len(set(provided)) != len(provided) or set(provided) != all_orbits:
-        raise ValueError("representatives do not meet every key orbit exactly once")
-
+    keys = {cell_key((d, i)) for d in range(complex.dim + 1) for i in range(complex.n_cells(d))}
+    generators = action.group.generators
     fibers: dict = {}
     for r, piece in rep_pairs.items():
+        if r not in keys:
+            raise ValueError(f"representative {r} is not the key of any cell")
+        if r in fibers:
+            raise ValueError(f"representative {r} lies in the key orbit of another representative")
         pairs = _coerce_pairs(piece)
         for a, b in pairs:
             if cell_key(a) != r or cell_key(b) != r:
                 raise ValueError(f"pair ({a},{b}) leaves fiber {r}")
-        pair_set = set(pairs)
-        stabilizer = [g for g in group if key_action(g, r) == r]
-        for g in stabilizer:
-            for a, b in pairs:
-                if (action.cell_image(g, a), action.cell_image(g, b)) not in pair_set:
-                    raise ValueError(f"fiber matching at {r} is not stabilizer-equivariant (fails {g})")
-        done = set()
-        for g in group:
-            q = key_action(g, r)
-            if q in done:
-                continue
-            done.add(q)
-            if g.is_identity():
-                fibers[q] = pairs
-            else:
-                fibers[q] = [(action.cell_image(g, a), action.cell_image(g, b)) for a, b in pairs]
-    for k in keys:
-        fibers.setdefault(k, [])
-    return patchwork_matching(complex, cell_key, key_leq, fibers, validate=validate)
+        fibers[r] = pairs
+        transversal = {r: Perm.identity(action.group.n)}
+        queue = [r]
+        for q in queue:
+            for g in generators:
+                gq = key_action(g, q)
+                image = [(action.cell_image(g, a), action.cell_image(g, b)) for a, b in fibers[q]]
+                if gq not in transversal:
+                    fibers[gq] = image
+                    transversal[gq] = g * transversal[q]
+                    queue.append(gq)
+                elif set(image) != set(fibers[gq]):
+                    witness = transversal[gq].inverse() * g * transversal[q]
+                    raise ValueError(f"fiber matching at {r} is not stabilizer-equivariant (fails {witness})")
+    missing = keys - fibers.keys()
+    if missing:
+        raise ValueError(f"no representative for the key orbit of {min(missing, key=repr)}")
+    return patchwork_matching(complex, cell_key, key_leq, fibers)
 
 
-def quotient_matching(matching: Matching, quotient, validate=True) -> Matching:
-    """Push an equivariant matching down to orbit cells."""
+def quotient_matching(matching: Matching, quotient) -> Matching:
+    """Push an equivariant matching down to orbit cells; raises
+    InvalidMatchingError when the result is cyclic."""
     if not check_equivariance(matching, quotient.action):
         raise ValueError("matching is not equivariant under the quotient group")
     pairs = set()
     for (d, i), (e, j) in matching.pairs:
         pairs.add(((d, quotient.orbit_index(d, i)), (e, quotient.orbit_index(e, j))))
     result = Matching(quotient, sorted(pairs))
-    if validate:
-        cert = validate_matching(quotient, result)
-        if not cert.is_acyclic:
-            raise InvalidMatchingError(f"quotient matching is cyclic: {cert.witness_cycle}")
+    cert = validate_matching(quotient, result)
+    if not cert.is_acyclic:
+        raise InvalidMatchingError(f"quotient matching is cyclic: {cert.witness_cycle}")
     return result
 
 

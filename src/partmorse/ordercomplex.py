@@ -122,9 +122,6 @@ class OrderComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(layer) for d, layer in enumerate(self.cells))
 
-    def cell_vertices(self, d: int, i: int) -> tuple[int, ...]:
-        return self.cells[d][i]
-
     def locate(self, chain) -> tuple[int, int]:
         """Cell id of a chain given as vertex indices or as a Simplex."""
         if isinstance(chain, Simplex):
@@ -233,10 +230,6 @@ class ExplicitComplex:
             for j, v in col.items():
                 mat[j, i] = v
         return mat
-
-
-def build_order_complex(elements, less=None) -> OrderComplex:
-    return OrderComplex.from_poset(elements, less)
 
 
 def proper_part_complex(n: int) -> OrderComplex:

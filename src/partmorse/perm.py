@@ -1,8 +1,11 @@
 """Permutations of {1,...,n}, generated subgroups, and their actions.
 
-Groups are materialized as full element lists; at desk scale (subgroups
-of S_7) closure by breadth-first multiplication is cheap and makes every
-orbit/stabilizer question a direct enumeration.
+Groups keep their full element list, which at desk scale (subgroups of
+S_7) is cheap to close by breadth-first multiplication and answers order,
+membership and the orbit/stabilizer counts of `orbits`.  Actions on
+complexes and quotients go through the generators only: a map that is a
+poset automorphism for every generator is one for every product of them,
+and an orbit is the closure of a point under the generator images.
 """
 
 from __future__ import annotations
@@ -71,9 +74,6 @@ class Perm:
         for i, v in enumerate(self.images, start=1):
             inv[v - 1] = i
         return Perm(inv)
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images, start=1))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
@@ -241,34 +241,38 @@ def _canonical_key(x):
 
 class ComplexAction:
     """A permutation group acting on the cells of an order complex whose
-    ground poset consists of partitions."""
+    ground poset consists of partitions.
+
+    Vertex maps are built and checked for the generators; maps of other
+    group elements are filled in on first use by cell_image.
+    """
 
     def __init__(self, complex: OrderComplex, group: PermGroup):
         self.complex = complex
         self.group = group
-        elem_index = {p: i for i, p in enumerate(complex.elements)}
+        self._elem_index = {p: i for i, p in enumerate(complex.elements)}
         self.vertex_maps: dict[Perm, tuple[int, ...]] = {}
-        for g in group:
-            vmap = tuple(elem_index[act(g, p)] for p in complex.elements)
-            self.vertex_maps[g] = vmap
-        self._check_automorphisms()
-
-    def _check_automorphisms(self):
-        less = self.complex.less
-        for g, vmap in self.vertex_maps.items():
-            v = np.asarray(vmap)
+        less = complex.less
+        for g in group.generators:
+            v = np.asarray(self._vertex_map(g))
             if not (less[np.ix_(v, v)] == less).all():
                 raise ValueError(f"{g} does not act by poset automorphisms")
 
+    def _vertex_map(self, g: Perm) -> tuple[int, ...]:
+        vmap = tuple(self._elem_index[act(g, p)] for p in self.complex.elements)
+        self.vertex_maps[g] = vmap
+        return vmap
+
     def cell_image(self, g: Perm, cell: tuple[int, int]) -> tuple[int, int]:
-        """Image of cell (dim, index) under g."""
+        """Image of cell (dim, index) under an element g of the group."""
         d, i = cell
-        vmap = self.vertex_maps[g]
+        vmap = self.vertex_maps.get(g)
+        if vmap is None:
+            if g not in self.group:
+                raise KeyError(f"{g} is not an element of {self.group}")
+            vmap = self._vertex_map(g)
         chain = tuple(vmap[v] for v in self.complex.cells[d][i])
         return d, self.complex.index[d][chain]
-
-    def cell_orbit(self, cell: tuple[int, int]) -> set[tuple[int, int]]:
-        return {self.cell_image(g, cell) for g in self.group}
 
 
 class QuotientComplex:
@@ -280,26 +284,33 @@ class QuotientComplex:
         self.base = complex
         self.group = group
         self.action = ComplexAction(complex, group)
+        gen_maps = list(self.action.vertex_maps.values())
         self.orbit_of: list[np.ndarray] = []
         self.reps: list[list[int]] = []
         for d in range(complex.dim + 1):
             layer = complex.cells[d]
             index = complex.index[d]
-            assign = np.full(len(layer), -1, dtype=np.int64)
+            assign = [-1] * len(layer)
             reps: list[int] = []
             for i, chain in enumerate(layer):
                 if assign[i] >= 0:
                     continue
                 o = len(reps)
                 reps.append(i)
-                for g, vmap in self.action.vertex_maps.items():
-                    img = tuple(vmap[v] for v in chain)
-                    j = index[img]
-                    # setwise stabilization forces pointwise fixing: stored
-                    # chains are poset-ordered, so an image with the same
-                    # vertex set is the identical tuple
-                    assign[j] = o
-            self.orbit_of.append(assign)
+                assign[i] = o
+                stack = [chain]
+                while stack:
+                    c = stack.pop()
+                    for vmap in gen_maps:
+                        # setwise stabilization forces pointwise fixing: stored
+                        # chains are poset-ordered, so an image with the same
+                        # vertex set is the identical tuple
+                        img = tuple(vmap[v] for v in c)
+                        j = index[img]
+                        if assign[j] < 0:
+                            assign[j] = o
+                            stack.append(img)
+            self.orbit_of.append(np.asarray(assign, dtype=np.int64))
             self.reps.append(reps)
         self._faces_cache: list[list[tuple[tuple[int, int], ...]] | None] = [None] * len(self.reps)
 
@@ -366,7 +377,3 @@ class QuotientComplex:
             for j, v in col.items():
                 mat[j, i] = v
         return mat
-
-
-def quotient_complex(complex: OrderComplex, group: PermGroup) -> QuotientComplex:
-    return QuotientComplex(complex, group)

@@ -147,6 +147,17 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "broken" in err
 
 
+def test_internal_key_error_is_not_a_config_error(monkeypatch):
+    from partmorse.ordercomplex import OrderComplex
+
+    def lookup_bug(self, chain):
+        raise KeyError("internal lookup")
+
+    monkeypatch.setattr(OrderComplex, "locate", lookup_bug)
+    with pytest.raises(KeyError):
+        main(["verify", "--n", "4"])
+
+
 def test_verify_large_n_counts_only(capsys):
     code, out, _ = run(capsys, "verify", "--n", "7")
     assert code == 0

@@ -6,7 +6,6 @@ from partmorse.ordercomplex import (
     InvalidPosetError,
     OrderComplex,
     Simplex,
-    build_order_complex,
     parse_simplex,
     proper_part_complex,
 )
@@ -124,7 +123,7 @@ def test_proper_part_vertices_sorted():
 
 
 def test_build_order_complex_infers_relation():
-    cx = build_order_complex([2, 3, 4, 6, 12], less=lambda a, b: a != b and b % a == 0)
+    cx = OrderComplex.from_poset([2, 3, 4, 6, 12], less=lambda a, b: a != b and b % a == 0)
     assert cx.f_vector() == (5, 7, 3)
 
 

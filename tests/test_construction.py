@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -220,6 +221,20 @@ def test_main_matching_critical_set():
         expected_top = {cx.locate(s) for s in anchored_flags(n)}
         got = {(d, i) for d in range(cx.dim + 1) for i in crit[d]}
         assert got == expected_top | {cx.locate(Simplex((split_vertex(n),)))}
+
+
+# sha256 of build_main_matching(n).dump(); n = 3 has no pairs, so its dump is empty
+MAIN_MATCHING_SHA256 = {
+    3: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    4: "18518341eae96df6290efa97ffe54d397e583830565a4b4fb604d5112048602e",
+    5: "bdad953ec844b6ac457fc42e53df31fd1fbf446d055257c5c6039e92fcb6e106",
+    6: "79d96a921acf6a22a678f4c855ca49b6b79ce5f9f737dbd979b6254e8a56fed5",
+}
+
+
+def test_main_matching_dump_is_pinned():
+    for n, digest in MAIN_MATCHING_SHA256.items():
+        assert hashlib.sha256(build_main_matching(n).dump().encode()).hexdigest() == digest
 
 
 def test_quotient_critical_cells_full_group():

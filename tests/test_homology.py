@@ -14,7 +14,7 @@ from partmorse.homology import (
     smith_normal_form,
     verify_wedge,
 )
-from partmorse.ordercomplex import ExplicitComplex, build_order_complex, proper_part_complex
+from partmorse.ordercomplex import ExplicitComplex, OrderComplex, proper_part_complex
 
 # invariant factors computed once with an independent implementation
 SNF_ORACLE = {
@@ -37,7 +37,7 @@ def boolean_proper_part(n):
         for size in range(1, n)
         for c in itertools.combinations(range(1, n + 1), size)
     ]
-    return build_order_complex(subsets, less=lambda a, b: a < b)
+    return OrderComplex.from_poset(subsets, less=lambda a, b: a < b)
 
 
 def mod2_moore_space():

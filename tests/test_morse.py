@@ -1,7 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
-from partmorse.construction import build_main_matching, get_action, get_complex
+from partmorse.construction import (
+    _key_action,
+    _key_leq,
+    build_main_matching,
+    cell_fiber_key,
+    get_action,
+    get_complex,
+    pair_vertex,
+)
 from partmorse.homology import homology_of
 from partmorse.morse import (
     InvalidMatchingError,
@@ -11,6 +21,7 @@ from partmorse.morse import (
     cohomology_pairing,
     cohomology_representatives,
     cone_matching,
+    equivariant_patchwork_matching,
     find_cycle,
     gradient_chain,
     incidence_column,
@@ -20,8 +31,9 @@ from partmorse.morse import (
     quotient_matching,
     validate_matching,
 )
-from partmorse.ordercomplex import ExplicitComplex, OrderComplex, build_order_complex
-from partmorse.perm import ComplexAction, PermGroup, quotient_complex
+from partmorse.ordercomplex import ExplicitComplex, OrderComplex
+from partmorse.perm import ComplexAction, Perm, PermGroup, QuotientComplex, act
+from test_perm import oracle_groups
 
 
 def circle():
@@ -32,7 +44,7 @@ def circle():
 
 
 def divisors_of_six():
-    return build_order_complex([1, 2, 3, 6], less=lambda a, b: a != b and b % a == 0)
+    return OrderComplex.from_poset([1, 2, 3, 6], less=lambda a, b: a != b and b % a == 0)
 
 
 def test_incidence_column():
@@ -217,6 +229,75 @@ def test_patchwork_rejects_pair_across_fibers():
         patchwork_matching(cx, top, leq, fibers)
 
 
+def test_patchwork_leaves_acyclicity_to_validation():
+    cx = circle()
+    cyclic = [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))]
+    m = patchwork_matching(cx, lambda cell: 0, lambda a, b: True, {0: cyclic})
+    cert = validate_matching(cx, m)
+    assert cert.is_matching and not cert.is_acyclic
+    assert cert.witness_cycle is not None
+
+
+def main_fibers(n):
+    """The representative fibers build_main_matching assembles: the zero
+    fiber and the fiber over the pair vertex {1,n}."""
+    key = cell_fiber_key(get_complex(n))
+    top = pair_vertex(n, n)
+    pairs = build_main_matching(n).pairs
+    return {k: [p for p in pairs if key(p[0]) == k] for k in (0, top)}
+
+
+def assemble(n, rep_pairs):
+    cx = get_complex(n)
+    return equivariant_patchwork_matching(cx, get_action(n), cell_fiber_key(cx), _key_action, _key_leq, rep_pairs)
+
+
+def test_equivariant_patchwork_names_stabilizer_witness():
+    n = 5
+    action = get_action(n)
+    top = pair_vertex(n, n)
+    fibers = main_fibers(n)
+    assert assemble(n, fibers).pairs == build_main_matching(n).pairs
+    # drop a pair that some element fixing the key moves
+    stabilizer = [g for g in action.group.elements if act(g, top) == top]
+    moved = next(p for p in fibers[top] if any(action.cell_image(g, p[0]) != p[0] for g in stabilizer))
+    broken = [p for p in fibers[top] if p != moved]
+    with pytest.raises(ValueError, match="not stabilizer-equivariant") as info:
+        assemble(n, {0: fibers[0], top: broken})
+    witness = Perm.from_cycles(n, re.search(r"\(fails (.+)\)$", str(info.value)).group(1))
+    assert witness in action.group
+    assert act(witness, top) == top
+    image = {(action.cell_image(witness, a), action.cell_image(witness, b)) for a, b in broken}
+    assert image != set(broken)
+
+
+def test_equivariant_patchwork_needs_one_representative_per_key_orbit():
+    n = 5
+    fibers = main_fibers(n)
+    with pytest.raises(ValueError, match="key orbit of another representative"):
+        assemble(n, {**fibers, pair_vertex(n, 2): []})
+    with pytest.raises(ValueError, match="no representative"):
+        assemble(n, {0: fibers[0]})
+    with pytest.raises(ValueError, match="not the key of any cell"):
+        assemble(n, {**fibers, -1: []})
+
+
+def test_check_equivariance_matches_element_walk():
+    seen = set()
+    for group in oracle_groups():
+        action = ComplexAction(get_complex(group.n), group)
+        main = build_main_matching(group.n)
+        for m in (main, Matching(main.complex, main.pairs[1:])):
+            walk = all(
+                m.partner.get(action.cell_image(g, a)) == action.cell_image(g, b)
+                for g in group.elements
+                for a, b in m.pairs
+            )
+            assert check_equivariance(m, action) == walk
+            seen.add(walk)
+    assert seen == {True, False}
+
+
 def test_check_equivariance():
     m = build_main_matching(4)
     assert check_equivariance(m, get_action(4))
@@ -227,7 +308,7 @@ def test_check_equivariance():
 def test_quotient_matching_critical_orbits():
     m = build_main_matching(4)
     group = PermGroup.from_cycle_strings(4, ["(2 3)"])
-    qc = quotient_complex(get_complex(4), group)
+    qc = QuotientComplex(get_complex(4), group)
     qm = quotient_matching(m, qc)
     cert = validate_matching(qc, qm)
     assert cert.is_matching and cert.is_acyclic
@@ -241,7 +322,7 @@ def test_quotient_matching_requires_equivariance():
     i = cx.element_index[cx.elements[0]]
     pairs = build_main_matching(4).pairs[:1]
     group = PermGroup.point_stabilizer(4)
-    qc = quotient_complex(cx, group)
+    qc = QuotientComplex(cx, group)
     broken = Matching(cx, pairs)
     with pytest.raises(ValueError):
         quotient_matching(broken, qc)

@@ -9,10 +9,16 @@ from partmorse.perm import (
     QuotientComplex,
     act,
     orbits,
-    quotient_complex,
 )
 from partmorse.setpart import enumerate_proper, parse_partition
 from partmorse.ordercomplex import Simplex
+from test_acceptance import SUBGROUPS
+
+
+def oracle_groups():
+    """Every acceptance subgroup of the stabilizer of 1, plus S_4 and S_5."""
+    groups = [PermGroup.from_cycle_strings(n, texts) for n, entries in SUBGROUPS.items() for _, texts in entries]
+    return groups + [PermGroup.symmetric(4), PermGroup.symmetric(5)]
 
 
 def test_perm_basics():
@@ -142,7 +148,7 @@ def test_complex_action_rejects_degree_mismatch():
 
 def test_quotient_complex_full_stabilizer():
     cx = proper_part_complex(4)
-    qc = quotient_complex(cx, PermGroup.point_stabilizer(4))
+    qc = QuotientComplex(cx, PermGroup.point_stabilizer(4))
     assert isinstance(qc, QuotientComplex)
     assert qc.f_vector() == (5, 5)
     assert qc.total_cells() == 10
@@ -153,7 +159,7 @@ def test_quotient_complex_full_stabilizer():
 
 def test_quotient_complex_trivial_group_is_identity():
     cx = proper_part_complex(4)
-    qc = quotient_complex(cx, PermGroup.trivial(4))
+    qc = QuotientComplex(cx, PermGroup.trivial(4))
     assert qc.f_vector() == cx.f_vector()
     for d in range(1, cx.dim + 1):
         assert np.array_equal(qc.boundary_matrix(d), cx.boundary_matrix(d))
@@ -162,7 +168,7 @@ def test_quotient_complex_trivial_group_is_identity():
 def test_quotient_complex_structure():
     cx = proper_part_complex(5)
     group = PermGroup.from_cycle_strings(5, ["(2 3)", "(4 5)"])
-    qc = quotient_complex(cx, group)
+    qc = QuotientComplex(cx, group)
     # every cell belongs to exactly one orbit, represented by a base cell
     for d in range(cx.dim + 1):
         for i in range(cx.n_cells(d)):
@@ -178,6 +184,24 @@ def test_quotient_complex_structure():
 
 def test_quotient_labels():
     cx = proper_part_complex(4)
-    qc = quotient_complex(cx, PermGroup.point_stabilizer(4))
+    qc = QuotientComplex(cx, PermGroup.point_stabilizer(4))
     label = qc.cell_label(0, 0)
     assert label.startswith("[") and label.endswith("]")
+
+
+def test_quotient_orbits_match_element_walk():
+    for group in oracle_groups():
+        cx = proper_part_complex(group.n)
+        qc = QuotientComplex(cx, group)
+        where = {p: i for i, p in enumerate(cx.elements)}
+        vmaps = [[where[act(g, p)] for p in cx.elements] for g in group.elements]
+        for d in range(cx.dim + 1):
+            expected = [-1] * cx.n_cells(d)
+            reps = []
+            for i, chain in enumerate(cx.cells[d]):
+                if expected[i] < 0:
+                    for vmap in vmaps:
+                        expected[cx.index[d][tuple(vmap[v] for v in chain)]] = len(reps)
+                    reps.append(i)
+            assert qc.orbit_of[d].tolist() == expected
+            assert qc.reps[d] == reps
