@@ -197,7 +197,8 @@ def _verification_checks(n: int) -> list[tuple[str, bool]]:
     free_transitive = len(orbit_list) == 1 and orbit_list[0].stabilizer_order == 1
     checks.append(("stabilizer of 1 acts freely and transitively on flags", free_transitive))
 
-    wedge = verify_wedge(homology_of(cx), n - 3, factorial(n - 1))
+    nerve_homology = homology_of(cx)
+    wedge = verify_wedge(nerve_homology, n - 3, factorial(n - 1))
     checks.append(("reduced homology is a wedge of (n-1)! spheres", wedge))
 
     qm, qc = quotient_critical_cells(n, action.group)
@@ -208,7 +209,7 @@ def _verification_checks(n: int) -> list[tuple[str, bool]]:
     checks.append(("full-group quotient has two critical cells", counts == expected))
 
     data = morse_data(matching)
-    agree = homology_of(data.chain_data()) == homology_of(cx)
+    agree = homology_of(data.chain_data()) == nerve_homology
     checks.append(("Morse homology agrees with simplicial homology", agree))
 
     sym_quotient = QuotientComplex(cx, PermGroup.symmetric(n))
@@ -238,22 +239,24 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, group=False, dump=False):
+    def add(name, summary, output=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--n", type=int, required=True, help="ground-set size (>= 3)")
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--max-dim", type=int, default=None, dest="max_dim")
-        if group:
-            p.add_argument("--group", help='generators in cycle notation, e.g. "(2 3),(2 3 4 5)"')
-        if dump:
-            p.add_argument("--dump-matching", dest="dump_matching", help="write the pair list here")
+        if output:
+            p.add_argument("--out", help="write output to this path instead of stdout")
+            p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        return p
 
-    add_common(sub.add_parser("complex", help="cell counts of the nerve"))
-    add_common(sub.add_parser("matching", help="build and certify the main matching"), dump=True)
-    add_common(sub.add_parser("quotient", help="quotient complex and matching"), group=True)
-    add_common(sub.add_parser("homology", help="integral homology table"), group=True)
-    add_common(sub.add_parser("verify", help="run the verification suite for one size"))
-    add_common(sub.add_parser("report", help="aggregate matching reports for 3..n"))
+    group_help = 'generators in cycle notation, e.g. "(2 3),(2 3 4 5)"'
+    add("complex", "cell counts of the nerve")
+    matching = add("matching", "build and certify the main matching")
+    matching.add_argument("--dump-matching", dest="dump_matching", help="write the pair list here")
+    add("quotient", "quotient complex and matching").add_argument("--group", help=group_help)
+    homology = add("homology", "integral homology table")
+    homology.add_argument("--group", help=group_help)
+    homology.add_argument("--max-dim", type=int, default=None, dest="max_dim")
+    add("verify", "run the verification suite for one size", output=False)
+    add("report", "aggregate matching reports for 3..n")
 
     args = parser.parse_args(argv)
     if args.n < 3:

@@ -244,9 +244,8 @@ def _check_boundary_squares_to_zero(columns_by_dim: dict[int, list[dict[int, int
 
 
 def homology_of(complex_like, reduced: bool = True, max_dim: int | None = None) -> HomologyResult:
-    """Integral homology from any object exposing dim / n_cells /
-    boundary_columns.  Reduced homology augments dimension 0 by the sum
-    of vertex coefficients."""
+    """Integral homology of any CellComplex.  Reduced homology augments
+    dimension 0 by the sum of vertex coefficients."""
     top = complex_like.dim
     if max_dim is not None:
         top = min(top, max_dim)

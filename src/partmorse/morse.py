@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ordercomplex import ExplicitComplex, parse_simplex
 from .perm import Perm
 
 Cell = tuple[int, int]
@@ -23,14 +24,6 @@ Pair = tuple[Cell, Cell]
 
 class InvalidMatchingError(ValueError):
     pass
-
-
-def incidence_column(complex, d: int, j: int) -> dict[int, int]:
-    """Accumulated boundary coefficients of cell (d, j)."""
-    col: dict[int, int] = {}
-    for i, s in complex.faces(d, j):
-        col[i] = col.get(i, 0) + s
-    return col
 
 
 def _build_partner(complex, pairs) -> dict[Cell, Cell]:
@@ -43,7 +36,7 @@ def _build_partner(complex, pairs) -> dict[Cell, Cell]:
         for dd, k in ((d, i), (e, j)):
             if not (0 <= dd <= complex.dim and 0 <= k < complex.n_cells(dd)):
                 raise InvalidMatchingError(f"dangling cell ({dd}, {k})")
-        coeff = incidence_column(complex, e, j).get(i, 0)
+        coeff = dict(complex.faces(e, j)).get(i, 0)
         if abs(coeff) != 1:
             raise InvalidMatchingError(
                 f"cell ({d},{i}) is not a regular face of ({e},{j}) (coefficient {coeff})"
@@ -89,8 +82,6 @@ class Matching:
 
 def matching_from_dump(complex, text: str) -> Matching:
     """Inverse of Matching.dump for complexes over partitions."""
-    from .ordercomplex import parse_simplex
-
     pairs = []
     for line in text.splitlines():
         line = line.strip()
@@ -144,8 +135,8 @@ def find_cycle(complex, partner: dict[Cell, Cell]) -> list[Cell] | None:
         def successors(j: int) -> list[tuple[int, int]]:
             down = partner[(d + 1, j)][1]
             out = []
-            for y, s in incidence_column(complex, d + 1, j).items():
-                if y == down or s == 0:
+            for y, _ in complex.faces(d + 1, j):
+                if y == down:
                     continue
                 up = partner.get((d, y))
                 if up is not None and up[0] == d + 1 and up[1] in node_set:
@@ -408,28 +399,10 @@ class MorseData:
     def critical_counts(self) -> list[int]:
         return [len(layer) for layer in self.critical]
 
-    def chain_data(self) -> "MorseChainComplex":
-        return MorseChainComplex([len(layer) for layer in self.critical], self.boundary)
-
-
-class MorseChainComplex:
-    """Boundary data of a Morse complex in the shape homology expects."""
-
-    def __init__(self, sizes: list[int], columns: list[list[dict[int, int]]]):
-        self._sizes = sizes
-        self._columns = columns
-
-    @property
-    def dim(self) -> int:
-        return len(self._sizes) - 1
-
-    def n_cells(self, d: int) -> int:
-        if 0 <= d < len(self._sizes):
-            return self._sizes[d]
-        return 0
-
-    def boundary_columns(self, d: int) -> list[dict[int, int]]:
-        return self._columns[d]
+    def chain_data(self) -> ExplicitComplex:
+        """The Morse complex, its cells labelled as the critical cells."""
+        labels = [[self.complex.cell_label(d, i) for i in layer] for d, layer in enumerate(self.critical)]
+        return ExplicitComplex(labels, [[list(col.items()) for col in layer] for layer in self.boundary[1:]])
 
 
 def _flow_memo(complex, partner: dict[Cell, Cell], crit_layer: set[int], d: int) -> dict:
@@ -455,17 +428,17 @@ def _flow_memo(complex, partner: dict[Cell, Cell], crit_layer: set[int], d: int)
                 stack.pop()
                 continue
             w = p[1]
-            inc = incidence_column(complex, d + 1, w)
+            inc = dict(complex.faces(d + 1, w))
             sy = inc[y]
             if abs(sy) != 1:
                 raise InvalidMatchingError(f"matched incidence of ({d},{y}) in ({d+1},{w}) is {sy}")
-            pending = [z for z, sz in inc.items() if z != y and sz and z not in memo]
+            pending = [z for z in inc if z != y and z not in memo]
             if pending:
                 stack.extend(pending)
                 continue
             acc: dict[int, int] = {}
             for z, sz in inc.items():
-                if z == y or sz == 0:
+                if z == y:
                     continue
                 for c, v in memo[z].items():
                     acc[c] = acc.get(c, 0) + (-sy * sz) * v
@@ -489,9 +462,7 @@ def morse_data(matching: Matching, cycle_reps=False) -> MorseData:
         cols = []
         for u in critical[d]:
             acc: dict[int, int] = {}
-            for y, s in incidence_column(cx, d, u).items():
-                if s == 0:
-                    continue
+            for y, s in cx.faces(d, u):
                 for c, v in flow(y).items():
                     acc[c] = acc.get(c, 0) + s * v
             cols.append({position[c]: v for c, v in acc.items() if v})
@@ -519,21 +490,19 @@ def gradient_chain(matching: Matching, cell: Cell) -> dict[int, int]:
             if p is None or p[0] != k + 1:
                 continue
             b = p[1]
-            s = incidence_column(cx, k + 1, b)[a]
+            s = dict(cx.faces(k + 1, b))[a]
             out[b] = out.get(b, 0) + (-s) * va
         return {b: v for b, v in out.items() if v}
 
     def lower_chain(chain: dict[int, int], k: int) -> dict[int, int]:
         out: dict[int, int] = {}
         for a, va in chain.items():
-            for y, s in incidence_column(cx, k, a).items():
-                if s:
-                    out[y] = out.get(y, 0) + s * va
+            for y, s in cx.faces(k, a):
+                out[y] = out.get(y, 0) + s * va
         return {y: v for y, v in out.items() if v}
 
     r = {start: 1}
-    limit = cx.total_cells() + 10 if hasattr(cx, "total_cells") else 10_000
-    for _ in range(limit):
+    for _ in range(cx.total_cells() + 10):
         nxt = dict(r)
         if d >= 1:
             for b, v in raise_chain(lower_chain(r, d), d - 1).items():
@@ -568,13 +537,11 @@ def cohomology_representatives(data: MorseData, d: int) -> list[dict[int, int]]:
                 stack.pop()
                 continue
             steps = []
-            for y, sy in incidence_column(cx, d, s).items():
-                if sy == 0:
-                    continue
+            for y, sy in cx.faces(d, s):
                 up = partner.get((d - 1, y))
                 if up is not None and up[0] == d and up[1] != s:
                     w = up[1]
-                    sw = incidence_column(cx, d, w)[y]
+                    sw = dict(cx.faces(d, w))[y]
                     if abs(sw) != 1:
                         raise InvalidMatchingError(f"matched incidence of ({d-1},{y}) in ({d},{w}) is {sw}")
                     steps.append((w, -sy * sw))

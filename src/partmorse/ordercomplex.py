@@ -4,6 +4,10 @@ Cells of dimension d are the (d+1)-element chains of the poset, stored
 explicitly with stable per-dimension indices.  The distinguished empty
 cell (the bottom of the face poset) is never stored; matchings and chain
 complexes both live on the nonempty cells.
+
+CellComplex is the one chain-complex protocol: the nerve, its quotients
+(perm.QuotientComplex), hand-built fixtures and Morse complexes each
+supply the raw faces of a cell and inherit everything else.
 """
 
 from __future__ import annotations
@@ -46,13 +50,80 @@ def parse_simplex(text: str, n: int | None = None) -> Simplex:
     return Simplex(parts)
 
 
-class OrderComplex:
+class CellComplex:
+    """A finite chain complex on numbered cells.
+
+    The cells of dimension d are 0..n_cells(d)-1.  A subclass passes the
+    cell counts per dimension and implements only _boundary(d, i), the
+    raw (face index, coefficient) pairs of cell (d, i) for d >= 1, in
+    which a face may repeat; every other boundary view is derived here.
+    """
+
+    def __init__(self, sizes):
+        self._sizes = tuple(sizes)
+        self._face_lists: list[list | None] = [None] * len(self._sizes)
+
+    def _boundary(self, d: int, i: int):
+        raise NotImplementedError
+
+    @property
+    def dim(self) -> int:
+        return len(self._sizes) - 1
+
+    def n_cells(self, d: int) -> int:
+        if 0 <= d < len(self._sizes):
+            return self._sizes[d]
+        return 0
+
+    def f_vector(self) -> tuple[int, ...]:
+        return self._sizes
+
+    def total_cells(self) -> int:
+        return sum(self._sizes)
+
+    def euler_characteristic(self) -> int:
+        return sum((-1) ** d * size for d, size in enumerate(self._sizes))
+
+    def faces(self, d: int, i: int) -> tuple[tuple[int, int], ...]:
+        """Codimension-1 faces of cell (d, i) as (index, coefficient)
+        pairs: repeated faces are merged into one coefficient, zero
+        coefficients are dropped, and faces keep their first-occurrence
+        order.  Columns are cached per dimension."""
+        if d == 0:
+            return ()
+        layer = self._face_lists[d]
+        if layer is None:
+            layer = self._face_lists[d] = [None] * self._sizes[d]
+        col = layer[i]
+        if col is None:
+            acc: dict[int, int] = {}
+            for j, c in self._boundary(d, i):
+                acc[j] = acc.get(j, 0) + c
+            col = layer[i] = tuple((j, c) for j, c in acc.items() if c)
+        return col
+
+    def boundary_columns(self, d: int) -> list[dict[int, int]]:
+        """Boundary map in dimension d as sparse columns (row -> coefficient)."""
+        return [dict(self.faces(d, i)) for i in range(self.n_cells(d))]
+
+    def boundary_matrix(self, d: int) -> np.ndarray:
+        if not 1 <= d <= self.dim:
+            raise ValueError(f"dimension {d} out of range 1..{self.dim}")
+        mat = np.zeros((self.n_cells(d - 1), self.n_cells(d)), dtype=np.int64)
+        for i in range(self.n_cells(d)):
+            for j, c in self.faces(d, i):
+                mat[j, i] = c
+        return mat
+
+
+class OrderComplex(CellComplex):
     """The nerve of a finite poset, with per-dimension cell indexing.
 
     `elements` is the ground poset in its canonical enumeration order;
     `less` is the strict order as a boolean matrix over element indices.
     Cells are tuples of element indices, listed in increasing poset order
     along the chain and sorted lexicographically within each dimension.
+    The k-th face of a cell drops vertex k and carries sign (-1)^k.
     """
 
     def __init__(self, elements, less: np.ndarray):
@@ -83,7 +154,7 @@ class OrderComplex:
         self.cells = cells
         self.index = [{c: i for i, c in enumerate(layer)} for layer in cells]
         self.element_index = {p: i for i, p in enumerate(self.elements)}
-        self._faces_cache: list[list[tuple[tuple[int, int], ...]] | None] = [None] * len(cells)
+        super().__init__(len(layer) for layer in cells)
 
     @classmethod
     def from_poset(cls, elements, less=None) -> "OrderComplex":
@@ -102,26 +173,6 @@ class OrderComplex:
                     rel[i, j] = True
         return cls(elements, rel)
 
-    # -- cell accounting ------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return len(self.cells) - 1
-
-    def n_cells(self, d: int) -> int:
-        if 0 <= d < len(self.cells):
-            return len(self.cells[d])
-        return 0
-
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.cells)
-
-    def total_cells(self) -> int:
-        return sum(len(layer) for layer in self.cells)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(layer) for d, layer in enumerate(self.cells))
-
     def locate(self, chain) -> tuple[int, int]:
         """Cell id of a chain given as vertex indices or as a Simplex."""
         if isinstance(chain, Simplex):
@@ -137,99 +188,37 @@ class OrderComplex:
     def cell_label(self, d: int, i: int) -> str:
         return " < ".join(str(self.elements[v]) for v in self.cells[d][i])
 
-    # -- boundary -------------------------------------------------------
+    def _boundary(self, d: int, i: int):
+        chain = self.cells[d][i]
+        idx = self.index[d - 1]
+        return ((idx[chain[:k] + chain[k + 1:]], -1 if k % 2 else 1) for k in range(len(chain)))
 
-    def faces(self, d: int, i: int) -> tuple[tuple[int, int], ...]:
-        """Codimension-1 faces of cell (d, i) as (index, sign) pairs;
-        the k-th entry drops vertex k and carries sign (-1)^k."""
-        if d == 0:
-            return ()
-        cache = self._faces_cache[d]
-        if cache is None:
-            cache = [() for _ in self.cells[d]]
-            self._faces_cache[d] = cache
-        if not cache[i]:
-            chain = self.cells[d][i]
-            idx = self.index[d - 1]
-            cache[i] = tuple(
-                (idx[chain[:k] + chain[k + 1:]], -1 if k % 2 else 1)
-                for k in range(len(chain))
-            )
-        return cache[i]
-
-    def boundary_columns(self, d: int) -> list[dict[int, int]]:
-        """Boundary map in dimension d as sparse columns (row -> entry)."""
-        cols = []
-        for i in range(self.n_cells(d)):
-            col: dict[int, int] = {}
-            for j, s in self.faces(d, i):
-                col[j] = col.get(j, 0) + s
-            cols.append(col)
-        return cols
-
-    def boundary_matrix(self, d: int) -> np.ndarray:
-        if not 1 <= d <= self.dim:
-            raise ValueError(f"dimension {d} out of range 1..{self.dim}")
-        mat = np.zeros((self.n_cells(d - 1), self.n_cells(d)), dtype=np.int64)
-        for i, col in enumerate(self.boundary_columns(d)):
-            for j, v in col.items():
-                mat[j, i] = v
-        return mat
+    # bound in the class body: the per-layer tracer in perfbench/ wraps
+    # OrderComplex.__dict__["boundary_columns"] and fails without it
+    boundary_columns = CellComplex.boundary_columns
 
 
-class ExplicitComplex:
+class ExplicitComplex(CellComplex):
     """A small regular complex given by explicit cell names and face lists.
 
     Used for complexes that are not nerves of posets (test fixtures,
-    hand-built examples).  `face_lists[d][i]` lists (face index, sign)
-    pairs for cell i of dimension d; dimension 0 needs no entry.
+    hand-built examples, Morse complexes).  `face_lists[d][i]` lists
+    (face index, coefficient) pairs for cell i of dimension d, a face
+    possibly repeated; dimension 0 needs no entry.
     """
 
     def __init__(self, labels: list[list[str]], face_lists: list[list[list[tuple[int, int]]]]):
-        self.labels = labels
-        self._faces = [[] for _ in labels[:1]] + [
-            [tuple(fl) for fl in layer] for layer in face_lists
-        ]
-        if len(self._faces) != len(labels):
+        if len(face_lists) != max(len(labels) - 1, 0):
             raise ValueError("face lists must cover every dimension above 0")
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels) - 1
-
-    def n_cells(self, d: int) -> int:
-        if 0 <= d < len(self.labels):
-            return len(self.labels[d])
-        return 0
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(layer) for d, layer in enumerate(self.labels))
+        self.labels = labels
+        self._raw_faces = [None, *face_lists]
+        super().__init__(len(layer) for layer in labels)
 
     def cell_label(self, d: int, i: int) -> str:
         return self.labels[d][i]
 
-    def faces(self, d: int, i: int) -> tuple[tuple[int, int], ...]:
-        if d == 0:
-            return ()
-        return self._faces[d][i]
-
-    def boundary_columns(self, d: int) -> list[dict[int, int]]:
-        cols = []
-        for i in range(self.n_cells(d)):
-            col: dict[int, int] = {}
-            for j, s in self.faces(d, i):
-                col[j] = col.get(j, 0) + s
-            cols.append(col)
-        return cols
-
-    def boundary_matrix(self, d: int) -> np.ndarray:
-        if not 1 <= d <= self.dim:
-            raise ValueError(f"dimension {d} out of range 1..{self.dim}")
-        mat = np.zeros((self.n_cells(d - 1), self.n_cells(d)), dtype=np.int64)
-        for i, col in enumerate(self.boundary_columns(d)):
-            for j, v in col.items():
-                mat[j, i] = v
-        return mat
+    def _boundary(self, d: int, i: int):
+        return self._raw_faces[d][i]
 
 
 def proper_part_complex(n: int) -> OrderComplex:

@@ -2,10 +2,11 @@
 
 Groups keep their full element list, which at desk scale (subgroups of
 S_7) is cheap to close by breadth-first multiplication and answers order,
-membership and the orbit/stabilizer counts of `orbits`.  Actions on
-complexes and quotients go through the generators only: a map that is a
-poset automorphism for every generator is one for every product of them,
-and an orbit is the closure of a point under the generator images.
+membership and the orbit/stabilizer counts of `orbits`.  Fixed points,
+containment, and actions on complexes and quotients go through the
+generators only: a map that is a poset automorphism for every generator
+is one for every product of them, and an orbit is the closure of a point
+under the generator images.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ordercomplex import OrderComplex, Simplex
+from .ordercomplex import CellComplex, OrderComplex, Simplex
 from .setpart import Partition
 
 
@@ -190,7 +191,8 @@ class PermGroup:
         return iter(self.elements)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.n == other.n and all(g in other for g in self.elements)
+        """A group lies in another iff its generators do."""
+        return self.n == other.n and all(g in other for g in self.generators)
 
     def index_in(self, other: "PermGroup") -> int:
         if not self.is_subgroup_of(other):
@@ -198,7 +200,8 @@ class PermGroup:
         return other.order // self.order
 
     def fixes_point(self, x: int) -> bool:
-        return all(g(x) == x for g in self.elements)
+        """A group fixes x iff each of its generators does."""
+        return all(g(x) == x for g in self.generators)
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "id"
@@ -275,10 +278,11 @@ class ComplexAction:
         return d, self.complex.index[d][chain]
 
 
-class QuotientComplex:
+class QuotientComplex(CellComplex):
     """Cells are group orbits of cells; the boundary of an orbit is read
-    off a representative, with coefficients accumulated whenever distinct
-    faces fall into one orbit."""
+    off a representative.  Distinct faces of a chain never share an
+    orbit, since an automorphism of finite order cannot carry one facet
+    of a chain onto another, so every coefficient is a sign."""
 
     def __init__(self, complex: OrderComplex, group: PermGroup):
         self.base = complex
@@ -312,25 +316,7 @@ class QuotientComplex:
                             stack.append(img)
             self.orbit_of.append(np.asarray(assign, dtype=np.int64))
             self.reps.append(reps)
-        self._faces_cache: list[list[tuple[tuple[int, int], ...]] | None] = [None] * len(self.reps)
-
-    @property
-    def dim(self) -> int:
-        return len(self.reps) - 1
-
-    def n_cells(self, d: int) -> int:
-        if 0 <= d < len(self.reps):
-            return len(self.reps[d])
-        return 0
-
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.reps)
-
-    def total_cells(self) -> int:
-        return sum(len(layer) for layer in self.reps)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(layer) for d, layer in enumerate(self.reps))
+        super().__init__(len(layer) for layer in self.reps)
 
     def orbit_index(self, d: int, base_index: int) -> int:
         return int(self.orbit_of[d][base_index])
@@ -345,35 +331,10 @@ class QuotientComplex:
     def cell_label(self, d: int, i: int) -> str:
         return "[" + self.base.cell_label(d, self.reps[d][i]) + "]"
 
-    def faces(self, d: int, i: int) -> tuple[tuple[int, int], ...]:
-        if d == 0:
-            return ()
-        cache = self._faces_cache[d]
-        if cache is None:
-            cache = [() for _ in self.reps[d]]
-            self._faces_cache[d] = cache
-        if not cache[i]:
-            base_i = self.reps[d][i]
-            assign = self.orbit_of[d - 1]
-            cache[i] = tuple(
-                (int(assign[j]), s) for j, s in self.base.faces(d, base_i)
-            )
-        return cache[i]
+    def _boundary(self, d: int, i: int):
+        assign = self.orbit_of[d - 1]
+        return ((int(assign[j]), s) for j, s in self.base.faces(d, self.reps[d][i]))
 
-    def boundary_columns(self, d: int) -> list[dict[int, int]]:
-        cols = []
-        for i in range(self.n_cells(d)):
-            col: dict[int, int] = {}
-            for j, s in self.faces(d, i):
-                col[j] = col.get(j, 0) + s
-            cols.append(col)
-        return cols
-
-    def boundary_matrix(self, d: int) -> np.ndarray:
-        if not 1 <= d <= self.dim:
-            raise ValueError(f"dimension {d} out of range 1..{self.dim}")
-        mat = np.zeros((self.n_cells(d - 1), self.n_cells(d)), dtype=np.int64)
-        for i, col in enumerate(self.boundary_columns(d)):
-            for j, v in col.items():
-                mat[j, i] = v
-        return mat
+    # bound in the class body: the per-layer tracer in perfbench/ wraps
+    # QuotientComplex.__dict__["boundary_columns"] and fails without it
+    boundary_columns = CellComplex.boundary_columns

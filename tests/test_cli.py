@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -128,6 +129,21 @@ def test_homology_max_dim(capsys):
     assert payload[1]["betti"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "5", "--out", "x"],
+        ["verify", "--n", "5", "--format", "text"],
+        ["complex", "--n", "5", "--max-dim", "1"],
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_prints_check_lines(capsys):
     code, out, err = run(capsys, "verify", "--n", "4")
     assert code == 0
@@ -205,6 +221,8 @@ def test_console_script_runs():
         [sys.executable, "-m", "partmorse.cli", "complex", "--n", "3"],
         capture_output=True,
         text=True,
+        # the child imports the same package as this process
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["fVector"] == [3]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from partmorse.construction import build_main_matching
+from partmorse.morse import morse_data
 from partmorse.ordercomplex import (
     ExplicitComplex,
     InvalidPosetError,
@@ -9,7 +11,9 @@ from partmorse.ordercomplex import (
     parse_simplex,
     proper_part_complex,
 )
+from partmorse.perm import PermGroup, QuotientComplex
 from partmorse.setpart import parse_partition
+from test_homology import mod2_moore_space
 
 
 def divisor_complex():
@@ -73,13 +77,44 @@ def test_boundary_squares_to_zero():
         assert not prod.any()
 
 
+def test_faces_merge_repeats_and_drop_cancellations():
+    cx = mod2_moore_space()
+    # the loop's two endpoints cancel; the disk wraps the loop twice
+    assert cx.faces(1, 0) == ()
+    assert cx.faces(2, 0) == ((0, 2),)
+    assert cx.boundary_columns(1) == [{}]
+    merged = ExplicitComplex([["a", "b"], ["e"]], [[[(1, 1), (0, -1), (1, 1), (0, 1)]]])
+    assert merged.faces(1, 0) == ((1, 2),)
+
+
+def test_quotient_faces_are_orbits_of_representative_faces():
+    # an automorphism of finite order cannot carry one facet of a chain
+    # onto another, so distinct faces of a cell never share an orbit
+    cx = proper_part_complex(5)
+    for group in (PermGroup.point_stabilizer(5), PermGroup.symmetric(5)):
+        qc = QuotientComplex(cx, group)
+        for d in range(1, qc.dim + 1):
+            for i in range(qc.n_cells(d)):
+                base = cx.faces(d, qc.reps[d][i])
+                assert qc.faces(d, i) == tuple((qc.orbit_index(d - 1, j), s) for j, s in base)
+
+
+def quotient_of_five():
+    return QuotientComplex(proper_part_complex(5), PermGroup.from_cycle_strings(5, ["(2 3)", "(4 5)"]))
+
+
+def morse_complex_of_five():
+    return morse_data(build_main_matching(5)).chain_data()
+
+
 def test_boundary_columns_match_matrix():
-    cx = divisor_complex()
-    for d in range(1, cx.dim + 1):
-        mat = cx.boundary_matrix(d)
-        for i, col in enumerate(cx.boundary_columns(d)):
-            dense = {j: int(v) for j, v in enumerate(mat[:, i]) if v}
-            assert dense == col
+    for make in (divisor_complex, circle, mod2_moore_space, quotient_of_five, morse_complex_of_five):
+        cx = make()
+        for d in range(1, cx.dim + 1):
+            mat = cx.boundary_matrix(d)
+            for i, col in enumerate(cx.boundary_columns(d)):
+                dense = {j: int(v) for j, v in enumerate(mat[:, i]) if v}
+                assert dense == col
 
 
 def test_locate_and_simplex_round_trip():

@@ -24,7 +24,6 @@ from partmorse.morse import (
     equivariant_patchwork_matching,
     find_cycle,
     gradient_chain,
-    incidence_column,
     matching_from_dump,
     morse_data,
     patchwork_matching,
@@ -49,7 +48,26 @@ def divisors_of_six():
 
 def test_incidence_column():
     cx = circle()
-    assert incidence_column(cx, 1, 0) == {0: -1, 1: 1}
+    assert dict(cx.faces(1, 0)) == {0: -1, 1: 1}
+
+
+def test_group_predicates_agree_with_element_walk():
+    groups = oracle_groups()
+    seen_fix, seen_sub = set(), set()
+    for group in groups:
+        for x in range(1, group.n + 1):
+            walk = all(g(x) == x for g in group.elements)
+            assert group.fixes_point(x) == walk
+            seen_fix.add(walk)
+        for other in groups:
+            if other.n == group.n:
+                walk = all(g in other for g in group.elements)
+                assert group.is_subgroup_of(other) == walk
+                seen_sub.add(walk)
+    assert seen_fix == seen_sub == {True, False}
+    s4, stab = PermGroup.symmetric(4), PermGroup.point_stabilizer(4)
+    assert not s4.fixes_point(1) and stab.fixes_point(1)
+    assert not s4.is_subgroup_of(stab) and stab.is_subgroup_of(s4)
 
 
 def test_empty_matching_is_acyclic():
@@ -353,6 +371,16 @@ def test_morse_data_circle():
     assert hom.betti(0) == 1 and hom.betti(1) == 1
     rep = data.cycle_reps[(1, 2)]
     assert set(rep) == {0, 1, 2}
+
+
+def test_chain_data_labels_are_critical_cell_labels():
+    m = build_main_matching(5)
+    chain = morse_data(m).chain_data()
+    for d, layer in enumerate(m.critical_cells()):
+        assert [chain.cell_label(d, k) for k in range(chain.n_cells(d))] == [
+            m.complex.cell_label(d, i) for i in layer
+        ]
+    assert chain.f_vector() == tuple(m.critical_counts())
 
 
 def test_morse_homology_matches_simplicial_on_fixture():
