@@ -61,9 +61,7 @@ def _render(payload, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2)
     if fmt == "csv":
-        if isinstance(payload, str):
-            return payload
-        raise ValueError("csv output is only available for homology tables")
+        return payload
     lines = []
 
     def walk(value, prefix=""):
@@ -261,6 +259,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.n < 3:
         print(f"error: --n must be at least 3, got {args.n}", file=sys.stderr)
+        return 2
+    if getattr(args, "format", None) == "csv" and args.command != "homology":
+        print("error: csv output is only available for homology tables", file=sys.stderr)
         return 2
 
     handlers = {

@@ -5,6 +5,17 @@ explicitly with stable per-dimension indices.  The distinguished empty
 cell (the bottom of the face poset) is never stored; matchings and chain
 complexes both live on the nonempty cells.
 
+Each layer is enumerated once, as a prefix tree of two int32 arrays: a
+chain of dimension d is its prefix chain parent[d][i] of dimension d-1
+followed by the vertex last[d][i] (parent[0] is all zeros, the empty
+chain), and the chain tuples are read off these arrays.  Layers are
+lexicographic, so the int64 codes parent*m + last increase strictly, and
+find locates chains by binary search on them, in bulk; face_table and
+perm.QuotientComplex go through it.  A code of dimension d is below
+N_{d-1} * m; at n = 8 (m = 4138, f-vector 4138, 155477, 1208830,
+3394790, 3919860, 1587600) that is at most 3919860 * 4138 < 1.7e10, far
+below the int64 limit, and every cell index fits in int32.
+
 CellComplex is the one chain-complex protocol: the nerve, its quotients
 (perm.QuotientComplex), hand-built fixtures and Morse complexes each
 supply the raw faces of a cell and inherit everything else.
@@ -116,13 +127,34 @@ class CellComplex:
         return mat
 
 
+class _ChainIndex:
+    """index[d] maps each chain of dimension d to its position.  The dict
+    for a dimension is built on first lookup: boundaries and quotients
+    read the prefix tree instead, so the homology of a quotient builds
+    none of them."""
+
+    def __init__(self, cells):
+        self._cells = cells
+        self._maps: list[dict | None] = [None] * len(cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+    def __getitem__(self, d: int) -> dict[tuple[int, ...], int]:
+        found = self._maps[d]
+        if found is None:
+            found = self._maps[d] = {c: i for i, c in enumerate(self._cells[d])}
+        return found
+
+
 class OrderComplex(CellComplex):
     """The nerve of a finite poset, with per-dimension cell indexing.
 
     `elements` is the ground poset in its canonical enumeration order;
     `less` is the strict order as a boolean matrix over element indices.
     Cells are tuples of element indices, listed in increasing poset order
-    along the chain and sorted lexicographically within each dimension.
+    along the chain and sorted lexicographically within each dimension;
+    parent[d] and last[d] give the same layer as a prefix tree.
     The k-th face of a cell drops vertex k and carries sign (-1)^k.
     """
 
@@ -134,37 +166,43 @@ class OrderComplex(CellComplex):
             raise InvalidPosetError(f"relation shape {less.shape} != ({m}, {m})")
         if less.trace() > 0 or (less & less.T).any():
             raise InvalidPosetError("relation is not antisymmetric and irreflexive")
-        reach = (less.astype(np.int64) @ less.astype(np.int64)) > 0
-        if (reach & ~less).any():
-            raise InvalidPosetError("relation is not transitive")
+        # transitive iff everything above an element's successors is above it
+        for i in range(m):
+            if (less[less[i]] & ~less[i]).any():
+                raise InvalidPosetError("relation is not transitive")
         self.less = less
-        above = [np.nonzero(less[i])[0].tolist() for i in range(m)]
+        succ = np.nonzero(less)[1].astype(np.int32)
+        deg = less.sum(axis=1)
+        start = np.cumsum(deg) - deg
 
-        cells: list[list[tuple[int, ...]]] = [[(i,) for i in range(m)]] if m else []
-        frontier = cells[0] if m else []
-        while frontier:
-            nxt = []
-            for chain in frontier:
-                last = chain[-1]
-                for j in above[last]:
-                    nxt.append(chain + (j,))
-            if nxt:
-                cells.append(nxt)
-            frontier = nxt
+        # each new layer extends every chain of the last by one vertex above
+        # its top; succ[start[v]:start[v] + deg[v]] lists the vertices above v
+        cells: list[list[tuple[int, ...]]] = []
+        parent: list[np.ndarray] = []
+        last: list[np.ndarray] = []
+        if m:
+            cells.append([(i,) for i in range(m)])
+            parent.append(np.zeros(m, dtype=np.int32))
+            last.append(np.arange(m, dtype=np.int32))
+        while last and deg[last[-1]].any():
+            counts = deg[last[-1]]
+            offset = np.repeat(start[last[-1]] - (np.cumsum(counts) - counts), counts)
+            parent.append(np.repeat(np.arange(len(counts), dtype=np.int32), counts))
+            last.append(succ[offset + np.arange(len(offset))])
+            # memoryviews yield one int at a time instead of whole lists of
+            # them, and the singletons of cells[0] share one int per vertex
+            prefixes, singles = cells[-1], cells[0]
+            cells.append([prefixes[p] + singles[v] for p, v in zip(memoryview(parent[-1]), memoryview(last[-1]))])
         self.cells = cells
-        self.index = [{c: i for i, c in enumerate(layer)} for layer in cells]
+        self.parent = parent
+        self.last = last
+        self.index = _ChainIndex(cells)
         self.element_index = {p: i for i, p in enumerate(self.elements)}
         super().__init__(len(layer) for layer in cells)
 
     @classmethod
-    def from_poset(cls, elements, less=None) -> "OrderComplex":
-        """Build from an element list and a strict-order predicate.
-
-        With no predicate the elements must be partitions, ordered by
-        proper refinement.
-        """
-        if less is None:
-            less = lambda p, q: p != q and p.refines(q)
+    def from_poset(cls, elements, less) -> "OrderComplex":
+        """Build from an element list and a strict-order predicate."""
         m = len(elements)
         rel = np.zeros((m, m), dtype=bool)
         for i, p in enumerate(elements):
@@ -172,6 +210,17 @@ class OrderComplex(CellComplex):
                 if i != j and less(p, q):
                     rel[i, j] = True
         return cls(elements, rel)
+
+    def cell_codes(self, d: int) -> np.ndarray:
+        """Strictly increasing int64 keys parent*m + last of the cells of
+        dimension d, in cell order; every key is below N_{d-1} * m."""
+        return self.parent[d].astype(np.int64) * len(self.elements) + self.last[d]
+
+    def find(self, d: int, prefix: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+        """Indices of the cells of dimension d that extend the chains
+        prefix (indices in dimension d-1; zeros for d = 0) by vertex;
+        each such chain must be a cell."""
+        return np.searchsorted(self.cell_codes(d), prefix.astype(np.int64) * len(self.elements) + vertex)
 
     def locate(self, chain) -> tuple[int, int]:
         """Cell id of a chain given as vertex indices or as a Simplex."""
@@ -187,6 +236,25 @@ class OrderComplex(CellComplex):
 
     def cell_label(self, d: int, i: int) -> str:
         return " < ".join(str(self.elements[v]) for v in self.cells[d][i])
+
+    def face_table(self, d: int, cells: np.ndarray) -> np.ndarray:
+        """(len(cells), d+1) int32 array whose column k holds, for each of
+        the given cells of dimension d >= 1, the index of its face without
+        vertex k; computed in bulk from the prefix tree."""
+        # prefix[j]: index of the first j+1 vertices of each chain, in dimension j
+        prefix = [np.asarray(cells, dtype=np.int32)]
+        for j in range(d, 0, -1):
+            prefix.insert(0, self.parent[j][prefix[0]])
+        verts = [self.last[j][prefix[j]] for j in range(d + 1)]
+        table = np.empty((len(prefix[d]), d + 1), dtype=np.int32)
+        table[:, d] = prefix[d - 1]
+        for k in range(d):
+            # start from the chain's first k vertices, then append the ones after vertex k
+            face = prefix[k - 1] if k else np.zeros(len(table), dtype=np.int32)
+            for j in range(k + 1, d + 1):
+                face = self.find(j - 1, face, verts[j])
+            table[:, k] = face
+        return table
 
     def _boundary(self, d: int, i: int):
         chain = self.cells[d][i]
@@ -225,4 +293,15 @@ def proper_part_complex(n: int) -> OrderComplex:
     """The nerve of the proper part of the partition lattice of {1,...,n}."""
     from .setpart import enumerate_proper
 
-    return OrderComplex.from_poset(enumerate_proper(n))
+    elements = enumerate_proper(n)
+    rgs = np.array([p.rgs for p in elements], dtype=np.int8)
+    # first[p, e]: the first element of e's block in p (blocks are numbered
+    # by first appearance, so block b starts where the label b first occurs)
+    starts = np.argmax(rgs[:, None, :] == np.arange(n, dtype=np.int8)[:, None], axis=2)
+    first = np.take_along_axis(starts, rgs.astype(np.intp), axis=1)
+    # p refines q iff q's block labels are constant on the blocks of p
+    rel = np.empty((len(elements), len(elements)), dtype=bool)
+    for i in range(len(elements)):
+        rel[i] = (rgs[:, first[i]] == rgs).all(axis=1)
+    np.fill_diagonal(rel, False)
+    return OrderComplex(elements, rel)

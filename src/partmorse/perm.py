@@ -1,17 +1,25 @@
 """Permutations of {1,...,n}, generated subgroups, and their actions.
 
 Groups keep their full element list, which at desk scale (subgroups of
-S_7) is cheap to close by breadth-first multiplication and answers order,
-membership and the orbit/stabilizer counts of `orbits`.  Fixed points,
-containment, and actions on complexes and quotients go through the
-generators only: a map that is a poset automorphism for every generator
-is one for every product of them, and an orbit is the closure of a point
-under the generator images.
+S_7) is cheap to close by breadth-first multiplication and answers order
+and membership.  Fixed points, containment, orbits, and actions on
+complexes and quotients go through the generators only: a map that is a
+poset automorphism for every generator is one for every product of them,
+and an orbit is the closure of a point under the generator images (its
+stabilizer has order |G| / |orbit|).
+
+QuotientComplex works on the prefix-tree arrays parent[d] / last[d] of
+the order complex: the image of a chain is its prefix's image followed
+by the image of its last vertex, located in bulk by OrderComplex.find,
+and orbits are labelled by their smallest cell in array passes.
+The boundary of an orbit maps the faces of its representative, found in
+bulk by face_table, to their orbits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
@@ -217,20 +225,25 @@ class Orbit:
 
 def orbits(group: PermGroup, items) -> list[Orbit]:
     """Group the items into orbits; the representative is the canonically
-    smallest member and stabilizer orders are counted directly."""
-    items = list(items)
+    smallest member.  Members are closed under the generator images and
+    the stabilizer order is |G| / |orbit|."""
     seen: set = set()
     out = []
     for x in items:
         if x in seen:
             continue
-        members = {act(g, x) for g in group}
+        members = {x}
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for g in group.generators:
+                z = act(g, y)
+                if z not in members:
+                    members.add(z)
+                    stack.append(z)
         seen |= members
-        fixers = sum(1 for g in group if act(g, x) == x)
         ordered = sorted(members, key=_canonical_key)
-        if len(members) * fixers != group.order:
-            raise AssertionError(f"orbit-stabilizer mismatch at {x}")
-        out.append(Orbit(ordered[0], ordered, fixers))
+        out.append(Orbit(ordered[0], ordered, group.order // len(members)))
     return out
 
 
@@ -288,34 +301,33 @@ class QuotientComplex(CellComplex):
         self.base = complex
         self.group = group
         self.action = ComplexAction(complex, group)
-        gen_maps = list(self.action.vertex_maps.values())
+        vmaps = [np.asarray(v) for v in self.action.vertex_maps.values()]
+        # images[k] maps each cell of the current dimension to its image
+        # under generator k; the image of a chain is the image of its
+        # prefix followed by the image of its last vertex
+        images = [np.zeros(1, dtype=np.int64) for _ in vmaps]
         self.orbit_of: list[np.ndarray] = []
         self.reps: list[list[int]] = []
         for d in range(complex.dim + 1):
-            layer = complex.cells[d]
-            index = complex.index[d]
-            assign = [-1] * len(layer)
-            reps: list[int] = []
-            for i, chain in enumerate(layer):
-                if assign[i] >= 0:
-                    continue
-                o = len(reps)
-                reps.append(i)
-                assign[i] = o
-                stack = [chain]
-                while stack:
-                    c = stack.pop()
-                    for vmap in gen_maps:
-                        # setwise stabilization forces pointwise fixing: stored
-                        # chains are poset-ordered, so an image with the same
-                        # vertex set is the identical tuple
-                        img = tuple(vmap[v] for v in c)
-                        j = index[img]
-                        if assign[j] < 0:
-                            assign[j] = o
-                            stack.append(img)
-            self.orbit_of.append(np.asarray(assign, dtype=np.int64))
-            self.reps.append(reps)
+            par, last = complex.parent[d], complex.last[d]
+            images = [complex.find(d, img[par], v[last]) for img, v in zip(images, vmaps)]
+            # min-label propagation with pointer jumping: each cell ends
+            # labelled by the smallest cell of its orbit
+            label = np.arange(len(par))
+            while True:
+                new = label
+                for img in images:
+                    new = np.minimum(new, new[img])
+                new = new[new]
+                if np.array_equal(new, label):
+                    break
+                label = new
+            # a cell labels itself iff it is the smallest of its orbit;
+            # numbering orbits by that cell is first-appearance order
+            reps = np.flatnonzero(label == np.arange(len(label)))
+            self.orbit_of.append(np.searchsorted(reps, label))
+            self.reps.append(reps.tolist())
+        self._face_tables: dict[int, np.ndarray] = {}
         super().__init__(len(layer) for layer in self.reps)
 
     def orbit_index(self, d: int, base_index: int) -> int:
@@ -332,8 +344,12 @@ class QuotientComplex(CellComplex):
         return "[" + self.base.cell_label(d, self.reps[d][i]) + "]"
 
     def _boundary(self, d: int, i: int):
-        assign = self.orbit_of[d - 1]
-        return ((int(assign[j]), s) for j, s in self.base.faces(d, self.reps[d][i]))
+        table = self._face_tables.get(d)
+        if table is None:
+            # orbits of the faces of every representative, in one pass
+            faces = self.base.face_table(d, np.asarray(self.reps[d]))
+            table = self._face_tables[d] = self.orbit_of[d - 1][faces]
+        return zip(table[i].tolist(), cycle((1, -1)))
 
     # bound in the class body: the per-layer tracer in perfbench/ wraps
     # QuotientComplex.__dict__["boundary_columns"] and fails without it

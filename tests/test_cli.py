@@ -202,6 +202,17 @@ def test_csv_rejected_for_non_tables(capsys):
     assert "csv" in err
 
 
+def test_csv_rejected_before_the_handler_runs(capsys, monkeypatch):
+    def fail(n):
+        raise AssertionError("report built matchings for a usage error")
+
+    monkeypatch.setattr("partmorse.cli.matching_report", fail)
+    code, out, err = run(capsys, "report", "--n", "5", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err == "error: csv output is only available for homology tables\n"
+
+
 def test_out_writes_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, out, _ = run(capsys, "complex", "--n", "4", "--out", str(path))

@@ -162,6 +162,63 @@ def test_build_order_complex_infers_relation():
     assert cx.f_vector() == (5, 7, 3)
 
 
+def test_refinement_matrix_matches_pairwise_refines():
+    for n in range(3, 7):
+        cx = proper_part_complex(n)
+        pairwise = [[p != q and p.refines(q) for q in cx.elements] for p in cx.elements]
+        assert np.array_equal(cx.less, np.array(pairwise, dtype=bool))
+
+
+def test_transitivity_check_catches_a_missing_composite_edge():
+    # the proper part of Pi_4 has no three-element chain, so start at n = 5
+    cx = proper_part_complex(5)
+    rel = cx.less.copy()
+    # drop the edge i < j of some chain i < k < j
+    i, k, j = next(
+        (i, k, j)
+        for i in range(len(rel))
+        for k in np.flatnonzero(rel[i])
+        for j in np.flatnonzero(rel[k])
+    )
+    assert rel[i, j]
+    rel[i, j] = False
+    with pytest.raises(InvalidPosetError, match="not transitive"):
+        OrderComplex(cx.elements, rel)
+
+
+def test_prefix_tree_rebuilds_every_chain():
+    for n in range(3, 7):
+        cx = proper_part_complex(n)
+        # every chain of the relation, extended one vertex at a time
+        chains = [[(i,) for i in range(len(cx.elements))]]
+        while chains[-1]:
+            chains.append([c + (j,) for c in chains[-1] for j in np.flatnonzero(cx.less[c[-1]]).tolist()])
+        assert cx.cells == chains[:-1]
+        assert cx.parent[0].tolist() == [0] * cx.n_cells(0)
+        assert [(v,) for v in cx.last[0].tolist()] == cx.cells[0]
+        for d in range(1, cx.dim + 1):
+            prefixes = cx.cells[d - 1]
+            rebuilt = [prefixes[p] + (v,) for p, v in zip(cx.parent[d].tolist(), cx.last[d].tolist())]
+            assert rebuilt == cx.cells[d]
+        for d in range(cx.dim + 1):
+            codes = cx.cell_codes(d)
+            assert (np.diff(codes) > 0).all()
+            assert codes.max() < max(cx.n_cells(d - 1), 1) * len(cx.elements)
+
+
+def test_face_table_matches_chain_lookup():
+    for n in range(3, 7):
+        cx = proper_part_complex(n)
+        for d in range(1, cx.dim + 1):
+            expected = [
+                [cx.index[d - 1][chain[:k] + chain[k + 1:]] for k in range(d + 1)]
+                for chain in cx.cells[d]
+            ]
+            assert cx.face_table(d, np.arange(cx.n_cells(d))).tolist() == expected
+            some = np.arange(cx.n_cells(d))[::-3]
+            assert cx.face_table(d, some).tolist() == [expected[i] for i in some]
+
+
 def test_invalid_poset_rejected():
     bad = np.array([[False, True], [True, False]])
     with pytest.raises(InvalidPosetError):

@@ -116,6 +116,27 @@ def test_orbit_stabilizer():
         assert len(set(o.members)) == len(o.members)
 
 
+def test_orbits_match_element_walk():
+    def key(x):
+        return tuple(v.rgs for v in x) if isinstance(x, Simplex) else x.rgs
+
+    for group in oracle_groups():
+        cx = proper_part_complex(group.n)
+        top = [cx.simplex(cx.dim, i) for i in range(cx.n_cells(cx.dim))]
+        for items in (cx.elements, top):
+            orbs = orbits(group, items)
+            seen = set()
+            expected = []
+            for x in items:
+                if x in seen:
+                    continue
+                members = sorted({act(g, x) for g in group.elements}, key=key)
+                seen |= set(members)
+                fixers = sum(1 for g in group.elements if act(g, x) == x)
+                expected.append((members[0], members, fixers))
+            assert [(o.representative, o.members, o.stabilizer_order) for o in orbs] == expected
+
+
 def test_orbits_partition_items():
     group = PermGroup.from_cycle_strings(4, ["(2 3)"])
     orbs = orbits(group, enumerate_proper(4))
@@ -189,8 +210,15 @@ def test_quotient_labels():
     assert label.startswith("[") and label.endswith("]")
 
 
+def test_stabilizer_quotient_n7():
+    cx = proper_part_complex(7)
+    assert cx.f_vector() == (875, 16674, 74165, 114345, 56700)
+    qc = QuotientComplex(cx, PermGroup.point_stabilizer(7))
+    assert qc.f_vector() == (28, 208, 581, 671, 272)
+
+
 def test_quotient_orbits_match_element_walk():
-    for group in oracle_groups():
+    for group in oracle_groups() + [PermGroup.from_cycle_strings(6, ["(2 3)", "(2 3 4 5 6)"])]:
         cx = proper_part_complex(group.n)
         qc = QuotientComplex(cx, group)
         where = {p: i for i, p in enumerate(cx.elements)}
