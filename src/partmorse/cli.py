@@ -166,7 +166,7 @@ def _verification_checks(n: int) -> list[tuple[str, bool]]:
     checks: list[tuple[str, bool]] = []
     flags = anchored_flags(n)
     checks.append((f"flag count equals (n-1)! for n={n}", len(flags) == factorial(n - 1)))
-    if n > 6:
+    if n > 7:
         return checks
 
     cx = get_complex(n)

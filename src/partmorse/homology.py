@@ -1,15 +1,28 @@
-"""Exact integral homology of chain complexes via Smith normal form.
+"""Exact integral homology of chain complexes.
 
-Boundary matrices are eliminated sparsely with unimodular operations:
-a first phase consumes +-1 pivots (chosen by a lazy minimum-fill heap,
-which is almost the whole matrix for nerve boundaries), and whatever
-remains is finished by the textbook algorithm with divisibility
-enforcement.  Everything runs on Python integers, so no overflow.
+homology_of first removes unit pairs from the complex: a (d-1)-cell a
+and a d-cell b with [b : a] = +-1, where either a is the only live face
+of b (a coreduction) or b is the only live coface of a (a free-face
+collapse).  Either kind of pair is a Gaussian elimination whose
+correction term vanishes, so the boundary of the remaining cells is the
+restriction of the old one and nothing fills in (Mrozek-Batko,
+"Coreduction homology algorithm"; Skoldberg, "Morse theory from an
+algebraic viewpoint").  Reduced homology adds the empty cell below the
+vertices, so the first pair is (empty cell, vertex) and coreductions
+cascade from there.  Only unit coefficients are paired, so torsion is
+never reduced away.
+
+What survives goes to smith_normal_form.  Boundary matrices are
+eliminated sparsely with unimodular operations: a first phase consumes
++-1 pivots (chosen by a lazy minimum-fill heap), and whatever remains is
+finished by the textbook algorithm with divisibility enforcement.
+Everything runs on Python integers, so no overflow.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
@@ -243,9 +256,70 @@ def _check_boundary_squares_to_zero(columns_by_dim: dict[int, list[dict[int, int
                 raise InvalidComplexError(f"boundary squared is nonzero at dimension {d}, column {j}")
 
 
+def _unit_reduction(columns: dict[int, list[dict[int, int]]], sizes: dict[int, int]) -> dict[int, bytearray]:
+    """Remove unit pairs (module docstring) until none is left; returns
+    the live flags of the cells of each dimension in sizes.  columns[d]
+    holds the boundary of every d-cell, for every d in sizes but the
+    lowest."""
+    lo, hi = min(sizes, default=0), max(sizes, default=-1)
+    live = {d: bytearray(b"\x01") * sizes[d] for d in sizes}
+    cofaces: dict[int, list[list[int]]] = {d: [[] for _ in range(sizes[d])] for d in range(lo, hi)}
+    for d in range(lo + 1, hi + 1):
+        up = cofaces[d - 1]
+        for b, col in enumerate(columns[d]):
+            for a in col:
+                up[a].append(b)
+    n_faces = {d: [len(col) for col in columns[d]] for d in range(lo + 1, hi + 1)}
+    n_cofaces = {d: [len(up) for up in cofaces[d]] for d in cofaces}
+    # a cell is queued whenever it may have one live face or coface left
+    queue = deque(
+        (d, i)
+        for d in sizes
+        for i in range(sizes[d])
+        if (d > lo and n_faces[d][i] == 1) or (d < hi and n_cofaces[d][i] == 1)
+    )
+
+    def kill(d: int, x: int):
+        live[d][x] = 0
+        if d > lo:
+            below, counts = live[d - 1], n_cofaces[d - 1]
+            for y in columns[d][x]:
+                if below[y]:
+                    counts[y] -= 1
+                    if counts[y] == 1:
+                        queue.append((d - 1, y))
+        if d < hi:
+            above, counts = live[d + 1], n_faces[d + 1]
+            for z in cofaces[d][x]:
+                if above[z]:
+                    counts[z] -= 1
+                    if counts[z] == 1:
+                        queue.append((d + 1, z))
+
+    while queue:
+        d, x = queue.popleft()
+        if not live[d][x]:
+            continue
+        if d > lo and n_faces[d][x] == 1:
+            col = columns[d][x]
+            a = next(a for a in col if live[d - 1][a])
+            if abs(col[a]) == 1:
+                kill(d - 1, a)
+                kill(d, x)
+                continue
+        if d < hi and n_cofaces[d][x] == 1:
+            b = next(b for b in cofaces[d][x] if live[d + 1][b])
+            if abs(columns[d + 1][b][x]) == 1:
+                kill(d, x)
+                kill(d + 1, b)
+    return live
+
+
 def homology_of(complex_like, reduced: bool = True, max_dim: int | None = None) -> HomologyResult:
     """Integral homology of any CellComplex.  Reduced homology augments
-    dimension 0 by the sum of vertex coefficients."""
+    dimension 0 by the sum of vertex coefficients.  The complex is
+    checked whole, then unit pairs are removed and the boundary of the
+    cells left is put in Smith normal form."""
     top = complex_like.dim
     if max_dim is not None:
         top = min(top, max_dim)
@@ -254,19 +328,30 @@ def homology_of(complex_like, reduced: bool = True, max_dim: int | None = None) 
     deep = min(complex_like.dim, top + 1)
     columns = {d: complex_like.boundary_columns(d) for d in range(1, deep + 1)}
     _check_boundary_squares_to_zero(columns, deep)
-    factors = {d: smith_normal_form((complex_like.n_cells(d - 1), columns[d])) for d in columns}
-    ranks = {d: len(factors[d]) for d in factors}
-    ranks.setdefault(top + 1, 0)
     if reduced:
         for col in columns.get(1, []):
             if sum(col.values()):
                 raise InvalidComplexError("an edge boundary does not augment to zero")
+    sizes = {d: complex_like.n_cells(d) for d in range(deep + 1)}
+    if reduced and sizes:
+        # the empty cell, the one face of every vertex
+        sizes[-1] = 1
+        columns[0] = [{0: 1}] * sizes[0]
+    live = _unit_reduction(columns, sizes)
+    # number the surviving cells of each dimension consecutively
+    kept = {d: {i: k for k, i in enumerate(i for i, flag in enumerate(flags) if flag)} for d, flags in live.items()}
+    factors = {
+        d: smith_normal_form(
+            (
+                len(kept[d - 1]),
+                [{kept[d - 1][a]: v for a, v in columns[d][b].items() if a in kept[d - 1]} for b in kept[d]],
+            )
+        )
+        for d in columns
+    }
     out = []
     for d in range(top + 1):
-        cells = complex_like.n_cells(d)
-        betti = cells - ranks.get(d, 0) - ranks[d + 1]
-        if d == 0 and reduced and cells:
-            betti -= 1
+        betti = len(kept[d]) - len(factors.get(d, ())) - len(factors.get(d + 1, ()))
         torsion = tuple(f for f in factors.get(d + 1, ()) if f > 1)
         out.append(DimHomology(d, betti, torsion))
     return HomologyResult(out, reduced)

@@ -1,7 +1,9 @@
 """Acceptance gate: twelve exact-integer criteria over the full pipeline.
 
 Each test prints one pass/fail line; sizes follow the desk scale
-(n <= 6 with full certificates, n = 7 counts only).
+(n <= 6 with full certificates, n = 7 flag counts only).  The full
+certificate suite at n = 7 runs through the CLI, in
+test_cli.test_verify_n7_runs_full_suite.
 """
 
 import math

@@ -174,12 +174,21 @@ def test_internal_key_error_is_not_a_config_error(monkeypatch):
         main(["verify", "--n", "4"])
 
 
-def test_verify_large_n_counts_only(capsys):
-    code, out, _ = run(capsys, "verify", "--n", "7")
+def test_verify_n7_runs_full_suite(capsys):
+    code, out, err = run(capsys, "verify", "--n", "7")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("PASS") and "(n-1)!" in lines[0]
+    assert len(lines) == 11
+    assert all(ln.startswith("PASS") for ln in lines)
+    assert "(n-1)!" in lines[0]
+    assert err == ""
+
+
+def test_verify_n8_counts_only(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "8")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines == ["PASS  flag count equals (n-1)! for n=8"]
 
 
 def test_report_aggregates(capsys):

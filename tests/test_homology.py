@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from partmorse.construction import get_complex
 from partmorse.homology import (
     DimHomology,
     HomologyResult,
@@ -15,6 +16,7 @@ from partmorse.homology import (
     verify_wedge,
 )
 from partmorse.ordercomplex import ExplicitComplex, OrderComplex, proper_part_complex
+from partmorse.perm import PermGroup, QuotientComplex
 
 # invariant factors computed once with an independent implementation
 SNF_ORACLE = {
@@ -46,6 +48,54 @@ def mod2_moore_space():
         [["p"], ["loop"], ["disk"]],
         [[[(0, -1), (0, 1)]], [[(0, 1), (0, 1)]]],
     )
+
+
+def full_snf_table(cx, reduced=True):
+    """The homology table without any pair removed: the Smith normal form
+    of every boundary map of the whole complex."""
+    factors = {d: smith_normal_form((cx.n_cells(d - 1), cx.boundary_columns(d))) for d in range(1, cx.dim + 1)}
+    table = []
+    for d in range(cx.dim + 1):
+        betti = cx.n_cells(d) - len(factors.get(d, ())) - len(factors.get(d + 1, ()))
+        if d == 0 and reduced and cx.n_cells(0):
+            betti -= 1
+        table.append({"dim": d, "betti": betti, "torsion": [f for f in factors.get(d + 1, ()) if f > 1]})
+    return table
+
+
+def assert_matches_full_snf(cx):
+    for reduced in (True, False):
+        want = full_snf_table(cx, reduced)
+        assert homology_of(cx, reduced=reduced).to_json() == want
+        for k in range(cx.dim + 1):
+            assert homology_of(cx, reduced=reduced, max_dim=k).to_json() == want[: k + 1]
+
+
+def simplicial_complex(facets, glued=None):
+    """ExplicitComplex of the down-closure of the facets (vertex sets);
+    the k-th face of a simplex drops its k-th vertex with sign (-1)^k.
+    glued = (vertex set, m) adds one more cell whose boundary is m times
+    the boundary of that simplex; its proper faces must be present."""
+    simplices = {s for f in facets for r in range(1, len(f) + 1) for s in itertools.combinations(sorted(f), r)}
+    layers = [sorted(s for s in simplices if len(s) == r) for r in range(1, max(map(len, simplices)) + 1)]
+    index = [{s: i for i, s in enumerate(layer)} for layer in layers]
+
+    def boundary(s, m=1):
+        return [(index[len(s) - 2][s[:k] + s[k + 1:]], m * (-1) ** k) for k in range(len(s))]
+
+    labels = [[str(s) for s in layer] for layer in layers]
+    faces = [[boundary(s) for s in layer] for layer in layers[1:]]
+    if glued is not None:
+        top, m = tuple(sorted(glued[0])), glued[1]
+        if len(top) > len(layers):
+            labels.append([])
+            faces.append([])
+        labels[len(top) - 1].append(f"{m}*{top}")
+        faces[len(top) - 2].append(boundary(top, m))
+    return ExplicitComplex(labels, faces)
+
+
+HOMOLOGY_N6_GROUPS = ("(2 3)", "(1 2)", "(1 2)(3 4)(5 6)", "(1 2 3 4)", "(1 2 3)(4 5 6)", "(1 2 3 4 5 6)")
 
 
 def test_smith_normal_form_oracle_values():
@@ -174,10 +224,19 @@ def test_boundary_square_checked():
 
 
 def test_augmentation_checked():
-    # dimension-0 reduction needs every vertex to be a genuine point;
-    # an edge with accumulated boundary zero but nonzero augmentation is fine,
-    # so only the boundary square check can fail structurally; feed a valid
-    # complex and check reduced vs unreduced disagree only in dimension 0
+    # an edge whose two endpoints both carry coefficient +1 squares to
+    # zero (there is nothing below dimension 0), but it does not augment
+    # to zero, so reduced homology is undefined; the check reads the
+    # whole complex before the empty cell is added and any pair removed
+    bad = ExplicitComplex([["a", "b"], ["ab"]], [[[(0, 1), (1, 1)]]])
+    with pytest.raises(InvalidComplexError, match="augment"):
+        homology_of(bad)
+    full = homology_of(bad, reduced=False)
+    assert full.to_json() == [
+        {"dim": 0, "betti": 1, "torsion": []},
+        {"dim": 1, "betti": 0, "torsion": []},
+    ]
+    # on a valid complex reduced and unreduced disagree only in dimension 0
     cx = boolean_proper_part(3)
     reduced = homology_of(cx)
     full = homology_of(cx, reduced=False)
@@ -212,3 +271,63 @@ def test_verify_wedge():
     assert not verify_wedge(result, 0, 6)
     torsioned = homology_of(mod2_moore_space())
     assert not verify_wedge(torsioned, 1, 0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_nerve_homology_matches_full_smith_normal_form(n):
+    assert_matches_full_snf(get_complex(n))
+
+
+@pytest.mark.parametrize("n, generator", [(6, g) for g in HOMOLOGY_N6_GROUPS] + [(5, "(1 2 3 4 5)")])
+def test_quotient_homology_matches_full_smith_normal_form(n, generator):
+    assert_matches_full_snf(QuotientComplex(get_complex(n), PermGroup.from_cycle_strings(n, [generator])))
+
+
+def test_fixture_homology_matches_full_smith_normal_form():
+    # the disk meets its only face with coefficient 2, so that pair stays
+    assert_matches_full_snf(mod2_moore_space())
+    for n in (3, 4):
+        assert_matches_full_snf(boolean_proper_part(n))
+
+
+def test_empty_and_negative_truncations():
+    assert homology_of(ExplicitComplex([], [])).to_json() == []
+    for k in (-1, -2):
+        assert homology_of(proper_part_complex(4), max_dim=k).to_json() == []
+
+
+def _hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    return hypothesis, hypothesis.strategies
+
+
+def test_random_simplicial_complexes_match_full_smith_normal_form():
+    hypothesis, st = _hypothesis()
+    vertex_sets = st.frozensets(st.integers(0, 6), min_size=1, max_size=4)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.lists(vertex_sets, min_size=1, max_size=6))
+    def check(facets):
+        assert_matches_full_snf(simplicial_complex(facets))
+
+    check()
+
+
+def test_random_complexes_with_a_multiple_attaching_cell_match_full_smith_normal_form():
+    hypothesis, st = _hypothesis()
+    vertex_sets = st.frozensets(st.integers(0, 6), min_size=1, max_size=4)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(
+        st.lists(vertex_sets, max_size=5),
+        st.frozensets(st.integers(0, 6), min_size=2, max_size=4),
+        st.sampled_from((2, 3, -2, -3)),
+        st.booleans(),
+    )
+    def check(facets, top, m, filled):
+        # the glued cell sits on the boundary sphere of top, which is
+        # either left hollow or filled by top itself
+        shell = [top - {v} for v in top] if not filled else [top]
+        assert_matches_full_snf(simplicial_complex(facets + shell, glued=(top, m)))
+
+    check()
