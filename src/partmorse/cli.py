@@ -14,10 +14,8 @@ from math import factorial
 
 from .construction import (
     anchored_flags,
-    block_size_label,
     build_main_matching,
-    fiber_zero_matching,
-    cell_fiber_key,
+    fiber_keys,
     get_action,
     get_complex,
     matching_report,
@@ -178,16 +176,15 @@ def _verification_checks(n: int) -> list[tuple[str, bool]]:
     checks.append(("main matching is equivariant", check_equivariance(matching, action)))
 
     cells = special_cells(n)
-    critical = {cx.simplex(d, i) for d, layer in enumerate(matching.critical_cells()) for i in layer}
+    critical_cells = [(d, i) for d, layer in enumerate(matching.critical_cells()) for i in layer]
+    critical = {cx.simplex(d, i) for d, i in critical_cells}
     wanted = set(cells.flags) | {Simplex((cells.split,))}
     checks.append(("critical set is the flags plus the split vertex", critical == wanted))
 
-    fz = fiber_zero_matching(n)
-    key = cell_fiber_key(cx)
-    zero_cells = {
-        (d, i) for d in range(cx.dim + 1) for i in range(cx.n_cells(d)) if key((d, i)) == 0
-    }
-    survivors = {c for c in zero_cells if c not in fz.partner}
+    # pairs stay in their fibers, so the zero fiber's survivors are the
+    # critical cells of the main matching with fiber key 0
+    key = fiber_keys(cx)
+    survivors = {(d, i) for d, i in critical_cells if key[d][i] == 0}
     split_cell = cx.locate(Simplex((split_vertex(n),)))
     checks.append(("zero fiber collapses to the split vertex", survivors == {split_cell}))
 

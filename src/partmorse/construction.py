@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+import numpy as np
+
 from .morse import (
     Matching,
     Pair,
@@ -26,7 +28,7 @@ from .morse import (
     quotient_matching,
 )
 from .ordercomplex import OrderComplex, Simplex, proper_part_complex
-from .perm import ComplexAction, Perm, PermGroup, QuotientComplex, act
+from .perm import ComplexAction, Perm, PermGroup, QuotientComplex
 from .setpart import Partition
 
 
@@ -179,27 +181,25 @@ def get_action(n: int) -> ComplexAction:
     return _actions[n]
 
 
-def _vertex_keys(cx: OrderComplex) -> list:
-    return [p if is_pair_vertex(p) else 0 for p in cx.elements]
+def _chain_keys(cx: OrderComplex, vkey: np.ndarray, combine) -> list[np.ndarray]:
+    """Per-dimension cell keys folded along the prefix tree: a chain's
+    key combines the key of its prefix chain with vkey of its last vertex."""
+    out = [vkey[cx.last[0]]]
+    for d in range(1, cx.dim + 1):
+        out.append(combine(out[d - 1][cx.parent[d]], vkey[cx.last[d]]))
+    return out
 
 
-def cell_fiber_key(cx: OrderComplex):
-    """cell id -> pair vertex leading the chain, or 0."""
-    vkey = _vertex_keys(cx)
-
-    def key(cell):
-        d, i = cell
-        return vkey[cx.cells[d][i][0]]
-
-    return key
+def fiber_keys(cx: OrderComplex) -> list[np.ndarray]:
+    """key[d][i] = k when chain (d, i) starts with the pair vertex {1,k},
+    else 0.  A pair vertex is an atom, so it can only lead a chain, and
+    the key is that of the first vertex."""
+    vkey = np.array([max(p.block_containing(1)) if is_pair_vertex(p) else 0 for p in cx.elements])
+    return _chain_keys(cx, vkey, lambda prefix, _: prefix)
 
 
-def _key_leq(a, b) -> bool:
-    return a == b or a == 0
-
-
-def _key_action(g: Perm, key):
-    return act(g, key) if isinstance(key, Partition) else 0
+def _key_action(g: Perm, k: int) -> int:
+    return g(k) if k else 0
 
 
 def fiber_zero_matching(n: int) -> Matching:
@@ -211,13 +211,14 @@ def fiber_zero_matching(n: int) -> Matching:
     in a singleton block are toggled on the split-off copy of their
     smallest such vertex.  Stage two cones what remains (chains of
     partitions with {1} a singleton) onto the split vertex.  The stages
-    are glued along the indicator of the cone's ground set.
+    are glued along the largest stage of a chain's vertices: 0 for a
+    cone vertex, 1 for another vertex of the zero fiber, 2 for a pair
+    vertex.
     """
     cx = get_complex(n)
     split = split_vertex(n)
     split_idx = cx.element_index[split]
-    vkey = _vertex_keys(cx)
-    ground = [v for v, k in enumerate(vkey) if k == 0]
+    ground = [v for v, p in enumerate(cx.elements) if not is_pair_vertex(p)]
 
     def descend(v: int) -> int:
         return cx.element_index[cx.elements[v].meet(split)]
@@ -226,19 +227,12 @@ def fiber_zero_matching(n: int) -> Matching:
     fixed = [v for v in ground if descend(v) == v]
     stage2 = cone_matching(cx, fixed, split_idx)
 
-    fixed_set = set(fixed)
-    ground_set = set(ground)
-
-    def stage_key(cell):
-        d, i = cell
-        chain = cx.cells[d][i]
-        if all(v in fixed_set for v in chain):
-            return 0
-        if all(v in ground_set for v in chain):
-            return 1
-        return 2
-
-    return patchwork_matching(cx, stage_key, lambda a, b: a <= b, {0: stage2, 1: stage1, 2: []})
+    vstage = np.full(len(cx.elements), 2)
+    vstage[ground] = 1
+    vstage[fixed] = 0
+    key = _chain_keys(cx, vstage, np.maximum)
+    leq = np.triu(np.ones((3, 3), dtype=bool))
+    return patchwork_matching(cx, key, leq, {0: stage2, 1: stage1, 2: []})
 
 
 def build_main_matching(n: int) -> Matching:
@@ -270,13 +264,11 @@ def build_main_matching(n: int) -> Matching:
         first_edge = cx.locate(lift_chain(Simplex((split_vertex(n - 1),))))
         last_pairs.append((bottom, first_edge))
 
+    # the zero fiber lies below every fiber {1,k}, which are incomparable
+    leq = np.eye(n + 1, dtype=bool)
+    leq[0] = True
     matching = equivariant_patchwork_matching(
-        cx,
-        action,
-        cell_fiber_key(cx),
-        _key_action,
-        _key_leq,
-        {0: zero_pairs, pair_vertex(n, n): last_pairs},
+        cx, action, fiber_keys(cx), _key_action, leq, {0: zero_pairs, n: last_pairs}
     )
     _matchings[n] = matching
     return matching

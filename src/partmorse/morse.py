@@ -4,9 +4,13 @@ A matching pairs cells with codimension-1 faces; acyclicity is decided on
 the modified face digraph (matched edges reversed).  Composition follows
 the patchwork pattern: an order-preserving map into a small poset plus one
 matching per fiber yields a matching on the whole complex, and a group
-action transports fiber matchings across orbits.  Group conditions are
-checked on the generators alone.  Assembly checks structure but not
-acyclicity: an assembled matching is certified once, by validate_matching.
+action transports fiber matchings across orbits.  The map is data, not a
+callable: key[d] is an int array of key ids over the cells of dimension
+d, and the order on ids is a boolean matrix, so the order-preservation
+check is one array comparison per dimension on the face table of an
+order complex.  Group conditions are checked on the generators alone.
+Assembly checks structure but not acyclicity: an assembled matching is
+certified once, by validate_matching.
 """
 
 from __future__ import annotations
@@ -225,40 +229,39 @@ def validate_matching(complex, pairs_or_matching, action=None) -> MatchingCertif
     return MatchingCertificate(True, cycle is None, counts, equivariant_under, witness)
 
 
-def _coerce_pairs(piece) -> list[Pair]:
-    if isinstance(piece, Matching):
-        return list(piece.pairs)
-    return list(piece)
+def _check_fiber(key, pairs: list[Pair], k) -> None:
+    for a, b in pairs:
+        if key[a[0]][a[1]] != k or key[b[0]][b[1]] != k:
+            raise ValueError(f"pair ({a},{b}) leaves fiber {k}")
 
 
-def patchwork_matching(complex, cell_key, key_leq, fiber_pairs: dict) -> Matching:
+def patchwork_matching(complex, key, key_leq, fiber_pairs: dict) -> Matching:
     """Union of per-fiber matchings along an order-preserving cell key.
 
-    cell_key maps cells to elements of a poset with order key_leq; it
-    must be order-preserving on cover relations, and every supplied pair
-    must stay inside its own fiber; both conditions are checked.  The
-    union is acyclic whenever each piece is, which is not checked here:
-    certify the assembled matching with validate_matching.
+    complex is an OrderComplex; key[d][i] is the key of cell (d, i), an id
+    of a poset whose order is the boolean matrix key_leq over ids.  The
+    key must be order-preserving on faces, checked per dimension in one
+    comparison against face_table, and every pair of fiber_pairs[k] must
+    lie in fiber k; a failure names the first bad cell and face, or pair.
+    The union is acyclic whenever each piece is, which is not checked
+    here: certify the assembled matching with validate_matching.
     """
     for d in range(1, complex.dim + 1):
-        for j in range(complex.n_cells(d)):
-            ku = cell_key((d, j))
-            for y, _ in complex.faces(d, j):
-                if not key_leq(cell_key((d - 1, y)), ku):
-                    raise ValueError(f"cell key not order-preserving at cell ({d},{j}) face {y}")
-    union: list[Pair] = []
-    for k, piece in fiber_pairs.items():
-        for a, b in _coerce_pairs(piece):
-            if cell_key(a) != k or cell_key(b) != k:
-                raise ValueError(f"pair ({a},{b}) leaves fiber {k}")
-            union.append((a, b))
-    return Matching(complex, union)
+        faces = complex.face_table(d, np.arange(complex.n_cells(d)))
+        bad = np.argwhere(~key_leq[key[d - 1][faces], key[d][:, None]])
+        if len(bad):
+            j, k = bad[0]
+            raise ValueError(f"cell key not order-preserving at cell ({d},{j}) face {faces[j, k]}")
+    for k, pairs in fiber_pairs.items():
+        _check_fiber(key, pairs, k)
+    return Matching(complex, [pair for pairs in fiber_pairs.values() for pair in pairs])
 
 
-def equivariant_patchwork_matching(complex, action, cell_key, key_action, key_leq, rep_pairs: dict) -> Matching:
+def equivariant_patchwork_matching(complex, action, key, key_action, key_leq, rep_pairs: dict) -> Matching:
     """Assemble a group-stable matching from one matching per key orbit.
 
-    Keys are acted on through key_action; rep_pairs supplies exactly one
+    key and key_leq are as in patchwork_matching; key_action(g, q) is the
+    key id that g sends key id q to.  rep_pairs supplies exactly one
     fiber matching per key orbit, each stable under the stabilizer of its
     key.  A breadth-first search from each representative key r moves its
     fiber one generator step at a time, recording a transversal element
@@ -268,18 +271,15 @@ def equivariant_patchwork_matching(complex, action, cell_key, key_action, key_le
     of r (Schreier's lemma), so the search checks the stabilizer condition,
     covers the orbit and transports the fiber in one pass.
     """
-    keys = {cell_key((d, i)) for d in range(complex.dim + 1) for i in range(complex.n_cells(d))}
+    keys = set(np.unique(np.concatenate(key)).tolist())
     generators = action.group.generators
     fibers: dict = {}
-    for r, piece in rep_pairs.items():
+    for r, pairs in rep_pairs.items():
         if r not in keys:
             raise ValueError(f"representative {r} is not the key of any cell")
         if r in fibers:
             raise ValueError(f"representative {r} lies in the key orbit of another representative")
-        pairs = _coerce_pairs(piece)
-        for a, b in pairs:
-            if cell_key(a) != r or cell_key(b) != r:
-                raise ValueError(f"pair ({a},{b}) leaves fiber {r}")
+        _check_fiber(key, pairs, r)
         fibers[r] = pairs
         transversal = {r: Perm.identity(action.group.n)}
         queue = [r]
@@ -296,8 +296,8 @@ def equivariant_patchwork_matching(complex, action, cell_key, key_action, key_le
                     raise ValueError(f"fiber matching at {r} is not stabilizer-equivariant (fails {witness})")
     missing = keys - fibers.keys()
     if missing:
-        raise ValueError(f"no representative for the key orbit of {min(missing, key=repr)}")
-    return patchwork_matching(complex, cell_key, key_leq, fibers)
+        raise ValueError(f"no representative for the key orbit of {min(missing)}")
+    return patchwork_matching(complex, key, key_leq, fibers)
 
 
 def quotient_matching(matching: Matching, quotient) -> Matching:
@@ -359,10 +359,13 @@ def closure_matching(complex, descend, vertex_indices=None) -> list[Pair]:
     for v in keep:
         if image[image[v]] != image[v]:
             raise ValueError(f"operator is not idempotent at vertex {v}")
-    for v in keep:
-        for u in keep:
-            if complex.less[v, u] and image[v] != image[u] and not complex.less[image[v], image[u]]:
-                raise ValueError(f"operator is not monotone on {v} <= {u}")
+    verts = np.array(sorted(keep), dtype=np.intp)
+    img = np.array([image[v] for v in verts.tolist()], dtype=np.intp)
+    less = complex.less
+    bad = np.argwhere(less[np.ix_(verts, verts)] & (img[:, None] != img) & ~less[np.ix_(img, img)])
+    if len(bad):
+        v, u = verts[bad[0]]
+        raise ValueError(f"operator is not monotone on {v} <= {u}")
 
     pairs: list[Pair] = []
     for d in range(complex.dim + 1):

@@ -12,7 +12,7 @@ import random
 from partmorse.construction import (
     anchored_flags,
     build_main_matching,
-    cell_fiber_key,
+    fiber_keys,
     fiber_zero_matching,
     get_action,
     get_complex,
@@ -99,12 +99,12 @@ def test_criterion_03_fiber_zero_unique_critical(capsys):
     for n in FULL_RANGE:
         cx = get_complex(n)
         m = fiber_zero_matching(n)
-        key = cell_fiber_key(cx)
+        key = fiber_keys(cx)
         survivors = {
             (d, i)
             for d in range(cx.dim + 1)
             for i in range(cx.n_cells(d))
-            if key((d, i)) == 0 and (d, i) not in m.partner
+            if key[d][i] == 0 and (d, i) not in m.partner
         }
         cert = validate_matching(cx, m)
         ok = (

@@ -9,7 +9,7 @@ from partmorse.construction import (
     anchored_vertices,
     build_main_matching,
     block_size_label,
-    cell_fiber_key,
+    fiber_keys,
     fiber_of,
     fiber_zero_matching,
     get_action,
@@ -118,11 +118,13 @@ def test_fiber_vertex_is_unique_exhaustive():
 
 
 def test_cell_fiber_key_matches_fiber_of():
-    cx = get_complex(4)
-    key = cell_fiber_key(cx)
-    for d in range(cx.dim + 1):
-        for i in range(cx.n_cells(d)):
-            assert key((d, i)) == fiber_of(cx.simplex(d, i))
+    for n in (3, 4, 5, 6):
+        cx = get_complex(n)
+        key = fiber_keys(cx)
+        for d in range(cx.dim + 1):
+            for i in range(cx.n_cells(d)):
+                k = int(key[d][i])
+                assert fiber_of(cx.simplex(d, i)) == (pair_vertex(n, k) if k else 0)
 
 
 def test_lift_partition_round_trip():

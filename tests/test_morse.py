@@ -1,16 +1,19 @@
+import random
 import re
 
 import numpy as np
 import pytest
 
 from partmorse.construction import (
+    _chain_keys,
     _key_action,
-    _key_leq,
     build_main_matching,
-    cell_fiber_key,
+    fiber_keys,
     get_action,
     get_complex,
+    is_pair_vertex,
     pair_vertex,
+    split_vertex,
 )
 from partmorse.homology import homology_of
 from partmorse.morse import (
@@ -200,29 +203,31 @@ def test_closure_matching_collapses_to_image():
 def test_closure_matching_rejects_bad_operators():
     cx = divisors_of_six()
     idx = cx.element_index
-    with pytest.raises(ValueError):  # not descending: sends 2 to 6
+    with pytest.raises(ValueError, match="not descending"):  # sends 2 to 6
         closure_matching(cx, lambda v: idx[6] if cx.elements[v] == 2 else v)
-    with pytest.raises(ValueError):  # not idempotent: 6 -> 2 -> 1
+    with pytest.raises(ValueError, match="not idempotent"):  # 6 -> 2 -> 1
         closure_matching(cx, lambda v: idx[{1: 1, 2: 1, 3: 3, 6: 2}[cx.elements[v]]])
-    with pytest.raises(ValueError):  # not monotone: fixes 3 but drops 6 below it
+    # fixes 3 but drops 6 below it; 3 has index 2 and 6 index 3
+    with pytest.raises(ValueError, match=r"not monotone on 2 <= 3$"):
         closure_matching(cx, lambda v: idx[{1: 1, 2: 2, 3: 3, 6: 2}[cx.elements[v]]])
 
 
 def test_patchwork_matching_glues_fibers():
     cx = divisors_of_six()
-    top = lambda cell: cx.elements[cx.cells[cell[0]][cell[1]][-1]]
-    leq = lambda a, b: a == b or b % a == 0
+    # key: the top vertex of a chain, ordered by divisibility
+    leq = cx.less | np.eye(4, dtype=bool)
+    idx = cx.element_index
     fibers = {
-        1: [],
-        2: [(cx.locate((1,)), cx.locate((0, 1)))],
-        3: [(cx.locate((2,)), cx.locate((0, 2)))],
-        6: [
+        idx[1]: [],
+        idx[2]: [(cx.locate((1,)), cx.locate((0, 1)))],
+        idx[3]: [(cx.locate((2,)), cx.locate((0, 2)))],
+        idx[6]: [
             (cx.locate((3,)), cx.locate((0, 3))),
             (cx.locate((1, 3)), cx.locate((0, 1, 3))),
             (cx.locate((2, 3)), cx.locate((0, 2, 3))),
         ],
     }
-    m = patchwork_matching(cx, top, leq, fibers)
+    m = patchwork_matching(cx, cx.last, leq, fibers)
     cert = validate_matching(cx, m)
     assert cert.is_matching and cert.is_acyclic
     assert m.critical_cells() == [[0], [], []]
@@ -232,42 +237,130 @@ def test_patchwork_rejects_non_order_preserving_key():
     cx = divisors_of_six()
     # the key of a face must sit below the key of the cell; dimension is
     # the opposite: an edge maps below its own vertices
-    bad_key = lambda cell: cell[0]
-    leq = lambda a, b: b <= a
-    with pytest.raises(ValueError):
-        patchwork_matching(cx, bad_key, leq, {0: [], 1: [], 2: []})
+    key = [np.full(cx.n_cells(d), d) for d in range(cx.dim + 1)]
+    leq = np.tri(cx.dim + 1, dtype=bool)  # leq[a, b] iff b <= a
+    with pytest.raises(ValueError, match=r"at cell \(1,0\) face 1$"):
+        patchwork_matching(cx, key, leq, {0: [], 1: [], 2: []})
 
 
 def test_patchwork_rejects_pair_across_fibers():
     cx = divisors_of_six()
-    top = lambda cell: cx.elements[cx.cells[cell[0]][cell[1]][-1]]
-    leq = lambda a, b: a == b or b % a == 0
-    fibers = {1: [], 2: [], 3: [], 6: [(cx.locate((1,)), cx.locate((1, 3)))]}
-    with pytest.raises(ValueError):
-        patchwork_matching(cx, top, leq, fibers)
+    leq = cx.less | np.eye(4, dtype=bool)
+    fibers = {0: [], 1: [], 2: [], 3: [(cx.locate((1,)), cx.locate((1, 3)))]}
+    with pytest.raises(ValueError, match="leaves fiber 3"):
+        patchwork_matching(cx, cx.last, leq, fibers)
+
+
+def hexagon():
+    """The nerve of the face poset of a triangle boundary: a hexagon
+    whose vertices alternate between the triangle's vertices and edges."""
+    return OrderComplex.from_poset(["a", "b", "c", "ab", "bc", "ca"], less=lambda p, q: len(p) < len(q) and p in q)
 
 
 def test_patchwork_leaves_acyclicity_to_validation():
-    cx = circle()
-    cyclic = [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))]
-    m = patchwork_matching(cx, lambda cell: 0, lambda a, b: True, {0: cyclic})
+    cx = hexagon()
+    idx = cx.element_index
+    ring = [idx[v] for v in ("a", "ab", "b", "bc", "c", "ca")]
+    # each vertex of the hexagon is matched with the edge to its successor
+    cyclic = [
+        (cx.locate((u,)), cx.locate(tuple(sorted((u, v), key=lambda x: len(cx.elements[x])))))
+        for u, v in zip(ring, ring[1:] + ring[:1])
+    ]
+    key = [np.zeros(cx.n_cells(d), dtype=np.int64) for d in range(cx.dim + 1)]
+    m = patchwork_matching(cx, key, np.ones((1, 1), dtype=bool), {0: cyclic})
+    assert len(m.pairs) == 6
     cert = validate_matching(cx, m)
     assert cert.is_matching and not cert.is_acyclic
     assert cert.witness_cycle is not None
 
 
+def face_sweep_violation(cx, key, leq):
+    """Reference for the bulk order check: the first (d, j, y) with face y
+    of cell (d, j) keyed outside the order, walking faces one by one."""
+    for d in range(1, cx.dim + 1):
+        for j in range(cx.n_cells(d)):
+            for y, _ in cx.faces(d, j):
+                if not leq[key[d - 1][y], key[d][j]]:
+                    return d, j, y
+    return None
+
+
+def bulk_violation(cx, key, leq):
+    try:
+        patchwork_matching(cx, key, leq, {})
+    except ValueError as exc:
+        d, j, y = re.search(r"at cell \((\d+),(\d+)\) face (\d+)$", str(exc)).groups()
+        return int(d), int(j), int(y)
+    return None
+
+
+def stage_keys(n):
+    """The fiber-zero stage key and its order: 0 for a chain of cone
+    vertices, 1 for one inside the zero fiber, 2 otherwise, computed chain
+    by chain."""
+    cx = get_complex(n)
+    split = split_vertex(n)
+    ground = {v for v, p in enumerate(cx.elements) if not is_pair_vertex(p)}
+    fixed = {v for v in ground if cx.elements[v].meet(split) == cx.elements[v]}
+
+    def stage(chain):
+        return 0 if set(chain) <= fixed else 1 if set(chain) <= ground else 2
+
+    key = [np.array([stage(c) for c in layer]) for layer in cx.cells]
+    return key, np.triu(np.ones((3, 3), dtype=bool))
+
+
+def fiber_key_order(n):
+    leq = np.eye(n + 1, dtype=bool)
+    leq[0] = True
+    return leq
+
+
+def test_bulk_order_check_agrees_with_face_sweep():
+    rng = random.Random(6)
+    caught = 0
+    for n in (3, 4, 5, 6):
+        cx = get_complex(n)
+        stage, stage_leq = stage_keys(n)
+        # cells[0] lists the vertices in order, so stage[0] is the vertex stage
+        assert all((a == b).all() for a, b in zip(_chain_keys(cx, stage[0], np.maximum), stage, strict=True))
+        for key, leq in ((stage, stage_leq), (fiber_keys(cx), fiber_key_order(n))):
+            assert face_sweep_violation(cx, key, leq) is None
+            assert bulk_violation(cx, key, leq) is None
+            for _ in range(6):
+                d = rng.randrange(cx.dim + 1)
+                bad = [layer.copy() for layer in key]
+                i = rng.randrange(len(bad[d]))
+                bad[d][i] = (bad[d][i] + rng.randrange(1, len(leq))) % len(leq)
+                found = bulk_violation(cx, bad, leq)
+                assert found == face_sweep_violation(cx, bad, leq)
+                caught += found is not None
+    assert caught >= 10
+
+
+def test_patchwork_names_corrupted_fiber_key_cell():
+    n = 5
+    cx = get_complex(n)
+    key = fiber_keys(cx)
+    fibers = main_fibers(n)
+    # an edge led by the pair vertex {1,5}, moved into the zero fiber
+    i = int(np.flatnonzero(key[1] == n)[0])
+    key[1][i] = 0
+    with pytest.raises(ValueError, match=rf"at cell \(1,{i}\) face \d+$"):
+        patchwork_matching(cx, key, fiber_key_order(n), fibers)
+
+
 def main_fibers(n):
     """The representative fibers build_main_matching assembles: the zero
     fiber and the fiber over the pair vertex {1,n}."""
-    key = cell_fiber_key(get_complex(n))
-    top = pair_vertex(n, n)
+    key = fiber_keys(get_complex(n))
     pairs = build_main_matching(n).pairs
-    return {k: [p for p in pairs if key(p[0]) == k] for k in (0, top)}
+    return {k: [p for p in pairs if key[p[0][0]][p[0][1]] == k] for k in (0, n)}
 
 
 def assemble(n, rep_pairs):
     cx = get_complex(n)
-    return equivariant_patchwork_matching(cx, get_action(n), cell_fiber_key(cx), _key_action, _key_leq, rep_pairs)
+    return equivariant_patchwork_matching(cx, get_action(n), fiber_keys(cx), _key_action, fiber_key_order(n), rep_pairs)
 
 
 def test_equivariant_patchwork_names_stabilizer_witness():
@@ -278,10 +371,10 @@ def test_equivariant_patchwork_names_stabilizer_witness():
     assert assemble(n, fibers).pairs == build_main_matching(n).pairs
     # drop a pair that some element fixing the key moves
     stabilizer = [g for g in action.group.elements if act(g, top) == top]
-    moved = next(p for p in fibers[top] if any(action.cell_image(g, p[0]) != p[0] for g in stabilizer))
-    broken = [p for p in fibers[top] if p != moved]
+    moved = next(p for p in fibers[n] if any(action.cell_image(g, p[0]) != p[0] for g in stabilizer))
+    broken = [p for p in fibers[n] if p != moved]
     with pytest.raises(ValueError, match="not stabilizer-equivariant") as info:
-        assemble(n, {0: fibers[0], top: broken})
+        assemble(n, {0: fibers[0], n: broken})
     witness = Perm.from_cycles(n, re.search(r"\(fails (.+)\)$", str(info.value)).group(1))
     assert witness in action.group
     assert act(witness, top) == top
@@ -293,7 +386,7 @@ def test_equivariant_patchwork_needs_one_representative_per_key_orbit():
     n = 5
     fibers = main_fibers(n)
     with pytest.raises(ValueError, match="key orbit of another representative"):
-        assemble(n, {**fibers, pair_vertex(n, 2): []})
+        assemble(n, {**fibers, 2: []})
     with pytest.raises(ValueError, match="no representative"):
         assemble(n, {0: fibers[0]})
     with pytest.raises(ValueError, match="not the key of any cell"):
