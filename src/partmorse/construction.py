@@ -22,13 +22,13 @@ from .morse import (
     Matching,
     Pair,
     equivariant_patchwork_matching,
-    patchwork_matching,
+    patchwork_pairs,
     closure_matching,
     cone_matching,
     quotient_matching,
 )
 from .ordercomplex import OrderComplex, Simplex, proper_part_complex
-from .perm import ComplexAction, Perm, PermGroup, QuotientComplex
+from .perm import ComplexAction, Perm, PermGroup, QuotientComplex, locate_partitions
 from .setpart import Partition
 
 
@@ -215,6 +215,12 @@ def fiber_zero_matching(n: int) -> Matching:
     cone vertex, 1 for another vertex of the zero fiber, 2 for a pair
     vertex.
     """
+    return Matching(get_complex(n), _fiber_zero_pairs(n))
+
+
+def _fiber_zero_pairs(n: int) -> list[Pair]:
+    """The pairs of fiber_zero_matching, with the patchwork checks run on
+    them but not yet the structural checks of a Matching."""
     cx = get_complex(n)
     split = split_vertex(n)
     split_idx = cx.element_index[split]
@@ -232,7 +238,18 @@ def fiber_zero_matching(n: int) -> Matching:
     vstage[fixed] = 0
     key = _chain_keys(cx, vstage, np.maximum)
     leq = np.triu(np.ones((3, 3), dtype=bool))
-    return patchwork_matching(cx, key, leq, {0: stage2, 1: stage1, 2: []})
+    return patchwork_pairs(cx, key, leq, {0: stage2, 1: stage1, 2: []})
+
+
+def lift_cells(prev_cx: OrderComplex, cx: OrderComplex) -> list[np.ndarray]:
+    """lift_cells(...)[d][i] is the index in dimension d+1 of cx, the nerve
+    one size up, of lift_chain of cell (d, i) of prev_cx.  On restricted-
+    growth strings lift_partition appends label 0 (the block of 1) for the
+    new element n, and the lifted chains start at the pair vertex {1,n}."""
+    n = cx.elements[0].n
+    labels = np.array([p.rgs + (0,) for p in prev_cx.elements])
+    vmap = locate_partitions(cx.elements, labels)
+    return list(prev_cx.map_chains(vmap, cx, start=cx.element_index[pair_vertex(n, n)]))
 
 
 def build_main_matching(n: int) -> Matching:
@@ -248,27 +265,23 @@ def build_main_matching(n: int) -> Matching:
     cx = get_complex(n)
     action = get_action(n)
 
-    zero_pairs = list(fiber_zero_matching(n).pairs)
-
     last_pairs: list[Pair] = []
     if n > 3:
         prev = build_main_matching(n - 1)
-        prev_cx = prev.complex
-        for (d, i), (e, j) in prev.pairs:
-            a = cx.locate(lift_chain(prev_cx.simplex(d, i)))
-            b = cx.locate(lift_chain(prev_cx.simplex(e, j)))
-            last_pairs.append((a, b))
+        img = lift_cells(prev.complex, cx)
+        last_pairs = [((d + 1, int(img[d][i])), (e + 1, int(img[e][j]))) for (d, i), (e, j) in prev.pairs]
         # the lift leaves the bare pair-vertex chain unmatched; close it
         # off against the lift of the split vertex one size down
         bottom = cx.locate(Simplex((pair_vertex(n, n),)))
         first_edge = cx.locate(lift_chain(Simplex((split_vertex(n - 1),))))
         last_pairs.append((bottom, first_edge))
 
-    # the zero fiber lies below every fiber {1,k}, which are incomparable
+    # the zero fiber lies below every fiber {1,k}, which are incomparable;
+    # its pairs are checked as a matching once, with all the others
     leq = np.eye(n + 1, dtype=bool)
     leq[0] = True
     matching = equivariant_patchwork_matching(
-        cx, action, fiber_keys(cx), _key_action, leq, {0: zero_pairs, n: last_pairs}
+        cx, action, fiber_keys(cx), _key_action, leq, {0: _fiber_zero_pairs(n), n: last_pairs}
     )
     _matchings[n] = matching
     return matching

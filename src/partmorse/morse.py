@@ -8,14 +8,19 @@ action transports fiber matchings across orbits.  The map is data, not a
 callable: key[d] is an int array of key ids over the cells of dimension
 d, and the order on ids is a boolean matrix, so the order-preservation
 check is one array comparison per dimension on the face table of an
-order complex.  Group conditions are checked on the generators alone.
-Assembly checks structure but not acyclicity: an assembled matching is
-certified once, by validate_matching.
+order complex.  Group conditions are checked on the generators alone,
+on arrays: a set of pairs is {d: (lo, hi)}, one index array each for the
+lower and upper cells, a generator moves a whole fiber through its image
+arrays (perm.ComplexAction.images), and equivariance is one comparison
+per generator and dimension against the upper-partner array.  Assembly
+checks structure but not acyclicity: an assembled matching is certified
+once, by validate_matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -188,12 +193,21 @@ def check_equivariance(matching: Matching, action) -> bool:
     """True iff every element of the acting group sends every pair to a pair.
 
     Only the generators are applied: a generator that maps the finite pair
-    set into itself permutes it, and products of such maps do too.
+    set into itself permutes it, and products of such maps do too.  With
+    up[d] the upper partner of each d-cell (-1 when it has none), a
+    generator with image arrays img keeps the pairs (lo, hi) of dimension
+    d iff up[d][img[d][lo]] == img[d+1][hi] throughout.
     """
-    partner = matching.partner
+    cx = matching.complex
+    pairs = _pair_arrays(matching.pairs)
+    up = {}
+    for d, (lo, hi) in pairs.items():
+        up[d] = np.full(cx.n_cells(d), -1, dtype=np.int64)
+        up[d][lo] = hi
     for g in action.group.generators:
-        for a, b in matching.pairs:
-            if partner.get(action.cell_image(g, a)) != action.cell_image(g, b):
+        img = action.images(g)
+        for d, (lo, hi) in pairs.items():
+            if not (up[d][img[d][lo]] == img[d + 1][hi]).all():
                 return False
     return True
 
@@ -229,13 +243,46 @@ def validate_matching(complex, pairs_or_matching, action=None) -> MatchingCertif
     return MatchingCertificate(True, cycle is None, counts, equivariant_under, witness)
 
 
-def _check_fiber(key, pairs: list[Pair], k) -> None:
-    for a, b in pairs:
-        if key[a[0]][a[1]] != k or key[b[0]][b[1]] != k:
-            raise ValueError(f"pair ({a},{b}) leaves fiber {k}")
+def _pair_arrays(pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The pairs ((d, lo), (d+1, hi)) as {d: (lo, hi)} index arrays, in
+    list order within each dimension d of the lower cell."""
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(pairs)), dtype=np.int64, count=4 * len(pairs))
+    flat = flat.reshape(-1, 4)
+    bad = np.flatnonzero(flat[:, 2] != flat[:, 0] + 1)
+    if len(bad):
+        raise InvalidMatchingError(f"pair {pairs[bad[0]]} does not span one dimension")
+    return {d: (flat[flat[:, 0] == d, 1], flat[flat[:, 0] == d, 3]) for d in np.unique(flat[:, 0]).tolist()}
 
 
-def patchwork_matching(complex, key, key_leq, fiber_pairs: dict) -> Matching:
+def _pair_list(fiber) -> list[Pair]:
+    return [((d, i), (d + 1, j)) for d, (lo, hi) in fiber.items() for i, j in zip(lo.tolist(), hi.tolist())]
+
+
+def _pair_codes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sorted distinct int64 codes lo << 32 | hi of a set of pairs."""
+    return np.unique(lo.astype(np.int64) << 32 | hi)
+
+
+def _check_fiber(key, fiber, k) -> None:
+    """Every pair of the {d: (lo, hi)} fiber has both cells in fiber k;
+    a failure names the first bad pair of the lowest dimension."""
+    for d, (lo, hi) in fiber.items():
+        bad = np.flatnonzero((key[d][lo] != k) | (key[d + 1][hi] != k))
+        if len(bad):
+            i, j = int(lo[bad[0]]), int(hi[bad[0]])
+            raise ValueError(f"pair ({(d, i)},{(d + 1, j)}) leaves fiber {k}")
+
+
+def _check_order(complex, key, key_leq) -> None:
+    for d in range(1, complex.dim + 1):
+        faces = complex.face_table(d, np.arange(complex.n_cells(d)))
+        bad = np.argwhere(~key_leq[key[d - 1][faces], key[d][:, None]])
+        if len(bad):
+            j, k = bad[0]
+            raise ValueError(f"cell key not order-preserving at cell ({d},{j}) face {faces[j, k]}")
+
+
+def patchwork_pairs(complex, key, key_leq, fiber_pairs: dict) -> list[Pair]:
     """Union of per-fiber matchings along an order-preserving cell key.
 
     complex is an OrderComplex; key[d][i] is the key of cell (d, i), an id
@@ -244,27 +291,29 @@ def patchwork_matching(complex, key, key_leq, fiber_pairs: dict) -> Matching:
     comparison against face_table, and every pair of fiber_pairs[k] must
     lie in fiber k; a failure names the first bad cell and face, or pair.
     The union is acyclic whenever each piece is, which is not checked
-    here: certify the assembled matching with validate_matching.
+    here, and neither is its structure: a Matching built from the pairs
+    checks that, and validate_matching certifies acyclicity.
     """
-    for d in range(1, complex.dim + 1):
-        faces = complex.face_table(d, np.arange(complex.n_cells(d)))
-        bad = np.argwhere(~key_leq[key[d - 1][faces], key[d][:, None]])
-        if len(bad):
-            j, k = bad[0]
-            raise ValueError(f"cell key not order-preserving at cell ({d},{j}) face {faces[j, k]}")
+    _check_order(complex, key, key_leq)
     for k, pairs in fiber_pairs.items():
-        _check_fiber(key, pairs, k)
-    return Matching(complex, [pair for pairs in fiber_pairs.values() for pair in pairs])
+        _check_fiber(key, _pair_arrays(pairs), k)
+    return [pair for pairs in fiber_pairs.values() for pair in pairs]
+
+
+def patchwork_matching(complex, key, key_leq, fiber_pairs: dict) -> Matching:
+    """The Matching of patchwork_pairs."""
+    return Matching(complex, patchwork_pairs(complex, key, key_leq, fiber_pairs))
 
 
 def equivariant_patchwork_matching(complex, action, key, key_action, key_leq, rep_pairs: dict) -> Matching:
     """Assemble a group-stable matching from one matching per key orbit.
 
-    key and key_leq are as in patchwork_matching; key_action(g, q) is the
+    key and key_leq are as in patchwork_pairs; key_action(g, q) is the
     key id that g sends key id q to.  rep_pairs supplies exactly one
     fiber matching per key orbit, each stable under the stabilizer of its
     key.  A breadth-first search from each representative key r moves its
-    fiber one generator step at a time, recording a transversal element
+    fiber one generator step at a time, as whole {d: (lo, hi)} arrays
+    through the generator's image arrays, recording a transversal element
     t_q with t_q(r) = q for every key q it reaches.  A step g from q onto
     an already reached key must reproduce, as a set, the fiber stored
     there; the elements t_{gq}^-1 g t_q so tested generate the stabilizer
@@ -279,25 +328,34 @@ def equivariant_patchwork_matching(complex, action, key, key_action, key_leq, re
             raise ValueError(f"representative {r} is not the key of any cell")
         if r in fibers:
             raise ValueError(f"representative {r} lies in the key orbit of another representative")
-        _check_fiber(key, pairs, r)
-        fibers[r] = pairs
+        fibers[r] = _pair_arrays(pairs)
+        _check_fiber(key, fibers[r], r)
         transversal = {r: Perm.identity(action.group.n)}
         queue = [r]
         for q in queue:
             for g in generators:
                 gq = key_action(g, q)
-                image = [(action.cell_image(g, a), action.cell_image(g, b)) for a, b in fibers[q]]
+                img = action.images(g)
+                # every fiber of the orbit is moved from fibers[r], so all of
+                # them hold the same dimensions
+                image = {d: (img[d][lo], img[d + 1][hi]) for d, (lo, hi) in fibers[q].items()}
                 if gq not in transversal:
                     fibers[gq] = image
                     transversal[gq] = g * transversal[q]
                     queue.append(gq)
-                elif set(image) != set(fibers[gq]):
+                elif any(not np.array_equal(_pair_codes(*image[d]), _pair_codes(*fibers[gq][d])) for d in image):
                     witness = transversal[gq].inverse() * g * transversal[q]
                     raise ValueError(f"fiber matching at {r} is not stabilizer-equivariant (fails {witness})")
     missing = keys - fibers.keys()
     if missing:
         raise ValueError(f"no representative for the key orbit of {min(missing)}")
-    return patchwork_matching(complex, key, key_leq, fibers)
+    _check_order(complex, key, key_leq)
+    for k, fiber in fibers.items():
+        _check_fiber(key, fiber, k)
+    # reuse the representatives' pair tuples: rebuilt, the zero fiber
+    # (104 k pairs at n = 7) would be held twice
+    pairs = [pair for k, fiber in fibers.items() for pair in rep_pairs.get(k) or _pair_list(fiber)]
+    return Matching(complex, pairs)
 
 
 def quotient_matching(matching: Matching, quotient) -> Matching:
@@ -305,10 +363,12 @@ def quotient_matching(matching: Matching, quotient) -> Matching:
     InvalidMatchingError when the result is cyclic."""
     if not check_equivariance(matching, quotient.action):
         raise ValueError("matching is not equivariant under the quotient group")
-    pairs = set()
-    for (d, i), (e, j) in matching.pairs:
-        pairs.add(((d, quotient.orbit_index(d, i)), (e, quotient.orbit_index(e, j))))
-    result = Matching(quotient, sorted(pairs))
+    orbit_of = quotient.orbit_of
+    pairs = {}
+    for d, (lo, hi) in _pair_arrays(matching.pairs).items():
+        codes = _pair_codes(orbit_of[d][lo], orbit_of[d + 1][hi])
+        pairs[d] = (codes >> 32, codes & 0xFFFFFFFF)
+    result = Matching(quotient, _pair_list(pairs))
     cert = validate_matching(quotient, result)
     if not cert.is_acyclic:
         raise InvalidMatchingError(f"quotient matching is cyclic: {cert.witness_cycle}")

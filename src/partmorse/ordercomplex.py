@@ -10,11 +10,13 @@ chain of dimension d is its prefix chain parent[d][i] of dimension d-1
 followed by the vertex last[d][i] (parent[0] is all zeros, the empty
 chain), and the chain tuples are read off these arrays.  Layers are
 lexicographic, so the int64 codes parent*m + last increase strictly, and
-find locates chains by binary search on them, in bulk; face_table and
-perm.QuotientComplex go through it.  A code of dimension d is below
-N_{d-1} * m; at n = 8 (m = 4138, f-vector 4138, 155477, 1208830,
-3394790, 3919860, 1587600) that is at most 3919860 * 4138 < 1.7e10, far
-below the int64 limit, and every cell index fits in int32.
+find locates chains by binary search on them, in bulk.  face_table goes
+through it, and so does map_chains, which carries every cell along a
+vertex map: a group element, or the lift from one size to the next.  A
+code of dimension d is below N_{d-1} * m; at n = 8 (m = 4138, f-vector
+4138, 155477, 1208830, 3394790, 3919860, 1587600) that is at most
+3919860 * 4138 < 1.7e10, far below the int64 limit, and every cell index
+fits in int32.
 
 CellComplex is the one chain-complex protocol: the nerve, its quotients
 (perm.QuotientComplex), hand-built fixtures and Morse complexes each
@@ -221,6 +223,21 @@ class OrderComplex(CellComplex):
         prefix (indices in dimension d-1; zeros for d = 0) by vertex;
         each such chain must be a cell."""
         return np.searchsorted(self.cell_codes(d), prefix.astype(np.int64) * len(self.elements) + vertex)
+
+    def map_chains(self, vmap: np.ndarray, target: "OrderComplex | None" = None, start: int | None = None):
+        """Yield, for d = 0..dim, an int32 array holding for each cell of
+        dimension d the index in target (default: this complex) of its
+        image chain: vmap applied to every vertex, with the target vertex
+        start prepended when given, which raises the dimension by one.
+        A chain's image is its prefix's image extended by the image of its
+        last vertex, img[d] = target.find(d, img[d-1][parent[d]], vmap[last[d]]),
+        so vmap must send chains to chains; nothing here checks that."""
+        target = self if target is None else target
+        shift = 0 if start is None else 1
+        img = np.array([start or 0], dtype=np.int32)
+        for d in range(self.dim + 1):
+            img = target.find(d + shift, img[self.parent[d]], vmap[self.last[d]]).astype(np.int32)
+            yield img
 
     def locate(self, chain) -> tuple[int, int]:
         """Cell id of a chain given as vertex indices or as a Simplex."""

@@ -8,12 +8,16 @@ poset automorphism for every generator is one for every product of them,
 and an orbit is the closure of a point under the generator images (its
 stabilizer has order |G| / |orbit|).
 
-QuotientComplex works on the prefix-tree arrays parent[d] / last[d] of
-the order complex: the image of a chain is its prefix's image followed
-by the image of its last vertex, located in bulk by OrderComplex.find,
-and orbits are labelled by their smallest cell in array passes.
-The boundary of an orbit maps the faces of its representative, found in
-bulk by face_table, to their orbits.
+A group element acts on the nerve through a vertex map, built from the
+restricted-growth strings of the partitions, and then on every cell at
+once through OrderComplex.map_chains: per-dimension int32 image arrays,
+the image of a chain being its prefix's image extended by the image of
+its last vertex.  ComplexAction keeps these arrays for the generators
+only; other elements are computed when asked for, not kept for the whole
+group.  QuotientComplex reads the generator images of one dimension at a
+time, keeping none, and labels orbits by their smallest cell in array
+passes.  The boundary of an orbit maps the faces of its representative,
+found in bulk by face_table, to their orbits.
 """
 
 from __future__ import annotations
@@ -255,40 +259,92 @@ def _canonical_key(x):
     return x
 
 
+def locate_partitions(elements, labels: np.ndarray) -> np.ndarray:
+    """Indices in elements, partitions of [n] in lexicographic order of
+    their restricted-growth strings, of the partitions whose blocks the
+    rows of labels number in any way: each row is relabelled in order of
+    first appearance and looked up by binary search.  Raises ValueError
+    when a row names no element."""
+    codes = _rgs_codes(np.array([p.rgs for p in elements]))
+    wanted = _rgs_codes(labels)
+    found = np.minimum(np.searchsorted(codes, wanted), len(codes) - 1)
+    missing = np.flatnonzero(codes[found] != wanted)
+    if len(missing):
+        raise ValueError(f"block labels {labels[missing[0]].tolist()} name no element of the poset")
+    return found
+
+
+def _rgs_codes(labels: np.ndarray) -> np.ndarray:
+    """Base-n integer codes of the restricted-growth strings of the rows of
+    labels (block labels in 0..n-1); they increase with lexicographic order."""
+    m, n = labels.shape
+    rows = np.arange(m)
+    # canon[r, b]: the number of the block labelled b in row r, by first
+    # appearance (-1 until it appears)
+    canon = np.full((m, n), -1)
+    seen = np.zeros(m, dtype=np.int64)
+    codes = np.zeros(m, dtype=np.int64)
+    for b in labels.T:
+        new = canon[rows, b] < 0
+        canon[rows[new], b[new]] = seen[new]
+        seen += new
+        codes = codes * n + canon[rows, b]
+    return codes
+
+
 class ComplexAction:
     """A permutation group acting on the cells of an order complex whose
     ground poset consists of partitions.
 
-    Vertex maps are built and checked for the generators; maps of other
-    group elements are filled in on first use by cell_image.
+    Vertex maps come from restricted-growth strings: g sends a partition
+    to the one that labels g(e) as the partition labels e, found among the
+    elements by locate_partitions.  They are built and checked to be poset
+    automorphisms for the generators only.  An element acts on cells as
+    the per-dimension int32 image arrays of OrderComplex.map_chains: those
+    of the generators are kept once computed; those of another element are
+    computed when asked for, and only the most recent such element's are
+    kept (all 720 elements of the stabilizer at n = 7 would take about
+    750 MB).
     """
 
     def __init__(self, complex: OrderComplex, group: PermGroup):
         self.complex = complex
         self.group = group
-        self._elem_index = {p: i for i, p in enumerate(complex.elements)}
-        self.vertex_maps: dict[Perm, tuple[int, ...]] = {}
+        self._labels = np.array([p.rgs for p in complex.elements])
+        self.vertex_maps: dict[Perm, np.ndarray] = {g: self.vertex_map(g) for g in group.generators}
         less = complex.less
-        for g in group.generators:
-            v = np.asarray(self._vertex_map(g))
+        for g, v in self.vertex_maps.items():
             if not (less[np.ix_(v, v)] == less).all():
                 raise ValueError(f"{g} does not act by poset automorphisms")
+        self._images: dict[Perm, list[np.ndarray]] = {}
+        self._recent: dict[Perm, list[np.ndarray]] = {}
 
-    def _vertex_map(self, g: Perm) -> tuple[int, ...]:
-        vmap = tuple(self._elem_index[act(g, p)] for p in self.complex.elements)
-        self.vertex_maps[g] = vmap
-        return vmap
+    def vertex_map(self, g: Perm) -> np.ndarray:
+        """vertex_map(g)[v] is the index of the image of vertex v under g."""
+        n = self._labels.shape[1]
+        if g.n != n:
+            raise ValueError(f"permutation of [{g.n}] cannot act on partitions of [{n}]")
+        # the image labels position g(e) as the partition labels e
+        return locate_partitions(self.complex.elements, self._labels[:, np.argsort(g.images)])
+
+    def images(self, g: Perm) -> list[np.ndarray]:
+        """images(g)[d][i] is the index of the image of cell (d, i) under
+        an element g of the group."""
+        found = self._images.get(g) or self._recent.get(g)
+        if found is None:
+            if g not in self.group:
+                raise KeyError(f"{g} is not an element of {self.group}")
+            generator = g in self.vertex_maps
+            found = list(self.complex.map_chains(self.vertex_maps[g] if generator else self.vertex_map(g)))
+            if generator:
+                self._images[g] = found
+            else:
+                self._recent = {g: found}
+        return found
 
     def cell_image(self, g: Perm, cell: tuple[int, int]) -> tuple[int, int]:
         """Image of cell (dim, index) under an element g of the group."""
-        d, i = cell
-        vmap = self.vertex_maps.get(g)
-        if vmap is None:
-            if g not in self.group:
-                raise KeyError(f"{g} is not an element of {self.group}")
-            vmap = self._vertex_map(g)
-        chain = tuple(vmap[v] for v in self.complex.cells[d][i])
-        return d, self.complex.index[d][chain]
+        return cell[0], int(self.images(g)[cell[0]][cell[1]])
 
 
 class QuotientComplex(CellComplex):
@@ -301,19 +357,15 @@ class QuotientComplex(CellComplex):
         self.base = complex
         self.group = group
         self.action = ComplexAction(complex, group)
-        vmaps = [np.asarray(v) for v in self.action.vertex_maps.values()]
-        # images[k] maps each cell of the current dimension to its image
-        # under generator k; the image of a chain is the image of its
-        # prefix followed by the image of its last vertex
-        images = [np.zeros(1, dtype=np.int64) for _ in vmaps]
+        # the generator images of one dimension at a time, none kept
+        streams = [complex.map_chains(v) for v in self.action.vertex_maps.values()]
         self.orbit_of: list[np.ndarray] = []
         self.reps: list[list[int]] = []
         for d in range(complex.dim + 1):
-            par, last = complex.parent[d], complex.last[d]
-            images = [complex.find(d, img[par], v[last]) for img, v in zip(images, vmaps)]
+            images = [next(s) for s in streams]
             # min-label propagation with pointer jumping: each cell ends
             # labelled by the smallest cell of its orbit
-            label = np.arange(len(par))
+            label = np.arange(complex.n_cells(d))
             while True:
                 new = label
                 for img in images:
@@ -332,9 +384,6 @@ class QuotientComplex(CellComplex):
 
     def orbit_index(self, d: int, base_index: int) -> int:
         return int(self.orbit_of[d][base_index])
-
-    def representative(self, d: int, i: int) -> tuple[int, ...]:
-        return self.base.cells[d][self.reps[d][i]]
 
     def simplex(self, d: int, i: int) -> Simplex:
         base_i = self.reps[d][i]

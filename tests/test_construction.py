@@ -16,6 +16,7 @@ from partmorse.construction import (
     get_complex,
     is_anchored,
     is_pair_vertex,
+    lift_cells,
     lift_chain,
     lift_partition,
     matching_report,
@@ -179,6 +180,15 @@ def test_lift_intertwines_restricted_action_exhaustive():
             r = restrict_permutation(g)
             for p in parts:
                 assert act(g, lift_partition(p)) == lift_partition(act(r, p))
+
+
+def test_array_lift_matches_lift_chain():
+    for n in (4, 5, 6):
+        prev_cx, cx = get_complex(n - 1), get_complex(n)
+        images = lift_cells(prev_cx, cx)
+        for d in range(prev_cx.dim + 1):
+            expected = [cx.locate(lift_chain(prev_cx.simplex(d, i))) for i in range(prev_cx.n_cells(d))]
+            assert [(d + 1, j) for j in images[d].tolist()] == expected
 
 
 def test_restrict_permutation():

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from partmorse import construction
 from partmorse.construction import (
     _chain_keys,
     _key_action,
@@ -407,6 +408,52 @@ def test_check_equivariance_matches_element_walk():
             assert check_equivariance(m, action) == walk
             seen.add(walk)
     assert seen == {True, False}
+
+
+def test_mutated_main_matching_fails_equivariance_n6():
+    n = 6
+    action = get_action(n)
+    main = build_main_matching(n)
+    key = fiber_keys(get_complex(n))
+    # a pair of the fiber over {1,2}, which the assembly reaches by transport
+    dropped = next(p for p in main.pairs if key[p[0][0]][p[0][1]] == 2)
+    assert check_equivariance(main, action)
+    assert not check_equivariance(Matching(main.complex, [p for p in main.pairs if p != dropped]), action)
+
+
+def test_equivariant_patchwork_names_stabilizer_witness_n6():
+    n = 6
+    action = get_action(n)
+    fibers = main_fibers(n)
+    assert assemble(n, fibers).pairs == build_main_matching(n).pairs
+    for r in fibers:
+        stabilizer = [g for g in action.group.elements if _key_action(g, r) == r]
+        moved = next(p for p in fibers[r] if any(action.cell_image(g, p[0]) != p[0] for g in stabilizer))
+        broken = [p for p in fibers[r] if p != moved]
+        with pytest.raises(ValueError, match=f"fiber matching at {r} is not stabilizer-equivariant") as info:
+            assemble(n, {**fibers, r: broken})
+        witness = Perm.from_cycles(n, re.search(r"\(fails (.+)\)$", str(info.value)).group(1))
+        assert witness in action.group and _key_action(witness, r) == r
+        image = {(action.cell_image(witness, a), action.cell_image(witness, b)) for a, b in broken}
+        assert image != set(broken)
+
+
+def test_group_steps_make_no_per_cell_calls(monkeypatch):
+    calls = []
+    cell_image = ComplexAction.cell_image
+
+    def counted(self, g, cell):
+        calls.append(cell)
+        return cell_image(self, g, cell)
+
+    monkeypatch.setattr(ComplexAction, "cell_image", counted)
+    # rebuild n = 3..6 from scratch; the cached matchings come back afterwards
+    monkeypatch.setattr(construction, "_matchings", {})
+    monkeypatch.setattr(construction, "_actions", {})
+    main = build_main_matching(6)
+    assert check_equivariance(main, get_action(6))
+    quotient_matching(main, QuotientComplex(get_complex(6), PermGroup.from_cycle_strings(6, ["(2 3)", "(2 3 4 5 6)"])))
+    assert calls == []
 
 
 def test_check_equivariance():

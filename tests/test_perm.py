@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from partmorse.ordercomplex import proper_part_complex
+from partmorse.ordercomplex import OrderComplex, proper_part_complex
 from partmorse.perm import (
     ComplexAction,
     Perm,
@@ -165,6 +165,47 @@ def test_complex_action_rejects_degree_mismatch():
     cx = proper_part_complex(4)
     with pytest.raises((KeyError, ValueError)):
         ComplexAction(cx, PermGroup.symmetric(5))
+
+
+def test_complex_action_rejects_non_automorphisms():
+    cx = proper_part_complex(4)
+    where = {p: i for i, p in enumerate(cx.elements)}
+    swap = PermGroup.from_cycle_strings(4, ["(2 3)"])
+    # drop the cover 1,2|3|4 < 1,2,3|4; (2 3) maps it onto 1,3|2|4 < 1,2,3|4, which stays
+    less = cx.less.copy()
+    less[where[parse_partition("1,2|3|4")], where[parse_partition("1,2,3|4")]] = False
+    with pytest.raises(ValueError, match="poset automorphisms"):
+        ComplexAction(OrderComplex(cx.elements, less), swap)
+    # (2 3) sends 1,2|3|4 onto 1,3|2|4, which is not an element of this poset
+    keep = [i for i, p in enumerate(cx.elements) if p != parse_partition("1,3|2|4")]
+    sub = OrderComplex([cx.elements[i] for i in keep], cx.less[np.ix_(keep, keep)])
+    with pytest.raises(ValueError, match="name no element"):
+        ComplexAction(sub, swap)
+
+
+def test_rgs_vertex_maps_match_act():
+    for group in oracle_groups():
+        cx = proper_part_complex(group.n)
+        action = ComplexAction(cx, group)
+        where = {p: i for i, p in enumerate(cx.elements)}
+        for g in group.elements:
+            assert action.vertex_map(g).tolist() == [where[act(g, p)] for p in cx.elements]
+        for g, vmap in action.vertex_maps.items():
+            assert vmap.tolist() == action.vertex_map(g).tolist()
+
+
+def test_image_arrays_match_act():
+    stabilizer6 = PermGroup.point_stabilizer(6)
+    cases = [(group, group.elements) for group in oracle_groups()] + [(stabilizer6, stabilizer6.generators)]
+    for group, elements in cases:
+        cx = proper_part_complex(group.n)
+        action = ComplexAction(cx, group)
+        for g in elements:
+            images = action.images(g)
+            assert [img.dtype for img in images] == [np.int32] * (cx.dim + 1)
+            for d in range(cx.dim + 1):
+                expected = [cx.locate(act(g, cx.simplex(d, i))) for i in range(cx.n_cells(d))]
+                assert [(d, j) for j in images[d].tolist()] == expected
 
 
 def test_quotient_complex_full_stabilizer():
