@@ -26,6 +26,7 @@ from .perm import (
     orbits,
 )
 from .morse import (
+    DanglingCellError,
     InvalidMatchingError,
     Matching,
     MatchingCertificate,

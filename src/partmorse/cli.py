@@ -2,7 +2,8 @@
 quotients, compute homology, verify the full certificate suite, and
 emit aggregate reports.
 
-Exit codes: 0 success, 1 a verification failed, 2 invalid configuration.
+Exit codes: 0 success, 1 a verification failed, 2 invalid configuration
+(a ConfigError); any other error propagates.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from .homology import homology_of, verify_wedge
 from .morse import check_equivariance, morse_data, validate_matching
 from .ordercomplex import Simplex
 from .perm import PermGroup, QuotientComplex, orbits
-from .setpart import PartitionParseError
+
+
+class ConfigError(Exception):
+    """The command line asks for something invalid."""
 
 
 def split_group_arg(text: str) -> list[str]:
@@ -52,7 +56,10 @@ def split_group_arg(text: str) -> list[str]:
 def parse_group(n: int, text: str | None) -> PermGroup:
     if not text:
         return PermGroup.trivial(n)
-    return PermGroup.from_cycle_strings(n, split_group_arg(text))
+    try:
+        return PermGroup.from_cycle_strings(n, split_group_arg(text))
+    except ValueError as exc:
+        raise ConfigError(exc) from exc
 
 
 def _render(payload, fmt: str) -> str:
@@ -254,13 +261,6 @@ def main(argv=None) -> int:
     add("report", "aggregate matching reports for 3..n")
 
     args = parser.parse_args(argv)
-    if args.n < 3:
-        print(f"error: --n must be at least 3, got {args.n}", file=sys.stderr)
-        return 2
-    if getattr(args, "format", None) == "csv" and args.command != "homology":
-        print("error: csv output is only available for homology tables", file=sys.stderr)
-        return 2
-
     handlers = {
         "complex": cmd_complex,
         "matching": cmd_matching,
@@ -270,10 +270,14 @@ def main(argv=None) -> int:
         "report": cmd_report,
     }
     try:
+        if args.n < 3:
+            raise ConfigError(f"--n must be at least 3, got {args.n}")
+        if getattr(args, "format", None) == "csv" and args.command != "homology":
+            raise ConfigError("csv output is only available for homology tables")
         code, payload = handlers[args.command](args)
         if payload is not None:
             _emit(_render(payload, args.format), args.out)
-    except (ValueError, PartitionParseError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -20,7 +20,6 @@ import numpy as np
 
 from .morse import (
     Matching,
-    Pair,
     equivariant_patchwork_matching,
     patchwork_pairs,
     closure_matching,
@@ -181,21 +180,12 @@ def get_action(n: int) -> ComplexAction:
     return _actions[n]
 
 
-def _chain_keys(cx: OrderComplex, vkey: np.ndarray, combine) -> list[np.ndarray]:
-    """Per-dimension cell keys folded along the prefix tree: a chain's
-    key combines the key of its prefix chain with vkey of its last vertex."""
-    out = [vkey[cx.last[0]]]
-    for d in range(1, cx.dim + 1):
-        out.append(combine(out[d - 1][cx.parent[d]], vkey[cx.last[d]]))
-    return out
-
-
 def fiber_keys(cx: OrderComplex) -> list[np.ndarray]:
     """key[d][i] = k when chain (d, i) starts with the pair vertex {1,k},
     else 0.  A pair vertex is an atom, so it can only lead a chain, and
     the key is that of the first vertex."""
     vkey = np.array([max(p.block_containing(1)) if is_pair_vertex(p) else 0 for p in cx.elements])
-    return _chain_keys(cx, vkey, lambda prefix, _: prefix)
+    return cx.fold(vkey, lambda prefix, _: prefix)
 
 
 def _key_action(g: Perm, k: int) -> int:
@@ -218,7 +208,7 @@ def fiber_zero_matching(n: int) -> Matching:
     return Matching(get_complex(n), _fiber_zero_pairs(n))
 
 
-def _fiber_zero_pairs(n: int) -> list[Pair]:
+def _fiber_zero_pairs(n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The pairs of fiber_zero_matching, with the patchwork checks run on
     them but not yet the structural checks of a Matching."""
     cx = get_complex(n)
@@ -236,9 +226,9 @@ def _fiber_zero_pairs(n: int) -> list[Pair]:
     vstage = np.full(len(cx.elements), 2)
     vstage[ground] = 1
     vstage[fixed] = 0
-    key = _chain_keys(cx, vstage, np.maximum)
+    key = cx.fold(vstage, np.maximum)
     leq = np.triu(np.ones((3, 3), dtype=bool))
-    return patchwork_pairs(cx, key, leq, {0: stage2, 1: stage1, 2: []})
+    return patchwork_pairs(cx, key, leq, {0: stage2, 1: stage1, 2: {}})
 
 
 def lift_cells(prev_cx: OrderComplex, cx: OrderComplex) -> list[np.ndarray]:
@@ -265,16 +255,17 @@ def build_main_matching(n: int) -> Matching:
     cx = get_complex(n)
     action = get_action(n)
 
-    last_pairs: list[Pair] = []
+    last_pairs = {}
     if n > 3:
         prev = build_main_matching(n - 1)
         img = lift_cells(prev.complex, cx)
-        last_pairs = [((d + 1, int(img[d][i])), (e + 1, int(img[e][j]))) for (d, i), (e, j) in prev.pairs]
         # the lift leaves the bare pair-vertex chain unmatched; close it
         # off against the lift of the split vertex one size down
-        bottom = cx.locate(Simplex((pair_vertex(n, n),)))
-        first_edge = cx.locate(lift_chain(Simplex((split_vertex(n - 1),))))
-        last_pairs.append((bottom, first_edge))
+        bottom = cx.element_index[pair_vertex(n, n)]
+        first_edge = img[0][prev.complex.element_index[split_vertex(n - 1)]]
+        last_pairs = {0: (np.array([bottom]), np.array([first_edge]))}
+        for d, (lo, hi) in prev.pair_arrays().items():
+            last_pairs[d + 1] = (img[d][lo], img[d + 1][hi])
 
     # the zero fiber lies below every fiber {1,k}, which are incomparable;
     # its pairs are checked as a matching once, with all the others

@@ -1,22 +1,21 @@
 """Acyclic matchings on face posets and their Morse chain data.
 
-A matching pairs cells with codimension-1 faces; acyclicity is decided on
-the modified face digraph (matched edges reversed).  Composition follows
-the patchwork pattern: an order-preserving map into a small poset plus one
-matching per fiber yields a matching on the whole complex, and a group
-action transports fiber matchings across orbits.  The map is data, not a
-callable: key[d] is an int array of key ids over the cells of dimension
-d, and the order on ids is a boolean matrix, so the order-preservation
-check is one array comparison per dimension on the face table of an
-order complex.  Group conditions are checked on the generators alone,
-on arrays: a set of pairs is {d: (lo, hi)}, one index array each for the
-lower and upper cells, a generator moves a whole fiber through its image
-arrays (perm.ComplexAction.images), and equivariance is one comparison
-per generator and dimension against the upper-partner array.  Assembly
-checks structure but not acyclicity: an assembled matching is certified
-once, by validate_matching.
+A Matching is kept in one format: partner arrays up[d] and down[d], -1
+for an unmatched cell.  Its producers hand over sets of pairs as {d:
+(lo, hi)}, one index array each for the lower cells of dimension d and
+their upper partners; tuple lists ((d, i), (d+1, j)) are accepted at the
+API edge and converted once.  Structure is checked in bulk (bincount for
+a cell in two pairs, CellComplex.incidence for the coefficients), and
+acyclicity on the modified face digraph (matched edges reversed).  The
+patchwork pattern composes matchings: an order-preserving cell key (an
+int array per dimension, ordered by a boolean matrix and checked against
+face_table) plus one matching per fiber gives a matching of the whole
+complex, and a group moves whole fibers across orbits through the image
+arrays of its generators (perm.ComplexAction.images); equivariance is
+one comparison per generator and dimension against up.  Cone and closure
+matchings are prefix-tree folds.  Assembly checks structure but not
+acyclicity: an assembled matching is certified once, by validate_matching.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -35,58 +34,84 @@ class InvalidMatchingError(ValueError):
     pass
 
 
-def _build_partner(complex, pairs) -> dict[Cell, Cell]:
-    """Strict structural check; raises InvalidMatchingError on any defect."""
-    partner: dict[Cell, Cell] = {}
-    for pair in pairs:
-        (d, i), (e, j) = pair
-        if e != d + 1:
-            raise InvalidMatchingError(f"pair {pair} does not span one dimension")
-        for dd, k in ((d, i), (e, j)):
-            if not (0 <= dd <= complex.dim and 0 <= k < complex.n_cells(dd)):
-                raise InvalidMatchingError(f"dangling cell ({dd}, {k})")
-        coeff = dict(complex.faces(e, j)).get(i, 0)
-        if abs(coeff) != 1:
-            raise InvalidMatchingError(
-                f"cell ({d},{i}) is not a regular face of ({e},{j}) (coefficient {coeff})"
-            )
-        for c in pair:
-            if c in partner:
-                raise InvalidMatchingError(f"cell {c} appears in two pairs")
-        partner[(d, i)] = (e, j)
-        partner[(e, j)] = (d, i)
-    return partner
+class DanglingCellError(InvalidMatchingError):
+    """A pair names a cell that the complex does not have."""
+
+
+def _pair_arrays(complex, pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """A set of pairs as {d: (lo, hi)}, one index array each for the lower
+    cells of dimension d and their upper partners.  pairs is given so, or
+    as tuples ((d, lo), (d+1, hi)), kept in list order per dimension; a
+    cell the complex lacks raises DanglingCellError, and then a pair that
+    does not span one dimension InvalidMatchingError."""
+    if isinstance(pairs, dict):
+        cells = [(np.full(len(c), e), c) for d, (lo, hi) in pairs.items() for e, c in ((d, lo), (d + 1, hi))]
+    else:
+        # rows (dim, index): the lower and then the upper cell of each pair
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(pairs)), dtype=np.int64, count=4 * len(pairs))
+        flat = flat.reshape(-1, 2)
+        cells = [(flat[:, 0], flat[:, 1])]
+    # a dimension out of range reads the trailing 0, at -1 or dim + 1
+    sizes = np.array([complex.n_cells(d) for d in range(complex.dim + 1)] + [0])
+    for dims, idx in cells:
+        bad = np.flatnonzero((idx < 0) | (idx >= sizes[np.clip(dims, -1, complex.dim + 1)]))
+        if len(bad):
+            raise DanglingCellError(f"dangling cell ({dims[bad[0]]}, {idx[bad[0]]})")
+    if isinstance(pairs, dict):
+        return pairs
+    lo, hi = flat[0::2], flat[1::2]
+    bad = np.flatnonzero(hi[:, 0] != lo[:, 0] + 1)
+    if len(bad):
+        raise InvalidMatchingError(f"pair {pairs[bad[0]]} does not span one dimension")
+    return {d: (lo[lo[:, 0] == d, 1], hi[lo[:, 0] == d, 1]) for d in np.unique(lo[:, 0]).tolist()}
 
 
 class Matching:
-    """A validated partial matching along codimension-1 incidences."""
+    """A validated partial matching along codimension-1 incidences, kept
+    as partner arrays: up[d][i] is the (d+1)-cell matched with the d-cell
+    i, down[d][j] the (d-1)-cell matched with the d-cell j, -1 for none."""
 
     def __init__(self, complex, pairs):
         self.complex = complex
-        self.pairs: tuple[Pair, ...] = tuple(sorted(pairs))
-        self.partner = _build_partner(complex, self.pairs)
+        sizes = [complex.n_cells(d) for d in range(complex.dim + 1)]
+        self.up = [np.full(size, -1, dtype=np.int32) for size in sizes]
+        self.down = [np.full(size, -1, dtype=np.int32) for size in sizes]
+        uses = [np.zeros(size, dtype=np.int64) for size in sizes]
+        for d, (lo, hi) in _pair_arrays(complex, pairs).items():
+            coeff = complex.incidence(d + 1, hi, lo)
+            bad = np.flatnonzero(np.abs(coeff) != 1)
+            if len(bad):
+                i, j, c = lo[bad[0]], hi[bad[0]], coeff[bad[0]]
+                raise InvalidMatchingError(f"cell ({d},{i}) is not a regular face of ({d + 1},{j}) (coefficient {c})")
+            uses[d] += np.bincount(lo, minlength=sizes[d])
+            uses[d + 1] += np.bincount(hi, minlength=sizes[d + 1])
+            self.up[d][lo] = hi
+            self.down[d + 1][hi] = lo
+        for d, count in enumerate(uses):
+            twice = np.flatnonzero(count > 1)
+            if len(twice):
+                raise InvalidMatchingError(f"cell {(d, int(twice[0]))} appears in two pairs")
 
-    def partner_of(self, cell: Cell) -> Cell | None:
-        return self.partner.get(cell)
+    def pair_arrays(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """{d: (lo, hi)} for every d below the top, lower cells ascending."""
+        lows = [np.flatnonzero(up >= 0) for up in self.up[:-1]]
+        return {d: (lo, self.up[d][lo]) for d, lo in enumerate(lows)}
 
-    def is_critical(self, cell: Cell) -> bool:
-        return cell not in self.partner
+    @property
+    def pairs(self) -> list[Pair]:
+        """The pairs ((d, i), (d+1, j)) in sorted order."""
+        return [((d, i), (d + 1, j)) for d, (lo, hi) in self.pair_arrays().items() for i, j in zip(lo.tolist(), hi.tolist())]
 
     def critical_cells(self) -> list[list[int]]:
         """Per-dimension sorted index lists of unmatched cells."""
-        out = []
-        for d in range(self.complex.dim + 1):
-            out.append([i for i in range(self.complex.n_cells(d)) if (d, i) not in self.partner])
-        return out
+        return [np.flatnonzero((up < 0) & (down < 0)).tolist() for up, down in zip(self.up, self.down)]
 
     def critical_counts(self) -> list[int]:
         return [len(layer) for layer in self.critical_cells()]
 
     def dump(self) -> str:
-        lines = []
-        for (d, i), (e, j) in self.pairs:
-            lines.append(f"{self.complex.cell_label(d, i)} -> {self.complex.cell_label(e, j)}")
-        return "\n".join(lines)
+        label = self.complex.cell_label
+        return "\n".join(f"{label(d, i)} -> {label(e, j)}" for (d, i), (e, j) in self.pairs)
 
 
 def matching_from_dump(complex, text: str) -> Matching:
@@ -125,7 +150,7 @@ class MatchingCertificate:
         return out
 
 
-def find_cycle(complex, partner: dict[Cell, Cell]) -> list[Cell] | None:
+def find_cycle(matching: Matching) -> list[Cell] | None:
     """A directed cycle of the modified face digraph, or None.
 
     Cycles always alternate between consecutive dimensions, so each
@@ -133,58 +158,38 @@ def find_cycle(complex, partner: dict[Cell, Cell]) -> list[Cell] | None:
     pairs, with an edge u -> u' when the cell matched to u' is a face of
     u.  Returns alternating upper/lower cells, first cell repeated last.
     """
+    complex = matching.complex
     for d in range(complex.dim):
-        nodes = []
-        for j in range(complex.n_cells(d + 1)):
-            down = partner.get((d + 1, j))
-            if down is not None and down[0] == d:
-                nodes.append(j)
-        node_set = set(nodes)
+        up, down = matching.up[d].tolist(), matching.down[d + 1].tolist()
+        nodes = [j for j, y in enumerate(down) if y >= 0]
 
-        def successors(j: int) -> list[tuple[int, int]]:
-            down = partner[(d + 1, j)][1]
-            out = []
-            for y, _ in complex.faces(d + 1, j):
-                if y == down:
-                    continue
-                up = partner.get((d, y))
-                if up is not None and up[0] == d + 1 and up[1] in node_set:
-                    out.append((y, up[1]))
-            return out
+        def successors(j: int) -> list[int]:
+            return [up[y] for y, _ in complex.faces(d + 1, j) if y != down[j] and up[y] >= 0]
 
         color: dict[int, int] = {}
         for start in nodes:
             if color.get(start):
                 continue
-            path: list[int] = []
-            pos: dict[int, int] = {}
-            stack: list[tuple[int, iter]] = [(start, iter(successors(start)))]
             color[start] = 1
-            pos[start] = 0
-            path.append(start)
+            path = [start]
+            stack = [iter(successors(start))]
             while stack:
-                j, it = stack[-1]
-                advanced = False
-                for _, nxt in it:
+                for nxt in stack[-1]:
                     if color.get(nxt) == 1:
-                        cycle_nodes = path[pos[nxt] :] + [nxt]
+                        cycle_nodes = path[path.index(nxt) :] + [nxt]
                         witness: list[Cell] = []
                         for a, b in zip(cycle_nodes, cycle_nodes[1:]):
                             witness.append((d + 1, a))
-                            witness.append(partner[(d + 1, b)])
+                            witness.append((d, down[b]))
                         witness.append((d + 1, cycle_nodes[-1]))
                         return witness
                     if nxt not in color:
                         color[nxt] = 1
-                        pos[nxt] = len(path)
                         path.append(nxt)
-                        stack.append((nxt, iter(successors(nxt))))
-                        advanced = True
+                        stack.append(iter(successors(nxt)))
                         break
-                if not advanced:
-                    color[j] = 2
-                    path.pop()
-                    pos.pop(j, None)
+                else:
+                    color[path.pop()] = 2
                     stack.pop()
     return None
 
@@ -193,21 +198,15 @@ def check_equivariance(matching: Matching, action) -> bool:
     """True iff every element of the acting group sends every pair to a pair.
 
     Only the generators are applied: a generator that maps the finite pair
-    set into itself permutes it, and products of such maps do too.  With
-    up[d] the upper partner of each d-cell (-1 when it has none), a
+    set into itself permutes it, and products of such maps do too.  A
     generator with image arrays img keeps the pairs (lo, hi) of dimension
     d iff up[d][img[d][lo]] == img[d+1][hi] throughout.
     """
-    cx = matching.complex
-    pairs = _pair_arrays(matching.pairs)
-    up = {}
-    for d, (lo, hi) in pairs.items():
-        up[d] = np.full(cx.n_cells(d), -1, dtype=np.int64)
-        up[d][lo] = hi
+    pairs = matching.pair_arrays()
     for g in action.group.generators:
         img = action.images(g)
         for d, (lo, hi) in pairs.items():
-            if not (up[d][img[d][lo]] == img[d + 1][hi]).all():
+            if not (matching.up[d][img[d][lo]] == img[d + 1][hi]).all():
                 return False
     return True
 
@@ -220,42 +219,32 @@ def validate_matching(complex, pairs_or_matching, action=None) -> MatchingCertif
     supplied and the matching is stable under it, equivariantUnder
     records the group.
     """
-    if isinstance(pairs_or_matching, Matching):
-        matching = pairs_or_matching
-    else:
-        for pair in pairs_or_matching:
-            for dd, k in pair:
-                if not (0 <= dd <= complex.dim and 0 <= k < complex.n_cells(dd)):
-                    raise InvalidMatchingError(f"dangling cell ({dd}, {k})")
+    matching = pairs_or_matching
+    if not isinstance(matching, Matching):
         try:
-            matching = Matching(complex, pairs_or_matching)
+            matching = Matching(complex, matching)
+        except DanglingCellError:
+            raise
         except InvalidMatchingError:
             return MatchingCertificate(False, False, ())
-    cycle = find_cycle(complex, matching.partner)
+    cycle = find_cycle(matching)
     counts = tuple(matching.critical_counts())
     equivariant_under = None
     if action is not None and check_equivariance(matching, action):
-        gens = ", ".join(str(g) for g in action.group.generators) or "id"
-        equivariant_under = gens
+        equivariant_under = ", ".join(str(g) for g in action.group.generators) or "id"
     witness = None
     if cycle is not None:
         witness = tuple(matching.complex.cell_label(d, i) for d, i in cycle)
     return MatchingCertificate(True, cycle is None, counts, equivariant_under, witness)
 
 
-def _pair_arrays(pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The pairs ((d, lo), (d+1, hi)) as {d: (lo, hi)} index arrays, in
-    list order within each dimension d of the lower cell."""
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(pairs)), dtype=np.int64, count=4 * len(pairs))
-    flat = flat.reshape(-1, 4)
-    bad = np.flatnonzero(flat[:, 2] != flat[:, 0] + 1)
-    if len(bad):
-        raise InvalidMatchingError(f"pair {pairs[bad[0]]} does not span one dimension")
-    return {d: (flat[flat[:, 0] == d, 1], flat[flat[:, 0] == d, 3]) for d in np.unique(flat[:, 0]).tolist()}
-
-
-def _pair_list(fiber) -> list[Pair]:
-    return [((d, i), (d + 1, j)) for d, (lo, hi) in fiber.items() for i, j in zip(lo.tolist(), hi.tolist())]
+def _union(fibers) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The {d: (lo, hi)} fibers concatenated per dimension, in order."""
+    parts: dict = {}
+    for fiber in fibers:
+        for d, pair in fiber.items():
+            parts.setdefault(d, []).append(pair)
+    return {d: tuple(np.concatenate(cells) for cells in zip(*pairs)) for d, pairs in parts.items()}
 
 
 def _pair_codes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -266,7 +255,7 @@ def _pair_codes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _check_fiber(key, fiber, k) -> None:
     """Every pair of the {d: (lo, hi)} fiber has both cells in fiber k;
     a failure names the first bad pair of the lowest dimension."""
-    for d, (lo, hi) in fiber.items():
+    for d, (lo, hi) in sorted(fiber.items()):
         bad = np.flatnonzero((key[d][lo] != k) | (key[d + 1][hi] != k))
         if len(bad):
             i, j = int(lo[bad[0]]), int(hi[bad[0]])
@@ -282,22 +271,25 @@ def _check_order(complex, key, key_leq) -> None:
             raise ValueError(f"cell key not order-preserving at cell ({d},{j}) face {faces[j, k]}")
 
 
-def patchwork_pairs(complex, key, key_leq, fiber_pairs: dict) -> list[Pair]:
-    """Union of per-fiber matchings along an order-preserving cell key.
+def patchwork_pairs(complex, key, key_leq, fiber_pairs: dict) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Union of per-fiber matchings along an order-preserving cell key, as
+    {d: (lo, hi)} arrays.
 
     complex is an OrderComplex; key[d][i] is the key of cell (d, i), an id
     of a poset whose order is the boolean matrix key_leq over ids.  The
     key must be order-preserving on faces, checked per dimension in one
-    comparison against face_table, and every pair of fiber_pairs[k] must
-    lie in fiber k; a failure names the first bad cell and face, or pair.
-    The union is acyclic whenever each piece is, which is not checked
-    here, and neither is its structure: a Matching built from the pairs
-    checks that, and validate_matching certifies acyclicity.
+    comparison against face_table, and every pair of fiber_pairs[k], given
+    as arrays or as a list of pairs, must lie in fiber k; a failure names
+    the first bad cell and face, or pair.  The union is acyclic whenever
+    each piece is, which is not checked here, and neither is its
+    structure: a Matching built from the pairs checks that, and
+    validate_matching certifies acyclicity.
     """
     _check_order(complex, key, key_leq)
-    for k, pairs in fiber_pairs.items():
-        _check_fiber(key, _pair_arrays(pairs), k)
-    return [pair for pairs in fiber_pairs.values() for pair in pairs]
+    fibers = {k: _pair_arrays(complex, pairs) for k, pairs in fiber_pairs.items()}
+    for k, fiber in fibers.items():
+        _check_fiber(key, fiber, k)
+    return _union(fibers.values())
 
 
 def patchwork_matching(complex, key, key_leq, fiber_pairs: dict) -> Matching:
@@ -328,7 +320,7 @@ def equivariant_patchwork_matching(complex, action, key, key_action, key_leq, re
             raise ValueError(f"representative {r} is not the key of any cell")
         if r in fibers:
             raise ValueError(f"representative {r} lies in the key orbit of another representative")
-        fibers[r] = _pair_arrays(pairs)
+        fibers[r] = _pair_arrays(complex, pairs)
         _check_fiber(key, fibers[r], r)
         transversal = {r: Perm.identity(action.group.n)}
         queue = [r]
@@ -352,10 +344,7 @@ def equivariant_patchwork_matching(complex, action, key, key_action, key_leq, re
     _check_order(complex, key, key_leq)
     for k, fiber in fibers.items():
         _check_fiber(key, fiber, k)
-    # reuse the representatives' pair tuples: rebuilt, the zero fiber
-    # (104 k pairs at n = 7) would be held twice
-    pairs = [pair for k, fiber in fibers.items() for pair in rep_pairs.get(k) or _pair_list(fiber)]
-    return Matching(complex, pairs)
+    return Matching(complex, _union(fibers.values()))
 
 
 def quotient_matching(matching: Matching, quotient) -> Matching:
@@ -365,87 +354,83 @@ def quotient_matching(matching: Matching, quotient) -> Matching:
         raise ValueError("matching is not equivariant under the quotient group")
     orbit_of = quotient.orbit_of
     pairs = {}
-    for d, (lo, hi) in _pair_arrays(matching.pairs).items():
+    for d, (lo, hi) in matching.pair_arrays().items():
         codes = _pair_codes(orbit_of[d][lo], orbit_of[d + 1][hi])
         pairs[d] = (codes >> 32, codes & 0xFFFFFFFF)
-    result = Matching(quotient, _pair_list(pairs))
+    result = Matching(quotient, pairs)
     cert = validate_matching(quotient, result)
     if not cert.is_acyclic:
         raise InvalidMatchingError(f"quotient matching is cyclic: {cert.witness_cycle}")
     return result
 
 
-def cone_matching(complex, vertex_indices, apex_index: int) -> list[Pair]:
+def cone_matching(complex, vertex_indices, apex_index: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Matching pairs sigma \\ {apex} <-> sigma + {apex} over all chains
-    inside the given vertex set; the apex must be the subposet maximum.
-    The only cell left unmatched is the apex vertex itself."""
-    keep = set(vertex_indices)
-    if apex_index not in keep:
+    inside the given vertex set, as {d: (lo, hi)} arrays; the apex must be
+    the subposet maximum.  The upper cells are the chains inside the set
+    that end at the apex, each paired with its prefix chain, so the only
+    cell left unmatched is the apex vertex itself."""
+    keep = np.isin(np.arange(len(complex.elements)), list(vertex_indices))
+    if not keep[apex_index]:
         raise ValueError("apex not inside the vertex set")
-    for v in keep:
-        if v != apex_index and not complex.less[v, apex_index]:
-            raise ValueError(f"apex is not a maximum: vertex {v} is not below it")
-    pairs: list[Pair] = []
-    for d in range(complex.dim + 1):
-        for i, chain in enumerate(complex.cells[d]):
-            if apex_index in chain or any(v not in keep for v in chain):
-                continue
-            upper = chain + (apex_index,)
-            j = complex.index[d + 1].get(upper)
-            if j is None:
-                raise ValueError(f"cone partner of cell ({d},{i}) is not a stored chain")
-            pairs.append(((d, i), (d + 1, j)))
+    bad = np.flatnonzero(keep & ~complex.less[:, apex_index])
+    bad = bad[bad != apex_index]
+    if len(bad):
+        raise ValueError(f"apex is not a maximum: vertex {bad[0]} is not below it")
+    inside = complex.fold(keep, np.logical_and)
+    pairs = {}
+    for d in range(1, complex.dim + 1):
+        upper = np.flatnonzero(inside[d] & (complex.last[d] == apex_index))
+        pairs[d - 1] = (complex.parent[d][upper], upper)
     return pairs
 
 
-def closure_matching(complex, descend, vertex_indices=None) -> list[Pair]:
+def closure_matching(complex, descend, vertex_indices=None) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Matching induced by a descending closure operator on the ground
-    poset: each chain holding a vertex not fixed by the operator is
-    toggled on the image of its smallest such vertex.  Critical cells are
-    exactly the chains inside the image.
+    poset, as {d: (lo, hi)} arrays: each chain holding a vertex not fixed
+    by the operator is toggled on the image of its smallest such vertex.
+    Critical cells are exactly the chains inside the image.
 
     descend maps vertex index to vertex index; it must satisfy
-    d(x) <= x, d(d(x)) = d(x), and monotonicity, all checked here.
+    d(x) <= x, d(d(x)) = d(x), and monotonicity, all checked here.  Then
+    the vertices before the smallest moving vertex m of a chain are fixed
+    and below d(m), so a chain is an upper cell iff d(m) is the vertex
+    just before m, and its partner is the face without d(m).
     """
-    keep = set(vertex_indices) if vertex_indices is not None else set(range(len(complex.elements)))
-    image = {}
-    for v in keep:
-        w = descend(v)
-        if w not in keep:
-            raise ValueError(f"operator escapes the ground poset at vertex {v}")
-        if w != v and not complex.less[w, v]:
-            raise ValueError(f"operator is not descending at vertex {v}")
-        image[v] = w
-    for v in keep:
-        if image[image[v]] != image[v]:
-            raise ValueError(f"operator is not idempotent at vertex {v}")
-    verts = np.array(sorted(keep), dtype=np.intp)
-    img = np.array([image[v] for v in verts.tolist()], dtype=np.intp)
-    less = complex.less
+    m = len(complex.elements)
+    verts = np.arange(m) if vertex_indices is None else np.unique(np.fromiter(vertex_indices, dtype=np.intp))
+    image = np.arange(m)
+    image[verts] = [descend(v) for v in verts.tolist()]
+    img, less = image[verts], complex.less
+    bad = np.flatnonzero(~np.isin(img, verts))
+    if len(bad):
+        raise ValueError(f"operator escapes the ground poset at vertex {verts[bad[0]]}")
+    bad = np.flatnonzero((img != verts) & ~less[img, verts])
+    if len(bad):
+        raise ValueError(f"operator is not descending at vertex {verts[bad[0]]}")
+    bad = np.flatnonzero(image[img] != img)
+    if len(bad):
+        raise ValueError(f"operator is not idempotent at vertex {verts[bad[0]]}")
     bad = np.argwhere(less[np.ix_(verts, verts)] & (img[:, None] != img) & ~less[np.ix_(img, img)])
     if len(bad):
         v, u = verts[bad[0]]
         raise ValueError(f"operator is not monotone on {v} <= {u}")
 
-    pairs: list[Pair] = []
-    for d in range(complex.dim + 1):
-        for i, chain in enumerate(complex.cells[d]):
-            if any(v not in keep for v in chain):
-                continue
-            moving = next((v for v in chain if image[v] != v), None)
-            if moving is None:
-                continue
-            w = image[moving]
-            if w in chain:
-                continue  # handled from the smaller chain
-            k = 0
-            while k < len(chain) and complex.less[chain[k], w]:
-                k += 1
-            upper = chain[:k] + (w,) + chain[k:]
-            j = complex.index[d + 1].get(upper)
-            if j is None:
-                raise ValueError(f"toggle partner of cell ({d},{i}) is not a stored chain")
-            pairs.append(((d, i), (d + 1, j)))
+    keep = np.isin(np.arange(m), verts)
+    moving = image != np.arange(m)
+    inside = complex.fold(keep, np.logical_and)
+    # pos: the position of the smallest moving vertex, -1 when none; hit:
+    # whether the vertex just before it is its image
+    pos = np.where(moving[complex.last[0]], 0, -1)
+    hit = np.zeros(len(pos), dtype=bool)
+    pairs = {}
+    for d in range(1, complex.dim + 1):
+        parent, last = complex.parent[d], complex.last[d]
+        new = (pos[parent] < 0) & moving[last]
+        hit = np.where(new, complex.last[d - 1][parent] == image[last], hit[parent])
+        pos = np.where(new, d, pos[parent])
+        upper = np.flatnonzero(inside[d] & hit)
+        pairs[d - 1] = (complex.face_table(d, upper)[np.arange(len(upper)), pos[upper] - 1], upper)
     return pairs
 
 
@@ -468,9 +453,10 @@ class MorseData:
         return ExplicitComplex(labels, [[list(col.items()) for col in layer] for layer in self.boundary[1:]])
 
 
-def _flow_memo(complex, partner: dict[Cell, Cell], crit_layer: set[int], d: int) -> dict:
+def _flow_memo(complex, up: list[int], crit_layer: set[int], d: int) -> dict:
     """Lazy signed gradient-path counts from d-cells down into critical
-    d-cells; memo[y] maps critical cell index -> path count."""
+    d-cells, up being the upper partners of the d-cells; memo[y] maps
+    critical cell index -> path count."""
     memo: dict[int, dict[int, int]] = {}
 
     def flow(y0: int) -> dict[int, int]:
@@ -484,13 +470,12 @@ def _flow_memo(complex, partner: dict[Cell, Cell], crit_layer: set[int], d: int)
                 memo[y] = {y: 1}
                 stack.pop()
                 continue
-            p = partner.get((d, y))
-            if p is None or p[0] == d - 1:
+            w = up[y]
+            if w < 0:
                 # unmatched handled above; matched downward dead-ends
                 memo[y] = {}
                 stack.pop()
                 continue
-            w = p[1]
             inc = dict(complex.faces(d + 1, w))
             sy = inc[y]
             if abs(sy) != 1:
@@ -521,7 +506,7 @@ def morse_data(matching: Matching, cycle_reps=False) -> MorseData:
     for d in range(1, cx.dim + 1):
         crit_below = critical[d - 1]
         position = {c: k for k, c in enumerate(crit_below)}
-        flow = _flow_memo(cx, matching.partner, set(crit_below), d - 1)
+        flow = _flow_memo(cx, matching.up[d - 1].tolist(), set(crit_below), d - 1)
         cols = []
         for u in critical[d]:
             acc: dict[int, int] = {}
@@ -543,16 +528,14 @@ def gradient_chain(matching: Matching, cell: Cell) -> dict[int, int]:
     """Stabilized discrete flow of a critical cell: iterate
     x -> x + boundary(raise(x)) + raise(boundary(x)) to a fixpoint."""
     cx = matching.complex
-    partner = matching.partner
     d, start = cell
 
     def raise_chain(chain: dict[int, int], k: int) -> dict[int, int]:
         out: dict[int, int] = {}
         for a, va in chain.items():
-            p = partner.get((k, a))
-            if p is None or p[0] != k + 1:
+            b = int(matching.up[k][a])
+            if b < 0:
                 continue
-            b = p[1]
             s = dict(cx.faces(k + 1, b))[a]
             out[b] = out.get(b, 0) + (-s) * va
         return {b: v for b, v in out.items() if v}
@@ -589,7 +572,7 @@ def cohomology_representatives(data: MorseData, d: int) -> list[dict[int, int]]:
     if d != cx.dim:
         raise ValueError(f"representatives are only available in the top dimension {cx.dim}")
     crit_top = set(data.critical[d])
-    partner = data.matching.partner
+    up = data.matching.up[d - 1].tolist()
     memo: dict[int, dict[int, int]] = {}
 
     def project(s0: int) -> dict[int, int]:
@@ -601,9 +584,8 @@ def cohomology_representatives(data: MorseData, d: int) -> list[dict[int, int]]:
                 continue
             steps = []
             for y, sy in cx.faces(d, s):
-                up = partner.get((d - 1, y))
-                if up is not None and up[0] == d and up[1] != s:
-                    w = up[1]
+                w = up[y]
+                if w >= 0 and w != s:
                     sw = dict(cx.faces(d, w))[y]
                     if abs(sw) != 1:
                         raise InvalidMatchingError(f"matched incidence of ({d-1},{y}) in ({d},{w}) is {sw}")

@@ -20,7 +20,8 @@ fits in int32.
 
 CellComplex is the one chain-complex protocol: the nerve, its quotients
 (perm.QuotientComplex), hand-built fixtures and Morse complexes each
-supply the raw faces of a cell and inherit everything else.
+supply the raw faces of a cell and inherit everything else; the nerve
+also reads the incidences a matching needs off face_table, in bulk.
 """
 
 from __future__ import annotations
@@ -114,6 +115,12 @@ class CellComplex:
                 acc[j] = acc.get(j, 0) + c
             col = layer[i] = tuple((j, c) for j, c in acc.items() if c)
         return col
+
+    def incidence(self, d: int, cells, faces) -> np.ndarray:
+        """Coefficients [cells[k] : faces[k]] for cells of dimension d >= 1,
+        0 where faces[k] is not a face; read off faces cell by cell."""
+        cols = (dict(self.faces(d, i)) for i in np.asarray(cells).tolist())
+        return np.array([col.get(y, 0) for col, y in zip(cols, np.asarray(faces).tolist())], dtype=np.int64)
 
     def boundary_columns(self, d: int) -> list[dict[int, int]]:
         """Boundary map in dimension d as sparse columns (row -> coefficient)."""
@@ -213,6 +220,14 @@ class OrderComplex(CellComplex):
                     rel[i, j] = True
         return cls(elements, rel)
 
+    def fold(self, vkey: np.ndarray, combine) -> list[np.ndarray]:
+        """Per-dimension arrays folded along the prefix tree: a chain's entry
+        combines its prefix chain's with vkey of its last vertex."""
+        out = [vkey[self.last[0]]]
+        for d in range(1, self.dim + 1):
+            out.append(combine(out[d - 1][self.parent[d]], vkey[self.last[d]]))
+        return out
+
     def cell_codes(self, d: int) -> np.ndarray:
         """Strictly increasing int64 keys parent*m + last of the cells of
         dimension d, in cell order; every key is below N_{d-1} * m."""
@@ -272,6 +287,12 @@ class OrderComplex(CellComplex):
                 face = self.find(j - 1, face, verts[j])
             table[:, k] = face
         return table
+
+    def incidence(self, d: int, cells, faces) -> np.ndarray:
+        """CellComplex.incidence from face_table, the face without vertex k
+        signed (-1)^k; a chain's faces are distinct, so at most one matches."""
+        hit = self.face_table(d, cells) == np.asarray(faces)[:, None]
+        return np.where(hit.any(axis=1), 1 - 2 * (hit.argmax(axis=1) % 2), 0)
 
     def _boundary(self, d: int, i: int):
         chain = self.cells[d][i]

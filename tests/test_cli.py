@@ -174,6 +174,18 @@ def test_internal_key_error_is_not_a_config_error(monkeypatch):
         main(["verify", "--n", "4"])
 
 
+def test_internal_matching_error_is_not_a_config_error(monkeypatch):
+    from partmorse import cli
+    from partmorse.morse import InvalidMatchingError
+
+    def broken_build(n):
+        raise InvalidMatchingError("cell (0, 0) appears in two pairs")
+
+    monkeypatch.setattr(cli, "build_main_matching", broken_build)
+    with pytest.raises(InvalidMatchingError):
+        main(["verify", "--n", "5"])
+
+
 def test_verify_n7_runs_full_suite(capsys):
     code, out, err = run(capsys, "verify", "--n", "7")
     assert code == 0

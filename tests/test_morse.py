@@ -6,7 +6,6 @@ import pytest
 
 from partmorse import construction
 from partmorse.construction import (
-    _chain_keys,
     _key_action,
     build_main_matching,
     fiber_keys,
@@ -89,9 +88,9 @@ def test_valid_matching_on_circle():
     assert cert.is_matching and cert.is_acyclic
     assert cert.critical_counts == (1, 1)
     assert m.critical_cells() == [[2], [2]]
-    assert m.is_critical((1, 2)) and not m.is_critical((0, 0))
-    assert m.partner_of((0, 0)) == (1, 0)
-    assert m.partner_of((1, 2)) is None
+    # (0, 0) is matched with (1, 0); (1, 2) has no partner either way
+    assert [a.tolist() for a in m.up] == [[0, 1, -1], [-1, -1, -1]]
+    assert [a.tolist() for a in m.down] == [[-1, -1, -1], [0, 1, -1]]
 
 
 def test_cyclic_matching_detected_with_witness():
@@ -105,7 +104,7 @@ def test_cyclic_matching_detected_with_witness():
     labels = set(cert.witness_cycle)
     assert labels <= {"a", "b", "c", "ab", "bc", "ca"}
     assert len(cert.witness_cycle) >= 4
-    cycle = find_cycle(cx, Matching(cx, pairs).partner)
+    cycle = find_cycle(Matching(cx, pairs))
     assert cycle is not None
     # the witness alternates dimensions 1,0,1,0,...
     assert [c[0] for c in cycle[:4]] == [1, 0, 1, 0]
@@ -324,7 +323,7 @@ def test_bulk_order_check_agrees_with_face_sweep():
         cx = get_complex(n)
         stage, stage_leq = stage_keys(n)
         # cells[0] lists the vertices in order, so stage[0] is the vertex stage
-        assert all((a == b).all() for a, b in zip(_chain_keys(cx, stage[0], np.maximum), stage, strict=True))
+        assert all((a == b).all() for a, b in zip(cx.fold(stage[0], np.maximum), stage, strict=True))
         for key, leq in ((stage, stage_leq), (fiber_keys(cx), fiber_key_order(n))):
             assert face_sweep_violation(cx, key, leq) is None
             assert bulk_violation(cx, key, leq) is None
@@ -401,7 +400,7 @@ def test_check_equivariance_matches_element_walk():
         main = build_main_matching(group.n)
         for m in (main, Matching(main.complex, main.pairs[1:])):
             walk = all(
-                m.partner.get(action.cell_image(g, a)) == action.cell_image(g, b)
+                m.up[a[0]][action.cell_image(g, a)[1]] == action.cell_image(g, b)[1]
                 for g in group.elements
                 for a, b in m.pairs
             )
