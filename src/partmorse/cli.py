@@ -13,6 +13,8 @@ import json
 import sys
 from math import factorial
 
+import numpy as np
+
 from .construction import (
     anchored_flags,
     build_main_matching,
@@ -21,13 +23,12 @@ from .construction import (
     get_complex,
     matching_report,
     quotient_critical_cells,
-    special_cells,
     split_vertex,
 )
 from .homology import homology_of, verify_wedge
 from .morse import check_equivariance, morse_data, validate_matching
 from .ordercomplex import Simplex
-from .perm import PermGroup, QuotientComplex, orbits
+from .perm import PermGroup, QuotientComplex
 
 
 class ConfigError(Exception):
@@ -182,21 +183,26 @@ def _verification_checks(n: int) -> list[tuple[str, bool]]:
     checks.append(("main matching is acyclic", cert.is_acyclic))
     checks.append(("main matching is equivariant", check_equivariance(matching, action)))
 
-    cells = special_cells(n)
     critical_cells = [(d, i) for d, layer in enumerate(matching.critical_cells()) for i in layer]
     critical = {cx.simplex(d, i) for d, i in critical_cells}
-    wanted = set(cells.flags) | {Simplex((cells.split,))}
-    checks.append(("critical set is the flags plus the split vertex", critical == wanted))
+    split = Simplex((split_vertex(n),))
+    checks.append(("critical set is the flags plus the split vertex", critical == set(flags) | {split}))
 
     # pairs stay in their fibers, so the zero fiber's survivors are the
     # critical cells of the main matching with fiber key 0
     key = fiber_keys(cx)
     survivors = {(d, i) for d, i in critical_cells if key[d][i] == 0}
-    split_cell = cx.locate(Simplex((split_vertex(n),)))
-    checks.append(("zero fiber collapses to the split vertex", survivors == {split_cell}))
+    checks.append(("zero fiber collapses to the split vertex", survivors == {cx.locate(split)}))
 
-    orbit_list = orbits(action.group, cells.flags)
-    free_transitive = len(orbit_list) == 1 and orbit_list[0].stabilizer_order == 1
+    # the action on the flags is free and transitive iff the generators keep
+    # them and the orbit of one flag is all of them, |G| cells
+    top = np.unique([cx.locate(f)[1] for f in flags])
+    images = [action.images(g)[n - 3] for g in action.group.generators]
+    orbit = top[:1]
+    while len(grown := np.unique(np.concatenate([orbit] + [img[orbit] for img in images]))) > len(orbit):
+        orbit = grown
+    closed = all(np.isin(img[top], top).all() for img in images)
+    free_transitive = closed and len(orbit) == len(top) == action.group.order
     checks.append(("stabilizer of 1 acts freely and transitively on flags", free_transitive))
 
     nerve_homology = homology_of(cx)

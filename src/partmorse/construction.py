@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 
@@ -303,11 +304,7 @@ def block_size_label(p: Partition) -> str:
 def orbit_vertex_label(qc: QuotientComplex, i: int) -> str:
     """Label of a vertex orbit of the quotient by the full stabilizer of 1."""
     n = qc.base.elements[0].n
-    group = qc.group
-    expected = 1
-    for k in range(1, n):
-        expected *= k
-    if group.order != expected or not group.fixes_point(1):
+    if qc.group.order != factorial(n - 1) or not qc.group.fixes_point(1):
         raise ValueError("labels require the quotient by the full stabilizer of 1")
     return block_size_label(qc.base.elements[qc.reps[0][i]])
 

@@ -9,8 +9,9 @@ restriction of the old one and nothing fills in (Mrozek-Batko,
 "Coreduction homology algorithm"; Skoldberg, "Morse theory from an
 algebraic viewpoint").  Reduced homology adds the empty cell below the
 vertices, so the first pair is (empty cell, vertex) and coreductions
-cascade from there.  Only unit coefficients are paired, so torsion is
-never reduced away.
+cascade from there; so does unreduced homology of a nonempty complex
+whose edges augment to zero, which then gains one Z in H_0.  Only unit
+coefficients are paired, so torsion is never reduced away.
 
 What survives goes to smith_normal_form.  Boundary matrices are
 eliminated sparsely with unimodular operations: a first phase consumes
@@ -328,13 +329,14 @@ def homology_of(complex_like, reduced: bool = True, max_dim: int | None = None) 
     deep = min(complex_like.dim, top + 1)
     columns = {d: complex_like.boundary_columns(d) for d in range(1, deep + 1)}
     _check_boundary_squares_to_zero(columns, deep)
-    if reduced:
-        for col in columns.get(1, []):
-            if sum(col.values()):
-                raise InvalidComplexError("an edge boundary does not augment to zero")
+    augmented = not any(sum(col.values()) for col in columns.get(1, []))
+    if reduced and not augmented:
+        raise InvalidComplexError("an edge boundary does not augment to zero")
     sizes = {d: complex_like.n_cells(d) for d in range(deep + 1)}
-    if reduced and sizes:
-        # the empty cell, the one face of every vertex
+    # the empty cell, the one face of every vertex; unreduced homology of an
+    # augmented nonempty complex is reduced homology plus one Z in H_0
+    empty_cell = bool(sizes) and (reduced or (augmented and sizes[0] > 0))
+    if empty_cell:
         sizes[-1] = 1
         columns[0] = [{0: 1}] * sizes[0]
     live = _unit_reduction(columns, sizes)
@@ -354,6 +356,8 @@ def homology_of(complex_like, reduced: bool = True, max_dim: int | None = None) 
         betti = len(kept[d]) - len(factors.get(d, ())) - len(factors.get(d + 1, ()))
         torsion = tuple(f for f in factors.get(d + 1, ()) if f > 1)
         out.append(DimHomology(d, betti, torsion))
+    if empty_cell and not reduced and out:
+        out[0].betti += 1
     return HomologyResult(out, reduced)
 
 

@@ -110,8 +110,10 @@ class Matching:
         return [len(layer) for layer in self.critical_cells()]
 
     def dump(self) -> str:
-        label = self.complex.cell_label
-        return "\n".join(f"{label(d, i)} -> {label(e, j)}" for (d, i), (e, j) in self.pairs)
+        """One line "lower -> upper" per pair, labelled a dimension at a time."""
+        label = self.complex.cell_labels
+        pairs = self.pair_arrays().items()
+        return "\n".join(f"{a} -> {b}" for d, (lo, hi) in pairs for a, b in zip(label(d, lo), label(d + 1, hi)))
 
 
 def matching_from_dump(complex, text: str) -> Matching:

@@ -1,32 +1,31 @@
 """Order complexes: the nerve of a finite poset as a regular complex.
 
-Cells of dimension d are the (d+1)-element chains of the poset, stored
-explicitly with stable per-dimension indices.  The distinguished empty
-cell (the bottom of the face poset) is never stored; matchings and chain
-complexes both live on the nonempty cells.
+Cells of dimension d are the (d+1)-element chains of the poset, with
+stable per-dimension indices; the empty cell is never stored.  The nerve
+is its prefix tree alone, two int32 arrays per layer: a chain of
+dimension d is its prefix chain parent[d][i] of dimension d-1 followed
+by the vertex last[d][i] (parent[0] is all zeros, the empty chain).  No
+chain is kept as a tuple; chains reads the vertex rows of the cells
+asked for.  Layers are lexicographic, so the int64 codes parent*m + last
+increase strictly, and find locates chains by binary search on them, in
+bulk.  face_table goes through it, and so does map_chains, which carries
+every cell along a vertex map: a group element, or the lift from one
+size to the next.  A code of dimension d is below N_{d-1} * m; at n = 8
+(m = 4138, f-vector 4138, 155477, 1208830, 3394790, 3919860, 1587600)
+that is at most 3919860 * 4138 < 1.7e10, far below the int64 limit, and
+every cell index fits in int32.
 
-Each layer is enumerated once, as a prefix tree of two int32 arrays: a
-chain of dimension d is its prefix chain parent[d][i] of dimension d-1
-followed by the vertex last[d][i] (parent[0] is all zeros, the empty
-chain), and the chain tuples are read off these arrays.  Layers are
-lexicographic, so the int64 codes parent*m + last increase strictly, and
-find locates chains by binary search on them, in bulk.  face_table goes
-through it, and so does map_chains, which carries every cell along a
-vertex map: a group element, or the lift from one size to the next.  A
-code of dimension d is below N_{d-1} * m; at n = 8 (m = 4138, f-vector
-4138, 155477, 1208830, 3394790, 3919860, 1587600) that is at most
-3919860 * 4138 < 1.7e10, far below the int64 limit, and every cell index
-fits in int32.
-
-CellComplex is the one chain-complex protocol: the nerve, its quotients
-(perm.QuotientComplex), hand-built fixtures and Morse complexes each
-supply the raw faces of a cell and inherit everything else; the nerve
-also reads the incidences a matching needs off face_table, in bulk.
+CellComplex is the one chain-complex protocol: each complex supplies the
+faces of a cell and inherits every other view.  The nerve and its
+quotients (perm.QuotientComplex) are FaceTableComplexes, which list the
+faces of many cells at once, and hand-built fixtures and Morse complexes
+are ExplicitComplexes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
@@ -68,17 +67,13 @@ class CellComplex:
     """A finite chain complex on numbered cells.
 
     The cells of dimension d are 0..n_cells(d)-1.  A subclass passes the
-    cell counts per dimension and implements only _boundary(d, i), the
-    raw (face index, coefficient) pairs of cell (d, i) for d >= 1, in
-    which a face may repeat; every other boundary view is derived here.
+    cell counts per dimension and implements faces(d, i), the codimension-1
+    faces of cell (d, i) as (index, coefficient) pairs, each face once and
+    with a nonzero coefficient; every other boundary view is derived here.
     """
 
     def __init__(self, sizes):
         self._sizes = tuple(sizes)
-        self._face_lists: list[list | None] = [None] * len(self._sizes)
-
-    def _boundary(self, d: int, i: int):
-        raise NotImplementedError
 
     @property
     def dim(self) -> int:
@@ -98,23 +93,9 @@ class CellComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * size for d, size in enumerate(self._sizes))
 
-    def faces(self, d: int, i: int) -> tuple[tuple[int, int], ...]:
-        """Codimension-1 faces of cell (d, i) as (index, coefficient)
-        pairs: repeated faces are merged into one coefficient, zero
-        coefficients are dropped, and faces keep their first-occurrence
-        order.  Columns are cached per dimension."""
-        if d == 0:
-            return ()
-        layer = self._face_lists[d]
-        if layer is None:
-            layer = self._face_lists[d] = [None] * self._sizes[d]
-        col = layer[i]
-        if col is None:
-            acc: dict[int, int] = {}
-            for j, c in self._boundary(d, i):
-                acc[j] = acc.get(j, 0) + c
-            col = layer[i] = tuple((j, c) for j, c in acc.items() if c)
-        return col
+    def cell_labels(self, d: int, cells) -> list[str]:
+        """cell_label of each of the given cells of dimension d."""
+        return [self.cell_label(d, i) for i in np.asarray(cells).tolist()]
 
     def incidence(self, d: int, cells, faces) -> np.ndarray:
         """Coefficients [cells[k] : faces[k]] for cells of dimension d >= 1,
@@ -136,34 +117,46 @@ class CellComplex:
         return mat
 
 
-class _ChainIndex:
-    """index[d] maps each chain of dimension d to its position.  The dict
-    for a dimension is built on first lookup: boundaries and quotients
-    read the prefix tree instead, so the homology of a quotient builds
-    none of them."""
+class FaceTableComplex(CellComplex):
+    """A complex whose cell (d, i) has d+1 distinct faces, the k-th of sign
+    (-1)^k: the nerve and its quotients.  A subclass lists them in bulk as
+    face_table(d, cells), a (len(cells), d+1) int array whose column k
+    holds the k-th face of each of the given cells of dimension d >= 1.
+    Faces, boundary columns and incidences are read off that table; the
+    table of a whole dimension is kept once built."""
 
-    def __init__(self, cells):
-        self._cells = cells
-        self._maps: list[dict | None] = [None] * len(cells)
+    def __init__(self, sizes):
+        super().__init__(sizes)
+        self._face_tables: dict[int, np.ndarray] = {}
 
-    def __len__(self) -> int:
-        return len(self._cells)
+    def _face_array(self, d: int) -> np.ndarray:
+        if d not in self._face_tables:
+            n = self.n_cells(d)
+            self._face_tables[d] = self.face_table(d, np.arange(n)) if d else np.empty((n, 0), dtype=np.int32)
+        return self._face_tables[d]
 
-    def __getitem__(self, d: int) -> dict[tuple[int, ...], int]:
-        found = self._maps[d]
-        if found is None:
-            found = self._maps[d] = {c: i for i, c in enumerate(self._cells[d])}
-        return found
+    def faces(self, d: int, i: int) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self._face_array(d)[i].tolist(), cycle((1, -1))))
+
+    def boundary_columns(self, d: int) -> list[dict[int, int]]:
+        signs = (1, -1) * (d // 2 + 1)
+        return [dict(zip(row, signs)) for row in self._face_array(d).tolist()]
+
+    def incidence(self, d: int, cells, faces) -> np.ndarray:
+        """CellComplex.incidence from face_table; a cell's faces are
+        distinct, so at most one matches."""
+        hit = self.face_table(d, cells) == np.asarray(faces)[:, None]
+        return np.where(hit.any(axis=1), 1 - 2 * (hit.argmax(axis=1) % 2), 0)
 
 
-class OrderComplex(CellComplex):
+class OrderComplex(FaceTableComplex):
     """The nerve of a finite poset, with per-dimension cell indexing.
 
     `elements` is the ground poset in its canonical enumeration order;
     `less` is the strict order as a boolean matrix over element indices.
-    Cells are tuples of element indices, listed in increasing poset order
-    along the chain and sorted lexicographically within each dimension;
-    parent[d] and last[d] give the same layer as a prefix tree.
+    A cell is a chain of element indices, listed in increasing poset order
+    and sorted lexicographically within each dimension, and is stored only
+    as the prefix tree parent[d], last[d]; chains(d) reads its vertices.
     The k-th face of a cell drops vertex k and carries sign (-1)^k.
     """
 
@@ -186,11 +179,9 @@ class OrderComplex(CellComplex):
 
         # each new layer extends every chain of the last by one vertex above
         # its top; succ[start[v]:start[v] + deg[v]] lists the vertices above v
-        cells: list[list[tuple[int, ...]]] = []
         parent: list[np.ndarray] = []
         last: list[np.ndarray] = []
         if m:
-            cells.append([(i,) for i in range(m)])
             parent.append(np.zeros(m, dtype=np.int32))
             last.append(np.arange(m, dtype=np.int32))
         while last and deg[last[-1]].any():
@@ -198,16 +189,11 @@ class OrderComplex(CellComplex):
             offset = np.repeat(start[last[-1]] - (np.cumsum(counts) - counts), counts)
             parent.append(np.repeat(np.arange(len(counts), dtype=np.int32), counts))
             last.append(succ[offset + np.arange(len(offset))])
-            # memoryviews yield one int at a time instead of whole lists of
-            # them, and the singletons of cells[0] share one int per vertex
-            prefixes, singles = cells[-1], cells[0]
-            cells.append([prefixes[p] + singles[v] for p, v in zip(memoryview(parent[-1]), memoryview(last[-1]))])
-        self.cells = cells
         self.parent = parent
         self.last = last
-        self.index = _ChainIndex(cells)
         self.element_index = {p: i for i, p in enumerate(self.elements)}
-        super().__init__(len(layer) for layer in cells)
+        self._names = [str(p) for p in self.elements]
+        super().__init__(len(layer) for layer in last)
 
     @classmethod
     def from_poset(cls, elements, less) -> "OrderComplex":
@@ -228,16 +214,23 @@ class OrderComplex(CellComplex):
             out.append(combine(out[d - 1][self.parent[d]], vkey[self.last[d]]))
         return out
 
-    def cell_codes(self, d: int) -> np.ndarray:
-        """Strictly increasing int64 keys parent*m + last of the cells of
-        dimension d, in cell order; every key is below N_{d-1} * m."""
-        return self.parent[d].astype(np.int64) * len(self.elements) + self.last[d]
+    def chains(self, d: int, cells=None) -> np.ndarray:
+        """(len(cells), d+1) int32 array of the vertices of the given cells
+        of dimension d (default: all), read down the prefix tree."""
+        idx = np.arange(self.n_cells(d)) if cells is None else np.asarray(cells, dtype=np.intp)
+        out = np.empty((len(idx), d + 1), dtype=np.int32)
+        for j in range(d, -1, -1):
+            out[:, j] = self.last[j][idx]
+            idx = self.parent[j][idx]
+        return out
 
     def find(self, d: int, prefix: np.ndarray, vertex: np.ndarray) -> np.ndarray:
         """Indices of the cells of dimension d that extend the chains
-        prefix (indices in dimension d-1; zeros for d = 0) by vertex;
-        each such chain must be a cell."""
-        return np.searchsorted(self.cell_codes(d), prefix.astype(np.int64) * len(self.elements) + vertex)
+        prefix (indices in dimension d-1; zeros for d = 0) by vertex, by
+        binary search on the codes parent*m + last; each such chain must
+        be a cell."""
+        m = len(self.elements)
+        return np.searchsorted(self.parent[d].astype(np.int64) * m + self.last[d], prefix.astype(np.int64) * m + vertex)
 
     def map_chains(self, vmap: np.ndarray, target: "OrderComplex | None" = None, start: int | None = None):
         """Yield, for d = 0..dim, an int32 array holding for each cell of
@@ -255,19 +248,30 @@ class OrderComplex(CellComplex):
             yield img
 
     def locate(self, chain) -> tuple[int, int]:
-        """Cell id of a chain given as vertex indices or as a Simplex."""
+        """Cell id of a chain given as vertex indices or as a Simplex, else
+        KeyError; the extensions of a prefix p are the run parent[j] == p."""
         if isinstance(chain, Simplex):
-            chain = tuple(self.element_index[v] for v in chain)
-        d = len(chain) - 1
-        if d >= len(self.cells) or chain not in self.index[d]:
-            raise KeyError(f"chain {chain} is not a cell of this complex")
-        return d, self.index[d][chain]
+            chain = [self.element_index[v] for v in chain]
+        if not 0 < len(chain) <= len(self.last):
+            raise KeyError(f"chain {tuple(chain)} is not a cell of this complex")
+        i = 0
+        for j, v in enumerate(chain):
+            lo, hi = np.searchsorted(self.parent[j], [i, i + 1])
+            k = lo + np.searchsorted(self.last[j][lo:hi], v)
+            if k == hi or self.last[j][k] != v:
+                raise KeyError(f"chain {tuple(chain)} is not a cell of this complex")
+            i = int(k)
+        return len(chain) - 1, i
 
     def simplex(self, d: int, i: int) -> Simplex:
-        return Simplex(tuple(self.elements[v] for v in self.cells[d][i]))
+        return Simplex(tuple(self.elements[v] for v in self.chains(d, [i])[0].tolist()))
 
     def cell_label(self, d: int, i: int) -> str:
-        return " < ".join(str(self.elements[v]) for v in self.cells[d][i])
+        return self.cell_labels(d, [i])[0]
+
+    def cell_labels(self, d: int, cells) -> list[str]:
+        names = self._names
+        return [" < ".join([names[v] for v in row]) for row in self.chains(d, cells).tolist()]
 
     def face_table(self, d: int, cells: np.ndarray) -> np.ndarray:
         """(len(cells), d+1) int32 array whose column k holds, for each of
@@ -288,20 +292,9 @@ class OrderComplex(CellComplex):
             table[:, k] = face
         return table
 
-    def incidence(self, d: int, cells, faces) -> np.ndarray:
-        """CellComplex.incidence from face_table, the face without vertex k
-        signed (-1)^k; a chain's faces are distinct, so at most one matches."""
-        hit = self.face_table(d, cells) == np.asarray(faces)[:, None]
-        return np.where(hit.any(axis=1), 1 - 2 * (hit.argmax(axis=1) % 2), 0)
-
-    def _boundary(self, d: int, i: int):
-        chain = self.cells[d][i]
-        idx = self.index[d - 1]
-        return ((idx[chain[:k] + chain[k + 1:]], -1 if k % 2 else 1) for k in range(len(chain)))
-
     # bound in the class body: the per-layer tracer in perfbench/ wraps
     # OrderComplex.__dict__["boundary_columns"] and fails without it
-    boundary_columns = CellComplex.boundary_columns
+    boundary_columns = FaceTableComplex.boundary_columns
 
 
 class ExplicitComplex(CellComplex):
@@ -309,22 +302,30 @@ class ExplicitComplex(CellComplex):
 
     Used for complexes that are not nerves of posets (test fixtures,
     hand-built examples, Morse complexes).  `face_lists[d][i]` lists
-    (face index, coefficient) pairs for cell i of dimension d, a face
-    possibly repeated; dimension 0 needs no entry.
+    (face index, coefficient) pairs for cell i of dimension d; repeated
+    faces merge into one coefficient, zeros drop, and faces keep their
+    first-occurrence order.  Dimension 0 needs no entry.
     """
 
     def __init__(self, labels: list[list[str]], face_lists: list[list[list[tuple[int, int]]]]):
         if len(face_lists) != max(len(labels) - 1, 0):
             raise ValueError("face lists must cover every dimension above 0")
         self.labels = labels
-        self._raw_faces = [None, *face_lists]
+        self._faces = [[_merged(col) for col in layer] for layer in face_lists]
         super().__init__(len(layer) for layer in labels)
 
     def cell_label(self, d: int, i: int) -> str:
         return self.labels[d][i]
 
-    def _boundary(self, d: int, i: int):
-        return self._raw_faces[d][i]
+    def faces(self, d: int, i: int) -> tuple[tuple[int, int], ...]:
+        return self._faces[d - 1][i] if d else ()
+
+
+def _merged(col) -> tuple[tuple[int, int], ...]:
+    acc: dict[int, int] = {}
+    for j, c in col:
+        acc[j] = acc.get(j, 0) + c
+    return tuple((j, c) for j, c in acc.items() if c)
 
 
 def proper_part_complex(n: int) -> OrderComplex:

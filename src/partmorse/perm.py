@@ -23,11 +23,10 @@ found in bulk by face_table, to their orbits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
 
 import numpy as np
 
-from .ordercomplex import CellComplex, OrderComplex, Simplex
+from .ordercomplex import FaceTableComplex, OrderComplex, Simplex
 from .setpart import Partition
 
 
@@ -347,7 +346,7 @@ class ComplexAction:
         return cell[0], int(self.images(g)[cell[0]][cell[1]])
 
 
-class QuotientComplex(CellComplex):
+class QuotientComplex(FaceTableComplex):
     """Cells are group orbits of cells; the boundary of an orbit is read
     off a representative.  Distinct faces of a chain never share an
     orbit, since an automorphism of finite order cannot carry one facet
@@ -379,27 +378,18 @@ class QuotientComplex(CellComplex):
             reps = np.flatnonzero(label == np.arange(len(label)))
             self.orbit_of.append(np.searchsorted(reps, label))
             self.reps.append(reps.tolist())
-        self._face_tables: dict[int, np.ndarray] = {}
         super().__init__(len(layer) for layer in self.reps)
 
     def orbit_index(self, d: int, base_index: int) -> int:
         return int(self.orbit_of[d][base_index])
 
-    def simplex(self, d: int, i: int) -> Simplex:
-        base_i = self.reps[d][i]
-        return self.base.simplex(d, base_i)
-
     def cell_label(self, d: int, i: int) -> str:
         return "[" + self.base.cell_label(d, self.reps[d][i]) + "]"
 
-    def _boundary(self, d: int, i: int):
-        table = self._face_tables.get(d)
-        if table is None:
-            # orbits of the faces of every representative, in one pass
-            faces = self.base.face_table(d, np.asarray(self.reps[d]))
-            table = self._face_tables[d] = self.orbit_of[d - 1][faces]
-        return zip(table[i].tolist(), cycle((1, -1)))
+    def face_table(self, d: int, cells) -> np.ndarray:
+        """The orbits of the faces of the representatives of the given orbits."""
+        return self.orbit_of[d - 1][self.base.face_table(d, np.asarray(self.reps[d])[cells])]
 
     # bound in the class body: the per-layer tracer in perfbench/ wraps
     # QuotientComplex.__dict__["boundary_columns"] and fails without it
-    boundary_columns = CellComplex.boundary_columns
+    boundary_columns = FaceTableComplex.boundary_columns

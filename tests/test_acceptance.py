@@ -165,7 +165,7 @@ def test_criterion_07_full_group_quotient_structure(capsys):
         if n == 3:
             vertex_orbits = [top]
         else:
-            chain = qc.base.cells[n - 3][qc.reps[n - 3][top]]
+            chain = qc.base.chains(n - 3, [qc.reps[n - 3][top]])[0].tolist()
             vertex_orbits = [qc.orbit_of[0][v] for v in chain]
         labels = [orbit_vertex_label(qc, j) for j in vertex_orbits]
         wanted = [f"{v0}⊕" + "+".join(["1"] * (n - v0)) for v0 in range(2, n)]

@@ -153,6 +153,23 @@ def test_verify_prints_check_lines(capsys):
     assert err == ""
 
 
+def test_verify_flag_action_check_can_fail(capsys, monkeypatch):
+    import partmorse.cli as cli
+    from partmorse.construction import anchored_flags, get_complex
+
+    cx = get_complex(5)
+    flags = anchored_flags(5)
+    # a top cell that is no flag leaves the flags open under the group; a
+    # repeated flag leaves the orbit shorter than the group; the count holds
+    other = next(s for s in map(cx.simplex, [2] * cx.n_cells(2), range(cx.n_cells(2))) if s not in flags)
+    for wrong in (flags[:-1] + [other], flags[:-1] + flags[:1]):
+        monkeypatch.setattr(cli, "anchored_flags", lambda n: wrong)
+        code, out, _ = run(capsys, "verify", "--n", "5")
+        assert code == 1
+        assert "PASS  flag count equals (n-1)! for n=5" in out
+        assert "FAIL  stabilizer of 1 acts freely and transitively on flags" in out
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     import partmorse.cli as cli
 

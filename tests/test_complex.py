@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from partmorse.ordercomplex import (
 )
 from partmorse.perm import PermGroup, QuotientComplex
 from partmorse.setpart import parse_partition
+from chain_oracle import chain_positions, relation_chains
 from test_homology import mod2_moore_space
 
 
@@ -66,8 +69,7 @@ def test_faces_signs_alternate():
     assert len(faces) == 3
     # omitting vertex k carries sign (-1)^k
     assert [s for _, s in faces] == [1, -1, 1]
-    sub = [cx.cells[1][j] for j, _ in faces]
-    assert sub == [(2, 4), (0, 4), (0, 2)]
+    assert cx.chains(1, [j for j, _ in faces]).tolist() == [[2, 4], [0, 4], [0, 2]]
 
 
 def test_boundary_squares_to_zero():
@@ -133,6 +135,56 @@ def test_locate_rejects_non_cells():
         cx.locate(Simplex((parse_partition("1|2,3,4,5"),)))
 
 
+def test_locate_round_trips_chains():
+    for n in range(3, 6):
+        cx = proper_part_complex(n)
+        for d in range(cx.dim + 1):
+            assert [cx.locate(row) for row in cx.chains(d).tolist()] == [(d, i) for i in range(cx.n_cells(d))]
+
+
+def test_locate_checks_every_vertex():
+    cx = proper_part_complex(5)
+    m = len(cx.elements)
+    chain = cx.chains(2, [7])[0].tolist()
+    assert cx.locate(chain) == (2, 7)
+    # a vertex out of range, first or after a valid prefix
+    for bad in ([m], [-1], [chain[0], m], chain[:2] + [m + 3]):
+        with pytest.raises(KeyError):
+            cx.locate(bad)
+    # a non-chain: reversed, a repeated vertex, two incomparable vertices
+    incomparable = next(j for j in range(m) if j != chain[0] and not cx.less[chain[0], j] and not cx.less[j, chain[0]])
+    for bad in (chain[::-1], [chain[0], chain[0]], [chain[0], incomparable], []):
+        with pytest.raises(KeyError):
+            cx.locate(bad)
+    # longer than dim + 1: every vertex is a cell of the poset but no chain is that long
+    top = cx.chains(cx.dim, [0])[0].tolist()
+    with pytest.raises(KeyError):
+        cx.locate(top + [top[-1]])
+    # a Simplex over another ground set
+    with pytest.raises(KeyError):
+        cx.locate(parse_simplex("1|2,3,4"))
+    with pytest.raises(KeyError):
+        cx.locate(parse_simplex("1,2|3|4|5|6 < 1,2,3|4|5|6"))
+
+
+def test_nerve_keeps_no_chain_tuples():
+    cx = proper_part_complex(5)
+    assert not hasattr(cx, "cells") and not hasattr(cx, "index")
+
+
+def test_nerve_construction_memory():
+    # the prefix tree of the n = 7 nerve (262,759 cells) is about 2 MB of
+    # int32 arrays; one tuple per chain would take over 20 MB
+    tracemalloc.start()
+    try:
+        cx = proper_part_complex(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cx.total_cells() == 262759
+    assert peak < 12e6
+
+
 def test_cell_label():
     cx = proper_part_complex(4)
     d, i = cx.locate(parse_simplex("1,2|3|4 < 1,2|3,4"))
@@ -189,19 +241,15 @@ def test_transitivity_check_catches_a_missing_composite_edge():
 def test_prefix_tree_rebuilds_every_chain():
     for n in range(3, 7):
         cx = proper_part_complex(n)
-        # every chain of the relation, extended one vertex at a time
-        chains = [[(i,) for i in range(len(cx.elements))]]
-        while chains[-1]:
-            chains.append([c + (j,) for c in chains[-1] for j in np.flatnonzero(cx.less[c[-1]]).tolist()])
-        assert cx.cells == chains[:-1]
+        chains = relation_chains(cx.less)
+        assert cx.f_vector() == tuple(len(layer) for layer in chains)
         assert cx.parent[0].tolist() == [0] * cx.n_cells(0)
-        assert [(v,) for v in cx.last[0].tolist()] == cx.cells[0]
-        for d in range(1, cx.dim + 1):
-            prefixes = cx.cells[d - 1]
-            rebuilt = [prefixes[p] + (v,) for p, v in zip(cx.parent[d].tolist(), cx.last[d].tolist())]
-            assert rebuilt == cx.cells[d]
         for d in range(cx.dim + 1):
-            codes = cx.cell_codes(d)
+            assert cx.chains(d).tolist() == [list(c) for c in chains[d]]
+            some = np.arange(cx.n_cells(d))[::-7]
+            assert cx.chains(d, some).tolist() == [list(chains[d][i]) for i in some]
+            # find's binary search keys: parent*m + last increases strictly
+            codes = cx.parent[d].astype(np.int64) * len(cx.elements) + cx.last[d]
             assert (np.diff(codes) > 0).all()
             assert codes.max() < max(cx.n_cells(d - 1), 1) * len(cx.elements)
 
@@ -209,14 +257,16 @@ def test_prefix_tree_rebuilds_every_chain():
 def test_face_table_matches_chain_lookup():
     for n in range(3, 7):
         cx = proper_part_complex(n)
+        chains = relation_chains(cx.less)
+        index = chain_positions(chains)
         for d in range(1, cx.dim + 1):
-            expected = [
-                [cx.index[d - 1][chain[:k] + chain[k + 1:]] for k in range(d + 1)]
-                for chain in cx.cells[d]
-            ]
+            expected = [[index[d - 1][chain[:k] + chain[k + 1:]] for k in range(d + 1)] for chain in chains[d]]
             assert cx.face_table(d, np.arange(cx.n_cells(d))).tolist() == expected
             some = np.arange(cx.n_cells(d))[::-3]
             assert cx.face_table(d, some).tolist() == [expected[i] for i in some]
+            signed = [tuple(zip(row, (1, -1) * d)) for row in expected]
+            assert [cx.faces(d, i) for i in range(cx.n_cells(d))] == signed
+            assert cx.boundary_columns(d) == [dict(col) for col in signed]
 
 
 def test_invalid_poset_rejected():

@@ -244,6 +244,27 @@ def test_augmentation_checked():
     assert full.betti(1) == reduced.betti(1)
 
 
+def test_unreduced_homology_reduces_like_reduced(monkeypatch):
+    # an augmented nonempty complex gets the empty cell in both modes, so
+    # unreduced homology sends no more cells to Smith normal form
+    from partmorse import homology
+
+    seen = []
+    snf = homology.smith_normal_form
+
+    def counted(matrix):
+        seen.append(len(matrix[1]))
+        return snf(matrix)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    cx = proper_part_complex(5)
+    homology_of(cx)
+    reduced_sizes = seen[:]
+    seen.clear()
+    assert homology_of(cx, reduced=False).to_json() == full_snf_table(cx, reduced=False)
+    assert seen == reduced_sizes and sum(seen) < cx.total_cells() // 10
+
+
 def test_result_serialization():
     result = homology_of(mod2_moore_space())
     js = result.to_json()

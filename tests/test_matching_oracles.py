@@ -29,6 +29,7 @@ from partmorse.morse import (
     validate_matching,
 )
 from partmorse.ordercomplex import ExplicitComplex
+from chain_oracle import chain_positions, relation_chains
 from test_morse import divisors_of_six, hexagon
 
 
@@ -94,20 +95,24 @@ def bulk_verdict(complex, pairs):
 
 def reference_cone_pairs(complex, vertex_indices, apex_index):
     keep = set(vertex_indices)
+    chains = relation_chains(complex.less)
+    index = chain_positions(chains)
     pairs = []
     for d in range(complex.dim):
-        for i, chain in enumerate(complex.cells[d]):
+        for i, chain in enumerate(chains[d]):
             if apex_index not in chain and all(v in keep for v in chain):
-                pairs.append(((d, i), (d + 1, complex.index[d + 1][chain + (apex_index,)])))
+                pairs.append(((d, i), (d + 1, index[d + 1][chain + (apex_index,)])))
     return pairs
 
 
 def reference_closure_pairs(complex, descend, vertex_indices=None):
     keep = set(vertex_indices) if vertex_indices is not None else set(range(len(complex.elements)))
     image = {v: descend(v) for v in keep}
+    chains = relation_chains(complex.less)
+    index = chain_positions(chains)
     pairs = []
     for d in range(complex.dim):
-        for i, chain in enumerate(complex.cells[d]):
+        for i, chain in enumerate(chains[d]):
             if any(v not in keep for v in chain):
                 continue
             moving = next((v for v in chain if image[v] != v), None)
@@ -117,7 +122,7 @@ def reference_closure_pairs(complex, descend, vertex_indices=None):
             k = 0
             while k < len(chain) and complex.less[chain[k], w]:
                 k += 1
-            pairs.append(((d, i), (d + 1, complex.index[d + 1][chain[:k] + (w,) + chain[k:]])))
+            pairs.append(((d, i), (d + 1, index[d + 1][chain[:k] + (w,) + chain[k:]])))
     return pairs
 
 
@@ -262,8 +267,7 @@ def test_build_reads_no_chain_dict_and_no_face_column(monkeypatch):
     assert check_equivariance(main, construction.get_action(6))
     assert sorted(construction._complexes) == [3, 4, 5, 6]
     for cx in construction._complexes.values():
-        assert all(found is None for found in cx.index._maps)
-        assert all(layer is None for layer in cx._face_lists)
+        assert cx._face_tables == {}
 
 
 def hasse_digraph(matching):

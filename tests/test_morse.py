@@ -35,6 +35,7 @@ from partmorse.morse import (
 )
 from partmorse.ordercomplex import ExplicitComplex, OrderComplex
 from partmorse.perm import ComplexAction, Perm, PermGroup, QuotientComplex, act
+from chain_oracle import relation_chains
 from test_perm import oracle_groups
 
 
@@ -194,7 +195,7 @@ def test_closure_matching_collapses_to_image():
     crit = Matching(cx, pairs).critical_cells()
     image = {cx.element_index[1], cx.element_index[2]}
     expected = [
-        [i for i in range(cx.n_cells(d)) if set(cx.cells[d][i]) <= image]
+        [i for i, chain in enumerate(cx.chains(d).tolist()) if set(chain) <= image]
         for d in range(cx.dim + 1)
     ]
     assert crit == expected
@@ -306,7 +307,7 @@ def stage_keys(n):
     def stage(chain):
         return 0 if set(chain) <= fixed else 1 if set(chain) <= ground else 2
 
-    key = [np.array([stage(c) for c in layer]) for layer in cx.cells]
+    key = [np.array([stage(c) for c in layer]) for layer in relation_chains(cx.less)]
     return key, np.triu(np.ones((3, 3), dtype=bool))
 
 
