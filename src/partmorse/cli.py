@@ -13,12 +13,11 @@ import json
 import sys
 from math import factorial
 
-import numpy as np
-
 from .construction import (
     anchored_flags,
     build_main_matching,
     fiber_keys,
+    flag_orbits,
     get_action,
     get_complex,
     matching_report,
@@ -194,15 +193,10 @@ def _verification_checks(n: int) -> list[tuple[str, bool]]:
     survivors = {(d, i) for d, i in critical_cells if key[d][i] == 0}
     checks.append(("zero fiber collapses to the split vertex", survivors == {cx.locate(split)}))
 
-    # the action on the flags is free and transitive iff the generators keep
-    # them and the orbit of one flag is all of them, |G| cells
-    top = np.unique([cx.locate(f)[1] for f in flags])
-    images = [action.images(g)[n - 3] for g in action.group.generators]
-    orbit = top[:1]
-    while len(grown := np.unique(np.concatenate([orbit] + [img[orbit] for img in images]))) > len(orbit):
-        orbit = grown
-    closed = all(np.isin(img[top], top).all() for img in images)
-    free_transitive = closed and len(orbit) == len(top) == action.group.order
+    # the action on the flags is free and transitive iff they form one
+    # orbit, of |G| cells
+    top, orbit_sizes = flag_orbits(n, flags)
+    free_transitive = orbit_sizes.tolist() == [len(top)] and len(top) == action.group.order
     checks.append(("stabilizer of 1 acts freely and transitively on flags", free_transitive))
 
     nerve_homology = homology_of(cx)
@@ -278,6 +272,11 @@ def main(argv=None) -> int:
     try:
         if args.n < 3:
             raise ConfigError(f"--n must be at least 3, got {args.n}")
+        if args.n > 8 and args.command != "verify":
+            top = factorial(args.n) * factorial(args.n - 1) // 2 ** (args.n - 1)
+            raise ConfigError(f"--n {args.n} is too large: the nerve has {top:,} top cells, n!(n-1)!/2^(n-1)")
+        if getattr(args, "max_dim", None) is not None and args.max_dim < 0:
+            raise ConfigError(f"--max-dim must be at least 0, got {args.max_dim}")
         if getattr(args, "format", None) == "csv" and args.command != "homology":
             raise ConfigError("csv output is only available for homology tables")
         code, payload = handlers[args.command](args)

@@ -27,8 +27,8 @@ from .morse import (
     cone_matching,
     quotient_matching,
 )
-from .ordercomplex import OrderComplex, Simplex, proper_part_complex
-from .perm import ComplexAction, Perm, PermGroup, QuotientComplex, locate_partitions
+from .ordercomplex import OrderComplex, Simplex, distinct, proper_part_complex
+from .perm import ComplexAction, Perm, PermGroup, QuotientComplex, locate_partitions, orbit_labels
 from .setpart import Partition
 
 
@@ -309,30 +309,38 @@ def orbit_vertex_label(qc: QuotientComplex, i: int) -> str:
     return block_size_label(qc.base.elements[qc.reps[0][i]])
 
 
+def flag_orbits(n: int, flags) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct top-cell indices of the given flags, and the sizes of
+    their orbits under the stabilizer of 1, by perm.orbit_labels."""
+    cx, action = get_complex(n), get_action(n)
+    top = distinct([cx.locate(f)[1] for f in flags])
+    label = orbit_labels(cx.n_cells(cx.dim), [action.images(g)[cx.dim] for g in action.group.generators])
+    return top, np.bincount(label)[distinct(label[top])]
+
+
 def matching_report(n: int) -> dict:
     """Certificates and counts for the main matching at one size."""
     from .morse import check_equivariance, validate_matching
-    from .perm import orbits
 
     matching = build_main_matching(n)
     cx = matching.complex
     action = get_action(n)
     cert = validate_matching(cx, matching)
-    cells = special_cells(n)
-    critical = {cx.simplex(d, i) for d, layer in enumerate(matching.critical_cells()) for i in layer}
-    wanted = set(cells.flags) | {Simplex((cells.split,))}
-    orbit_list = orbits(action.group, cells.flags)
+    flags = anchored_flags(n)
+    top, orbit_sizes = flag_orbits(n, flags)
+    critical = {(d, i) for d, layer in enumerate(matching.critical_cells()) for i in layer}
+    wanted = {(cx.dim, i) for i in top.tolist()} | {cx.locate(Simplex((split_vertex(n),)))}
     return {
         "n": n,
         "criticalCounts": matching.critical_counts(),
-        "cardinalityCn": len(cells.flags),
+        "cardinalityCn": len(flags),
         "certificates": {
             "acyclic": cert.is_acyclic,
             "equivariant": check_equivariance(matching, action),
             "criticalSetMatches": critical == wanted,
         },
         "orbitData": {
-            "orbits": len(orbit_list),
-            "stabilizerOrder": max(o.stabilizer_order for o in orbit_list),
+            "orbits": len(orbit_sizes),
+            "stabilizerOrder": action.group.order // int(orbit_sizes.min()),
         },
     }

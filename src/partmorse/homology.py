@@ -1,31 +1,33 @@
 """Exact integral homology of chain complexes.
 
-homology_of first removes unit pairs from the complex: a (d-1)-cell a
-and a d-cell b with [b : a] = +-1, where either a is the only live face
-of b (a coreduction) or b is the only live coface of a (a free-face
-collapse).  Either kind of pair is a Gaussian elimination whose
-correction term vanishes, so the boundary of the remaining cells is the
-restriction of the old one and nothing fills in (Mrozek-Batko,
-"Coreduction homology algorithm"; Skoldberg, "Morse theory from an
-algebraic viewpoint").  Reduced homology adds the empty cell below the
-vertices, so the first pair is (empty cell, vertex) and coreductions
-cascade from there; so does unreduced homology of a nonempty complex
-whose edges augment to zero, which then gains one Z in H_0.  Only unit
-coefficients are paired, so torsion is never reduced away.
+homology_of reads only the boundary arrays of a CellComplex.  It checks
+the whole complex first: every face is a cell, the boundary squares to
+zero (the composed arrays summed per (cell, face of a face) after a
+sort, in blocks of bounded size) and, for reduced homology, the edges
+augment to zero.  Then it removes unit pairs: a (d-1)-cell a and a d-cell
+b with [b : a] = +-1, where a is the only live face of b (a coreduction)
+or b the only live coface of a (a free-face collapse).  Either is a
+Gaussian elimination whose correction term vanishes, so nothing fills in
+(Mrozek-Batko, "Coreduction homology algorithm"; Skoldberg, "Morse
+theory from an algebraic viewpoint"); the pairs are taken in rounds, from
+live-face and live-coface counts of the arrays.  The empty cell below the
+vertices (reduced homology, or unreduced homology of a nonempty complex
+whose edges augment to zero, which then gains one Z in H_0) starts the
+cascade.  Only unit coefficients are paired, so torsion is never lost.
 
-What survives goes to smith_normal_form.  Boundary matrices are
-eliminated sparsely with unimodular operations: a first phase consumes
-+-1 pivots (chosen by a lazy minimum-fill heap), and whatever remains is
-finished by the textbook algorithm with divisibility enforcement.
-Everything runs on Python integers, so no overflow.
+What survives goes to smith_normal_form as sparse columns: a first phase
+consumes +-1 pivots (chosen by a lazy minimum-fill heap), and the textbook
+algorithm with divisibility enforcement finishes, on Python integers.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
-from math import gcd
+
+import numpy as np
+
+from .ordercomplex import entry_cells, entry_positions
 
 
 class InvalidComplexError(ValueError):
@@ -38,23 +40,16 @@ def _load_sparse(matrix):
     Accepts a 2D array / list of lists, or a (n_rows, columns) pair where
     columns is a list of {row: value} dicts.
     """
+    if not (isinstance(matrix, tuple) and len(matrix) == 2 and isinstance(matrix[1], list)):
+        matrix = (len(matrix), [dict(enumerate(col)) for col in zip(*matrix)])
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    if isinstance(matrix, tuple) and len(matrix) == 2 and isinstance(matrix[1], list):
-        _, columns = matrix
-        for c, col in enumerate(columns):
-            for r, v in col.items():
-                v = int(v)
-                if v:
-                    rows.setdefault(r, {})[c] = v
-                    cols.setdefault(c, set()).add(r)
-    else:
-        for r, row in enumerate(matrix):
-            for c, v in enumerate(row):
-                v = int(v)
-                if v:
-                    rows.setdefault(r, {})[c] = v
-                    cols.setdefault(c, set()).add(r)
+    for c, col in enumerate(matrix[1]):
+        for r, v in col.items():
+            v = int(v)
+            if v:
+                rows.setdefault(r, {})[c] = v
+                cols.setdefault(c, set()).add(r)
     return rows, cols
 
 
@@ -201,11 +196,7 @@ def rank_of(matrix) -> int:
 def is_unimodular(matrix) -> bool:
     """Square with determinant +-1, decided via invariant factors."""
     mat = [list(row) for row in matrix]
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        return False
-    factors = smith_normal_form(mat)
-    return len(factors) == n and all(f == 1 for f in factors)
+    return all(len(row) == len(mat) for row in mat) and smith_normal_form(mat) == (1,) * len(mat)
 
 
 @dataclass
@@ -245,111 +236,114 @@ class HomologyResult:
         return "\n".join(lines)
 
 
-def _check_boundary_squares_to_zero(columns_by_dim: dict[int, list[dict[int, int]]], top: int):
-    for d in range(2, top + 1):
-        below = columns_by_dim[d - 1]
-        for j, col in enumerate(columns_by_dim[d]):
-            acc: dict[int, int] = {}
-            for i, v in col.items():
-                for k, w in below[i].items():
-                    acc[k] = acc.get(k, 0) + v * w
-            if any(acc.values()):
-                raise InvalidComplexError(f"boundary squared is nonzero at dimension {d}, column {j}")
+def _check_squares_to_zero(upper, lower, n_below: int, d: int, block: int = 1 << 22) -> None:
+    """Raise unless the boundary of the boundary of every d-cell is zero:
+    the boundary arrays of dimension d composed with those of d-1 give
+    signed (cell, face of a face) entries, summed per pair after a sort,
+    for blocks of cells of at most block composed entries."""
+    indptr, faces, coeffs = upper
+    low_ptr, low_faces, low_coeffs = lower
+    width = np.diff(low_ptr)[faces]
+    reach = np.concatenate([[0], np.cumsum(width)])[indptr]
+    start = 0
+    while start < len(indptr) - 1:
+        stop = max(int(np.searchsorted(reach, reach[start] + block, "right")) - 1, start + 1)
+        e = slice(indptr[start], indptr[stop])
+        pos = entry_positions(low_ptr, faces[e])
+        code = np.repeat(np.arange(start, stop) * n_below, np.diff(reach[start : stop + 1])) + low_faces[pos]
+        order = np.argsort(code)
+        code, value = code[order], (np.repeat(coeffs[e], width[e]) * low_coeffs[pos])[order]
+        head = np.flatnonzero(np.diff(code, prepend=-1))
+        bad = np.flatnonzero(np.add.reduceat(value, head)) if len(head) else head
+        if len(bad):
+            cell = code[head[bad[0]]] // n_below
+            raise InvalidComplexError(f"boundary squared is nonzero at dimension {d}, column {cell}")
+        start = stop
 
 
-def _unit_reduction(columns: dict[int, list[dict[int, int]]], sizes: dict[int, int]) -> dict[int, bytearray]:
-    """Remove unit pairs (module docstring) until none is left; returns
-    the live flags of the cells of each dimension in sizes.  columns[d]
-    holds the boundary of every d-cell, for every d in sizes but the
-    lowest."""
-    lo, hi = min(sizes, default=0), max(sizes, default=-1)
-    live = {d: bytearray(b"\x01") * sizes[d] for d in sizes}
-    cofaces: dict[int, list[list[int]]] = {d: [[] for _ in range(sizes[d])] for d in range(lo, hi)}
-    for d in range(lo + 1, hi + 1):
-        up = cofaces[d - 1]
-        for b, col in enumerate(columns[d]):
-            for a in col:
-                up[a].append(b)
-    n_faces = {d: [len(col) for col in columns[d]] for d in range(lo + 1, hi + 1)}
-    n_cofaces = {d: [len(up) for up in cofaces[d]] for d in cofaces}
-    # a cell is queued whenever it may have one live face or coface left
-    queue = deque(
-        (d, i)
-        for d in sizes
-        for i in range(sizes[d])
-        if (d > lo and n_faces[d][i] == 1) or (d < hi and n_cofaces[d][i] == 1)
-    )
+def _once(keys: np.ndarray, size: int) -> np.ndarray:
+    """A mask keeping one position of each distinct key in 0..size-1."""
+    slot = np.empty(size, dtype=np.intp)
+    ids = np.arange(len(keys))
+    slot[keys] = ids
+    return slot[keys] == ids
 
-    def kill(d: int, x: int):
-        live[d][x] = 0
-        if d > lo:
-            below, counts = live[d - 1], n_cofaces[d - 1]
-            for y in columns[d][x]:
-                if below[y]:
-                    counts[y] -= 1
-                    if counts[y] == 1:
-                        queue.append((d - 1, y))
-        if d < hi:
-            above, counts = live[d + 1], n_faces[d + 1]
-            for z in cofaces[d][x]:
-                if above[z]:
-                    counts[z] -= 1
-                    if counts[z] == 1:
-                        queue.append((d + 1, z))
 
-    while queue:
-        d, x = queue.popleft()
-        if not live[d][x]:
-            continue
-        if d > lo and n_faces[d][x] == 1:
-            col = columns[d][x]
-            a = next(a for a in col if live[d - 1][a])
-            if abs(col[a]) == 1:
-                kill(d - 1, a)
-                kill(d, x)
-                continue
-        if d < hi and n_cofaces[d][x] == 1:
-            b = next(b for b in cofaces[d][x] if live[d + 1][b])
-            if abs(columns[d + 1][b][x]) == 1:
-                kill(d, x)
-                kill(d + 1, b)
+def _coreduce(arrays: dict, sizes: dict[int, int]) -> dict[int, np.ndarray]:
+    """Remove unit pairs (module docstring) until none is left; returns the
+    live flags of the cells of each dimension in sizes, arrays[d] holding
+    the boundary arrays of the d-cells for every d in sizes but the lowest.
+    Each round takes the dimensions upwards and removes at once the unit
+    live entries whose cell has one live face or whose face one live
+    coface, keeping one such entry per cell on either side."""
+    live = {d: np.ones(n, dtype=bool) for d, n in sizes.items()}
+    entries = {d: (entry_cells(ip), f, np.abs(c) == 1) for d, (ip, f, c) in sorted(arrays.items())}
+    changed = True
+    while changed:
+        changed = False
+        for d, (cells, faces, unit) in entries.items():
+            alive = live[d][cells] & live[d - 1][faces]
+            cells, faces, unit = entries[d] = cells[alive], faces[alive], unit[alive]
+            n_faces = np.bincount(cells, minlength=sizes[d])
+            n_cofaces = np.bincount(faces, minlength=sizes[d - 1])
+            pick = np.flatnonzero(unit & ((n_faces[cells] == 1) | (n_cofaces[faces] == 1)))
+            pick = pick[_once(cells[pick], sizes[d])]
+            pick = pick[_once(faces[pick], sizes[d - 1])]
+            live[d][cells[pick]] = False
+            live[d - 1][faces[pick]] = False
+            changed |= len(pick) > 0
     return live
 
 
+def _columns(arrays, cells: np.ndarray, rows: np.ndarray, n_rows: int) -> list[dict[int, int]]:
+    """The boundary of the given cells on the given rows, these numbered
+    consecutively, as sparse columns."""
+    indptr, faces, coeffs = arrays
+    number = np.full(n_rows, -1)
+    number[rows] = np.arange(len(rows))
+    cols = []
+    for a, b in zip(indptr[cells].tolist(), indptr[cells + 1].tolist()):
+        row = number[faces[a:b]]
+        cols.append(dict(zip(row[row >= 0].tolist(), coeffs[a:b][row >= 0].tolist())))
+    return cols
+
+
 def homology_of(complex_like, reduced: bool = True, max_dim: int | None = None) -> HomologyResult:
-    """Integral homology of any CellComplex.  Reduced homology augments
-    dimension 0 by the sum of vertex coefficients.  The complex is
-    checked whole, then unit pairs are removed and the boundary of the
-    cells left is put in Smith normal form."""
+    """Integral homology of any CellComplex, read off its boundary arrays.
+    Reduced homology augments dimension 0 by the sum of vertex
+    coefficients.  The complex is checked whole, then unit pairs are
+    removed and the boundary of the cells left is put in Smith normal form."""
     top = complex_like.dim
     if max_dim is not None:
         top = min(top, max_dim)
     # one extra boundary map keeps the top reported row correct when the
     # table is truncated below the dimension of the complex
     deep = min(complex_like.dim, top + 1)
-    columns = {d: complex_like.boundary_columns(d) for d in range(1, deep + 1)}
-    _check_boundary_squares_to_zero(columns, deep)
-    augmented = not any(sum(col.values()) for col in columns.get(1, []))
+    sizes = {d: complex_like.n_cells(d) for d in range(deep + 1)}
+    arrays = {d: complex_like.boundary_arrays(d) for d in range(1, deep + 1)}
+    if max((int(np.abs(c).max(initial=0)) for _, _, c in arrays.values()), default=0) > 1 << 16:
+        # products and sums of such coefficients may leave int64; Python integers do not
+        arrays = {d: (ip, f, c.astype(object)) for d, (ip, f, c) in arrays.items()}
+    for d, (_, faces, _) in arrays.items():
+        if len(faces) and not 0 <= faces.min() <= faces.max() < sizes[d - 1]:
+            raise InvalidComplexError(f"a face of a {d}-cell is not a cell of dimension {d - 1}")
+    for d in range(2, deep + 1):
+        _check_squares_to_zero(arrays[d], arrays[d - 1], sizes[d - 2], d)
+    # the coefficients of each edge sum to zero
+    sums = np.concatenate([[0], np.cumsum(arrays[1][2])])[arrays[1][0]] if 1 in arrays else np.zeros(1)
+    augmented = not np.diff(sums).any()
     if reduced and not augmented:
         raise InvalidComplexError("an edge boundary does not augment to zero")
-    sizes = {d: complex_like.n_cells(d) for d in range(deep + 1)}
     # the empty cell, the one face of every vertex; unreduced homology of an
     # augmented nonempty complex is reduced homology plus one Z in H_0
     empty_cell = bool(sizes) and (reduced or (augmented and sizes[0] > 0))
     if empty_cell:
         sizes[-1] = 1
-        columns[0] = [{0: 1}] * sizes[0]
-    live = _unit_reduction(columns, sizes)
-    # number the surviving cells of each dimension consecutively
-    kept = {d: {i: k for k, i in enumerate(i for i, flag in enumerate(flags) if flag)} for d, flags in live.items()}
+        arrays[0] = (np.arange(sizes[0] + 1), np.zeros(sizes[0], dtype=np.int64), np.ones(sizes[0], dtype=np.int64))
+    kept = {d: np.flatnonzero(flags) for d, flags in _coreduce(arrays, sizes).items()}
     factors = {
-        d: smith_normal_form(
-            (
-                len(kept[d - 1]),
-                [{kept[d - 1][a]: v for a, v in columns[d][b].items() if a in kept[d - 1]} for b in kept[d]],
-            )
-        )
-        for d in columns
+        d: smith_normal_form((len(kept[d - 1]), _columns(arrays[d], kept[d], kept[d - 1], sizes[d - 1])))
+        for d in arrays
     }
     out = []
     for d in range(top + 1):

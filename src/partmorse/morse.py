@@ -6,7 +6,10 @@ for an unmatched cell.  Its producers hand over sets of pairs as {d:
 their upper partners; tuple lists ((d, i), (d+1, j)) are accepted at the
 API edge and converted once.  Structure is checked in bulk (bincount for
 a cell in two pairs, CellComplex.incidence for the coefficients), and
-acyclicity on the modified face digraph (matched edges reversed).  The
+acyclicity by Kahn's topological sort of the modified face digraph
+(matched edges reversed) on the boundary arrays, one dimension pair at a
+time; its levels also order the dense int64 gradient-path counts of the
+Morse boundary and the pushed flow of the cycle representatives.  The
 patchwork pattern composes matchings: an order-preserving cell key (an
 int array per dimension, ordered by a boolean matrix and checked against
 face_table) plus one matching per fiber gives a matching of the whole
@@ -23,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .ordercomplex import ExplicitComplex, parse_simplex
+from .ordercomplex import ExplicitComplex, distinct, entry_cells, entry_positions, parse_simplex
 from .perm import Perm
 
 Cell = tuple[int, int]
@@ -63,7 +66,7 @@ def _pair_arrays(complex, pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     bad = np.flatnonzero(hi[:, 0] != lo[:, 0] + 1)
     if len(bad):
         raise InvalidMatchingError(f"pair {pairs[bad[0]]} does not span one dimension")
-    return {d: (lo[lo[:, 0] == d, 1], hi[lo[:, 0] == d, 1]) for d in np.unique(lo[:, 0]).tolist()}
+    return {d: (lo[lo[:, 0] == d, 1], hi[lo[:, 0] == d, 1]) for d in distinct(lo[:, 0]).tolist()}
 
 
 class Matching:
@@ -152,47 +155,56 @@ class MatchingCertificate:
         return out
 
 
+def _gradient_levels(matching: Matching, d: int, arrays) -> tuple[list[np.ndarray], list[Cell] | None]:
+    """Kahn's topological sort of the modified face digraph between
+    dimensions d-1 and d, given the boundary arrays of dimension d: its
+    nodes are the d-cells matched downwards, with an edge u -> v when the
+    partner of v is a face of u other than u's own.  Returns the levels,
+    node arrays whose edges all lead to later levels, and a cycle as in
+    find_cycle when some nodes are left; each of those has an in-edge from
+    another, so walking back along in-edges repeats a node."""
+    indptr, faces, _ = arrays
+    down = matching.down[d]
+    src, dst = entry_cells(indptr), matching.up[d - 1][faces]
+    edge = (down[src] >= 0) & (dst >= 0) & (dst != src)
+    src, dst = src[edge], dst[edge]
+    out_ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=len(down)))])
+    indeg = np.bincount(dst, minlength=len(down))
+    levels, level = [], np.flatnonzero((down >= 0) & (indeg == 0))
+    while len(level):
+        levels.append(level)
+        reached = dst[entry_positions(out_ptr, level)]
+        np.subtract.at(indeg, reached, 1)
+        level = distinct(reached[indeg[reached] == 0])
+    stuck = (down >= 0) & (indeg > 0)
+    if not stuck.any():
+        return levels, None
+    back = stuck[src] & stuck[dst]
+    pred, seen = np.full(len(down), -1), np.full(len(down), -1)
+    pred[dst[back]] = src[back]
+    path, v = [], int(np.argmax(stuck))
+    while seen[v] < 0:
+        seen[v] = len(path)
+        path.append(v)
+        v = int(pred[v])
+    # walking back reversed the edges
+    cycle = path[seen[v] :][::-1]
+    steps = zip(cycle, cycle[1:] + cycle[:1])
+    return levels, [c for a, b in steps for c in ((d, a), (d - 1, int(down[b])))] + [(d, cycle[0])]
+
+
 def find_cycle(matching: Matching) -> list[Cell] | None:
     """A directed cycle of the modified face digraph, or None.
 
     Cycles always alternate between consecutive dimensions, so each
-    dimension pair is searched separately; nodes are the upper cells of
-    pairs, with an edge u -> u' when the cell matched to u' is a face of
-    u.  Returns alternating upper/lower cells, first cell repeated last.
+    dimension pair is sorted separately (_gradient_levels).  Returns
+    alternating upper/lower cells, first cell repeated last.
     """
     complex = matching.complex
-    for d in range(complex.dim):
-        up, down = matching.up[d].tolist(), matching.down[d + 1].tolist()
-        nodes = [j for j, y in enumerate(down) if y >= 0]
-
-        def successors(j: int) -> list[int]:
-            return [up[y] for y, _ in complex.faces(d + 1, j) if y != down[j] and up[y] >= 0]
-
-        color: dict[int, int] = {}
-        for start in nodes:
-            if color.get(start):
-                continue
-            color[start] = 1
-            path = [start]
-            stack = [iter(successors(start))]
-            while stack:
-                for nxt in stack[-1]:
-                    if color.get(nxt) == 1:
-                        cycle_nodes = path[path.index(nxt) :] + [nxt]
-                        witness: list[Cell] = []
-                        for a, b in zip(cycle_nodes, cycle_nodes[1:]):
-                            witness.append((d + 1, a))
-                            witness.append((d, down[b]))
-                        witness.append((d + 1, cycle_nodes[-1]))
-                        return witness
-                    if nxt not in color:
-                        color[nxt] = 1
-                        path.append(nxt)
-                        stack.append(iter(successors(nxt)))
-                        break
-                else:
-                    color[path.pop()] = 2
-                    stack.pop()
+    for d in range(1, complex.dim + 1):
+        _, cycle = _gradient_levels(matching, d, complex.boundary_arrays(d))
+        if cycle is not None:
+            return cycle
     return None
 
 
@@ -251,7 +263,7 @@ def _union(fibers) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 
 def _pair_codes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Sorted distinct int64 codes lo << 32 | hi of a set of pairs."""
-    return np.unique(lo.astype(np.int64) << 32 | hi)
+    return distinct(lo.astype(np.int64) << 32 | hi)
 
 
 def _check_fiber(key, fiber, k) -> None:
@@ -314,7 +326,7 @@ def equivariant_patchwork_matching(complex, action, key, key_action, key_leq, re
     of r (Schreier's lemma), so the search checks the stabilizer condition,
     covers the orbit and transports the fiber in one pass.
     """
-    keys = set(np.unique(np.concatenate(key)).tolist())
+    keys = set(distinct(np.concatenate(key)).tolist())
     generators = action.group.generators
     fibers: dict = {}
     for r, pairs in rep_pairs.items():
@@ -400,7 +412,7 @@ def closure_matching(complex, descend, vertex_indices=None) -> dict[int, tuple[n
     just before m, and its partner is the face without d(m).
     """
     m = len(complex.elements)
-    verts = np.arange(m) if vertex_indices is None else np.unique(np.fromiter(vertex_indices, dtype=np.intp))
+    verts = np.arange(m) if vertex_indices is None else distinct(np.fromiter(vertex_indices, dtype=np.intp))
     image = np.arange(m)
     image[verts] = [descend(v) for v in verts.tolist()]
     img, less = image[verts], complex.less
@@ -455,48 +467,63 @@ class MorseData:
         return ExplicitComplex(labels, [[list(col.items()) for col in layer] for layer in self.boundary[1:]])
 
 
-def _flow_memo(complex, up: list[int], crit_layer: set[int], d: int) -> dict:
-    """Lazy signed gradient-path counts from d-cells down into critical
-    d-cells, up being the upper partners of the d-cells; memo[y] maps
-    critical cell index -> path count."""
-    memo: dict[int, dict[int, int]] = {}
+def _gradient(matching: Matching, d: int):
+    """The boundary arrays of dimension d, the Kahn levels of the digraph
+    between dimensions d-1 and d (_gradient_levels), and sign[w] = [w : y]
+    for each d-cell w matched downwards with y; raises InvalidMatchingError
+    on a cycle or on a matched incidence other than +-1."""
+    cx = matching.complex
+    indptr, faces, coeffs = arrays = cx.boundary_arrays(d)
+    levels, cycle = _gradient_levels(matching, d, arrays)
+    if cycle is not None:
+        raise InvalidMatchingError(f"matching is cyclic: {tuple(cx.cell_label(e, i) for e, i in cycle)}")
+    down, owner = matching.down[d], entry_cells(indptr)
+    sign = np.zeros(len(down), dtype=np.int64)
+    partner = faces == down[owner]
+    sign[owner[partner]] = coeffs[partner]
+    bad = np.flatnonzero((down >= 0) & (np.abs(sign) != 1))
+    if len(bad):
+        w = bad[0]
+        raise InvalidMatchingError(f"matched incidence of ({d - 1},{down[w]}) in ({d},{w}) is {sign[w]}")
+    return arrays, levels, sign
 
-    def flow(y0: int) -> dict[int, int]:
-        stack = [y0]
-        while stack:
-            y = stack[-1]
-            if y in memo:
-                stack.pop()
-                continue
-            if y in crit_layer:
-                memo[y] = {y: 1}
-                stack.pop()
-                continue
-            w = up[y]
-            if w < 0:
-                # unmatched handled above; matched downward dead-ends
-                memo[y] = {}
-                stack.pop()
-                continue
-            inc = dict(complex.faces(d + 1, w))
-            sy = inc[y]
-            if abs(sy) != 1:
-                raise InvalidMatchingError(f"matched incidence of ({d},{y}) in ({d+1},{w}) is {sy}")
-            pending = [z for z in inc if z != y and z not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            acc: dict[int, int] = {}
-            for z, sz in inc.items():
-                if z == y:
-                    continue
-                for c, v in memo[z].items():
-                    acc[c] = acc.get(c, 0) + (-sy * sz) * v
-            memo[y] = {c: v for c, v in acc.items() if v}
-            stack.pop()
-        return memo[y0]
 
-    return flow
+def _morse_boundary(matching: Matching, d: int, critical: list[list[int]]) -> np.ndarray:
+    """The Morse boundary of dimension d as a dense int64 array, one row
+    per critical d-cell and one column per critical (d-1)-cell.
+
+    The flow of a (d-1)-cell y is its own column when y is critical, zero
+    when y is matched downwards, and else, with w the partner of y, the
+    sum over the other faces z of w of -[w:y][w:z] flow(z); flow[w] holds
+    it, filled in reverse Kahn order, so that each flow it reads is done.
+    A bound on every sum, taken before the sum, raises OverflowError
+    where int64 would wrap."""
+    (indptr, faces, coeffs), levels, sign = _gradient(matching, d)
+    up = matching.up[d - 1]
+    column = np.full(len(up), -1)
+    column[critical[d - 1]] = np.arange(len(critical[d - 1]))
+    flow = np.zeros((len(sign), len(critical[d - 1])), dtype=np.int64)
+    peak = np.zeros(len(sign))
+
+    def paths(cells: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        pos = entry_positions(indptr, cells)
+        k = np.repeat(np.arange(len(cells)), indptr[cells + 1] - indptr[cells])
+        z, coef = faces[pos], scale[k] * coeffs[pos]
+        hit, via = column[z] >= 0, (up[z] >= 0) & (up[z] != cells[k])
+        # every partial sum of a cell is at most its bound
+        bound = np.bincount(k[hit], np.abs(coef[hit]), len(cells))
+        bound = bound + np.bincount(k[via], np.abs(coef[via]) * peak[up[z[via]]], len(cells))
+        if bound.max(initial=0) >= 2.0**62:
+            raise OverflowError(f"a Morse boundary coefficient in dimension {d} may exceed int64")
+        out = np.zeros((len(cells), flow.shape[1]), dtype=np.int64)
+        np.add.at(out, (k[hit], column[z[hit]]), coef[hit])
+        np.add.at(out, k[via], coef[via, None] * flow[up[z[via]]])
+        return out
+
+    for level in reversed(levels):
+        flow[level] = paths(level, -sign[level])
+        peak[level] = np.abs(flow[level]).max(axis=1, initial=0)
+    return paths(np.asarray(critical[d], dtype=np.intp), np.ones(len(critical[d]), dtype=np.int64))
 
 
 def morse_data(matching: Matching, cycle_reps=False) -> MorseData:
@@ -506,113 +533,45 @@ def morse_data(matching: Matching, cycle_reps=False) -> MorseData:
     critical = matching.critical_cells()
     boundary: list[list[dict[int, int]]] = [[]]
     for d in range(1, cx.dim + 1):
-        crit_below = critical[d - 1]
-        position = {c: k for k, c in enumerate(crit_below)}
-        flow = _flow_memo(cx, matching.up[d - 1].tolist(), set(crit_below), d - 1)
-        cols = []
-        for u in critical[d]:
-            acc: dict[int, int] = {}
-            for y, s in cx.faces(d, u):
-                for c, v in flow(y).items():
-                    acc[c] = acc.get(c, 0) + s * v
-            cols.append({position[c]: v for c, v in acc.items() if v})
-        boundary.append(cols)
-    reps = None
-    if cycle_reps:
-        reps = {}
-        for d in range(cx.dim + 1):
-            for i in critical[d]:
-                reps[(d, i)] = gradient_chain(matching, (d, i))
+        rows = _morse_boundary(matching, d, critical).tolist()
+        boundary.append([{c: v for c, v in enumerate(r) if v} for r in rows])
+    reps = {(d, i): gradient_chain(matching, (d, i)) for d in range(cx.dim + 1) for i in critical[d]} if cycle_reps else None
     return MorseData(cx, matching, critical, boundary, reps)
 
 
 def gradient_chain(matching: Matching, cell: Cell) -> dict[int, int]:
-    """Stabilized discrete flow of a critical cell: iterate
-    x -> x + boundary(raise(x)) + raise(boundary(x)) to a fixpoint."""
-    cx = matching.complex
-    d, start = cell
-
-    def raise_chain(chain: dict[int, int], k: int) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for a, va in chain.items():
-            b = int(matching.up[k][a])
-            if b < 0:
-                continue
-            s = dict(cx.faces(k + 1, b))[a]
-            out[b] = out.get(b, 0) + (-s) * va
-        return {b: v for b, v in out.items() if v}
-
-    def lower_chain(chain: dict[int, int], k: int) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for a, va in chain.items():
-            for y, s in cx.faces(k, a):
-                out[y] = out.get(y, 0) + s * va
-        return {y: v for y, v in out.items() if v}
-
-    r = {start: 1}
-    for _ in range(cx.total_cells() + 10):
-        nxt = dict(r)
-        if d >= 1:
-            for b, v in raise_chain(lower_chain(r, d), d - 1).items():
-                nxt[b] = nxt.get(b, 0) + v
-        up = raise_chain(r, d)
-        if up:
-            for b, v in lower_chain(up, d + 1).items():
-                nxt[b] = nxt.get(b, 0) + v
-        nxt = {a: v for a, v in nxt.items() if v}
-        if nxt == r:
-            return r
-        r = nxt
-    raise InvalidMatchingError("discrete flow did not stabilize; matching is not acyclic")
+    """Stabilized discrete flow of a critical d-cell c, the fixpoint of
+    x -> x + boundary(raise(x)) + raise(boundary(x)): c plus a_w w over
+    the d-cells w matched downwards with y, where a_w is -[w:y] times the
+    sum of [u:y] a_u over u = c and the other cells that have y as a face.
+    These are pushed along the Kahn levels, in Python integers."""
+    d, c = cell
+    if matching.up[d][c] >= 0 or matching.down[d][c] >= 0:
+        raise ValueError(f"cell {cell} is not critical")
+    chain = np.zeros(matching.complex.n_cells(d), dtype=object)
+    if d:
+        (indptr, faces, coeffs), levels, sign = _gradient(matching, d)
+        up = matching.up[d - 1]
+        for cells in [np.array([c])] + levels:
+            pos = entry_positions(indptr, cells)
+            k = np.repeat(cells, indptr[cells + 1] - indptr[cells])
+            w = up[faces[pos]]
+            via = (w >= 0) & (w != k)
+            np.add.at(chain, w[via], -sign[w[via]] * coeffs[pos[via]] * (chain[k[via]] + (k[via] == c)))
+    chain[c] = 1
+    return {i: int(v) for i, v in enumerate(chain.tolist()) if v}
 
 
 def cohomology_representatives(data: MorseData, d: int) -> list[dict[int, int]]:
     """One integer cochain per critical top cell: the signed count of
     alternating gradient paths from each top cell down-up to the critical
-    one.  Only the top dimension is supported."""
-    cx = data.complex
-    if d != cx.dim:
-        raise ValueError(f"representatives are only available in the top dimension {cx.dim}")
-    crit_top = set(data.critical[d])
-    up = data.matching.up[d - 1].tolist()
-    memo: dict[int, dict[int, int]] = {}
-
-    def project(s0: int) -> dict[int, int]:
-        stack = [s0]
-        while stack:
-            s = stack[-1]
-            if s in memo:
-                stack.pop()
-                continue
-            steps = []
-            for y, sy in cx.faces(d, s):
-                w = up[y]
-                if w >= 0 and w != s:
-                    sw = dict(cx.faces(d, w))[y]
-                    if abs(sw) != 1:
-                        raise InvalidMatchingError(f"matched incidence of ({d-1},{y}) in ({d},{w}) is {sw}")
-                    steps.append((w, -sy * sw))
-            pending = [w for w, _ in steps if w not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            acc: dict[int, int] = {s: 1} if s in crit_top else {}
-            for w, coef in steps:
-                for c, v in memo[w].items():
-                    acc[c] = acc.get(c, 0) + coef * v
-            memo[s] = {c: v for c, v in acc.items() if v}
-            stack.pop()
-        return memo[s0]
-
-    cochains = []
-    for c in data.critical[d]:
-        z: dict[int, int] = {}
-        for s in range(cx.n_cells(d)):
-            v = project(s).get(c, 0)
-            if v:
-                z[s] = v
-        cochains.append(z)
-    return cochains
+    one.  Only the top dimension is supported.  There no cell is matched
+    upwards, so each step of a path lands on a cell matched downwards,
+    never on a critical one: the only path to a critical cell is the
+    empty one, and each cochain is the indicator of its cell."""
+    if d != data.complex.dim:
+        raise ValueError(f"representatives are only available in the top dimension {data.complex.dim}")
+    return [{c: 1} for c in data.critical[d]]
 
 
 def cohomology_pairing(data: MorseData) -> np.ndarray:
@@ -623,8 +582,5 @@ def cohomology_pairing(data: MorseData) -> np.ndarray:
         raise ValueError("morse_data must be computed with cycle_reps=True")
     cochains = cohomology_representatives(data, d)
     reps = [data.cycle_reps[(d, c)] for c in data.critical[d]]
-    mat = np.zeros((len(cochains), len(reps)), dtype=np.int64)
-    for a, z in enumerate(cochains):
-        for b, r in enumerate(reps):
-            mat[a, b] = sum(v * r.get(s, 0) for s, v in z.items())
-    return mat
+    mat = [[sum(v * r.get(s, 0) for s, v in z.items()) for r in reps] for z in cochains]
+    return np.array(mat, dtype=np.int64).reshape(len(cochains), len(reps))

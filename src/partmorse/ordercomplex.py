@@ -15,11 +15,12 @@ size to the next.  A code of dimension d is below N_{d-1} * m; at n = 8
 that is at most 3919860 * 4138 < 1.7e10, far below the int64 limit, and
 every cell index fits in int32.
 
-CellComplex is the one chain-complex protocol: each complex supplies the
-faces of a cell and inherits every other view.  The nerve and its
-quotients (perm.QuotientComplex) are FaceTableComplexes, which list the
-faces of many cells at once, and hand-built fixtures and Morse complexes
-are ExplicitComplexes.
+CellComplex is the one chain-complex protocol: each complex supplies its
+boundary per dimension as compressed-row arrays (indptr, faces, coeffs)
+and inherits every other view.  The nerve and its quotients
+(perm.QuotientComplex) are FaceTableComplexes, which derive those arrays
+from a face table of fixed width d+1, and hand-built fixtures and Morse
+complexes are ExplicitComplexes, which build them once.
 """
 
 from __future__ import annotations
@@ -63,13 +64,30 @@ def parse_simplex(text: str, n: int | None = None) -> Simplex:
     return Simplex(parts)
 
 
+def distinct(values) -> np.ndarray:
+    """The sorted distinct entries of an array, by one sort and a mask."""
+    values = np.sort(np.asarray(values).ravel())
+    return values[np.diff(values, prepend=values[:1] - 1) != 0] if len(values) else values
+
+
+def entry_cells(indptr: np.ndarray) -> np.ndarray:
+    """The cell of each entry of boundary arrays with this indptr."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def entry_positions(indptr: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Positions of the entries of the given cells, cell after cell."""
+    counts = indptr[cells + 1] - indptr[cells]
+    return np.repeat(indptr[cells] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
 class CellComplex:
     """A finite chain complex on numbered cells.
 
     The cells of dimension d are 0..n_cells(d)-1.  A subclass passes the
-    cell counts per dimension and implements faces(d, i), the codimension-1
-    faces of cell (d, i) as (index, coefficient) pairs, each face once and
-    with a nonzero coefficient; every other boundary view is derived here.
+    cell counts per dimension and implements boundary_arrays(d), the
+    boundary of every cell of dimension d in compressed-row form; every
+    other boundary view is derived here.
     """
 
     def __init__(self, sizes):
@@ -97,6 +115,18 @@ class CellComplex:
         """cell_label of each of the given cells of dimension d."""
         return [self.cell_label(d, i) for i in np.asarray(cells).tolist()]
 
+    def boundary_arrays(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, faces, coeffs) for 0 <= d <= dim: the codimension-1
+        faces of cell (d, i) are faces[indptr[i]:indptr[i+1]], each once,
+        with the nonzero int64 coefficients at the same places."""
+        raise NotImplementedError
+
+    def faces(self, d: int, i: int) -> tuple[tuple[int, int], ...]:
+        """The faces of cell (d, i) as (index, coefficient) pairs."""
+        indptr, faces, coeffs = self.boundary_arrays(d)
+        a, b = indptr[i], indptr[i + 1]
+        return tuple(zip(faces[a:b].tolist(), coeffs[a:b].tolist()))
+
     def incidence(self, d: int, cells, faces) -> np.ndarray:
         """Coefficients [cells[k] : faces[k]] for cells of dimension d >= 1,
         0 where faces[k] is not a face; read off faces cell by cell."""
@@ -105,15 +135,15 @@ class CellComplex:
 
     def boundary_columns(self, d: int) -> list[dict[int, int]]:
         """Boundary map in dimension d as sparse columns (row -> coefficient)."""
-        return [dict(self.faces(d, i)) for i in range(self.n_cells(d))]
+        indptr, faces, coeffs = (a.tolist() for a in self.boundary_arrays(d))
+        return [dict(zip(faces[a:b], coeffs[a:b])) for a, b in zip(indptr, indptr[1:])]
 
     def boundary_matrix(self, d: int) -> np.ndarray:
         if not 1 <= d <= self.dim:
             raise ValueError(f"dimension {d} out of range 1..{self.dim}")
+        indptr, faces, coeffs = self.boundary_arrays(d)
         mat = np.zeros((self.n_cells(d - 1), self.n_cells(d)), dtype=np.int64)
-        for i in range(self.n_cells(d)):
-            for j, c in self.faces(d, i):
-                mat[j, i] = c
+        mat[faces, entry_cells(indptr)] = coeffs
         return mat
 
 
@@ -122,7 +152,7 @@ class FaceTableComplex(CellComplex):
     (-1)^k: the nerve and its quotients.  A subclass lists them in bulk as
     face_table(d, cells), a (len(cells), d+1) int array whose column k
     holds the k-th face of each of the given cells of dimension d >= 1.
-    Faces, boundary columns and incidences are read off that table; the
+    Faces, boundary arrays and incidences are read off that table; the
     table of a whole dimension is kept once built."""
 
     def __init__(self, sizes):
@@ -138,9 +168,11 @@ class FaceTableComplex(CellComplex):
     def faces(self, d: int, i: int) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self._face_array(d)[i].tolist(), cycle((1, -1))))
 
-    def boundary_columns(self, d: int) -> list[dict[int, int]]:
-        signs = (1, -1) * (d // 2 + 1)
-        return [dict(zip(row, signs)) for row in self._face_array(d).tolist()]
+    def boundary_arrays(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fixed width d+1 with coefficients (-1)^k, read off the face table."""
+        table = self._face_array(d)
+        n, width = table.shape
+        return np.arange(n + 1, dtype=np.int64) * width, table.ravel(), np.tile(1 - 2 * (np.arange(width) % 2), n)
 
     def incidence(self, d: int, cells, faces) -> np.ndarray:
         """CellComplex.incidence from face_table; a cell's faces are
@@ -304,28 +336,36 @@ class ExplicitComplex(CellComplex):
     hand-built examples, Morse complexes).  `face_lists[d][i]` lists
     (face index, coefficient) pairs for cell i of dimension d; repeated
     faces merge into one coefficient, zeros drop, and faces keep their
-    first-occurrence order.  Dimension 0 needs no entry.
+    first-occurrence order.  Dimension 0 needs no entry.  The merged
+    faces are kept as boundary_arrays, built once.
     """
 
     def __init__(self, labels: list[list[str]], face_lists: list[list[list[tuple[int, int]]]]):
         if len(face_lists) != max(len(labels) - 1, 0):
             raise ValueError("face lists must cover every dimension above 0")
         self.labels = labels
-        self._faces = [[_merged(col) for col in layer] for layer in face_lists]
+        vertices = [[[]] * len(layer) for layer in labels[:1]]  # no faces
+        self._arrays = [_rows(columns) for columns in vertices + face_lists]
         super().__init__(len(layer) for layer in labels)
 
     def cell_label(self, d: int, i: int) -> str:
         return self.labels[d][i]
 
-    def faces(self, d: int, i: int) -> tuple[tuple[int, int], ...]:
-        return self._faces[d - 1][i] if d else ()
+    def boundary_arrays(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._arrays[d]
 
 
-def _merged(col) -> tuple[tuple[int, int], ...]:
-    acc: dict[int, int] = {}
-    for j, c in col:
-        acc[j] = acc.get(j, 0) + c
-    return tuple((j, c) for j, c in acc.items() if c)
+def _rows(columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """boundary_arrays of a list of (face, coefficient) lists, with repeated
+    faces merged in first-occurrence order and zeros dropped."""
+    merged = []
+    for col in columns:
+        acc: dict[int, int] = {}
+        for j, c in col:
+            acc[j] = acc.get(j, 0) + c
+        merged.append([(j, c) for j, c in acc.items() if c])
+    indptr = np.cumsum([0] + [len(col) for col in merged], dtype=np.int64)
+    return (indptr, *np.array([e for col in merged for e in col], dtype=np.int64).reshape(-1, 2).T)
 
 
 def proper_part_complex(n: int) -> OrderComplex:

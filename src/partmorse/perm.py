@@ -346,6 +346,20 @@ class ComplexAction:
         return cell[0], int(self.images(g)[cell[0]][cell[1]])
 
 
+def orbit_labels(size: int, images) -> np.ndarray:
+    """The smallest cell of the orbit of each of size cells under the generators
+    with these image arrays, by min-label propagation with pointer jumping."""
+    label = np.arange(size)
+    while True:
+        new = label
+        for img in images:
+            new = np.minimum(new, new[img])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 class QuotientComplex(FaceTableComplex):
     """Cells are group orbits of cells; the boundary of an orbit is read
     off a representative.  Distinct faces of a chain never share an
@@ -361,18 +375,7 @@ class QuotientComplex(FaceTableComplex):
         self.orbit_of: list[np.ndarray] = []
         self.reps: list[list[int]] = []
         for d in range(complex.dim + 1):
-            images = [next(s) for s in streams]
-            # min-label propagation with pointer jumping: each cell ends
-            # labelled by the smallest cell of its orbit
-            label = np.arange(complex.n_cells(d))
-            while True:
-                new = label
-                for img in images:
-                    new = np.minimum(new, new[img])
-                new = new[new]
-                if np.array_equal(new, label):
-                    break
-                label = new
+            label = orbit_labels(complex.n_cells(d), [next(s) for s in streams])
             # a cell labels itself iff it is the smallest of its orbit;
             # numbering orbits by that cell is first-appearance order
             reps = np.flatnonzero(label == np.arange(len(label)))

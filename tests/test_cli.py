@@ -129,6 +129,29 @@ def test_homology_max_dim(capsys):
     assert payload[1]["betti"] == 0
 
 
+def test_homology_negative_max_dim_is_config_error(capsys):
+    code, out, err = run(capsys, "homology", "--n", "5", "--max-dim", "-1")
+    assert code == 2 and out == ""
+    assert "--max-dim" in err
+
+
+@pytest.mark.parametrize("command", ["complex", "matching", "quotient", "homology", "report"])
+def test_sizes_past_eight_are_refused_before_any_allocation(capsys, monkeypatch, command):
+    import partmorse.cli as cli
+
+    def no_build(n):
+        raise AssertionError(f"built the nerve at n = {n}")
+
+    for name in ("get_complex", "get_action", "build_main_matching", "matching_report", "quotient_critical_cells"):
+        monkeypatch.setattr(cli, name, no_build)
+    code, out, err = run(capsys, command, "--n", "9")
+    assert code == 2 and out == ""
+    # n!(n-1)!/2^(n-1) top cells at n = 9
+    assert "57,153,600" in err
+    code, _, err = run(capsys, command, "--n", "10")
+    assert code == 2 and "2,571,912,000" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -275,3 +298,16 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["fVector"] == [3]
+
+
+def test_verify_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 16 ms per process
+    code = "import sys\nfrom partmorse.cli import main\nmain(['verify', '--n', '5'])\nprint('numpy.ma' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "False"

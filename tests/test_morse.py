@@ -513,6 +513,20 @@ def test_morse_data_circle():
     assert set(rep) == {0, 1, 2}
 
 
+def test_morse_data_names_the_cycle_of_a_cyclic_matching():
+    # a square with the diagonal ac, each vertex paired upwards around the
+    # square: ab > b < bc > c < cd > d < da > a < ab closes a gradient cycle
+    cx = ExplicitComplex(
+        [["a", "b", "c", "d"], ["ab", "bc", "cd", "da", "ac"]],
+        [[[(0, -1), (1, 1)], [(1, -1), (2, 1)], [(2, -1), (3, 1)], [(3, -1), (0, 1)], [(0, -1), (2, 1)]]],
+    )
+    m = Matching(cx, [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2)), ((0, 3), (1, 3))])
+    with pytest.raises(InvalidMatchingError, match="cyclic") as info:
+        morse_data(m)
+    assert all(label in str(info.value) for label in ("'ab'", "'bc'", "'cd'", "'da'"))
+    assert "'ac'" not in str(info.value)
+
+
 def test_chain_data_labels_are_critical_cell_labels():
     m = build_main_matching(5)
     chain = morse_data(m).chain_data()
