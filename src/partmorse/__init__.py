@@ -45,9 +45,7 @@ from .morse import (
     validate_matching,
 )
 from .construction import (
-    SpecialCells,
     anchored_flags,
-    anchored_vertices,
     block_size_label,
     build_main_matching,
     fiber_of,
@@ -61,10 +59,8 @@ from .construction import (
     matching_report,
     orbit_vertex_label,
     pair_vertex,
-    pair_vertices,
     quotient_critical_cells,
     restrict_permutation,
-    special_cells,
     split_vertex,
     unlift_chain,
     unlift_partition,

@@ -16,17 +16,16 @@ from math import factorial
 from .construction import (
     anchored_flags,
     build_main_matching,
+    critical_set_witness,
     fiber_keys,
     flag_orbits,
     get_action,
     get_complex,
     matching_report,
     quotient_critical_cells,
-    split_vertex,
 )
 from .homology import homology_of, verify_wedge
 from .morse import check_equivariance, morse_data, validate_matching
-from .ordercomplex import Simplex
 from .perm import PermGroup, QuotientComplex
 
 
@@ -167,10 +166,11 @@ def cmd_homology(args) -> tuple[int, object]:
     return 0, result.to_json()
 
 
-def _verification_checks(n: int) -> list[tuple[str, bool]]:
-    checks: list[tuple[str, bool]] = []
+def _verification_checks(n: int) -> list[tuple[str, bool, str | None]]:
+    """(name, passed, witness or None) for each check."""
+    checks: list[tuple[str, bool, str | None]] = []
     flags = anchored_flags(n)
-    checks.append((f"flag count equals (n-1)! for n={n}", len(flags) == factorial(n - 1)))
+    checks.append((f"flag count equals (n-1)! for n={n}", len(flags) == factorial(n - 1), None))
     if n > 7:
         return checks
 
@@ -178,54 +178,54 @@ def _verification_checks(n: int) -> list[tuple[str, bool]]:
     action = get_action(n)
     matching = build_main_matching(n)
     cert = validate_matching(cx, matching)
-    checks.append(("main matching is a matching", cert.is_matching))
-    checks.append(("main matching is acyclic", cert.is_acyclic))
-    checks.append(("main matching is equivariant", check_equivariance(matching, action)))
+    checks.append(("main matching is a matching", cert.is_matching, None))
+    checks.append(("main matching is acyclic", cert.is_acyclic, None))
+    checks.append(("main matching is equivariant", check_equivariance(matching, action), None))
 
-    critical_cells = [(d, i) for d, layer in enumerate(matching.critical_cells()) for i in layer]
-    critical = {cx.simplex(d, i) for d, i in critical_cells}
-    split = Simplex((split_vertex(n),))
-    checks.append(("critical set is the flags plus the split vertex", critical == set(flags) | {split}))
+    witness = critical_set_witness(matching, flags)
+    checks.append(("critical set is the flags plus the split vertex", witness is None, witness))
 
     # pairs stay in their fibers, so the zero fiber's survivors are the
     # critical cells of the main matching with fiber key 0
-    key = fiber_keys(cx)
-    survivors = {(d, i) for d, i in critical_cells if key[d][i] == 0}
-    checks.append(("zero fiber collapses to the split vertex", survivors == {cx.locate(split)}))
+    witness = critical_set_witness(matching, [], among=[key == 0 for key in fiber_keys(cx)])
+    checks.append(("zero fiber collapses to the split vertex", witness is None, witness))
 
     # the action on the flags is free and transitive iff they form one
     # orbit, of |G| cells
     top, orbit_sizes = flag_orbits(n, flags)
     free_transitive = orbit_sizes.tolist() == [len(top)] and len(top) == action.group.order
-    checks.append(("stabilizer of 1 acts freely and transitively on flags", free_transitive))
+    checks.append(("stabilizer of 1 acts freely and transitively on flags", free_transitive, None))
 
     nerve_homology = homology_of(cx)
     wedge = verify_wedge(nerve_homology, n - 3, factorial(n - 1))
-    checks.append(("reduced homology is a wedge of (n-1)! spheres", wedge))
+    checks.append(("reduced homology is a wedge of (n-1)! spheres", wedge, None))
 
     qm, qc = quotient_critical_cells(n, action.group)
     counts = qm.critical_counts()
     expected = [0] * (qc.dim + 1)
     expected[0] += 1
     expected[n - 3] += 1
-    checks.append(("full-group quotient has two critical cells", counts == expected))
+    checks.append(("full-group quotient has two critical cells", counts == expected, None))
 
     data = morse_data(matching)
     agree = homology_of(data.chain_data()) == nerve_homology
-    checks.append(("Morse homology agrees with simplicial homology", agree))
+    checks.append(("Morse homology agrees with simplicial homology", agree, None))
 
     sym_quotient = QuotientComplex(cx, PermGroup.symmetric(n))
-    checks.append(("full symmetric quotient is homologically trivial", homology_of(sym_quotient).is_trivial()))
+    checks.append(("full symmetric quotient is homologically trivial", homology_of(sym_quotient).is_trivial(), None))
     return checks
 
 
 def cmd_verify(args) -> tuple[int, object]:
     checks = _verification_checks(args.n)
-    failed = [name for name, ok in checks if not ok]
-    for name, ok in checks:
+    failed = [(name, witness) for name, ok, witness in checks if not ok]
+    for name, ok, _ in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     if failed:
-        print(f"{len(failed)} verification(s) failed: {failed[0]}", file=sys.stderr)
+        print(f"{len(failed)} verification(s) failed: {failed[0][0]}", file=sys.stderr)
+        for name, witness in failed:
+            if witness:
+                print(f"  {name}: {witness}", file=sys.stderr)
         return 1, None
     return 0, None
 
@@ -272,7 +272,7 @@ def main(argv=None) -> int:
     try:
         if args.n < 3:
             raise ConfigError(f"--n must be at least 3, got {args.n}")
-        if args.n > 8 and args.command != "verify":
+        if args.n > 8:
             top = factorial(args.n) * factorial(args.n - 1) // 2 ** (args.n - 1)
             raise ConfigError(f"--n {args.n} is too large: the nerve has {top:,} top cells, n!(n-1)!/2^(n-1)")
         if getattr(args, "max_dim", None) is not None and args.max_dim < 0:

@@ -288,7 +288,8 @@ class OrderComplex(FaceTableComplex):
             raise KeyError(f"chain {tuple(chain)} is not a cell of this complex")
         i = 0
         for j, v in enumerate(chain):
-            lo, hi = np.searchsorted(self.parent[j], [i, i + 1])
+            # values of the array's dtype, or numpy casts all of parent[j]
+            lo, hi = np.searchsorted(self.parent[j], np.array([i, i + 1], dtype=self.parent[j].dtype))
             k = lo + np.searchsorted(self.last[j][lo:hi], v)
             if k == hi or self.last[j][k] != v:
                 raise KeyError(f"chain {tuple(chain)} is not a cell of this complex")

@@ -21,7 +21,6 @@ from partmorse.construction import (
     pair_vertex,
     quotient_critical_cells,
     restrict_permutation,
-    special_cells,
     split_vertex,
 )
 from partmorse.homology import homology_of, is_unimodular, verify_wedge
@@ -77,13 +76,12 @@ def test_criterion_02_main_matching_certificates(capsys):
         cx = get_complex(n)
         matching = build_main_matching(n)
         cert = validate_matching(cx, matching, get_action(n))
-        cells = special_cells(n)
         critical = {
             cx.simplex(d, i)
             for d, layer in enumerate(matching.critical_cells())
             for i in layer
         }
-        wanted = set(cells.flags) | {Simplex((cells.split,))}
+        wanted = {cx.simplex(cx.dim, i) for i in anchored_flags(n).tolist()} | {Simplex((split_vertex(n),))}
         ok = (
             ok
             and cert.is_matching
@@ -119,7 +117,8 @@ def test_criterion_03_fiber_zero_unique_critical(capsys):
 def test_criterion_04_free_transitive_action(capsys):
     ok = True
     for n in FULL_RANGE:
-        orbs = orbits(get_action(n).group, anchored_flags(n))
+        cx = get_complex(n)
+        orbs = orbits(get_action(n).group, [cx.simplex(cx.dim, i) for i in anchored_flags(n).tolist()])
         ok = ok and len(orbs) == 1 and orbs[0].stabilizer_order == 1
     _report(capsys, 4, "stabilizer of 1 acts freely and transitively on flags for n=3..6", ok)
 

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from partmorse.cli import main, parse_group, split_group_arg
@@ -12,6 +14,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+VERIFY_CHECKS = (
+    "main matching is a matching",
+    "main matching is acyclic",
+    "main matching is equivariant",
+    "critical set is the flags plus the split vertex",
+    "zero fiber collapses to the split vertex",
+    "stabilizer of 1 acts freely and transitively on flags",
+    "reduced homology is a wedge of (n-1)! spheres",
+    "full-group quotient has two critical cells",
+    "Morse homology agrees with simplicial homology",
+    "full symmetric quotient is homologically trivial",
+)
+
+
+def verify_stdout(n: int) -> str:
+    """The stdout of a passing `verify --n n`, byte for byte."""
+    names = (f"flag count equals (n-1)! for n={n}",) + VERIFY_CHECKS
+    return "".join(f"PASS  {name}\n" for name in names)
 
 
 def test_split_group_arg():
@@ -135,14 +157,15 @@ def test_homology_negative_max_dim_is_config_error(capsys):
     assert "--max-dim" in err
 
 
-@pytest.mark.parametrize("command", ["complex", "matching", "quotient", "homology", "report"])
+@pytest.mark.parametrize("command", ["complex", "matching", "quotient", "homology", "verify", "report"])
 def test_sizes_past_eight_are_refused_before_any_allocation(capsys, monkeypatch, command):
     import partmorse.cli as cli
 
     def no_build(n):
         raise AssertionError(f"built the nerve at n = {n}")
 
-    for name in ("get_complex", "get_action", "build_main_matching", "matching_report", "quotient_critical_cells"):
+    builders = ("get_complex", "get_action", "build_main_matching", "matching_report", "quotient_critical_cells")
+    for name in ("anchored_flags",) + builders:
         monkeypatch.setattr(cli, name, no_build)
     code, out, err = run(capsys, command, "--n", "9")
     assert code == 2 and out == ""
@@ -167,6 +190,18 @@ def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_verify_output_is_pinned(capsys, n):
+    assert run(capsys, "verify", "--n", str(n)) == (0, verify_stdout(n), "")
+
+
+def test_report_n6_is_pinned(capsys):
+    code, out, err = run(capsys, "report", "--n", "6")
+    assert code == 0 and err == ""
+    digest = "c14608698e6fdb66e8abb7ca25dc5bfa0ba9015d6c4421e57e8cf6e9f00ed6dc"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_prints_check_lines(capsys):
     code, out, err = run(capsys, "verify", "--n", "4")
     assert code == 0
@@ -184,8 +219,8 @@ def test_verify_flag_action_check_can_fail(capsys, monkeypatch):
     flags = anchored_flags(5)
     # a top cell that is no flag leaves the flags open under the group; a
     # repeated flag leaves the orbit shorter than the group; the count holds
-    other = next(s for s in map(cx.simplex, [2] * cx.n_cells(2), range(cx.n_cells(2))) if s not in flags)
-    for wrong in (flags[:-1] + [other], flags[:-1] + flags[:1]):
+    other = np.setdiff1d(np.arange(cx.n_cells(cx.dim)), flags)[0]
+    for wrong in (np.append(flags[:-1], other), np.append(flags[:-1], flags[:1])):
         monkeypatch.setattr(cli, "anchored_flags", lambda n: wrong)
         code, out, _ = run(capsys, "verify", "--n", "5")
         assert code == 1
@@ -193,10 +228,65 @@ def test_verify_flag_action_check_can_fail(capsys, monkeypatch):
         assert "FAIL  stabilizer of 1 acts freely and transitively on flags" in out
 
 
+def test_verify_names_a_flag_that_is_no_flag(capsys, monkeypatch):
+    import partmorse.cli as cli
+    from partmorse.construction import anchored_flags, get_complex
+
+    cx = get_complex(5)
+    flags = anchored_flags(5)
+    other = np.setdiff1d(np.arange(cx.n_cells(cx.dim)), flags)[-1]
+    # the dropped flag stays critical, the other top cell is not
+    monkeypatch.setattr(cli, "anchored_flags", lambda n: np.append(flags[1:], other))
+    code, out, err = run(capsys, "verify", "--n", "5")
+    assert code == 1
+    assert "FAIL  critical set is the flags plus the split vertex" in out.splitlines()
+    assert "PASS  zero fiber collapses to the split vertex" in out.splitlines()
+    first = min(flags[0], other)
+    kind = "unexpected" if first == flags[0] else "missing"
+    witness = f"{kind} cell (2, {first}): {cx.cell_label(2, first)}"
+    assert f"  critical set is the flags plus the split vertex: {witness}" in err.splitlines()
+
+
+def test_verify_names_an_unmatched_cell(capsys, monkeypatch):
+    import partmorse.cli as cli
+    from partmorse.construction import build_main_matching, fiber_keys
+    from partmorse.morse import Matching
+
+    real = build_main_matching(5)
+    cx = real.complex
+    # unmatch one pair of the zero fiber: both its cells turn critical
+    pairs = real.pair_arrays()
+    lo, hi = pairs[1]
+    k = int(np.flatnonzero(fiber_keys(cx)[1][lo] == 0)[0])
+    keep = np.arange(len(lo)) != k
+    broken = Matching(cx, {**pairs, 1: (lo[keep], hi[keep])})
+    monkeypatch.setattr(cli, "build_main_matching", lambda n: broken)
+    code, out, err = run(capsys, "verify", "--n", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL  critical set is the flags plus the split vertex" in lines
+    assert "FAIL  zero fiber collapses to the split vertex" in lines
+    witness = f"unexpected cell (1, {lo[k]}): {cx.cell_label(1, lo[k])}"
+    assert f"  critical set is the flags plus the split vertex: {witness}" in err.splitlines()
+    assert f"  zero fiber collapses to the split vertex: {witness}" in err.splitlines()
+
+
+def test_verify_and_report_read_cells_as_indices(capsys, monkeypatch):
+    from partmorse.ordercomplex import OrderComplex, Simplex
+
+    def no_simplex(*args):
+        raise AssertionError("built or located a Simplex")
+
+    monkeypatch.setattr(Simplex, "__post_init__", no_simplex)
+    monkeypatch.setattr(OrderComplex, "locate", no_simplex)
+    assert run(capsys, "verify", "--n", "5") == (0, verify_stdout(5), "")
+    assert run(capsys, "report", "--n", "5")[0] == 0
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     import partmorse.cli as cli
 
-    monkeypatch.setattr(cli, "_verification_checks", lambda n: [("fine", True), ("broken", False)])
+    monkeypatch.setattr(cli, "_verification_checks", lambda n: [("fine", True, None), ("broken", False, None)])
     code, out, err = run(capsys, "verify", "--n", "4")
     assert code == 1
     assert "FAIL  broken" in out
@@ -204,12 +294,12 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_internal_key_error_is_not_a_config_error(monkeypatch):
-    from partmorse.ordercomplex import OrderComplex
+    from partmorse.perm import ComplexAction
 
-    def lookup_bug(self, chain):
+    def lookup_bug(self, g):
         raise KeyError("internal lookup")
 
-    monkeypatch.setattr(OrderComplex, "locate", lookup_bug)
+    monkeypatch.setattr(ComplexAction, "images", lookup_bug)
     with pytest.raises(KeyError):
         main(["verify", "--n", "4"])
 
@@ -234,6 +324,7 @@ def test_verify_n7_runs_full_suite(capsys):
     assert all(ln.startswith("PASS") for ln in lines)
     assert "(n-1)!" in lines[0]
     assert err == ""
+    assert out == verify_stdout(7)
 
 
 def test_verify_n8_counts_only(capsys):

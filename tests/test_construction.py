@@ -1,12 +1,12 @@
 import hashlib
 import math
 import random
+from itertools import permutations
 
 import pytest
 
 from partmorse.construction import (
     anchored_flags,
-    anchored_vertices,
     build_main_matching,
     block_size_label,
     fiber_keys,
@@ -22,10 +22,8 @@ from partmorse.construction import (
     matching_report,
     orbit_vertex_label,
     pair_vertex,
-    pair_vertices,
     quotient_critical_cells,
     restrict_permutation,
-    special_cells,
     split_vertex,
     unlift_chain,
     unlift_partition,
@@ -33,7 +31,7 @@ from partmorse.construction import (
 from partmorse.morse import validate_matching
 from partmorse.ordercomplex import Simplex, parse_simplex
 from partmorse.perm import Perm, PermGroup, act
-from partmorse.setpart import parse_partition
+from partmorse.setpart import Partition, parse_partition
 
 
 def test_split_vertex():
@@ -43,7 +41,7 @@ def test_split_vertex():
 
 def test_pair_vertices():
     assert pair_vertex(4, 3) == parse_partition("1,3|2|4")
-    assert pair_vertices(4) == [
+    assert [pair_vertex(4, k) for k in (2, 3, 4)] == [
         parse_partition("1,2|3|4"),
         parse_partition("1,3|2|4"),
         parse_partition("1,4|2|3"),
@@ -71,30 +69,41 @@ def test_anchored_vertices_count():
     # anchored proper partitions: block of 1 has size 2..n-1, chosen freely
     for n in range(3, 7):
         expected = sum(math.comb(n - 1, k) for k in range(1, n - 1))
-        assert len(anchored_vertices(n)) == expected
+        assert sum(map(is_anchored, get_complex(n).elements)) == expected
+
+
+def permutation_flags(n):
+    """The anchored flags built from scratch: the block of 1 takes the
+    elements of each ordered choice of n-2 of 2..n, one per step."""
+    for added in permutations(range(2, n + 1), n - 2):
+        block = [1]
+        chain = []
+        for e in added:
+            block.append(e)
+            chain.append(Partition(n, [block[:]] + [[j] for j in range(2, n + 1) if j not in block]))
+        yield Simplex(tuple(chain))
 
 
 def test_anchored_flags_shape():
     for n in range(3, 7):
+        cx = get_complex(n)
         flags = anchored_flags(n)
         assert len(flags) == math.factorial(n - 1)
-        for s in flags:
+        for s in [cx.simplex(cx.dim, i) for i in flags.tolist()]:
             assert s.dim == n - 3
             assert all(is_anchored(v) for v in s)
             assert is_pair_vertex(s.vertices[0])
             sizes = [len(v.block_containing(1)) for v in s]
             assert sizes == list(range(2, n))
-    assert len(set(map(str, anchored_flags(5)))) == 24
+    assert len(set(anchored_flags(5).tolist())) == 24
     with pytest.raises(ValueError):
         anchored_flags(2)
 
 
-def test_special_cells_bundle():
-    sc = special_cells(4)
-    assert sc.split == split_vertex(4)
-    assert sc.flags == anchored_flags(4)
-    assert sc.pair_vertices == pair_vertices(4)
-    assert sc.anchored == anchored_vertices(4)
+def test_anchored_flags_are_the_permutation_flags():
+    for n in range(3, 8):
+        cx = get_complex(n)
+        assert anchored_flags(n).tolist() == sorted(cx.locate(s)[1] for s in permutation_flags(n))
 
 
 def test_fiber_of():
@@ -230,7 +239,7 @@ def test_main_matching_critical_set():
         cx = get_complex(n)
         m = build_main_matching(n)
         crit = m.critical_cells()
-        expected_top = {cx.locate(s) for s in anchored_flags(n)}
+        expected_top = {(cx.dim, i) for i in anchored_flags(n).tolist()}
         got = {(d, i) for d in range(cx.dim + 1) for i in crit[d]}
         assert got == expected_top | {cx.locate(Simplex((split_vertex(n),)))}
 
