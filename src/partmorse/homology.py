@@ -240,9 +240,14 @@ def _check_squares_to_zero(upper, lower, n_below: int, d: int, block: int = 1 <<
     """Raise unless the boundary of the boundary of every d-cell is zero:
     the boundary arrays of dimension d composed with those of d-1 give
     signed (cell, face of a face) entries, summed per pair after a sort,
-    for blocks of cells of at most block composed entries."""
+    for blocks of cells of at most block composed entries; fixed widths
+    go to _check_square_rows."""
     indptr, faces, coeffs = upper
     low_ptr, low_faces, low_coeffs = lower
+    wide, low_wide = _fixed_width(indptr), _fixed_width(low_ptr)
+    if wide and low_wide:
+        rows = (faces.reshape(-1, wide), coeffs.reshape(-1, wide))
+        return _check_square_rows(*rows, low_faces.reshape(-1, low_wide), low_coeffs.reshape(-1, low_wide), d, block)
     width = np.diff(low_ptr)[faces]
     reach = np.concatenate([[0], np.cumsum(width)])[indptr]
     start = 0
@@ -259,6 +264,36 @@ def _check_squares_to_zero(upper, lower, n_below: int, d: int, block: int = 1 <<
             cell = code[head[bad[0]]] // n_below
             raise InvalidComplexError(f"boundary squared is nonzero at dimension {d}, column {cell}")
         start = stop
+
+
+def _fixed_width(indptr: np.ndarray) -> int:
+    """The number of entries every cell has, or 0 when they differ."""
+    widths = np.diff(indptr)
+    return int(widths[0]) if len(widths) and (widths == widths[0]).all() else 0
+
+
+def _check_square_rows(faces, coeffs, low_faces, low_coeffs, d: int, block: int) -> None:
+    """_check_squares_to_zero when every cell of either dimension has the
+    same number of faces, as in a nerve and its quotients, given the
+    boundary arrays as one row per cell: the composed entries of a d-cell
+    are one row of a table, sorted within the row, so no codes span
+    cells."""
+    width = faces.shape[1] * low_faces.shape[1]
+    step = max(block // width, 1)
+    for start in range(0, len(faces), step):
+        rows = faces[start : start + step]
+        below = low_faces[rows].reshape(len(rows), width)
+        value = (coeffs[start : start + step, :, None] * low_coeffs[rows]).reshape(len(rows), width)
+        order = np.argsort(below, axis=1)
+        below = np.take_along_axis(below, order, axis=1)
+        value = np.take_along_axis(value, order, axis=1)
+        head = np.ones(below.shape, dtype=bool)
+        np.not_equal(below[:, 1:], below[:, :-1], out=head[:, 1:])
+        head = np.flatnonzero(head)
+        bad = np.flatnonzero(np.add.reduceat(value.ravel(), head))
+        if len(bad):
+            cell = start + head[bad[0]] // width
+            raise InvalidComplexError(f"boundary squared is nonzero at dimension {d}, column {cell}")
 
 
 def _once(keys: np.ndarray, size: int) -> np.ndarray:

@@ -6,14 +6,27 @@ is its prefix tree alone, two int32 arrays per layer: a chain of
 dimension d is its prefix chain parent[d][i] of dimension d-1 followed
 by the vertex last[d][i] (parent[0] is all zeros, the empty chain).  No
 chain is kept as a tuple; chains reads the vertex rows of the cells
-asked for.  Layers are lexicographic, so the int64 codes parent*m + last
-increase strictly, and find locates chains by binary search on them, in
-bulk.  face_table goes through it, and so does map_chains, which carries
-every cell along a vertex map: a group element, or the lift from one
-size to the next.  A code of dimension d is below N_{d-1} * m; at n = 8
-(m = 4138, f-vector 4138, 155477, 1208830, 3394790, 3919860, 1587600)
-that is at most 3919860 * 4138 < 1.7e10, far below the int64 limit, and
-every cell index fits in int32.
+asked for.  Layers are lexicographic: the extensions of a chain form one
+run of the next layer, after those of every chain before it, ordered by
+their last vertex.  So find locates chains in bulk by two gathers: the
+start of the prefix's run, from a cumulative sum of the vertex degrees
+along the prefix layer, plus the rank of the vertex among the vertices
+above the prefix's top, read off an m x m table scattered from the pairs
+of the order (uint8 while no vertex has more than 256 above it, as up to
+n = 7; uint16 at n = 8, 34 MB).  face_table goes through find, and so
+does map_chains, which carries every cell along a vertex map: a group
+element, or the lift from one size to the next.  At n = 8 (m = 4138,
+f-vector 4138, 155477, 1208830, 3394790, 3919860, 1587600) every cell
+index fits in int32.
+
+The order is checked once, over its pairs, before any chain is built:
+irreflexive and antisymmetric on the matrix, and transitive iff for each
+pair i < j (each 1-cell) row j of the relation is a subset of row i,
+compared on rows packed into 64-bit words; a failure names a triple
+i < j < k without i < k.  proper_part_complex builds the refinement order
+of the proper part of the partition lattice from same-block pair
+bitmasks, p < q iff p != q and p's mask is a subset of q's, in blocks
+of rows.
 
 CellComplex is the one chain-complex protocol: each complex supplies its
 boundary per dimension as compressed-row arrays (indptr, faces, coeffs)
@@ -26,6 +39,7 @@ complexes are ExplicitComplexes, which build them once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import cycle
 
 import numpy as np
@@ -200,12 +214,14 @@ class OrderComplex(FaceTableComplex):
             raise InvalidPosetError(f"relation shape {less.shape} != ({m}, {m})")
         if less.trace() > 0 or (less & less.T).any():
             raise InvalidPosetError("relation is not antisymmetric and irreflexive")
-        # transitive iff everything above an element's successors is above it
-        for i in range(m):
-            if (less[less[i]] & ~less[i]).any():
-                raise InvalidPosetError("relation is not transitive")
+        # the pairs i < j, row by row: the 1-cells of the nerve
+        below, above = np.nonzero(less)
+        witness = transitivity_witness(less, below, above)
+        if witness is not None:
+            i, j, k = witness
+            raise InvalidPosetError(f"relation is not transitive: {i} < {j} < {k} but not {i} < {k}")
         self.less = less
-        succ = np.nonzero(less)[1].astype(np.int32)
+        succ = above.astype(np.int32)
         deg = less.sum(axis=1)
         start = np.cumsum(deg) - deg
 
@@ -223,8 +239,12 @@ class OrderComplex(FaceTableComplex):
             last.append(succ[offset + np.arange(len(offset))])
         self.parent = parent
         self.last = last
+        self._deg = deg.astype(np.int32)
+        # rank[t, v]: the position of v among the vertices above t, in the
+        # smallest unsigned type that holds it (uint8 up to n = 7)
+        self._rank = np.zeros((m, m), dtype=np.min_scalar_type(max(deg.max(initial=0) - 1, 0)))
+        self._rank[below, above] = np.arange(len(below)) - start[below]
         self.element_index = {p: i for i, p in enumerate(self.elements)}
-        self._names = [str(p) for p in self.elements]
         super().__init__(len(layer) for layer in last)
 
     @classmethod
@@ -258,11 +278,18 @@ class OrderComplex(FaceTableComplex):
 
     def find(self, d: int, prefix: np.ndarray, vertex: np.ndarray) -> np.ndarray:
         """Indices of the cells of dimension d that extend the chains
-        prefix (indices in dimension d-1; zeros for d = 0) by vertex, by
-        binary search on the codes parent*m + last; each such chain must
-        be a cell."""
-        m = len(self.elements)
-        return np.searchsorted(self.parent[d].astype(np.int64) * m + self.last[d], prefix.astype(np.int64) * m + vertex)
+        prefix (indices in dimension d-1; zeros for d = 0) by vertex; each
+        such chain must be a cell.  The extensions of a chain are a run of
+        layer d, ordered as the vertices above its top, so the one by v is
+        rank[top, v] places after the first."""
+        if d == 0:
+            return np.asarray(vertex)
+        counts = self._deg[self.last[d - 1]]
+        first = np.cumsum(counts, dtype=np.int32)
+        first -= counts
+        found = first[prefix]
+        found += self._rank[self.last[d - 1][prefix], vertex]
+        return found
 
     def map_chains(self, vmap: np.ndarray, target: "OrderComplex | None" = None, start: int | None = None):
         """Yield, for d = 0..dim, an int32 array holding for each cell of
@@ -301,6 +328,11 @@ class OrderComplex(FaceTableComplex):
 
     def cell_label(self, d: int, i: int) -> str:
         return self.cell_labels(d, [i])[0]
+
+    @cached_property
+    def _names(self) -> list[str]:
+        """The element strings, made once, when a label is first asked for."""
+        return [str(p) for p in self.elements]
 
     def cell_labels(self, d: int, cells) -> list[str]:
         names = self._names
@@ -369,19 +401,55 @@ def _rows(columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (indptr, *np.array([e for col in merged for e in col], dtype=np.int64).reshape(-1, 2).T)
 
 
+def transitivity_witness(less: np.ndarray, below: np.ndarray, above: np.ndarray, block: int = 1 << 16):
+    """A triple (i, j, k) with i < j < k but not i < k, or None when the
+    relation is transitive.  below[e] < above[e] must list every pair of
+    the relation; it is transitive iff row j is a subset of row i for
+    each pair i < j, compared on the rows packed into 64-bit words, in
+    blocks of at most block words.  The triple comes from the first bad
+    pair in the given order."""
+    packed = np.packbits(less, axis=1)
+    words = np.zeros((len(less), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    words = words.view(np.uint64)
+    outside = ~words
+    step = max(block // max(words.shape[1], 1), 1)
+    for s in range(0, len(below), step):
+        i, j = below[s : s + step], above[s : s + step]
+        bad = np.flatnonzero((words[j] & outside[i]).any(axis=1))
+        if len(bad):
+            i, j = int(i[bad[0]]), int(j[bad[0]])
+            return i, j, int(np.flatnonzero(less[j] & ~less[i])[0])
+    return None
+
+
+def pair_masks(labels: np.ndarray) -> np.ndarray:
+    """The same-block pair bitmask of each row of block labels (such as
+    restricted-growth strings) of {1,...,n}: bit k is set iff the k-th pair
+    a < b, in the order of np.triu_indices(n, 1), lies in one block.  A
+    partition refines another iff its mask is a subset of the other's.
+    uint32 up to 32 pairs (n <= 8), uint64 up to 64 (n <= 11)."""
+    labels = np.asarray(labels)
+    a, b = np.triu_indices(labels.shape[1], 1)
+    if len(a) > 64:
+        raise ValueError(f"{len(a)} pairs do not fit in a 64-bit mask")
+    dtype = np.uint32 if len(a) <= 32 else np.uint64
+    bits = np.left_shift(dtype(1), np.arange(len(a), dtype=dtype))
+    return np.bitwise_or.reduce((labels[:, a] == labels[:, b]) * bits, axis=1)
+
+
 def proper_part_complex(n: int) -> OrderComplex:
-    """The nerve of the proper part of the partition lattice of {1,...,n}."""
+    """The nerve of the proper part of the partition lattice of {1,...,n}.
+    p < q iff p != q and p's pair mask is a subset of q's, computed in
+    blocks of rows of at most 2^16 mask words."""
     from .setpart import enumerate_proper
 
     elements = enumerate_proper(n)
-    rgs = np.array([p.rgs for p in elements], dtype=np.int8)
-    # first[p, e]: the first element of e's block in p (blocks are numbered
-    # by first appearance, so block b starts where the label b first occurs)
-    starts = np.argmax(rgs[:, None, :] == np.arange(n, dtype=np.int8)[:, None], axis=2)
-    first = np.take_along_axis(starts, rgs.astype(np.intp), axis=1)
-    # p refines q iff q's block labels are constant on the blocks of p
-    rel = np.empty((len(elements), len(elements)), dtype=bool)
-    for i in range(len(elements)):
-        rel[i] = (rgs[:, first[i]] == rgs).all(axis=1)
+    masks = pair_masks(np.array([p.rgs for p in elements], dtype=np.int8))
+    outside = ~masks
+    rel = np.empty((len(masks), len(masks)), dtype=bool)
+    step = max((1 << 16) // max(len(masks), 1), 1)
+    for r in range(0, len(masks), step):
+        np.equal(masks[r : r + step, None] & outside, 0, out=rel[r : r + step])
     np.fill_diagonal(rel, False)
     return OrderComplex(elements, rel)

@@ -12,12 +12,17 @@ A group element acts on the nerve through a vertex map, built from the
 restricted-growth strings of the partitions, and then on every cell at
 once through OrderComplex.map_chains: per-dimension int32 image arrays,
 the image of a chain being its prefix's image extended by the image of
-its last vertex.  ComplexAction keeps these arrays for the generators
-only; other elements are computed when asked for, not kept for the whole
-group.  QuotientComplex reads the generator images of one dimension at a
-time, keeping none, and labels orbits by their smallest cell in array
-passes.  The boundary of an orbit maps the faces of its representative,
-found in bulk by face_table, to their orbits.
+its last vertex.  A generator's vertex map is accepted iff it is a
+bijection that sends every 1-cell i < j of the nerve to a pair of the
+order; for a bijection that is the same as preserving the whole order,
+and it reads the order at the 1-cells only.  ComplexAction keeps the
+image arrays for the generators only; other elements are computed when
+asked for, not kept for the whole group.  QuotientComplex reads the
+generator images of one dimension at a time, keeping none, and labels
+orbits by their smallest cell in array passes; orbit labels and orbit_of
+are int32, like the image arrays.  The boundary of an orbit maps the
+faces of its representative, found in bulk by face_table, to their
+orbits.
 """
 
 from __future__ import annotations
@@ -311,9 +316,13 @@ class ComplexAction:
         self.group = group
         self._labels = np.array([p.rgs for p in complex.elements])
         self.vertex_maps: dict[Perm, np.ndarray] = {g: self.vertex_map(g) for g in group.generators}
-        less = complex.less
+        # a bijection of the vertices that sends every pair i < j (every
+        # 1-cell) to a pair of the order is an automorphism: the order has
+        # as many pairs after it as before
+        below, above = complex.chains(1).T if complex.dim else np.zeros((2, 0), dtype=np.int32)
+        identity = np.arange(len(complex.elements))
         for g, v in self.vertex_maps.items():
-            if not (less[np.ix_(v, v)] == less).all():
+            if not np.array_equal(np.sort(v), identity) or not complex.less[v[below], v[above]].all():
                 raise ValueError(f"{g} does not act by poset automorphisms")
         self._images: dict[Perm, list[np.ndarray]] = {}
         self._recent: dict[Perm, list[np.ndarray]] = {}
@@ -348,8 +357,9 @@ class ComplexAction:
 
 def orbit_labels(size: int, images) -> np.ndarray:
     """The smallest cell of the orbit of each of size cells under the generators
-    with these image arrays, by min-label propagation with pointer jumping."""
-    label = np.arange(size)
+    with these image arrays, by min-label propagation with pointer jumping;
+    int32, like the image arrays."""
+    label = np.arange(size, dtype=np.int32)
     while True:
         new = label
         for img in images:
@@ -378,9 +388,9 @@ class QuotientComplex(FaceTableComplex):
             label = orbit_labels(complex.n_cells(d), [next(s) for s in streams])
             # a cell labels itself iff it is the smallest of its orbit;
             # numbering orbits by that cell is first-appearance order
-            reps = np.flatnonzero(label == np.arange(len(label)))
-            self.orbit_of.append(np.searchsorted(reps, label))
-            self.reps.append(reps.tolist())
+            is_rep = label == np.arange(len(label))
+            self.orbit_of.append((np.cumsum(is_rep, dtype=np.int32) - 1)[label])
+            self.reps.append(np.flatnonzero(is_rep).tolist())
         super().__init__(len(layer) for layer in self.reps)
 
     def orbit_index(self, d: int, base_index: int) -> int:

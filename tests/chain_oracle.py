@@ -3,6 +3,9 @@
 An independent reference for OrderComplex: the chains are grown one vertex
 at a time from the boolean matrix `less`, never read off the prefix tree
 parent/last, and returned per dimension as tuples in lexicographic order.
+refinement_rows builds the refinement order of the proper part of the
+partition lattice one row at a time from block labels, as
+proper_part_complex did before it compared pair bitmasks.
 """
 
 import numpy as np
@@ -20,3 +23,20 @@ def relation_chains(less) -> list[list[tuple[int, ...]]]:
 def chain_positions(chains) -> list[dict[tuple[int, ...], int]]:
     """index[d][chain]: the position of each chain in its dimension."""
     return [{c: i for i, c in enumerate(layer)} for layer in chains]
+
+
+def refinement_rows(elements) -> np.ndarray:
+    """The strict refinement order of a list of partitions of one set, one
+    row at a time: p refines q iff q's block labels are constant on the
+    blocks of p."""
+    rgs = np.array([p.rgs for p in elements], dtype=np.int8)
+    n = rgs.shape[1]
+    # first[p, e]: the first element of e's block in p (blocks are numbered
+    # by first appearance, so block b starts where the label b first occurs)
+    starts = np.argmax(rgs[:, None, :] == np.arange(n, dtype=np.int8)[:, None], axis=2)
+    first = np.take_along_axis(starts, rgs.astype(np.intp), axis=1)
+    rel = np.empty((len(elements), len(elements)), dtype=bool)
+    for i in range(len(elements)):
+        rel[i] = (rgs[:, first[i]] == rgs).all(axis=1)
+    np.fill_diagonal(rel, False)
+    return rel

@@ -8,6 +8,7 @@ morse_data.  sympy serves as an independent Smith normal form oracle.
 """
 
 import random
+import re
 from collections import deque
 
 import numpy as np
@@ -320,6 +321,24 @@ def test_square_check_sums_each_cell_apart():
     with pytest.raises(InvalidComplexError, match="dimension 2, column 0"):
         homology_of(cx)
     with pytest.raises(InvalidComplexError, match="dimension 2, column 0"):
+        reference_square_check({d: cx.boundary_columns(d) for d in (1, 2)}, 2)
+
+
+def test_square_check_names_the_reference_column():
+    # fixed widths (a nerve) sort each cell's row apart; mixed widths sort
+    # the codes of a whole block; both name the cell the reference names
+    for cx in corrupted_nerves(5, 6, seed=2):
+        columns = {d: cx.boundary_columns(d) for d in range(1, cx.dim + 1)}
+        with pytest.raises(InvalidComplexError) as expected:
+            reference_square_check(columns, cx.dim)
+        with pytest.raises(InvalidComplexError, match=re.escape(str(expected.value))):
+            homology_of(cx, reduced=False)
+    # a triangle x on a circle of three edges, and a disk y on one edge
+    edges = [[(0, -1), (1, 1)], [(1, -1), (2, 1)], [(2, -1), (0, 1)]]
+    cx = ExplicitComplex([["a", "b", "c"], ["ab", "bc", "ca"], ["x", "y"]], [edges, [[(0, 1), (1, 1), (2, 1)], [(0, 1)]]])
+    with pytest.raises(InvalidComplexError, match="dimension 2, column 1$"):
+        homology_of(cx)
+    with pytest.raises(InvalidComplexError, match="dimension 2, column 1$"):
         reference_square_check({d: cx.boundary_columns(d) for d in (1, 2)}, 2)
 
 

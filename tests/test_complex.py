@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,12 +11,14 @@ from partmorse.ordercomplex import (
     InvalidPosetError,
     OrderComplex,
     Simplex,
+    pair_masks,
     parse_simplex,
     proper_part_complex,
+    transitivity_witness,
 )
 from partmorse.perm import PermGroup, QuotientComplex
-from partmorse.setpart import parse_partition
-from chain_oracle import chain_positions, relation_chains
+from partmorse.setpart import Partition, enumerate_proper, parse_partition
+from chain_oracle import chain_positions, refinement_rows, relation_chains
 from test_homology import mod2_moore_space
 
 
@@ -183,6 +186,84 @@ def test_nerve_construction_memory():
         tracemalloc.stop()
     assert cx.total_cells() == 262759
     assert peak < 12e6
+
+
+def test_quotient_construction_memory():
+    # the n = 7 nerve and its stabilizer quotient: 9.8 MB with the relation
+    # checked row by row and orbit labels in int64, 9.0 MB now
+    group = PermGroup.point_stabilizer(7)
+    tracemalloc.start()
+    try:
+        qc = QuotientComplex(proper_part_complex(7), group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert qc.f_vector() == (28, 208, 581, 671, 272)
+    assert peak < 10.5e6
+
+
+def test_relation_matches_row_loop_oracle():
+    for n in range(3, 8):
+        cx = proper_part_complex(n)
+        assert np.array_equal(cx.less, refinement_rows(enumerate_proper(n)))
+
+
+def test_pair_masks_past_32_pairs_agree_with_refines():
+    # 9 points have 36 pairs; coarsenings of random partitions give
+    # comparable and incomparable pairs alike
+    rng = np.random.default_rng(9)
+    parts = []
+    for _ in range(6):
+        labels = rng.integers(0, 5, 9)
+        for merged in range(3):
+            labels = np.where(labels == merged, merged + 1, labels)
+            parts.append(Partition(9, [(np.flatnonzero(labels == b) + 1).tolist() for b in np.unique(labels)]))
+    masks = pair_masks(np.array([p.rgs for p in parts]))
+    assert masks.dtype == np.uint64
+    subset = (masks[:, None] & ~masks[None, :]) == 0
+    assert subset.tolist() == [[p.refines(q) for q in parts] for p in parts]
+    assert 0 < subset.sum() - len(parts) < len(parts) ** 2 - len(parts)
+
+
+def test_every_dropped_composite_edge_names_a_violating_triple():
+    cx = proper_part_complex(6)
+    less = cx.less
+    below, above = np.nonzero(less)
+    # composite edges a < c with some b in between; the first pair the
+    # check finds bad after dropping a < c is a < b for the least such b
+    composite = [(a, c) for a, c in zip(below.tolist(), above.tolist()) if (less[a] & less[:, c]).any()]
+    position = {pair: e for e, pair in enumerate(zip(below.tolist(), above.tolist()))}
+
+    def first_bad(a, c):
+        return position[a, int(np.flatnonzero(less[a] & less[:, c])[0])]
+
+    rng = np.random.default_rng(6)
+    trials = [composite[k] for k in rng.choice(len(composite), 20, replace=False)]
+    trials.append(max(composite, key=lambda ac: first_bad(*ac)))
+    for a, c in trials:
+        rel = less.copy()
+        rel[a, c] = False
+        with pytest.raises(InvalidPosetError, match="not transitive") as info:
+            OrderComplex(cx.elements, rel)
+        i, j, k = map(int, re.search(r"(\d+) < (\d+) < (\d+) but not", str(info.value)).groups())
+        assert rel[i, j] and rel[j, k] and not rel[i, k]
+        # blocks of one pair, of a few, and two blocks the second of which
+        # holds the first bad pair give the same witness
+        pairs = np.nonzero(rel)
+        bad = first_bad(a, c) - (first_bad(a, c) > position[a, c])
+        words = -(-len(rel) // 64)
+        for block in (words, 7 * words, bad * words):
+            assert transitivity_witness(rel, *pairs, block=block) == (i, j, k)
+    # in the last trial the two blocks of bad pairs are the whole list, so
+    # the first bad pair lies in the last block
+    assert 2 * bad >= len(pairs[0])
+
+
+def test_find_locates_every_cell():
+    for n in range(3, 8):
+        cx = proper_part_complex(n)
+        for d in range(cx.dim + 1):
+            assert np.array_equal(cx.find(d, cx.parent[d], cx.last[d]), np.arange(cx.n_cells(d)))
 
 
 def test_cell_label():

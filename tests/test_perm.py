@@ -184,6 +184,41 @@ def test_complex_action_rejects_non_automorphisms():
         ComplexAction(sub, swap)
 
 
+def test_complex_action_rejects_non_bijective_vertex_maps(monkeypatch):
+    # the proper part of Pi_3 is an antichain, so a constant map sends
+    # every pair of the order (there is none) to a pair of the order
+    monkeypatch.setattr(ComplexAction, "vertex_map", lambda self, g: np.zeros(len(self.complex.elements), dtype=np.intp))
+    for n in (3, 5):
+        with pytest.raises(ValueError, match="poset automorphisms"):
+            ComplexAction(proper_part_complex(n), PermGroup.point_stabilizer(n))
+
+
+def int64_orbit_of(size, images):
+    """orbit_of of one dimension as it was computed in int64: smallest-cell
+    labels by propagation, numbered by binary search among the labels."""
+    label = np.arange(size, dtype=np.int64)
+    while True:
+        new = label
+        for img in images:
+            new = np.minimum(new, new[img])
+        new = new[new]
+        if np.array_equal(new, label):
+            return np.searchsorted(np.flatnonzero(label == np.arange(size)), label)
+        label = new
+
+
+def test_orbit_of_is_int32_and_equals_the_int64_result():
+    n6 = [[], ["(2 3)"], ["(2 3 4)", "(3 4 5)", "(4 5 6)"], ["(2 3)", "(2 3 4 5 6)"]]
+    groups = [PermGroup.from_cycle_strings(5, texts) for _, texts in SUBGROUPS[5]]
+    for group in groups + [PermGroup.from_cycle_strings(6, texts) for texts in n6]:
+        cx = proper_part_complex(group.n)
+        qc = QuotientComplex(cx, group)
+        images = [qc.action.images(g) for g in group.generators]
+        for d in range(cx.dim + 1):
+            assert qc.orbit_of[d].dtype == np.int32
+            assert np.array_equal(qc.orbit_of[d], int64_orbit_of(cx.n_cells(d), [img[d] for img in images]))
+
+
 def test_rgs_vertex_maps_match_act():
     for group in oracle_groups():
         cx = proper_part_complex(group.n)
