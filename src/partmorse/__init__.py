@@ -36,6 +36,7 @@ from .morse import (
     cohomology_pairing,
     cohomology_representatives,
     cone_matching,
+    equivariance_witness,
     equivariant_patchwork_matching,
     gradient_chain,
     matching_from_dump,

@@ -25,7 +25,7 @@ from .construction import (
     quotient_critical_cells,
 )
 from .homology import homology_of, verify_wedge
-from .morse import check_equivariance, morse_data, validate_matching
+from .morse import equivariance_witness, morse_data, validate_matching
 from .perm import PermGroup, QuotientComplex
 
 
@@ -180,7 +180,8 @@ def _verification_checks(n: int) -> list[tuple[str, bool, str | None]]:
     cert = validate_matching(cx, matching)
     checks.append(("main matching is a matching", cert.is_matching, None))
     checks.append(("main matching is acyclic", cert.is_acyclic, None))
-    checks.append(("main matching is equivariant", check_equivariance(matching, action), None))
+    witness = equivariance_witness(matching, action)
+    checks.append(("main matching is equivariant", witness is None, witness))
 
     witness = critical_set_witness(matching, flags)
     checks.append(("critical set is the flags plus the split vertex", witness is None, witness))

@@ -12,6 +12,11 @@ is the split vertex plus one free orbit of top-dimensional chains of
 cells are kept as cell indices of the nerve: anchored_flags folds the
 anchored vertices along the prefix tree, and critical_set_witness
 compares them and the split vertex with the critical cells.
+
+Every vertex predicate is one array operation on the nerve's
+restricted-growth table (OrderComplex.labels), label 0 being the block
+of 1: anchored, pair vertex, fiber key, the meet with the split vertex
+(1 moved to the unused label n-1) and the lift (label 0 appended).
 """
 
 from __future__ import annotations
@@ -29,29 +34,58 @@ from .morse import (
     quotient_matching,
 )
 from .ordercomplex import OrderComplex, Simplex, distinct, proper_part_complex
-from .perm import ComplexAction, Perm, PermGroup, QuotientComplex, locate_partitions, orbit_labels
+from .perm import ComplexAction, Perm, PermGroup, QuotientComplex, orbit_labels
 from .setpart import Partition
 
 
 def split_vertex(n: int) -> Partition:
     """The partition {{1},{2,...,n}}: the unique critical vertex."""
-    return Partition(n, [[1], list(range(2, n + 1))])
+    return Partition.from_rgs(_split_row(n))
 
 
 def pair_vertex(n: int, k: int) -> Partition:
     """The atom {{1,k}, singletons}."""
     if not 2 <= k <= n:
         raise ValueError(f"pair vertex needs 2 <= k <= n, got {k}")
-    return Partition(n, [[1, k]] + [[j] for j in range(2, n + 1) if j != k])
+    return Partition.from_rgs(_pair_row(n, k))
 
 
 def is_pair_vertex(p: Partition) -> bool:
-    return p.num_blocks == p.n - 1 and len(p.block_containing(1)) == 2
+    return bool(_pair_mask(np.array([p.rgs]))[0])
 
 
 def is_anchored(p: Partition) -> bool:
     """True when every block not containing 1 is a singleton."""
-    return all(len(b) == 1 for b in p.blocks if 1 not in b)
+    return bool(_anchored_mask(np.array([p.rgs]))[0])
+
+
+# -- the predicates on restricted-growth tables -------------------------
+
+
+def _anchored_mask(labels: np.ndarray) -> np.ndarray:
+    """Which rows are anchored: the block of 1 (label 0) and singletons,
+    so as many blocks as elements outside the block of 1, plus one."""
+    return labels.max(axis=1) == labels.shape[1] - (labels == 0).sum(axis=1)
+
+
+def _pair_mask(labels: np.ndarray) -> np.ndarray:
+    """Which rows are pair vertices: anchored with a block of 1 of size 2."""
+    return _anchored_mask(labels) & ((labels == 0).sum(axis=1) == 2)
+
+
+def _split_row(n: int) -> list[int]:
+    """The restricted-growth string of split_vertex(n)."""
+    return [0] + [1] * (n - 1)
+
+
+def _pair_row(n: int, k: int) -> list[int]:
+    """The restricted-growth string of pair_vertex(n, k)."""
+    return [0 if e in (1, k) else e - 1 - (e > k) for e in range(1, n + 1)]
+
+
+def _vertex(cx: OrderComplex, row) -> int:
+    """The index of the vertex of the nerve cx with this restricted-growth string."""
+    return int(cx.locate_labels(np.array([row]))[0])
 
 
 def fiber_of(s: Simplex):
@@ -141,16 +175,17 @@ def anchored_flags(n: int) -> np.ndarray:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     cx = get_complex(n)
-    anchored = np.array([is_anchored(p) for p in cx.elements])
-    return np.flatnonzero(cx.fold(anchored, np.logical_and)[cx.dim])
+    return np.flatnonzero(cx.fold(_anchored_mask(cx.labels), np.logical_and)[cx.dim])
 
 
 def fiber_keys(cx: OrderComplex) -> list[np.ndarray]:
     """key[d][i] = k when chain (d, i) starts with the pair vertex {1,k},
     else 0.  A pair vertex is an atom, so it can only lead a chain, and
-    the key is that of the first vertex."""
-    vkey = np.array([max(p.block_containing(1)) if is_pair_vertex(p) else 0 for p in cx.elements])
-    return cx.fold(vkey, lambda prefix, _: prefix)
+    the key is that of the first vertex, k being the place of the last
+    label 0 in the vertex's row."""
+    labels = cx.labels
+    k = labels.shape[1] - np.argmax(labels[:, ::-1] == 0, axis=1)
+    return cx.fold(np.where(_pair_mask(labels), k, 0), lambda prefix, _: prefix)
 
 
 def _key_action(g: Perm, k: int) -> int:
@@ -177,18 +212,19 @@ def _fiber_zero_pairs(n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The pairs of fiber_zero_matching, with the patchwork checks run on
     them but not yet the structural checks of a Matching."""
     cx = get_complex(n)
-    split = split_vertex(n)
-    split_idx = cx.element_index[split]
-    ground = [v for v, p in enumerate(cx.elements) if not is_pair_vertex(p)]
+    ground = np.flatnonzero(~_pair_mask(cx.labels))
+    # the meet with the split vertex moves 1 into a block of its own, the
+    # unused label n-1; at a pair vertex that gives the discrete partition
+    met = cx.labels[ground]
+    met[:, 0] = n - 1
+    descend = np.arange(len(cx.labels))
+    descend[ground] = cx.locate_labels(met)
 
-    def descend(v: int) -> int:
-        return cx.element_index[cx.elements[v].meet(split)]
+    stage1 = closure_matching(cx, descend.__getitem__, ground)
+    fixed = ground[descend[ground] == ground]
+    stage2 = cone_matching(cx, fixed, _vertex(cx, _split_row(n)))
 
-    stage1 = closure_matching(cx, descend, ground)
-    fixed = [v for v in ground if descend(v) == v]
-    stage2 = cone_matching(cx, fixed, split_idx)
-
-    vstage = np.full(len(cx.elements), 2)
+    vstage = np.full(len(cx.less), 2)
     vstage[ground] = 1
     vstage[fixed] = 0
     key = cx.fold(vstage, np.maximum)
@@ -201,10 +237,10 @@ def lift_cells(prev_cx: OrderComplex, cx: OrderComplex) -> list[np.ndarray]:
     one size up, of lift_chain of cell (d, i) of prev_cx.  On restricted-
     growth strings lift_partition appends label 0 (the block of 1) for the
     new element n, and the lifted chains start at the pair vertex {1,n}."""
-    n = cx.elements[0].n
-    labels = np.array([p.rgs + (0,) for p in prev_cx.elements])
-    vmap = locate_partitions(cx.elements, labels)
-    return list(prev_cx.map_chains(vmap, cx, start=cx.element_index[pair_vertex(n, n)]))
+    labels = prev_cx.labels
+    n = labels.shape[1] + 1
+    vmap = cx.locate_labels(np.column_stack([labels, np.zeros(len(labels), dtype=labels.dtype)]))
+    return list(prev_cx.map_chains(vmap, cx, start=_vertex(cx, _pair_row(n, n))))
 
 
 def build_main_matching(n: int) -> Matching:
@@ -226,8 +262,8 @@ def build_main_matching(n: int) -> Matching:
         img = lift_cells(prev.complex, cx)
         # the lift leaves the bare pair-vertex chain unmatched; close it
         # off against the lift of the split vertex one size down
-        bottom = cx.element_index[pair_vertex(n, n)]
-        first_edge = img[0][prev.complex.element_index[split_vertex(n - 1)]]
+        bottom = _vertex(cx, _pair_row(n, n))
+        first_edge = img[0][_vertex(prev.complex, _split_row(n - 1))]
         last_pairs = {0: (np.array([bottom]), np.array([first_edge]))}
         for d, (lo, hi) in prev.pair_arrays().items():
             last_pairs[d + 1] = (img[d][lo], img[d + 1][hi])
@@ -267,10 +303,10 @@ def block_size_label(p: Partition) -> str:
 
 def orbit_vertex_label(qc: QuotientComplex, i: int) -> str:
     """Label of a vertex orbit of the quotient by the full stabilizer of 1."""
-    n = qc.base.elements[0].n
+    n = qc.base.labels.shape[1]
     if qc.group.order != factorial(n - 1) or not qc.group.fixes_point(1):
         raise ValueError("labels require the quotient by the full stabilizer of 1")
-    return block_size_label(qc.base.elements[qc.reps[0][i]])
+    return block_size_label(Partition.from_rgs(qc.base.labels[qc.reps[0][i]].tolist()))
 
 
 def flag_orbits(n: int, flags) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +327,7 @@ def critical_set_witness(matching: Matching, flags, among=None) -> str | None:
     cx = matching.complex
     wanted = [np.zeros(size, dtype=bool) for size in cx.f_vector()]
     wanted[cx.dim][np.asarray(flags, dtype=np.intp)] = True
-    wanted[0][cx.element_index[split_vertex(cx.elements[0].n)]] = True
+    wanted[0][_vertex(cx, _split_row(cx.labels.shape[1]))] = True
     for d, critical in enumerate(matching.critical_cells()):
         odd = wanted[d].copy()
         odd[critical] = ~odd[critical]

@@ -208,21 +208,34 @@ def find_cycle(matching: Matching) -> list[Cell] | None:
     return None
 
 
-def check_equivariance(matching: Matching, action) -> bool:
-    """True iff every element of the acting group sends every pair to a pair.
+def equivariance_witness(matching: Matching, action) -> str | None:
+    """None when every element of the acting group sends every pair to a
+    pair; otherwise the first generator, pair and image that fail, by
+    generator, dimension and lower cell, named with their cell labels.
 
     Only the generators are applied: a generator that maps the finite pair
     set into itself permutes it, and products of such maps do too.  A
     generator with image arrays img keeps the pairs (lo, hi) of dimension
     d iff up[d][img[d][lo]] == img[d+1][hi] throughout.
     """
+    label = matching.complex.cell_label
     pairs = matching.pair_arrays()
     for g in action.group.generators:
         img = action.images(g)
         for d, (lo, hi) in pairs.items():
-            if not (matching.up[d][img[d][lo]] == img[d + 1][hi]).all():
-                return False
-    return True
+            bad = np.flatnonzero(matching.up[d][img[d][lo]] != img[d + 1][hi])
+            if len(bad):
+                i, j = lo[bad[0]], hi[bad[0]]
+                pair = f"{label(d, i)} -> {label(d + 1, j)}"
+                image = f"{label(d, img[d][i])} -> {label(d + 1, img[d + 1][j])}"
+                return f"{g} sends the pair {pair} to {image}, which is no pair"
+    return None
+
+
+def check_equivariance(matching: Matching, action) -> bool:
+    """True iff every element of the acting group sends every pair to a
+    pair: equivariance_witness finds no failure."""
+    return equivariance_witness(matching, action) is None
 
 
 def validate_matching(complex, pairs_or_matching, action=None) -> MatchingCertificate:
@@ -336,7 +349,8 @@ def equivariant_patchwork_matching(complex, action, key, key_action, key_leq, re
             raise ValueError(f"representative {r} lies in the key orbit of another representative")
         fibers[r] = _pair_arrays(complex, pairs)
         _check_fiber(key, fibers[r], r)
-        transversal = {r: Perm.identity(action.group.n)}
+        # t_q as its images, composed without building a Perm
+        transversal = {r: tuple(range(1, action.group.n + 1))}
         queue = [r]
         for q in queue:
             for g in generators:
@@ -347,10 +361,10 @@ def equivariant_patchwork_matching(complex, action, key, key_action, key_leq, re
                 image = {d: (img[d][lo], img[d + 1][hi]) for d, (lo, hi) in fibers[q].items()}
                 if gq not in transversal:
                     fibers[gq] = image
-                    transversal[gq] = g * transversal[q]
+                    transversal[gq] = tuple(g(x) for x in transversal[q])
                     queue.append(gq)
                 elif any(not np.array_equal(_pair_codes(*image[d]), _pair_codes(*fibers[gq][d])) for d in image):
-                    witness = transversal[gq].inverse() * g * transversal[q]
+                    witness = Perm(transversal[gq]).inverse() * g * Perm(transversal[q])
                     raise ValueError(f"fiber matching at {r} is not stabilizer-equivariant (fails {witness})")
     missing = keys - fibers.keys()
     if missing:
@@ -384,7 +398,7 @@ def cone_matching(complex, vertex_indices, apex_index: int) -> dict[int, tuple[n
     the subposet maximum.  The upper cells are the chains inside the set
     that end at the apex, each paired with its prefix chain, so the only
     cell left unmatched is the apex vertex itself."""
-    keep = np.isin(np.arange(len(complex.elements)), list(vertex_indices))
+    keep = np.isin(np.arange(len(complex.less)), list(vertex_indices))
     if not keep[apex_index]:
         raise ValueError("apex not inside the vertex set")
     bad = np.flatnonzero(keep & ~complex.less[:, apex_index])
@@ -411,7 +425,7 @@ def closure_matching(complex, descend, vertex_indices=None) -> dict[int, tuple[n
     and below d(m), so a chain is an upper cell iff d(m) is the vertex
     just before m, and its partner is the face without d(m).
     """
-    m = len(complex.elements)
+    m = len(complex.less)
     verts = np.arange(m) if vertex_indices is None else distinct(np.fromiter(vertex_indices, dtype=np.intp))
     image = np.arange(m)
     image[verts] = [descend(v) for v in verts.tolist()]

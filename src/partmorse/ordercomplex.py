@@ -28,6 +28,12 @@ of the proper part of the partition lattice from same-block pair
 bitmasks, p < q iff p != q and p's mask is a subset of q's, in blocks
 of rows.
 
+The nerve of the partition lattice keeps its vertices as labels, their
+(m, n) int32 restricted-growth table; the Partition elements are made on
+first use, and cell labels are formatted from the rows.  A complex built
+from partitions derives its labels from them.  locate_labels finds rows
+that number blocks in any way by their codes among those of the labels.
+
 CellComplex is the one chain-complex protocol: each complex supplies its
 boundary per dimension as compressed-row arrays (indptr, faces, coeffs)
 and inherits every other view.  The nerve and its quotients
@@ -44,7 +50,7 @@ from itertools import cycle
 
 import numpy as np
 
-from .setpart import Partition, parse_partition
+from .setpart import Partition, format_rgs, parse_partition, proper_rgs
 
 
 class InvalidPosetError(ValueError):
@@ -198,7 +204,9 @@ class FaceTableComplex(CellComplex):
 class OrderComplex(FaceTableComplex):
     """The nerve of a finite poset, with per-dimension cell indexing.
 
-    `elements` is the ground poset in its canonical enumeration order;
+    `elements` is the ground poset in its canonical enumeration order,
+    given as a list or, for a poset of partitions, as `labels`, the int32
+    table of their restricted-growth strings (elements is then None);
     `less` is the strict order as a boolean matrix over element indices.
     A cell is a chain of element indices, listed in increasing poset order
     and sorted lexicographically within each dimension, and is stored only
@@ -206,9 +214,14 @@ class OrderComplex(FaceTableComplex):
     The k-th face of a cell drops vertex k and carries sign (-1)^k.
     """
 
-    def __init__(self, elements, less: np.ndarray):
-        self.elements = list(elements)
-        m = len(self.elements)
+    def __init__(self, elements, less: np.ndarray, labels: np.ndarray | None = None):
+        if elements is not None:
+            self.elements = list(elements)
+        elif labels is None:
+            raise ValueError("an order complex needs its elements or their labels")
+        else:
+            self.labels = np.asarray(labels, dtype=np.int32)
+        m = len(self.elements if elements is not None else self.labels)
         less = np.asarray(less, dtype=bool)
         if less.shape != (m, m):
             raise InvalidPosetError(f"relation shape {less.shape} != ({m}, {m})")
@@ -244,8 +257,40 @@ class OrderComplex(FaceTableComplex):
         # smallest unsigned type that holds it (uint8 up to n = 7)
         self._rank = np.zeros((m, m), dtype=np.min_scalar_type(max(deg.max(initial=0) - 1, 0)))
         self._rank[below, above] = np.arange(len(below)) - start[below]
-        self.element_index = {p: i for i, p in enumerate(self.elements)}
         super().__init__(len(layer) for layer in last)
+
+    @cached_property
+    def elements(self) -> list:
+        """The partitions of the label rows, made on first use."""
+        return [Partition.from_rgs(row) for row in self.labels.tolist()]
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The (m, n) int32 restricted-growth strings of the elements, which
+        must then be partitions of one set."""
+        return np.array([p.rgs for p in self.elements], dtype=np.int32)
+
+    @cached_property
+    def element_index(self) -> dict:
+        return {p: i for i, p in enumerate(self.elements)}
+
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        return _rgs_codes(self.labels)
+
+    def locate_labels(self, labels) -> np.ndarray:
+        """Indices of the vertices whose blocks the rows of labels number in
+        any way (block labels 0..n-1): each row is relabelled in order of
+        first appearance and its code looked up by binary search among the
+        codes of the elements, which are in lexicographic order.  Raises
+        ValueError when a row names no element."""
+        labels = np.asarray(labels)
+        codes, wanted = self._codes, _rgs_codes(labels)
+        found = np.minimum(np.searchsorted(codes, wanted), len(codes) - 1)
+        missing = np.flatnonzero(codes[found] != wanted)
+        if len(missing):
+            raise ValueError(f"block labels {labels[missing[0]].tolist()} name no element of the poset")
+        return found
 
     @classmethod
     def from_poset(cls, elements, less) -> "OrderComplex":
@@ -331,8 +376,12 @@ class OrderComplex(FaceTableComplex):
 
     @cached_property
     def _names(self) -> list[str]:
-        """The element strings, made once, when a label is first asked for."""
-        return [str(p) for p in self.elements]
+        """The element strings, made once, when a label is first asked for;
+        formatted from the label rows unless the complex was built from
+        its elements."""
+        if "elements" in self.__dict__:
+            return [str(p) for p in self.elements]
+        return [format_rgs(row) for row in self.labels.tolist()]
 
     def cell_labels(self, d: int, cells) -> list[str]:
         names = self._names
@@ -438,18 +487,49 @@ def pair_masks(labels: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce((labels[:, a] == labels[:, b]) * bits, axis=1)
 
 
-def proper_part_complex(n: int) -> OrderComplex:
-    """The nerve of the proper part of the partition lattice of {1,...,n}.
-    p < q iff p != q and p's pair mask is a subset of q's, computed in
-    blocks of rows of at most 2^16 mask words."""
-    from .setpart import enumerate_proper
+def row_codes(table: np.ndarray) -> np.ndarray:
+    """Keys of the rows of an (m, n) table of values 0..n-1 that sort as
+    the rows do: base-n int64 codes up to n = 15, else the rows' bytes."""
+    m, n = table.shape
+    if n > 15:
+        table = np.ascontiguousarray(table, dtype=table.dtype.newbyteorder(">"))
+        return table.view(f"V{n * table.itemsize}").ravel()
+    codes = np.zeros(m, dtype=np.int64)
+    for column in table.T:
+        codes = codes * n + column
+    return codes
 
-    elements = enumerate_proper(n)
-    masks = pair_masks(np.array([p.rgs for p in elements], dtype=np.int8))
+
+def _rgs_codes(labels: np.ndarray) -> np.ndarray:
+    """row_codes of the restricted-growth strings of the rows of labels
+    (block labels in 0..n-1), each row relabelled in order of first
+    appearance."""
+    m, n = labels.shape
+    rows = np.arange(m)
+    # canon[r, b]: the number of the block labelled b in row r, by first
+    # appearance (-1 until it appears)
+    canon = np.full((m, n), -1)
+    seen = np.zeros(m, dtype=np.int64)
+    rgs = np.empty((m, n), dtype=np.int64)
+    for j, b in enumerate(labels.T):
+        new = canon[rows, b] < 0
+        canon[rows[new], b[new]] = seen[new]
+        seen += new
+        rgs[:, j] = canon[rows, b]
+    return row_codes(rgs)
+
+
+def proper_part_complex(n: int) -> OrderComplex:
+    """The nerve of the proper part of the partition lattice of {1,...,n},
+    built from its restricted-growth table.  p < q iff p != q and p's pair
+    mask is a subset of q's, computed in blocks of rows of at most 2^16
+    mask words."""
+    labels = proper_rgs(n)
+    masks = pair_masks(labels)
     outside = ~masks
     rel = np.empty((len(masks), len(masks)), dtype=bool)
     step = max((1 << 16) // max(len(masks), 1), 1)
     for r in range(0, len(masks), step):
         np.equal(masks[r : r + step, None] & outside, 0, out=rel[r : r + step])
     np.fill_diagonal(rel, False)
-    return OrderComplex(elements, rel)
+    return OrderComplex(None, rel, labels)

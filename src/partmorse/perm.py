@@ -1,16 +1,21 @@
 """Permutations of {1,...,n}, generated subgroups, and their actions.
 
-Groups keep their full element list, which at desk scale (subgroups of
-S_7) is cheap to close by breadth-first multiplication and answers order
-and membership.  Fixed points, containment, orbits, and actions on
-complexes and quotients go through the generators only: a map that is a
-poset automorphism for every generator is one for every product of them,
-and an orbit is the closure of a point under the generator images (its
-stabilizer has order |G| / |orbit|).
+A group keeps its elements as one sorted (order, n) int32 table of image
+rows (images minus one).  generate closes the generators by breadth-first
+search on that table, one gather per round, and finds new products by
+sort and binary search on their row codes; no np.unique, whose first
+call imports numpy.ma (about 15 ms per process).  Perm objects for the
+elements are made only when elements is read.  Fixed points,
+containment, orbits, and actions on complexes and quotients go through
+the generators only: a map that is a poset automorphism for every
+generator is one for every product of them, and an orbit is the closure
+of a point under the generator images (its stabilizer has order
+|G| / |orbit|).
 
 A group element acts on the nerve through a vertex map, built from the
-restricted-growth strings of the partitions, and then on every cell at
-once through OrderComplex.map_chains: per-dimension int32 image arrays,
+complex's restricted-growth table by permuting its columns and locating
+the rows (OrderComplex.locate_labels), and then on every cell at once
+through OrderComplex.map_chains: per-dimension int32 image arrays,
 the image of a chain being its prefix's image extended by the image of
 its last vertex.  A generator's vertex map is accepted iff it is a
 bijection that sends every 1-cell i < j of the nerve to a pair of the
@@ -28,10 +33,11 @@ orbits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .ordercomplex import FaceTableComplex, OrderComplex, Simplex
+from .ordercomplex import FaceTableComplex, OrderComplex, Simplex, row_codes
 from .setpart import Partition
 
 
@@ -142,32 +148,44 @@ def act(g: Perm, x):
 
 
 class PermGroup:
-    """A permutation group on {1,...,n} with its full element list."""
+    """A permutation group on {1,...,n}, kept as the (order, n) int32 table
+    of its elements' images minus one, rows in lexicographic order."""
 
-    def __init__(self, n: int, generators, elements):
+    def __init__(self, n: int, generators, table: np.ndarray):
         self.n = n
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
-        self._members = frozenset(p.images for p in self.elements)
+        self.table = table
+        self._codes = row_codes(table)
 
     @classmethod
     def generate(cls, n: int, generators) -> "PermGroup":
+        """Close the generators by breadth-first search over image rows:
+        each round composes every generator with every element found in the
+        round before, in one gather, and keeps the products whose codes are
+        new."""
         gens = tuple(generators)
         for g in gens:
             if g.n != n:
                 raise ValueError(f"generator {g} is not a permutation of [{n}]")
-        els = {Perm.identity(n)}
-        frontier = list(els)
-        while frontier:
-            new = []
-            for g in gens:
-                for h in frontier:
-                    p = g * h
-                    if p not in els:
-                        els.add(p)
-                        new.append(p)
-            frontier = new
-        return cls(n, gens, els)
+        garr = np.array([g.images for g in gens], dtype=np.int32).reshape(len(gens), n) - 1
+        frontier = np.arange(n, dtype=np.int32)[None]
+        rows, seen = [frontier], row_codes(frontier)
+        codes = [seen]
+        while len(frontier):
+            # (g*h)(x) = g(h(x)): row h of the frontier read through each g
+            products = garr[:, frontier].reshape(-1, n)
+            found = row_codes(products)
+            order = np.argsort(found)
+            found = found[order]
+            at = np.minimum(np.searchsorted(seen, found), len(seen) - 1)
+            # the first copy of each product that is not an element yet
+            fresh = seen[at] != found
+            fresh[1:] &= found[1:] != found[:-1]
+            frontier = products[order[fresh]]
+            rows.append(frontier)
+            codes.append(found[fresh])
+            seen = np.sort(np.concatenate([seen, found[fresh]]))
+        return cls(n, gens, np.concatenate(rows)[np.argsort(np.concatenate(codes))])
 
     @classmethod
     def trivial(cls, n: int) -> "PermGroup":
@@ -196,12 +214,21 @@ class PermGroup:
     def from_cycle_strings(cls, n: int, texts) -> "PermGroup":
         return cls.generate(n, (Perm.from_cycles(n, t) for t in texts))
 
+    @cached_property
+    def elements(self) -> tuple[Perm, ...]:
+        """Every element as a Perm, in sorted order; made on first use."""
+        return tuple(Perm(row) for row in (self.table + 1).tolist())
+
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.table)
 
     def __contains__(self, g: Perm) -> bool:
-        return g.images in self._members
+        if g.n != self.n:
+            return False
+        code = row_codes(np.array([g.images], dtype=self.table.dtype) - 1)
+        at = min(int(np.searchsorted(self._codes, code)[0]), len(self._codes) - 1)
+        return bool(self._codes[at] == code[0])
 
     def __iter__(self):
         return iter(self.elements)
@@ -263,64 +290,31 @@ def _canonical_key(x):
     return x
 
 
-def locate_partitions(elements, labels: np.ndarray) -> np.ndarray:
-    """Indices in elements, partitions of [n] in lexicographic order of
-    their restricted-growth strings, of the partitions whose blocks the
-    rows of labels number in any way: each row is relabelled in order of
-    first appearance and looked up by binary search.  Raises ValueError
-    when a row names no element."""
-    codes = _rgs_codes(np.array([p.rgs for p in elements]))
-    wanted = _rgs_codes(labels)
-    found = np.minimum(np.searchsorted(codes, wanted), len(codes) - 1)
-    missing = np.flatnonzero(codes[found] != wanted)
-    if len(missing):
-        raise ValueError(f"block labels {labels[missing[0]].tolist()} name no element of the poset")
-    return found
-
-
-def _rgs_codes(labels: np.ndarray) -> np.ndarray:
-    """Base-n integer codes of the restricted-growth strings of the rows of
-    labels (block labels in 0..n-1); they increase with lexicographic order."""
-    m, n = labels.shape
-    rows = np.arange(m)
-    # canon[r, b]: the number of the block labelled b in row r, by first
-    # appearance (-1 until it appears)
-    canon = np.full((m, n), -1)
-    seen = np.zeros(m, dtype=np.int64)
-    codes = np.zeros(m, dtype=np.int64)
-    for b in labels.T:
-        new = canon[rows, b] < 0
-        canon[rows[new], b[new]] = seen[new]
-        seen += new
-        codes = codes * n + canon[rows, b]
-    return codes
-
-
 class ComplexAction:
     """A permutation group acting on the cells of an order complex whose
     ground poset consists of partitions.
 
     Vertex maps come from restricted-growth strings: g sends a partition
     to the one that labels g(e) as the partition labels e, found among the
-    elements by locate_partitions.  They are built and checked to be poset
-    automorphisms for the generators only.  An element acts on cells as
-    the per-dimension int32 image arrays of OrderComplex.map_chains: those
-    of the generators are kept once computed; those of another element are
-    computed when asked for, and only the most recent such element's are
-    kept (all 720 elements of the stabilizer at n = 7 would take about
-    750 MB).
+    complex's label rows by OrderComplex.locate_labels.  They are built
+    and checked to be poset automorphisms for the generators only.  A
+    complex built from its elements derives its label rows from them.  An
+    element acts on cells as the per-dimension int32 image arrays of
+    OrderComplex.map_chains: those of the generators are kept once
+    computed; those of another element are computed when asked for, and
+    only the most recent such element's are kept (all 720 elements of the
+    stabilizer at n = 7 would take about 750 MB).
     """
 
     def __init__(self, complex: OrderComplex, group: PermGroup):
         self.complex = complex
         self.group = group
-        self._labels = np.array([p.rgs for p in complex.elements])
         self.vertex_maps: dict[Perm, np.ndarray] = {g: self.vertex_map(g) for g in group.generators}
         # a bijection of the vertices that sends every pair i < j (every
         # 1-cell) to a pair of the order is an automorphism: the order has
         # as many pairs after it as before
         below, above = complex.chains(1).T if complex.dim else np.zeros((2, 0), dtype=np.int32)
-        identity = np.arange(len(complex.elements))
+        identity = np.arange(len(complex.less))
         for g, v in self.vertex_maps.items():
             if not np.array_equal(np.sort(v), identity) or not complex.less[v[below], v[above]].all():
                 raise ValueError(f"{g} does not act by poset automorphisms")
@@ -329,11 +323,11 @@ class ComplexAction:
 
     def vertex_map(self, g: Perm) -> np.ndarray:
         """vertex_map(g)[v] is the index of the image of vertex v under g."""
-        n = self._labels.shape[1]
-        if g.n != n:
-            raise ValueError(f"permutation of [{g.n}] cannot act on partitions of [{n}]")
+        labels = self.complex.labels
+        if g.n != labels.shape[1]:
+            raise ValueError(f"permutation of [{g.n}] cannot act on partitions of [{labels.shape[1]}]")
         # the image labels position g(e) as the partition labels e
-        return locate_partitions(self.complex.elements, self._labels[:, np.argsort(g.images)])
+        return self.complex.locate_labels(labels[:, np.argsort(g.images)])
 
     def images(self, g: Perm) -> list[np.ndarray]:
         """images(g)[d][i] is the index of the image of cell (d, i) under

@@ -1,13 +1,16 @@
 """Set partitions of {1,...,n} and the refinement order.
 
 A partition is kept in canonical form: blocks sorted by their minimum
-element, elements sorted inside each block.  The proper part of the
-partition lattice (everything except the discrete and the total
-partition) is enumerated in lexicographic order of the restricted-growth
-encoding, which gives every partition a stable position.
+element, elements sorted inside each block.  Its restricted-growth
+string lists the block number of each element 1..n.  rgs_table
+enumerates them as one int32 array in lexicographic order, which gives
+every partition a stable position; proper_rgs keeps the proper part.
+Partition objects are made from the table only when asked for.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class PartitionParseError(ValueError):
@@ -54,6 +57,12 @@ class Partition:
         # restricted-growth string; blocks are already in first-appearance order
         self._rgs = tuple(block_index[e] for e in range(1, n + 1))
         self._hash = hash((n, self._rgs))
+
+    @classmethod
+    def from_rgs(cls, labels) -> "Partition":
+        """The partition whose restricted-growth string is labels."""
+        labels = list(labels)
+        return cls(len(labels), [[e for e, c in enumerate(labels, start=1) if c == b] for b in range(max(labels) + 1)])
 
     @classmethod
     def discrete(cls, n: int) -> "Partition":
@@ -135,7 +144,7 @@ class Partition:
 
 def format_partition(p: Partition) -> str:
     """Canonical text form, e.g. "1,5|2|3|4"."""
-    return "|".join(",".join(str(e) for e in b) for b in p.blocks)
+    return format_rgs(p.rgs)
 
 
 def parse_partition(text: str, n: int | None = None) -> Partition:
@@ -172,30 +181,50 @@ def parse_partition(text: str, n: int | None = None) -> Partition:
         raise PartitionParseError(str(exc)) from exc
 
 
+def format_rgs(labels) -> str:
+    """Canonical text form of the partition with restricted-growth string
+    labels: 0,1,2,3,0 gives "1,5|2|3|4"."""
+    blocks: list[list[str]] = [[] for _ in range(max(labels) + 1)]
+    for e, c in enumerate(labels, start=1):
+        blocks[c].append(str(e))
+    return "|".join(",".join(b) for b in blocks)
+
+
+def rgs_table(n: int) -> np.ndarray:
+    """The restricted-growth strings of [n] as a (B_n, n) int32 array, in
+    lexicographic order.  A string extends by any label from 0 to its
+    maximum plus one, so each round repeats every row once per choice and
+    numbers the copies of a row by a running offset."""
+    if n < 1:
+        raise ValueError(f"ground-set size must be positive, got {n}")
+    table = np.zeros((1, n), dtype=np.int32)
+    top = np.zeros(1, dtype=np.int32)
+    for j in range(1, n):
+        counts = top + 2
+        rows = np.repeat(np.arange(len(table)), counts)
+        ends = np.cumsum(counts)
+        label = (np.arange(ends[-1]) - np.repeat(ends - counts, counts)).astype(np.int32)
+        table = table[rows]
+        table[:, j] = label
+        top = np.maximum(top[rows], label)
+    return table
+
+
+def proper_rgs(n: int) -> np.ndarray:
+    """The rows of rgs_table(n) of the proper part of the partition
+    lattice: all but the total partition, first, and the discrete, last."""
+    if n < 3:
+        raise ValueError(f"the proper part needs n >= 3, got {n}")
+    return rgs_table(n)[1:-1]
+
+
 def all_partitions(n: int) -> list[Partition]:
     """All partitions of {1,...,n}, ordered lexicographically by
     restricted-growth encoding (total partition first, discrete last)."""
-    out: list[Partition] = []
-    code = [0] * n
-
-    def extend(i: int, mx: int):
-        if i == n:
-            blocks: dict[int, list[int]] = {}
-            for e, c in enumerate(code, start=1):
-                blocks.setdefault(c, []).append(e)
-            out.append(Partition(n, blocks.values()))
-            return
-        for v in range(mx + 2):
-            code[i] = v
-            extend(i + 1, max(mx, v))
-
-    extend(1, 0)
-    return out
+    return [Partition.from_rgs(row) for row in rgs_table(n).tolist()]
 
 
 def enumerate_proper(n: int) -> list[Partition]:
     """The proper part of the partition lattice: everything except the
     discrete and the total partition, in canonical order."""
-    if n < 3:
-        raise ValueError(f"the proper part needs n >= 3, got {n}")
-    return [p for p in all_partitions(n) if p.is_proper()]
+    return [Partition.from_rgs(row) for row in proper_rgs(n).tolist()]

@@ -6,6 +6,12 @@ parent/last, and returned per dimension as tuples in lexicographic order.
 refinement_rows builds the refinement order of the proper part of the
 partition lattice one row at a time from block labels, as
 proper_part_complex did before it compared pair bitmasks.
+
+Two more references stand beside the array tables of the package:
+recursive_rgs grows the restricted-growth strings of [n] one element at a
+time by recursion, as all_partitions did before setpart.rgs_table, and
+perm_product_closure closes a generating set by multiplying Perm objects
+breadth first, as PermGroup.generate did before it closed int32 tables.
 """
 
 import numpy as np
@@ -40,3 +46,40 @@ def refinement_rows(elements) -> np.ndarray:
         rel[i] = (rgs[:, first[i]] == rgs).all(axis=1)
     np.fill_diagonal(rel, False)
     return rel
+
+
+def recursive_rgs(n: int) -> list[tuple[int, ...]]:
+    """The restricted-growth strings of [n] in lexicographic order, each
+    extended by recursion with every label from 0 to its maximum plus one."""
+    out: list[tuple[int, ...]] = []
+    code = [0] * n
+
+    def extend(i: int, mx: int):
+        if i == n:
+            out.append(tuple(code))
+            return
+        for v in range(mx + 2):
+            code[i] = v
+            extend(i + 1, max(mx, v))
+
+    extend(1, 0)
+    return out
+
+
+def perm_product_closure(n: int, generators) -> tuple:
+    """The sorted elements of the group the generators make, closed breadth
+    first by Perm products g * h over the new elements h of each round."""
+    from partmorse.perm import Perm
+
+    els = {Perm.identity(n)}
+    frontier = list(els)
+    while frontier:
+        new = []
+        for g in generators:
+            for h in frontier:
+                p = g * h
+                if p not in els:
+                    els.add(p)
+                    new.append(p)
+        frontier = new
+    return tuple(sorted(els))

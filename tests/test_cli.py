@@ -271,6 +271,22 @@ def test_verify_names_an_unmatched_cell(capsys, monkeypatch):
     assert f"  zero fiber collapses to the split vertex: {witness}" in err.splitlines()
 
 
+def test_verify_names_a_pair_that_breaks_equivariance(capsys, monkeypatch):
+    import partmorse.cli as cli
+    from partmorse.construction import get_action
+    from partmorse.morse import equivariance_witness
+    from test_morse import drop_transported_pair
+
+    broken, ((d, i), (_, j)) = drop_transported_pair(5)
+    monkeypatch.setattr(cli, "build_main_matching", lambda n: broken)
+    code, out, err = run(capsys, "verify", "--n", "5")
+    assert code == 1
+    assert "FAIL  main matching is equivariant" in out.splitlines()
+    witness = equivariance_witness(broken, get_action(5))
+    assert f"  main matching is equivariant: {witness}" in err.splitlines()
+    assert f"{broken.complex.cell_label(d, i)} -> {broken.complex.cell_label(d + 1, j)}" in witness
+
+
 def test_verify_and_report_read_cells_as_indices(capsys, monkeypatch):
     from partmorse.ordercomplex import OrderComplex, Simplex
 
@@ -391,9 +407,9 @@ def test_console_script_runs():
     assert json.loads(proc.stdout)["fVector"] == [3]
 
 
-def test_verify_does_not_import_numpy_ma():
-    # np.unique imports numpy.ma on its first call, about 16 ms per process
-    code = "import sys\nfrom partmorse.cli import main\nmain(['verify', '--n', '5'])\nprint('numpy.ma' in sys.modules)"
+def imports_numpy_ma(statement: str) -> bool:
+    """Whether a fresh process that runs the statement imports numpy.ma."""
+    code = f"import sys\nfrom partmorse.cli import main\nfrom partmorse.perm import PermGroup\n{statement}\nprint('numpy.ma' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -401,4 +417,54 @@ def test_verify_does_not_import_numpy_ma():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
-    assert proc.stdout.splitlines()[-1] == "False"
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_verify_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 16 ms per process
+    assert not imports_numpy_ma("main(['verify', '--n', '5'])")
+
+
+def test_quotient_homology_and_group_closure_do_not_import_numpy_ma():
+    assert not imports_numpy_ma("main(['homology', '--n', '6', '--group', '(2 3),(2 3 4 5 6)'])")
+    assert not imports_numpy_ma("PermGroup.symmetric(7)")
+
+
+def count_objects(monkeypatch, run_it) -> dict[str, int]:
+    """The Partition and Perm objects made while run_it runs, with the
+    cached complexes, actions and matchings of construction emptied."""
+    from partmorse import construction
+    from partmorse.perm import Perm
+    from partmorse.setpart import Partition
+
+    counts = {}
+    for cls in (Partition, Perm):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__):
+            counts[_name] += 1
+            _init(self, *args)
+
+        counts[cls.__name__] = 0
+        monkeypatch.setattr(cls, "__init__", counted)
+    for cache in ("_complexes", "_actions", "_matchings"):
+        monkeypatch.setattr(construction, cache, {})
+    run_it()
+    return counts
+
+
+def test_quotient_homology_makes_no_partitions_and_no_group_elements(monkeypatch, capsys):
+    counts = count_objects(monkeypatch, lambda: main(["homology", "--n", "7", "--group", "(2 3),(2 3 4 5 6 7)"]))
+    capsys.readouterr()
+    # the two parsed generators only
+    assert counts == {"Partition": 0, "Perm": 2}
+
+
+def test_verify_checks_make_objects_for_generators_only(monkeypatch):
+    import partmorse.cli as cli
+
+    for n in (5, 6):
+        counts = count_objects(monkeypatch, lambda: cli._verification_checks(n))
+        # two generators for the stabilizer of 1 at each size from 4 to n
+        # (one at n = 3) and two for the symmetric group
+        assert counts == {"Partition": 0, "Perm": 2 * (n - 3) + 1 + 2}

@@ -373,3 +373,26 @@ def test_explicit_complex():
     mat = cx.boundary_matrix(1)
     assert not mat.sum(axis=0).any()
     assert cx.cell_label(1, 1) == "bc"
+
+
+def test_nerve_keeps_labels_and_makes_elements_on_first_use():
+    from partmorse.setpart import enumerate_proper, proper_rgs
+
+    for n in (4, 5):
+        cx = proper_part_complex(n)
+        assert "elements" not in cx.__dict__ and "element_index" not in cx.__dict__
+        assert np.array_equal(cx.labels, proper_rgs(n)) and cx.labels.dtype == np.int32
+        names = [cx.cell_labels(d, np.arange(cx.n_cells(d))) for d in range(cx.dim + 1)]
+        assert "elements" not in cx.__dict__
+        assert cx.elements == enumerate_proper(n)
+        # the same poset from its element list derives the same labels and names
+        explicit = OrderComplex(enumerate_proper(n), cx.less)
+        assert np.array_equal(explicit.labels, cx.labels)
+        assert [explicit.cell_labels(d, np.arange(cx.n_cells(d))) for d in range(cx.dim + 1)] == names
+        # rows numbering blocks in any order find their partitions
+        shuffled = (cx.labels + 1) % n
+        assert cx.locate_labels(shuffled).tolist() == list(range(len(cx.labels)))
+    with pytest.raises(ValueError, match="name no element"):
+        proper_part_complex(4).locate_labels(np.array([[0, 1, 2, 3]]))
+    with pytest.raises(ValueError, match="elements or their labels"):
+        OrderComplex(None, np.zeros((0, 0), dtype=bool))

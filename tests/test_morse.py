@@ -24,6 +24,7 @@ from partmorse.morse import (
     cohomology_pairing,
     cohomology_representatives,
     cone_matching,
+    equivariance_witness,
     equivariant_patchwork_matching,
     find_cycle,
     gradient_chain,
@@ -419,6 +420,28 @@ def test_mutated_main_matching_fails_equivariance_n6():
     dropped = next(p for p in main.pairs if key[p[0][0]][p[0][1]] == 2)
     assert check_equivariance(main, action)
     assert not check_equivariance(Matching(main.complex, [p for p in main.pairs if p != dropped]), action)
+
+
+def drop_transported_pair(n):
+    """The main matching without one pair of the fiber over {1,2}, which
+    the assembly reaches by transport, and that pair."""
+    main = build_main_matching(n)
+    key = fiber_keys(main.complex)
+    dropped = next(p for p in main.pairs if key[p[0][0]][p[0][1]] == 2)
+    return Matching(main.complex, [p for p in main.pairs if p != dropped]), dropped
+
+
+def test_equivariance_witness_names_the_dropped_pair():
+    for n in (5, 6):
+        action = get_action(n)
+        assert equivariance_witness(build_main_matching(n), action) is None
+        broken, ((d, i), (_, j)) = drop_transported_pair(n)
+        witness = equivariance_witness(broken, action)
+        assert not check_equivariance(broken, action)
+        # every other pair still maps to a pair, so the failing image is the dropped one
+        label = broken.complex.cell_label
+        assert witness.endswith(f" to {label(d, i)} -> {label(d + 1, j)}, which is no pair")
+        assert any(witness.startswith(f"{g} sends the pair ") for g in action.group.generators)
 
 
 def test_equivariant_patchwork_names_stabilizer_witness_n6():

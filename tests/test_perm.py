@@ -12,8 +12,10 @@ from partmorse.perm import (
 )
 from partmorse.setpart import enumerate_proper, parse_partition
 from partmorse.ordercomplex import Simplex
-from chain_oracle import chain_positions, relation_chains
+from chain_oracle import chain_positions, perm_product_closure, relation_chains
 from test_acceptance import SUBGROUPS
+
+N6_SUBGROUPS = [[], ["(2 3)"], ["(2 3 4)", "(3 4 5)", "(4 5 6)"], ["(2 3)", "(2 3 4 5 6)"]]
 
 
 def oracle_groups():
@@ -66,6 +68,54 @@ def test_group_generation():
     assert all(g(1) == 1 for g in stab.elements)
     cyclic = PermGroup.from_cycle_strings(5, ["(1 2 3 4 5)"])
     assert cyclic.order == 5
+
+
+def test_closure_matches_perm_products():
+    groups = [PermGroup.trivial(4)]
+    groups += [PermGroup.point_stabilizer(n) for n in range(3, 8)]
+    groups += [PermGroup.symmetric(n) for n in range(1, 8)]
+    groups += [PermGroup.from_cycle_strings(5, texts) for _, texts in SUBGROUPS[5]]
+    groups += [PermGroup.from_cycle_strings(6, texts) for texts in N6_SUBGROUPS]
+    for group in groups:
+        expected = perm_product_closure(group.n, group.generators)
+        assert group.order == len(expected)
+        assert group.table.dtype == np.int32
+        assert group.elements == expected
+        assert all(g in group for g in expected)
+
+
+def test_membership_is_false_off_the_group():
+    stab = PermGroup.point_stabilizer(6)
+    assert Perm.from_cycles(6, "(2 6)(3 4)") in stab
+    assert Perm.from_cycles(6, "(1 2)") not in stab
+    assert Perm.from_cycles(6, "(1 6 5)") not in stab
+    # a permutation of another degree is never a member
+    assert Perm.from_cycles(5, "(2 3)") not in stab
+    assert Perm.from_cycles(7, "(2 3)") not in stab
+    assert Perm.identity(5) not in PermGroup.trivial(6)
+    # images 4,1,2,3 in base 4 and 1,2,3,5,4 in base 5 share the code 198
+    assert Perm((4, 1, 2, 3)) not in PermGroup.from_cycle_strings(5, ["(4 5)"])
+    assert Perm.identity(6) in PermGroup.trivial(6)
+
+
+def test_closure_past_int64_codes():
+    # base-n codes of image rows wrap in int64 from n = 16 on: the closure
+    # keys rows by their bytes there
+    for n in (15, 16, 20, 130):
+        gens = [Perm.from_cycles(n, "(1 2)"), Perm.from_cycles(n, f"(3 4 {n})")]
+        group = PermGroup.generate(n, gens)
+        assert group.elements == perm_product_closure(n, gens)
+        assert Perm.from_cycles(n, f"(3 {n} 4)") in group
+        assert Perm.from_cycles(n, "(3 4)") not in group
+        assert Perm.identity(n - 1) not in group
+    assert PermGroup.trivial(16).order == 1
+
+
+def test_symmetric_8_order_without_elements():
+    group = PermGroup.symmetric(8)
+    assert group.order == 40320
+    assert Perm.from_cycles(8, "(1 8)(2 7 3)") in group
+    assert "elements" not in group.__dict__
 
 
 def test_subgroup_relations():
@@ -208,9 +258,8 @@ def int64_orbit_of(size, images):
 
 
 def test_orbit_of_is_int32_and_equals_the_int64_result():
-    n6 = [[], ["(2 3)"], ["(2 3 4)", "(3 4 5)", "(4 5 6)"], ["(2 3)", "(2 3 4 5 6)"]]
     groups = [PermGroup.from_cycle_strings(5, texts) for _, texts in SUBGROUPS[5]]
-    for group in groups + [PermGroup.from_cycle_strings(6, texts) for texts in n6]:
+    for group in groups + [PermGroup.from_cycle_strings(6, texts) for texts in N6_SUBGROUPS]:
         cx = proper_part_complex(group.n)
         qc = QuotientComplex(cx, group)
         images = [qc.action.images(g) for g in group.generators]

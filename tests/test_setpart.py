@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from partmorse.setpart import (
@@ -6,8 +7,12 @@ from partmorse.setpart import (
     all_partitions,
     enumerate_proper,
     format_partition,
+    format_rgs,
     parse_partition,
+    proper_rgs,
+    rgs_table,
 )
+from chain_oracle import recursive_rgs
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}
 
@@ -142,3 +147,28 @@ def test_enumerate_proper():
         assert proper == sorted(proper)
     with pytest.raises(ValueError):
         enumerate_proper(2)
+
+
+def test_rgs_table_matches_recursive_enumeration():
+    for n in range(1, 9):
+        table = rgs_table(n)
+        assert table.dtype == np.int32
+        assert [tuple(row) for row in table.tolist()] == recursive_rgs(n)
+    with pytest.raises(ValueError):
+        rgs_table(0)
+
+
+def test_partitions_come_from_the_table():
+    for n in range(1, 6):
+        assert [p.rgs for p in all_partitions(n)] == recursive_rgs(n)
+    for n in range(3, 7):
+        assert [p.rgs for p in enumerate_proper(n)] == [tuple(row) for row in proper_rgs(n).tolist()]
+        assert [format_rgs(row) for row in proper_rgs(n).tolist()] == [str(p) for p in enumerate_proper(n)]
+    for n in (1, 2):
+        with pytest.raises(ValueError):
+            proper_rgs(n)
+
+
+def test_from_rgs_inverts_rgs():
+    for p in all_partitions(5):
+        assert Partition.from_rgs(p.rgs) == p
