@@ -49,29 +49,20 @@ from .construction import (
     anchored_flags,
     block_size_label,
     build_main_matching,
-    fiber_of,
     fiber_zero_matching,
     get_action,
     get_complex,
-    is_anchored,
-    is_pair_vertex,
-    lift_chain,
-    lift_partition,
     matching_report,
     orbit_vertex_label,
     pair_vertex,
     quotient_critical_cells,
-    restrict_permutation,
     split_vertex,
-    unlift_chain,
-    unlift_partition,
 )
 from .homology import (
     DimHomology,
     HomologyResult,
     InvalidComplexError,
     homology_of,
-    is_unimodular,
     smith_normal_form,
     verify_wedge,
 )

@@ -16,7 +16,9 @@ compares them and the split vertex with the critical cells.
 Every vertex predicate is one array operation on the nerve's
 restricted-growth table (OrderComplex.labels), label 0 being the block
 of 1: anchored, pair vertex, fiber key, the meet with the split vertex
-(1 moved to the unused label n-1) and the lift (label 0 appended).
+(1 moved to the unused label n-1) and the lift (label 0 appended), with
+no Partition or Simplex form; split_vertex and pair_vertex are the
+Partition forms of the two named vertices, for callers.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ import numpy as np
 
 from .morse import (
     Matching,
+    check_equivariance,
     equivariant_patchwork_matching,
     patchwork_pairs,
     closure_matching,
     cone_matching,
     quotient_matching,
+    validate_matching,
 )
-from .ordercomplex import OrderComplex, Simplex, distinct, proper_part_complex
+from .ordercomplex import OrderComplex, distinct, proper_part_complex
 from .perm import ComplexAction, Perm, PermGroup, QuotientComplex, orbit_labels
 from .setpart import Partition
 
@@ -48,15 +52,6 @@ def pair_vertex(n: int, k: int) -> Partition:
     if not 2 <= k <= n:
         raise ValueError(f"pair vertex needs 2 <= k <= n, got {k}")
     return Partition.from_rgs(_pair_row(n, k))
-
-
-def is_pair_vertex(p: Partition) -> bool:
-    return bool(_pair_mask(np.array([p.rgs]))[0])
-
-
-def is_anchored(p: Partition) -> bool:
-    """True when every block not containing 1 is a singleton."""
-    return bool(_anchored_mask(np.array([p.rgs]))[0])
 
 
 # -- the predicates on restricted-growth tables -------------------------
@@ -86,65 +81,6 @@ def _pair_row(n: int, k: int) -> list[int]:
 def _vertex(cx: OrderComplex, row) -> int:
     """The index of the vertex of the nerve cx with this restricted-growth string."""
     return int(cx.locate_labels(np.array([row]))[0])
-
-
-def fiber_of(s: Simplex):
-    """The unique pair vertex of the chain, or 0 when it has none.
-
-    Pair vertices are atoms of the refinement order, so a chain can hold
-    at most one and only in front position.
-    """
-    hits = [v for v in s if is_pair_vertex(v)]
-    if len(hits) > 1:
-        raise AssertionError(f"chain {s} holds two pair vertices")
-    return hits[0] if hits else 0
-
-
-# -- lifting between ground-set sizes ---------------------------------
-
-
-def lift_partition(p: Partition) -> Partition:
-    """Add n to the block containing 1 (partition of [n-1] -> [n])."""
-    n = p.n + 1
-    blocks = [sorted(b) + [n] if 1 in b else list(b) for b in p.blocks]
-    return Partition(n, blocks)
-
-
-def unlift_partition(p: Partition) -> Partition:
-    n = p.n
-    b1 = p.block_containing(1)
-    if n not in b1:
-        raise ValueError(f"{p} does not carry {n} in the block of 1")
-    blocks = [[e for e in b if e != n] for b in p.blocks]
-    return Partition(n - 1, [b for b in blocks if b])
-
-
-def lift_chain(s: Simplex) -> Simplex:
-    """Send a chain over [n-1] into the fiber of the pair vertex {1,n}:
-    add n to the block of 1 in every vertex and prepend the pair vertex."""
-    n = s.vertices[0].n + 1
-    return Simplex((pair_vertex(n, n),) + tuple(lift_partition(v) for v in s))
-
-
-def unlift_chain(s: Simplex) -> Simplex:
-    n = s.vertices[0].n
-    if s.vertices[0] != pair_vertex(n, n) or len(s.vertices) < 2:
-        raise ValueError(f"chain {s} is not a lifted chain")
-    tail = []
-    for v in s.vertices[1:]:
-        q = unlift_partition(v)
-        if q.is_discrete() or q.is_total():
-            raise ValueError(f"chain {s} is not a lifted chain: {v} unlifts improperly")
-        tail.append(q)
-    return Simplex(tuple(tail))
-
-
-def restrict_permutation(g: Perm) -> Perm:
-    """Drop the last point from a permutation fixing both 1 and n."""
-    n = g.n
-    if g(1) != 1 or g(n) != n:
-        raise ValueError(f"{g} does not fix 1 and {n}")
-    return Perm(g.images[: n - 1])
 
 
 # -- cached complexes, actions, matchings ------------------------------
@@ -234,9 +170,9 @@ def _fiber_zero_pairs(n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 
 def lift_cells(prev_cx: OrderComplex, cx: OrderComplex) -> list[np.ndarray]:
     """lift_cells(...)[d][i] is the index in dimension d+1 of cx, the nerve
-    one size up, of lift_chain of cell (d, i) of prev_cx.  On restricted-
-    growth strings lift_partition appends label 0 (the block of 1) for the
-    new element n, and the lifted chains start at the pair vertex {1,n}."""
+    one size up, of the lift of cell (d, i) of prev_cx: the new element n
+    joins the block of 1 in every vertex, which on restricted-growth
+    strings appends label 0, and the pair vertex {1,n} is put in front."""
     labels = prev_cx.labels
     n = labels.shape[1] + 1
     vmap = cx.locate_labels(np.column_stack([labels, np.zeros(len(labels), dtype=labels.dtype)]))
@@ -341,8 +277,6 @@ def critical_set_witness(matching: Matching, flags, among=None) -> str | None:
 
 def matching_report(n: int) -> dict:
     """Certificates and counts for the main matching at one size."""
-    from .morse import check_equivariance, validate_matching
-
     matching = build_main_matching(n)
     cx = matching.complex
     action = get_action(n)

@@ -189,16 +189,6 @@ def smith_normal_form(matrix) -> tuple[int, ...]:
     return (1,) * units + tuple(rest)
 
 
-def rank_of(matrix) -> int:
-    return len(smith_normal_form(matrix))
-
-
-def is_unimodular(matrix) -> bool:
-    """Square with determinant +-1, decided via invariant factors."""
-    mat = [list(row) for row in matrix]
-    return all(len(row) == len(mat) for row in mat) and smith_normal_form(mat) == (1,) * len(mat)
-
-
 @dataclass
 class DimHomology:
     dim: int

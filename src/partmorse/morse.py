@@ -265,15 +265,6 @@ def validate_matching(complex, pairs_or_matching, action=None) -> MatchingCertif
     return MatchingCertificate(True, cycle is None, counts, equivariant_under, witness)
 
 
-def _union(fibers) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The {d: (lo, hi)} fibers concatenated per dimension, in order."""
-    parts: dict = {}
-    for fiber in fibers:
-        for d, pair in fiber.items():
-            parts.setdefault(d, []).append(pair)
-    return {d: tuple(np.concatenate(cells) for cells in zip(*pairs)) for d, pairs in parts.items()}
-
-
 def _pair_codes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Sorted distinct int64 codes lo << 32 | hi of a set of pairs."""
     return distinct(lo.astype(np.int64) << 32 | hi)
@@ -289,13 +280,22 @@ def _check_fiber(key, fiber, k) -> None:
             raise ValueError(f"pair ({(d, i)},{(d + 1, j)}) leaves fiber {k}")
 
 
-def _check_order(complex, key, key_leq) -> None:
+def _glue(complex, key, key_leq, fibers: dict) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The tail of both patchwork assemblers: checks that the key is
+    order-preserving on faces and that each {d: (lo, hi)} fibers[k] lies
+    in fiber k, then concatenates the fibers per dimension, in order."""
     for d in range(1, complex.dim + 1):
         faces = complex.face_table(d, np.arange(complex.n_cells(d)))
         bad = np.argwhere(~key_leq[key[d - 1][faces], key[d][:, None]])
         if len(bad):
             j, k = bad[0]
             raise ValueError(f"cell key not order-preserving at cell ({d},{j}) face {faces[j, k]}")
+    parts: dict = {}
+    for k, fiber in fibers.items():
+        _check_fiber(key, fiber, k)
+        for d, pair in fiber.items():
+            parts.setdefault(d, []).append(pair)
+    return {d: tuple(np.concatenate(cells) for cells in zip(*pairs)) for d, pairs in parts.items()}
 
 
 def patchwork_pairs(complex, key, key_leq, fiber_pairs: dict) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -312,11 +312,7 @@ def patchwork_pairs(complex, key, key_leq, fiber_pairs: dict) -> dict[int, tuple
     structure: a Matching built from the pairs checks that, and
     validate_matching certifies acyclicity.
     """
-    _check_order(complex, key, key_leq)
-    fibers = {k: _pair_arrays(complex, pairs) for k, pairs in fiber_pairs.items()}
-    for k, fiber in fibers.items():
-        _check_fiber(key, fiber, k)
-    return _union(fibers.values())
+    return _glue(complex, key, key_leq, {k: _pair_arrays(complex, pairs) for k, pairs in fiber_pairs.items()})
 
 
 def patchwork_matching(complex, key, key_leq, fiber_pairs: dict) -> Matching:
@@ -369,10 +365,7 @@ def equivariant_patchwork_matching(complex, action, key, key_action, key_leq, re
     missing = keys - fibers.keys()
     if missing:
         raise ValueError(f"no representative for the key orbit of {min(missing)}")
-    _check_order(complex, key, key_leq)
-    for k, fiber in fibers.items():
-        _check_fiber(key, fiber, k)
-    return Matching(complex, _union(fibers.values()))
+    return Matching(complex, _glue(complex, key, key_leq, fibers))
 
 
 def quotient_matching(matching: Matching, quotient) -> Matching:
@@ -477,7 +470,7 @@ class MorseData:
 
     def chain_data(self) -> ExplicitComplex:
         """The Morse complex, its cells labelled as the critical cells."""
-        labels = [[self.complex.cell_label(d, i) for i in layer] for d, layer in enumerate(self.critical)]
+        labels = [self.complex.cell_labels(d, layer) for d, layer in enumerate(self.critical)]
         return ExplicitComplex(labels, [[list(col.items()) for col in layer] for layer in self.boundary[1:]])
 
 

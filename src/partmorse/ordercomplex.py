@@ -158,14 +158,6 @@ class CellComplex:
         indptr, faces, coeffs = (a.tolist() for a in self.boundary_arrays(d))
         return [dict(zip(faces[a:b], coeffs[a:b])) for a, b in zip(indptr, indptr[1:])]
 
-    def boundary_matrix(self, d: int) -> np.ndarray:
-        if not 1 <= d <= self.dim:
-            raise ValueError(f"dimension {d} out of range 1..{self.dim}")
-        indptr, faces, coeffs = self.boundary_arrays(d)
-        mat = np.zeros((self.n_cells(d - 1), self.n_cells(d)), dtype=np.int64)
-        mat[faces, entry_cells(indptr)] = coeffs
-        return mat
-
 
 class FaceTableComplex(CellComplex):
     """A complex whose cell (d, i) has d+1 distinct faces, the k-th of sign

@@ -387,9 +387,6 @@ class QuotientComplex(FaceTableComplex):
             self.reps.append(np.flatnonzero(is_rep).tolist())
         super().__init__(len(layer) for layer in self.reps)
 
-    def orbit_index(self, d: int, base_index: int) -> int:
-        return int(self.orbit_of[d][base_index])
-
     def cell_label(self, d: int, i: int) -> str:
         return "[" + self.base.cell_label(d, self.reps[d][i]) + "]"
 

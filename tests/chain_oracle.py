@@ -12,9 +12,19 @@ recursive_rgs grows the restricted-growth strings of [n] one element at a
 time by recursion, as all_partitions did before setpart.rgs_table, and
 perm_product_closure closes a generating set by multiplying Perm objects
 breadth first, as PermGroup.generate did before it closed int32 tables.
+
+The construction's vertex predicates and its lift, one Partition or
+Simplex at a time, read off the blocks: is_anchored and is_pair_vertex
+are the references for the label masks of construction, fiber_of for
+fiber_keys, and lift_partition and lift_chain for lift_cells.
+dense_boundary is the boundary map of one dimension as a dense matrix.
 """
 
 import numpy as np
+
+from partmorse.construction import pair_vertex
+from partmorse.ordercomplex import Simplex, entry_cells
+from partmorse.setpart import Partition
 
 
 def relation_chains(less) -> list[list[tuple[int, ...]]]:
@@ -83,3 +93,47 @@ def perm_product_closure(n: int, generators) -> tuple:
                     new.append(p)
         frontier = new
     return tuple(sorted(els))
+
+
+def is_anchored(p: Partition) -> bool:
+    """Every block not containing 1 is a singleton."""
+    return all(len(b) == 1 for b in p.blocks if 1 not in b)
+
+
+def is_pair_vertex(p: Partition) -> bool:
+    """The block of 1 has two elements and every other block one."""
+    return all(len(b) == (2 if 1 in b else 1) for b in p.blocks)
+
+
+def fiber_of(s: Simplex):
+    """The unique pair vertex of the chain, or 0 when it has none.
+
+    Pair vertices are atoms of the refinement order, so a chain can hold
+    at most one and only in front position.
+    """
+    hits = [v for v in s if is_pair_vertex(v)]
+    if len(hits) > 1:
+        raise AssertionError(f"chain {s} holds two pair vertices")
+    return hits[0] if hits else 0
+
+
+def lift_partition(p: Partition) -> Partition:
+    """Add n to the block containing 1 (partition of [n-1] -> [n])."""
+    n = p.n + 1
+    return Partition(n, [sorted(b) + [n] if 1 in b else list(b) for b in p.blocks])
+
+
+def lift_chain(s: Simplex) -> Simplex:
+    """Send a chain over [n-1] into the fiber of the pair vertex {1,n}:
+    add n to the block of 1 in every vertex and prepend the pair vertex."""
+    n = s.vertices[0].n + 1
+    return Simplex((pair_vertex(n, n),) + tuple(lift_partition(v) for v in s))
+
+
+def dense_boundary(cx, d: int) -> np.ndarray:
+    """The boundary map of dimension d >= 1 of a cell complex as a dense
+    int64 matrix, rows the (d-1)-cells and columns the d-cells."""
+    indptr, faces, coeffs = cx.boundary_arrays(d)
+    mat = np.zeros((cx.n_cells(d - 1), cx.n_cells(d)), dtype=np.int64)
+    mat[faces, entry_cells(indptr)] = coeffs
+    return mat

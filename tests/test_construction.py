@@ -3,35 +3,31 @@ import math
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from partmorse.construction import (
+    _anchored_mask,
+    _pair_mask,
     anchored_flags,
     build_main_matching,
     block_size_label,
     fiber_keys,
-    fiber_of,
     fiber_zero_matching,
     get_action,
     get_complex,
-    is_anchored,
-    is_pair_vertex,
     lift_cells,
-    lift_chain,
-    lift_partition,
     matching_report,
     orbit_vertex_label,
     pair_vertex,
     quotient_critical_cells,
-    restrict_permutation,
     split_vertex,
-    unlift_chain,
-    unlift_partition,
 )
 from partmorse.morse import validate_matching
 from partmorse.ordercomplex import Simplex, parse_simplex
 from partmorse.perm import Perm, PermGroup, act
 from partmorse.setpart import Partition, parse_partition
+from chain_oracle import fiber_of, is_anchored, is_pair_vertex, lift_chain, lift_partition
 
 
 def test_split_vertex():
@@ -53,23 +49,27 @@ def test_pair_vertices():
 
 
 def test_pair_vertex_predicate():
-    assert is_pair_vertex(parse_partition("1,3|2|4"))
-    assert not is_pair_vertex(parse_partition("1|2,3|4"))
-    assert not is_pair_vertex(parse_partition("1,3|2,4"))
-    assert not is_pair_vertex(split_vertex(4))
+    vertices = [parse_partition("1,3|2|4"), parse_partition("1|2,3|4"), parse_partition("1,3|2,4"), split_vertex(4)]
+    for p, want in zip(vertices, [True, False, False, False]):
+        assert is_pair_vertex(p) is want
+        assert _pair_mask(np.array([p.rgs])).tolist() == [want]
 
 
 def test_anchored_predicate():
-    assert is_anchored(parse_partition("1,2,4|3|5"))
-    assert is_anchored(split_vertex(5)) is False
-    assert not is_anchored(parse_partition("1,2|3,4|5"))
+    vertices = [parse_partition("1,2,4|3|5"), split_vertex(5), parse_partition("1,2|3,4|5")]
+    for p, want in zip(vertices, [True, False, False]):
+        assert is_anchored(p) is want
+        assert _anchored_mask(np.array([p.rgs])).tolist() == [want]
 
 
 def test_anchored_vertices_count():
     # anchored proper partitions: block of 1 has size 2..n-1, chosen freely
     for n in range(3, 7):
         expected = sum(math.comb(n - 1, k) for k in range(1, n - 1))
-        assert sum(map(is_anchored, get_complex(n).elements)) == expected
+        cx = get_complex(n)
+        assert sum(map(is_anchored, cx.elements)) == expected
+        assert _anchored_mask(cx.labels).tolist() == [is_anchored(p) for p in cx.elements]
+        assert _pair_mask(cx.labels).tolist() == [is_pair_vertex(p) for p in cx.elements]
 
 
 def permutation_flags(n):
@@ -141,9 +141,6 @@ def test_lift_partition_round_trip():
     p = parse_partition("1,3|2|4")
     q = lift_partition(p)
     assert q == parse_partition("1,3,5|2|4")
-    assert unlift_partition(q) == p
-    with pytest.raises(ValueError):
-        unlift_partition(parse_partition("1,3|2|4,5"))
 
 
 def test_lift_chain_shape():
@@ -152,19 +149,6 @@ def test_lift_chain_shape():
     assert t.vertices[0] == pair_vertex(5, 5)
     assert t.vertices[1] == parse_partition("1,2,5|3|4")
     assert t.vertices[2] == parse_partition("1,2,3,5|4")
-    assert unlift_chain(t).vertices == s.vertices
-
-
-def test_unlift_chain_rejects_non_lifted():
-    with pytest.raises(ValueError):  # leading vertex pairs 1 with 2, not with n
-        unlift_chain(parse_simplex("1,2|3|4 < 1,2,4|3"))
-    with pytest.raises(ValueError):
-        unlift_chain(Simplex((pair_vertex(4, 4),)))
-    # the total partition is a legal chain vertex but unlifts improperly
-    from partmorse.setpart import Partition
-
-    with pytest.raises(ValueError):
-        unlift_chain(Simplex((pair_vertex(5, 5), Partition.total(5))))
 
 
 def test_lift_is_poset_isomorphism_exhaustive():
@@ -177,8 +161,6 @@ def test_lift_is_poset_isomorphism_exhaustive():
             for b in parts:
                 la, lb = lift_partition(a), lift_partition(b)
                 assert a.refines(b) == la.refines(lb)
-        for q in lifted:
-            assert unlift_partition(q).n == n - 1
 
 
 def test_lift_intertwines_restricted_action_exhaustive():
@@ -186,7 +168,7 @@ def test_lift_intertwines_restricted_action_exhaustive():
         stab = [g for g in PermGroup.point_stabilizer(n).elements if g(n) == n]
         parts = get_complex(n - 1).elements
         for g in stab:
-            r = restrict_permutation(g)
+            r = Perm(g.images[: n - 1])
             for p in parts:
                 assert act(g, lift_partition(p)) == lift_partition(act(r, p))
 
@@ -198,15 +180,6 @@ def test_array_lift_matches_lift_chain():
         for d in range(prev_cx.dim + 1):
             expected = [cx.locate(lift_chain(prev_cx.simplex(d, i))) for i in range(prev_cx.n_cells(d))]
             assert [(d + 1, j) for j in images[d].tolist()] == expected
-
-
-def test_restrict_permutation():
-    g = Perm.from_cycles(5, "(2 3 4)")
-    assert restrict_permutation(g) == Perm.from_cycles(4, "(2 3 4)")
-    with pytest.raises(ValueError):
-        restrict_permutation(Perm.from_cycles(5, "(4 5)"))
-    with pytest.raises(ValueError):
-        restrict_permutation(Perm.from_cycles(5, "(1 2)"))
 
 
 def test_fiber_zero_matching_single_critical_vertex():

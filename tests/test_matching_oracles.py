@@ -15,7 +15,6 @@ from partmorse import construction
 from partmorse.construction import (
     build_main_matching,
     get_complex,
-    is_pair_vertex,
     split_vertex,
 )
 from partmorse.morse import (
@@ -29,7 +28,7 @@ from partmorse.morse import (
     validate_matching,
 )
 from partmorse.ordercomplex import ExplicitComplex
-from chain_oracle import chain_positions, relation_chains
+from chain_oracle import chain_positions, is_pair_vertex, relation_chains
 from test_morse import divisors_of_six, hexagon
 
 

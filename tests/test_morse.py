@@ -11,7 +11,6 @@ from partmorse.construction import (
     fiber_keys,
     get_action,
     get_complex,
-    is_pair_vertex,
     pair_vertex,
     split_vertex,
 )
@@ -36,7 +35,7 @@ from partmorse.morse import (
 )
 from partmorse.ordercomplex import ExplicitComplex, OrderComplex
 from partmorse.perm import ComplexAction, Perm, PermGroup, QuotientComplex, act
-from chain_oracle import relation_chains
+from chain_oracle import is_pair_vertex, relation_chains
 from test_perm import oracle_groups
 
 
