@@ -25,7 +25,7 @@ from .construction import (
     quotient_critical_cells,
 )
 from .homology import homology_of, verify_wedge
-from .morse import equivariance_witness, morse_data, validate_matching
+from .morse import InvalidMatchingError, equivariance_witness, morse_data, validate_matching
 from .perm import PermGroup, QuotientComplex
 
 
@@ -201,12 +201,17 @@ def _verification_checks(n: int) -> list[tuple[str, bool, str | None]]:
     wedge = verify_wedge(nerve_homology, n - 3, factorial(n - 1))
     checks.append(("reduced homology is a wedge of (n-1)! spheres", wedge, None))
 
-    qm, qc = quotient_critical_cells(n, action.group)
-    counts = qm.critical_counts()
-    expected = [0] * (qc.dim + 1)
+    # a matching that is not equivariant, or whose quotient is cyclic, fails
+    # this check with the reason as its witness
+    expected = [0] * (cx.dim + 1)
     expected[0] += 1
     expected[n - 3] += 1
-    checks.append(("full-group quotient has two critical cells", counts == expected, None))
+    try:
+        counts = quotient_critical_cells(n, action.group)[0].critical_counts()
+        witness = None if counts == expected else f"critical counts {counts}, expected {expected}"
+    except InvalidMatchingError as exc:
+        witness = str(exc)
+    checks.append(("full-group quotient has two critical cells", witness is None, witness))
 
     data = morse_data(matching)
     agree = homology_of(data.chain_data()) == nerve_homology

@@ -2,9 +2,15 @@
 
 homology_of reads only the boundary arrays of a CellComplex.  It checks
 the whole complex first: every face is a cell, the boundary squares to
-zero (the composed arrays summed per (cell, face of a face) after a
-sort, in blocks of bounded size) and, for reduced homology, the edges
-augment to zero.  Then it removes unit pairs: a (d-1)-cell a and a d-cell
+zero and, for reduced homology, the edges augment to zero.  Where the
+cells of two dimensions have d+1 and d faces, the k-th of sign (-1)^k, as
+in the nerve and its quotients, the simplicial identities on the face
+tables (face i of face j is face j-1 of face i, for i < j) prove the
+boundary squares to zero by column gathers alone; any other pair of
+dimensions, or one where an identity fails, is decided exactly: the
+composed arrays summed per (cell, face of a face) after a sort, in blocks
+of bounded size, naming the lowest cell whose boundary of a boundary is
+not zero.  Then it removes unit pairs: a (d-1)-cell a and a d-cell
 b with [b : a] = +-1, where a is the only live face of b (a coreduction)
 or b the only live coface of a (a free-face collapse).  Either is a
 Gaussian elimination whose correction term vanishes, so nothing fills in
@@ -227,17 +233,36 @@ class HomologyResult:
 
 
 def _check_squares_to_zero(upper, lower, n_below: int, d: int, block: int = 1 << 22) -> None:
-    """Raise unless the boundary of the boundary of every d-cell is zero:
-    the boundary arrays of dimension d composed with those of d-1 give
-    signed (cell, face of a face) entries, summed per pair after a sort,
-    for blocks of cells of at most block composed entries; fixed widths
-    go to _check_square_rows."""
+    """Raise unless the boundary of the boundary of every d-cell is zero,
+    given the boundary arrays of dimensions d and d-1: proved by the
+    simplicial identities when they hold (_simplicial), else decided by
+    _sum_squares."""
+    if not _simplicial(upper, lower, d):
+        _sum_squares(upper, lower, n_below, d, block)
+
+
+def _simplicial(upper, lower, d: int) -> bool:
+    """Whether the d-cells and (d-1)-cells have d+1 and d faces each, the
+    k-th of coefficient (-1)^k, and their face tables satisfy the
+    simplicial identities: face i of face j is face j-1 of face i for all
+    i < j.  Then the terms of the boundary of a boundary cancel in pairs
+    (May, "Simplicial objects in algebraic topology", 1967), one column
+    gather per side of each identity and no sort."""
+    for (indptr, _, coeffs), width in ((upper, d + 1), (lower, d)):
+        sign = 1 - 2 * (np.arange(width) % 2)
+        if not (np.diff(indptr) == width).all() or not (coeffs.reshape(-1, width) == sign).all():
+            return False
+    faces, low = upper[1].reshape(-1, d + 1), lower[1].reshape(-1, d).T
+    return all(np.array_equal(low[i][faces[:, j]], low[j - 1][faces[:, i]]) for j in range(1, d + 1) for i in range(j))
+
+
+def _sum_squares(upper, lower, n_below: int, d: int, block: int) -> None:
+    """The exact check of _check_squares_to_zero: the boundary arrays of
+    dimension d composed with those of d-1 give signed (cell, face of a
+    face) entries, summed per pair after a sort, for blocks of cells of at
+    most block composed entries; a failure names the lowest bad cell."""
     indptr, faces, coeffs = upper
     low_ptr, low_faces, low_coeffs = lower
-    wide, low_wide = _fixed_width(indptr), _fixed_width(low_ptr)
-    if wide and low_wide:
-        rows = (faces.reshape(-1, wide), coeffs.reshape(-1, wide))
-        return _check_square_rows(*rows, low_faces.reshape(-1, low_wide), low_coeffs.reshape(-1, low_wide), d, block)
     width = np.diff(low_ptr)[faces]
     reach = np.concatenate([[0], np.cumsum(width)])[indptr]
     start = 0
@@ -254,36 +279,6 @@ def _check_squares_to_zero(upper, lower, n_below: int, d: int, block: int = 1 <<
             cell = code[head[bad[0]]] // n_below
             raise InvalidComplexError(f"boundary squared is nonzero at dimension {d}, column {cell}")
         start = stop
-
-
-def _fixed_width(indptr: np.ndarray) -> int:
-    """The number of entries every cell has, or 0 when they differ."""
-    widths = np.diff(indptr)
-    return int(widths[0]) if len(widths) and (widths == widths[0]).all() else 0
-
-
-def _check_square_rows(faces, coeffs, low_faces, low_coeffs, d: int, block: int) -> None:
-    """_check_squares_to_zero when every cell of either dimension has the
-    same number of faces, as in a nerve and its quotients, given the
-    boundary arrays as one row per cell: the composed entries of a d-cell
-    are one row of a table, sorted within the row, so no codes span
-    cells."""
-    width = faces.shape[1] * low_faces.shape[1]
-    step = max(block // width, 1)
-    for start in range(0, len(faces), step):
-        rows = faces[start : start + step]
-        below = low_faces[rows].reshape(len(rows), width)
-        value = (coeffs[start : start + step, :, None] * low_coeffs[rows]).reshape(len(rows), width)
-        order = np.argsort(below, axis=1)
-        below = np.take_along_axis(below, order, axis=1)
-        value = np.take_along_axis(value, order, axis=1)
-        head = np.ones(below.shape, dtype=bool)
-        np.not_equal(below[:, 1:], below[:, :-1], out=head[:, 1:])
-        head = np.flatnonzero(head)
-        bad = np.flatnonzero(np.add.reduceat(value.ravel(), head))
-        if len(bad):
-            cell = start + head[bad[0]] // width
-            raise InvalidComplexError(f"boundary squared is nonzero at dimension {d}, column {cell}")
 
 
 def _once(keys: np.ndarray, size: int) -> np.ndarray:

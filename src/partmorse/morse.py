@@ -12,7 +12,7 @@ time; its levels also order the dense int64 gradient-path counts of the
 Morse boundary and the pushed flow of the cycle representatives.  The
 patchwork pattern composes matchings: an order-preserving cell key (an
 int array per dimension, ordered by a boolean matrix and checked against
-face_table) plus one matching per fiber gives a matching of the whole
+face_array) plus one matching per fiber gives a matching of the whole
 complex, and a group moves whole fibers across orbits through the image
 arrays of its generators (perm.ComplexAction.images); equivariance is
 one comparison per generator and dimension against up.  Cone and closure
@@ -242,18 +242,23 @@ def validate_matching(complex, pairs_or_matching, action=None) -> MatchingCertif
     """Certificate with matching-structure and acyclicity verdicts.
 
     Dangling cell references raise; structural defects (a cell in two
-    pairs, a non-face pair) yield isMatching=False.  When an action is
-    supplied and the matching is stable under it, equivariantUnder
-    records the group.
+    pairs, a non-face pair) yield isMatching=False.  A Matching is
+    checked again from its up arrays alone, and its down arrays must be
+    the partners these give.  When an action is supplied and the matching
+    is stable under it, equivariantUnder records the group.
     """
     matching = pairs_or_matching
-    if not isinstance(matching, Matching):
-        try:
+    try:
+        if isinstance(matching, Matching):
+            rebuilt = Matching(complex, matching.pair_arrays())
+            if not all(map(np.array_equal, rebuilt.up + rebuilt.down, matching.up + matching.down)):
+                raise InvalidMatchingError("the down arrays are not the partners of the up arrays")
+        else:
             matching = Matching(complex, matching)
-        except DanglingCellError:
-            raise
-        except InvalidMatchingError:
-            return MatchingCertificate(False, False, ())
+    except DanglingCellError:
+        raise
+    except InvalidMatchingError:
+        return MatchingCertificate(False, False, ())
     cycle = find_cycle(matching)
     counts = tuple(matching.critical_counts())
     equivariant_under = None
@@ -285,7 +290,7 @@ def _glue(complex, key, key_leq, fibers: dict) -> dict[int, tuple[np.ndarray, np
     order-preserving on faces and that each {d: (lo, hi)} fibers[k] lies
     in fiber k, then concatenates the fibers per dimension, in order."""
     for d in range(1, complex.dim + 1):
-        faces = complex.face_table(d, np.arange(complex.n_cells(d)))
+        faces = complex.face_array(d)
         bad = np.argwhere(~key_leq[key[d - 1][faces], key[d][:, None]])
         if len(bad):
             j, k = bad[0]
@@ -305,7 +310,7 @@ def patchwork_pairs(complex, key, key_leq, fiber_pairs: dict) -> dict[int, tuple
     complex is an OrderComplex; key[d][i] is the key of cell (d, i), an id
     of a poset whose order is the boolean matrix key_leq over ids.  The
     key must be order-preserving on faces, checked per dimension in one
-    comparison against face_table, and every pair of fiber_pairs[k], given
+    comparison against face_array, and every pair of fiber_pairs[k], given
     as arrays or as a list of pairs, must lie in fiber k; a failure names
     the first bad cell and face, or pair.  The union is acyclic whenever
     each piece is, which is not checked here, and neither is its
@@ -370,9 +375,11 @@ def equivariant_patchwork_matching(complex, action, key, key_action, key_leq, re
 
 def quotient_matching(matching: Matching, quotient) -> Matching:
     """Push an equivariant matching down to orbit cells; raises
-    InvalidMatchingError when the result is cyclic."""
+    InvalidMatchingError, with a witness, when the matching is not
+    equivariant or the result is cyclic."""
     if not check_equivariance(matching, quotient.action):
-        raise ValueError("matching is not equivariant under the quotient group")
+        witness = equivariance_witness(matching, quotient.action)
+        raise InvalidMatchingError(f"matching is not equivariant under the quotient group: {witness}")
     orbit_of = quotient.orbit_of
     pairs = {}
     for d, (lo, hi) in matching.pair_arrays().items():

@@ -165,31 +165,37 @@ class FaceTableComplex(CellComplex):
     face_table(d, cells), a (len(cells), d+1) int array whose column k
     holds the k-th face of each of the given cells of dimension d >= 1.
     Faces, boundary arrays and incidences are read off that table; the
-    table of a whole dimension is kept once built."""
+    table of a whole dimension, face_array(d), is built once and kept."""
 
     def __init__(self, sizes):
         super().__init__(sizes)
         self._face_tables: dict[int, np.ndarray] = {}
 
-    def _face_array(self, d: int) -> np.ndarray:
+    def face_array(self, d: int) -> np.ndarray:
+        """face_table of every cell of dimension d, built on first use and kept."""
         if d not in self._face_tables:
             n = self.n_cells(d)
             self._face_tables[d] = self.face_table(d, np.arange(n)) if d else np.empty((n, 0), dtype=np.int32)
         return self._face_tables[d]
 
+    def face_rows(self, d: int, cells) -> np.ndarray:
+        """face_table(d, cells), read off face_array(d) once that is built."""
+        table = self._face_tables.get(d)
+        return self.face_table(d, cells) if table is None else table[cells]
+
     def faces(self, d: int, i: int) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self._face_array(d)[i].tolist(), cycle((1, -1))))
+        return tuple(zip(self.face_array(d)[i].tolist(), cycle((1, -1))))
 
     def boundary_arrays(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fixed width d+1 with coefficients (-1)^k, read off the face table."""
-        table = self._face_array(d)
+        table = self.face_array(d)
         n, width = table.shape
         return np.arange(n + 1, dtype=np.int64) * width, table.ravel(), np.tile(1 - 2 * (np.arange(width) % 2), n)
 
     def incidence(self, d: int, cells, faces) -> np.ndarray:
-        """CellComplex.incidence from face_table; a cell's faces are
+        """CellComplex.incidence from the face rows; a cell's faces are
         distinct, so at most one matches."""
-        hit = self.face_table(d, cells) == np.asarray(faces)[:, None]
+        hit = self.face_rows(d, cells) == np.asarray(faces)[:, None]
         return np.where(hit.any(axis=1), 1 - 2 * (hit.argmax(axis=1) % 2), 0)
 
 

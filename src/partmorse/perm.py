@@ -26,7 +26,7 @@ asked for, not kept for the whole group.  QuotientComplex reads the
 generator images of one dimension at a time, keeping none, and labels
 orbits by their smallest cell in array passes; orbit labels and orbit_of
 are int32, like the image arrays.  The boundary of an orbit maps the
-faces of its representative, found in bulk by face_table, to their
+faces of its representative, read off the base's face rows, to their
 orbits.
 """
 
@@ -392,7 +392,7 @@ class QuotientComplex(FaceTableComplex):
 
     def face_table(self, d: int, cells) -> np.ndarray:
         """The orbits of the faces of the representatives of the given orbits."""
-        return self.orbit_of[d - 1][self.base.face_table(d, np.asarray(self.reps[d])[cells])]
+        return self.orbit_of[d - 1][self.base.face_rows(d, np.asarray(self.reps[d])[cells])]
 
     # bound in the class body: the per-layer tracer in perfbench/ wraps
     # QuotientComplex.__dict__["boundary_columns"] and fails without it

@@ -287,6 +287,42 @@ def test_verify_names_a_pair_that_breaks_equivariance(capsys, monkeypatch):
     assert f"{broken.complex.cell_label(d, i)} -> {broken.complex.cell_label(d + 1, j)}" in witness
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_verify_fails_a_matching_whose_partners_disagree(capsys, monkeypatch, n):
+    from partmorse import construction
+    from partmorse.morse import Matching, validate_matching
+
+    real = construction.build_main_matching(n)
+    broken = Matching(real.complex, real.pair_arrays())
+    # one vertex's up now names another vertex's partner, whose down is unchanged
+    v, w = np.flatnonzero(real.up[0] >= 0)[:2]
+    broken.up[0][v] = real.up[0][w]
+    assert not validate_matching(real.complex, broken).is_matching
+    monkeypatch.setitem(construction._matchings, n, broken)
+    code, out, _ = run(capsys, "verify", "--n", str(n))
+    assert code == 1
+    assert "FAIL  main matching is a matching" in out.splitlines()
+
+
+def test_verify_prints_the_quotient_line_for_a_matching_that_is_not_equivariant(capsys, monkeypatch):
+    from partmorse import construction
+    from partmorse.morse import equivariance_witness
+    from test_morse import drop_transported_pair
+
+    broken, _ = drop_transported_pair(5)
+    monkeypatch.setitem(construction._matchings, 5, broken)
+    code, out, err = run(capsys, "verify", "--n", "5")
+    assert code == 1
+    names = ("flag count equals (n-1)! for n=5",) + VERIFY_CHECKS
+    assert [line[6:] for line in out.splitlines()] == list(names)
+    assert "FAIL  full-group quotient has two critical cells" in out.splitlines()
+    witness = equivariance_witness(broken, construction.get_action(5))
+    assert f"  main matching is equivariant: {witness}" in err.splitlines()
+    quotient = f"  full-group quotient has two critical cells: matching is not equivariant under the quotient group: {witness}"
+    assert quotient in err.splitlines()
+    assert "Traceback" not in err
+
+
 def test_verify_and_report_read_cells_as_indices(capsys, monkeypatch):
     from partmorse.ordercomplex import OrderComplex, Simplex
 

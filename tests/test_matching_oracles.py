@@ -7,6 +7,7 @@ independent acyclicity oracle on the modified Hasse digraph.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from partmorse.morse import (
     find_cycle,
     validate_matching,
 )
-from partmorse.ordercomplex import ExplicitComplex
+from partmorse.cli import main
+from partmorse.ordercomplex import ExplicitComplex, OrderComplex
+from partmorse.perm import QuotientComplex
 from chain_oracle import chain_positions, is_pair_vertex, relation_chains
 from test_morse import divisors_of_six, hexagon
 
@@ -257,16 +260,24 @@ def test_cone_and_closure_agree_with_chain_by_chain_reference():
         assert pair_set(cone_matching(cx, verts, apex)) == set(reference_cone_pairs(cx, verts, apex))
 
 
-def test_build_reads_no_chain_dict_and_no_face_column(monkeypatch):
+def test_each_face_table_is_built_once_per_complex(monkeypatch, capsys):
     # rebuild n = 3..6 from scratch; the cached objects come back afterwards
-    monkeypatch.setattr(construction, "_complexes", {})
-    monkeypatch.setattr(construction, "_actions", {})
-    monkeypatch.setattr(construction, "_matchings", {})
-    main = build_main_matching(6)
-    assert check_equivariance(main, construction.get_action(6))
+    for cache in ("_complexes", "_actions", "_matchings"):
+        monkeypatch.setattr(construction, cache, {})
+    builds, complexes = Counter(), []
+    for cls in (OrderComplex, QuotientComplex):
+
+        def counted(self, d, cells, real=cls.face_table):
+            if np.array_equal(cells, np.arange(self.n_cells(d))):
+                builds[id(self), d] += 1
+                complexes.append(self)  # keeps the id unique
+            return real(self, d, cells)
+
+        monkeypatch.setattr(cls, "face_table", counted)
+    assert check_equivariance(build_main_matching(6), construction.get_action(6))
     assert sorted(construction._complexes) == [3, 4, 5, 6]
-    for cx in construction._complexes.values():
-        assert cx._face_tables == {}
+    assert main(["verify", "--n", "6"]) == 0
+    assert builds and max(builds.values()) == 1
 
 
 def hasse_digraph(matching):
