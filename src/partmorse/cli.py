@@ -171,9 +171,6 @@ def _verification_checks(n: int) -> list[tuple[str, bool, str | None]]:
     checks: list[tuple[str, bool, str | None]] = []
     flags = anchored_flags(n)
     checks.append((f"flag count equals (n-1)! for n={n}", len(flags) == factorial(n - 1), None))
-    if n > 7:
-        return checks
-
     cx = get_complex(n)
     action = get_action(n)
     matching = build_main_matching(n)

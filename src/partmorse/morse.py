@@ -8,16 +8,17 @@ API edge and converted once.  Structure is checked in bulk (bincount for
 a cell in two pairs, CellComplex.incidence for the coefficients), and
 acyclicity by Kahn's topological sort of the modified face digraph
 (matched edges reversed) on the boundary arrays, one dimension pair at a
-time; its levels also order the dense int64 gradient-path counts of the
-Morse boundary and the pushed flow of the cycle representatives.  The
-patchwork pattern composes matchings: an order-preserving cell key (an
-int array per dimension, ordered by a boolean matrix and checked against
-face_array) plus one matching per fiber gives a matching of the whole
-complex, and a group moves whole fibers across orbits through the image
-arrays of its generators (perm.ComplexAction.images); equivariance is
-one comparison per generator and dimension against up.  Cone and closure
-matchings are prefix-tree folds.  Assembly checks structure but not
-acyclicity: an assembled matching is certified once, by validate_matching.
+time; its levels, kept on the Matching once sorted, also order the dense
+int64 gradient-path counts of the Morse boundary and the pushed flow of
+the cycle representatives.  The patchwork pattern composes matchings: an
+order-preserving cell key (an int array per dimension, ordered by a
+boolean matrix and checked against face_array) plus one matching per
+fiber gives a matching of the whole complex, and a group moves whole
+fibers across orbits through the image arrays of its generators
+(perm.ComplexAction.images); equivariance is one comparison per
+generator and dimension against up.  Cone and closure matchings are
+prefix-tree folds.  Assembly checks structure but not acyclicity: an
+assembled matching is certified once, by validate_matching.
 """
 from __future__ import annotations
 
@@ -72,10 +73,13 @@ def _pair_arrays(complex, pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 class Matching:
     """A validated partial matching along codimension-1 incidences, kept
     as partner arrays: up[d][i] is the (d+1)-cell matched with the d-cell
-    i, down[d][j] the (d-1)-cell matched with the d-cell j, -1 for none."""
+    i, down[d][j] the (d-1)-cell matched with the d-cell j, -1 for none.
+    The arrays that a Kahn sort has read are read-only from then on."""
 
     def __init__(self, complex, pairs):
         self.complex = complex
+        # d -> (up[d-1], down[d], levels, cycle), kept by _gradient_levels
+        self._levels: dict[int, tuple] = {}
         sizes = [complex.n_cells(d) for d in range(complex.dim + 1)]
         self.up = [np.full(size, -1, dtype=np.int32) for size in sizes]
         self.down = [np.full(size, -1, dtype=np.int32) for size in sizes]
@@ -156,6 +160,20 @@ class MatchingCertificate:
 
 
 def _gradient_levels(matching: Matching, d: int, arrays) -> tuple[list[np.ndarray], list[Cell] | None]:
+    """_kahn_levels of dimension d, kept on the matching with the partner
+    arrays it reads, up[d-1] and down[d], which become read-only: so
+    find_cycle and morse_data sort each dimension once, a write into those
+    arrays after the sort raises, and arrays put in their place are sorted
+    again."""
+    up, down = matching.up[d - 1], matching.down[d]
+    found = matching._levels.get(d)
+    if found is None or found[0] is not up or found[1] is not down:
+        up.flags.writeable = down.flags.writeable = False
+        found = matching._levels[d] = (up, down, *_kahn_levels(matching, d, arrays))
+    return found[2:]
+
+
+def _kahn_levels(matching: Matching, d: int, arrays) -> tuple[list[np.ndarray], list[Cell] | None]:
     """Kahn's topological sort of the modified face digraph between
     dimensions d-1 and d, given the boundary arrays of dimension d: its
     nodes are the d-cells matched downwards, with an edge u -> v when the
@@ -291,9 +309,9 @@ def _glue(complex, key, key_leq, fibers: dict) -> dict[int, tuple[np.ndarray, np
     in fiber k, then concatenates the fibers per dimension, in order."""
     for d in range(1, complex.dim + 1):
         faces = complex.face_array(d)
-        bad = np.argwhere(~key_leq[key[d - 1][faces], key[d][:, None]])
-        if len(bad):
-            j, k = bad[0]
+        leq = key_leq[key[d - 1][faces], key[d][:, None]]
+        if not leq.all():
+            j, k = np.argwhere(~leq)[0]
             raise ValueError(f"cell key not order-preserving at cell ({d},{j}) face {faces[j, k]}")
     parts: dict = {}
     for k, fiber in fibers.items():

@@ -9,11 +9,12 @@ chain is kept as a tuple; chains reads the vertex rows of the cells
 asked for.  Layers are lexicographic: the extensions of a chain form one
 run of the next layer, after those of every chain before it, ordered by
 their last vertex.  So find locates chains in bulk by two gathers: the
-start of the prefix's run, from a cumulative sum of the vertex degrees
-along the prefix layer, plus the rank of the vertex among the vertices
-above the prefix's top, read off an m x m table scattered from the pairs
-of the order (uint8 while no vertex has more than 256 above it, as up to
-n = 7; uint16 at n = 8, 34 MB).  face_table goes through find, and so
+start of the prefix's run, kept per layer from the build (one int32 per
+cell of the prefix layer), plus the rank of the vertex among the
+vertices above the prefix's top, read off a flat m x m table scattered
+from the pairs of the order (uint8 while no vertex has more than 256
+above it, as up to n = 7; uint16 at n = 8, 34 MB) at an int32 index,
+which bounds m to 46340.  face_table goes through find, and so
 does map_chains, which carries every cell along a vertex map: a group
 element, or the lift from one size to the next.  At n = 8 (m = 4138,
 f-vector 4138, 155477, 1208830, 3394790, 3919860, 1587600) every cell
@@ -220,6 +221,8 @@ class OrderComplex(FaceTableComplex):
         else:
             self.labels = np.asarray(labels, dtype=np.int32)
         m = len(self.elements if elements is not None else self.labels)
+        if m * m >= 2**31:
+            raise ValueError(f"{m} elements: the rank table index t * m + v would overflow int32")
         less = np.asarray(less, dtype=bool)
         if less.shape != (m, m):
             raise InvalidPosetError(f"relation shape {less.shape} != ({m}, {m})")
@@ -233,28 +236,34 @@ class OrderComplex(FaceTableComplex):
             raise InvalidPosetError(f"relation is not transitive: {i} < {j} < {k} but not {i} < {k}")
         self.less = less
         succ = above.astype(np.int32)
-        deg = less.sum(axis=1)
-        start = np.cumsum(deg) - deg
+        deg = less.sum(axis=1, dtype=np.int32)
+        start = np.cumsum(deg, dtype=np.int32) - deg
 
         # each new layer extends every chain of the last by one vertex above
-        # its top; succ[start[v]:start[v] + deg[v]] lists the vertices above v
+        # its top; succ[start[v]:start[v] + deg[v]] lists the vertices above
+        # v, and first[d][p] is where the run of the extensions of the chain
+        # p of layer d-1 starts in layer d (the empty chain's run is layer 0)
         parent: list[np.ndarray] = []
         last: list[np.ndarray] = []
+        first: list[np.ndarray] = []
         if m:
             parent.append(np.zeros(m, dtype=np.int32))
             last.append(np.arange(m, dtype=np.int32))
+            first.append(np.zeros(1, dtype=np.int32))
         while last and deg[last[-1]].any():
             counts = deg[last[-1]]
-            offset = np.repeat(start[last[-1]] - (np.cumsum(counts) - counts), counts)
+            first.append(np.cumsum(counts, dtype=np.int32))
+            first[-1] -= counts
+            offset = np.repeat(start[last[-1]] - first[-1], counts)
             parent.append(np.repeat(np.arange(len(counts), dtype=np.int32), counts))
-            last.append(succ[offset + np.arange(len(offset))])
+            last.append(succ[offset + np.arange(len(offset), dtype=np.int32)])
         self.parent = parent
         self.last = last
-        self._deg = deg.astype(np.int32)
-        # rank[t, v]: the position of v among the vertices above t, in the
-        # smallest unsigned type that holds it (uint8 up to n = 7)
-        self._rank = np.zeros((m, m), dtype=np.min_scalar_type(max(deg.max(initial=0) - 1, 0)))
-        self._rank[below, above] = np.arange(len(below)) - start[below]
+        self._first = first
+        # rank[t * m + v]: the position of v among the vertices above t, in
+        # the smallest unsigned type that holds it (uint8 up to n = 7)
+        self._rank = np.zeros(m * m, dtype=np.min_scalar_type(max(deg.max(initial=0) - 1, 0)))
+        self._rank[below * m + above] = np.arange(len(below)) - start[below]
         super().__init__(len(layer) for layer in last)
 
     @cached_property
@@ -324,14 +333,17 @@ class OrderComplex(FaceTableComplex):
         prefix (indices in dimension d-1; zeros for d = 0) by vertex; each
         such chain must be a cell.  The extensions of a chain are a run of
         layer d, ordered as the vertices above its top, so the one by v is
-        rank[top, v] places after the first."""
+        rank[top, v] places after the first.  The run starts are kept per
+        layer from the build, so a lookup costs two gathers and one read of
+        the flat rank table at top * m + v, in int32."""
         if d == 0:
             return np.asarray(vertex)
-        counts = self._deg[self.last[d - 1]]
-        first = np.cumsum(counts, dtype=np.int32)
-        first -= counts
-        found = first[prefix]
-        found += self._rank[self.last[d - 1][prefix], vertex]
+        # take always copies, so the in-place steps write into no kept array
+        flat = self.last[d - 1].take(prefix)
+        flat *= len(self.less)
+        flat += vertex
+        found = self._first[d].take(prefix)
+        found += self._rank[flat]
         return found
 
     def map_chains(self, vmap: np.ndarray, target: "OrderComplex | None" = None, start: int | None = None):
@@ -343,10 +355,11 @@ class OrderComplex(FaceTableComplex):
         last vertex, img[d] = target.find(d, img[d-1][parent[d]], vmap[last[d]]),
         so vmap must send chains to chains; nothing here checks that."""
         target = self if target is None else target
+        vmap = np.asarray(vmap, dtype=np.int32)
         shift = 0 if start is None else 1
         img = np.array([start or 0], dtype=np.int32)
         for d in range(self.dim + 1):
-            img = target.find(d + shift, img[self.parent[d]], vmap[self.last[d]]).astype(np.int32)
+            img = target.find(d + shift, img[self.parent[d]], vmap[self.last[d]]).astype(np.int32, copy=False)
             yield img
 
     def locate(self, chain) -> tuple[int, int]:

@@ -379,11 +379,21 @@ def test_verify_n7_runs_full_suite(capsys):
     assert out == verify_stdout(7)
 
 
-def test_verify_n8_counts_only(capsys):
-    code, out, _ = run(capsys, "verify", "--n", "8")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines == ["PASS  flag count equals (n-1)! for n=8"]
+def test_verify_n8_goes_past_the_flag_count(monkeypatch):
+    # the full n = 8 suite takes about half a minute; the sentinel stops it
+    # at the nerve, which the flag count does not read
+    from partmorse import cli
+
+    class Reached(Exception):
+        pass
+
+    def stop(n):
+        raise Reached(n)
+
+    monkeypatch.setattr(cli, "get_complex", stop)
+    with pytest.raises(Reached) as info:
+        cli._verification_checks(8)
+    assert info.value.args == (8,)
 
 
 def test_report_aggregates(capsys):

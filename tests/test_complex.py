@@ -17,7 +17,7 @@ from partmorse.ordercomplex import (
     transitivity_witness,
 )
 from partmorse.perm import PermGroup, QuotientComplex
-from partmorse.setpart import Partition, enumerate_proper, parse_partition
+from partmorse.setpart import Partition, enumerate_proper, parse_partition, proper_rgs
 from chain_oracle import chain_positions, dense_boundary, refinement_rows, relation_chains
 from test_homology import mod2_moore_space
 
@@ -264,6 +264,74 @@ def test_find_locates_every_cell():
         cx = proper_part_complex(n)
         for d in range(cx.dim + 1):
             assert np.array_equal(cx.find(d, cx.parent[d], cx.last[d]), np.arange(cx.n_cells(d)))
+
+
+def searched_cells(cx, rows):
+    """Indices of the chains given as vertex rows, by binary search down
+    the layers for the codes parent * m + last, without find."""
+    m, idx = len(cx.less), np.zeros(len(rows), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        codes = cx.parent[j].astype(np.int64) * m + cx.last[j]
+        idx = np.searchsorted(codes, idx * m + rows[:, j])
+    return idx
+
+
+def test_find_on_random_queries_matches_the_whole_layer():
+    rng = np.random.default_rng(7)
+    for n in range(3, 8):
+        cx = proper_part_complex(n)
+        for d in range(cx.dim + 1):
+            whole = cx.find(d, cx.parent[d], cx.last[d])
+            # repeated, unsorted cells, so prefixes repeat and come in any order
+            cells = rng.integers(0, cx.n_cells(d), size=300)
+            cells = np.concatenate([cells, cells[::-1], np.flatnonzero(cx.parent[d] == cx.parent[d][cells[0]])[::-1]])
+            found = cx.find(d, cx.parent[d][cells], cx.last[d][cells].astype(np.int64))
+            assert np.array_equal(found, whole[cells]), (n, d)
+            assert np.array_equal(found, searched_cells(cx, cx.chains(d, cells))), (n, d)
+            if d:
+                assert found.dtype == np.int32
+
+
+def test_face_rows_agree_before_and_after_the_face_array():
+    rng = np.random.default_rng(8)
+    for n in range(3, 8):
+        cx = proper_part_complex(n)
+        for d in range(1, cx.dim + 1):
+            cells = rng.integers(0, cx.n_cells(d), size=200)
+            before = cx.face_rows(d, cells)
+            assert d not in cx._face_tables
+            table = cx.face_array(d)
+            assert np.array_equal(before, cx.face_rows(d, cells))
+            assert np.array_equal(before, table[cells])
+            # face k of a chain drops its vertex k
+            rows = cx.chains(d, cells)
+            for k in range(d + 1):
+                assert np.array_equal(before[:, k], searched_cells(cx, np.delete(rows, k, axis=1)))
+
+
+def test_map_chains_matches_searched_images():
+    rng = np.random.default_rng(9)
+    for n in range(4, 8):
+        prev, cx = proper_part_complex(n - 1), proper_part_complex(n)
+        # a permutation of the points acts on the nerve of Pi_n
+        vmap = cx.locate_labels(cx.labels[:, rng.permutation(n)])
+        # the lift: n joins the block of 1, and the pair vertex {1,n} goes in front
+        lift = cx.locate_labels(np.column_stack([prev.labels, np.zeros(len(prev.labels), dtype=np.int32)]))
+        pair = cx.locate_labels(np.array([[0, *range(1, n - 1), 0]]))[0]
+        for d, (img, up) in enumerate(zip(cx.map_chains(vmap), prev.map_chains(lift, cx, start=pair))):
+            assert img.dtype == up.dtype == np.int32
+            assert np.array_equal(img, searched_cells(cx, vmap[cx.chains(d)])), (n, d)
+            rows = np.column_stack([np.full(prev.n_cells(d), pair), lift[prev.chains(d)]])
+            assert np.array_equal(up, searched_cells(cx, rows)), (n, d)
+
+
+def test_flat_rank_index_fits_int32_for_every_accepted_n():
+    for n in range(3, 9):
+        m = len(proper_rgs(n))
+        assert m * m < 2**31, n
+    # a larger poset is refused before its relation is read
+    with pytest.raises(ValueError, match="overflow int32"):
+        OrderComplex(range(46341), None)
 
 
 def test_cell_label():

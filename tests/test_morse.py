@@ -535,18 +535,59 @@ def test_morse_data_circle():
     assert set(rep) == {0, 1, 2}
 
 
-def test_morse_data_names_the_cycle_of_a_cyclic_matching():
-    # a square with the diagonal ac, each vertex paired upwards around the
-    # square: ab > b < bc > c < cd > d < da > a < ab closes a gradient cycle
-    cx = ExplicitComplex(
+def square_with_diagonal():
+    # pairing every vertex upwards around the square closes the gradient
+    # cycle ab > b < bc > c < cd > d < da > a < ab; three of those pairs do not
+    return ExplicitComplex(
         [["a", "b", "c", "d"], ["ab", "bc", "cd", "da", "ac"]],
         [[[(0, -1), (1, 1)], [(1, -1), (2, 1)], [(2, -1), (3, 1)], [(3, -1), (0, 1)], [(0, -1), (2, 1)]]],
     )
+
+
+def test_morse_data_names_the_cycle_of_a_cyclic_matching():
+    cx = square_with_diagonal()
     m = Matching(cx, [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2)), ((0, 3), (1, 3))])
     with pytest.raises(InvalidMatchingError, match="cyclic") as info:
         morse_data(m)
     assert all(label in str(info.value) for label in ("'ab'", "'bc'", "'cd'", "'da'"))
     assert "'ac'" not in str(info.value)
+
+
+def test_kahn_sort_runs_once_per_dimension(monkeypatch):
+    from partmorse import morse
+
+    calls = []
+    sort = morse._kahn_levels
+    monkeypatch.setattr(morse, "_kahn_levels", lambda m, d, arrays: calls.append(d) or sort(m, d, arrays))
+    real = build_main_matching(5)
+    fresh = Matching(real.complex, real.pair_arrays())
+    assert validate_matching(real.complex, fresh).is_acyclic
+    data = morse_data(fresh, cycle_reps=True)
+    assert calls == list(range(1, real.complex.dim + 1))
+    assert data.boundary == morse_data(Matching(real.complex, real.pair_arrays())).boundary
+
+
+def test_sorted_partner_arrays_are_frozen_and_replacements_sorted_again():
+    m = Matching(square_with_diagonal(), [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 2), (1, 2))])
+    assert find_cycle(m) is None
+    assert morse_data(m).critical_counts() == [1, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        m.up[0][3] = 3
+    with pytest.raises(ValueError, match="read-only"):
+        m.down[1][3] = 3
+    # the fourth pair, in new partner arrays, closes the cycle
+    m.up[0], m.down[1] = m.up[0].copy(), m.down[1].copy()
+    m.up[0][3], m.down[1][3] = 3, 3
+    assert find_cycle(m) is not None
+    assert not validate_matching(m.complex, m).is_acyclic
+    with pytest.raises(InvalidMatchingError, match="cyclic"):
+        morse_data(m)
+    with pytest.raises(InvalidMatchingError, match="cyclic"):
+        gradient_chain(m, (1, 4))
+    m.up[0], m.down[1] = m.up[0].copy(), m.down[1].copy()
+    m.up[0][1], m.down[1][1] = -1, -1
+    assert find_cycle(m) is None
+    assert morse_data(m).critical_counts() == [1, 2]
 
 
 def test_chain_data_labels_are_critical_cell_labels():
