@@ -395,8 +395,8 @@ def quotient_matching(matching: Matching, quotient) -> Matching:
     """Push an equivariant matching down to orbit cells; raises
     InvalidMatchingError, with a witness, when the matching is not
     equivariant or the result is cyclic."""
-    if not check_equivariance(matching, quotient.action):
-        witness = equivariance_witness(matching, quotient.action)
+    witness = equivariance_witness(matching, quotient.action)
+    if witness is not None:
         raise InvalidMatchingError(f"matching is not equivariant under the quotient group: {witness}")
     orbit_of = quotient.orbit_of
     pairs = {}

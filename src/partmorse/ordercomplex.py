@@ -14,11 +14,14 @@ cell of the prefix layer), plus the rank of the vertex among the
 vertices above the prefix's top, read off a flat m x m table scattered
 from the pairs of the order (uint8 while no vertex has more than 256
 above it, as up to n = 7; uint16 at n = 8, 34 MB) at an int32 index,
-which bounds m to 46340.  face_table goes through find, and so
-does map_chains, which carries every cell along a vertex map: a group
-element, or the lift from one size to the next.  At n = 8 (m = 4138,
-f-vector 4138, 155477, 1208830, 3394790, 3919860, 1587600) every cell
-index fits in int32.
+which bounds m to 46340.  find is the nerve's one chain lookup:
+face_table reads face k < d of a chain as face k of its prefix extended
+by its last vertex, one find per column, from the prefixes' face rows;
+locate folds find along a chain once its vertices are checked; and
+map_chains carries every cell along a vertex map (a group element, or
+the lift from one size to the next), one find per dimension.  At n = 8
+(m = 4138, f-vector 4138, 155477, 1208830, 3394790, 3919860, 1587600)
+every cell index fits in int32.
 
 The order is checked once, over its pairs, before any chain is built:
 irreflexive and antisymmetric on the matrix, and transitive iff for each
@@ -32,8 +35,9 @@ of rows.
 The nerve of the partition lattice keeps its vertices as labels, their
 (m, n) int32 restricted-growth table; the Partition elements are made on
 first use, and cell labels are formatted from the rows.  A complex built
-from partitions derives its labels from them.  locate_labels finds rows
-that number blocks in any way by their codes among those of the labels.
+from partitions derives its labels from them.  The pair mask is the one
+key of a partition: locate_labels finds rows that number blocks in any
+way by their masks among the elements' masks, sorted once.
 
 CellComplex is the one chain-complex protocol: each complex supplies its
 boundary per dimension as compressed-row arrays (indptr, faces, coeffs)
@@ -48,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle
+from numbers import Integral
 
 import numpy as np
 
@@ -282,22 +287,28 @@ class OrderComplex(FaceTableComplex):
         return {p: i for i, p in enumerate(self.elements)}
 
     @cached_property
-    def _codes(self) -> np.ndarray:
-        return _rgs_codes(self.labels)
+    def _masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pair masks of the elements, sorted, and the element of each."""
+        masks = pair_masks(self.labels)
+        order = np.argsort(masks, kind="stable")
+        return masks[order], order
 
     def locate_labels(self, labels) -> np.ndarray:
         """Indices of the vertices whose blocks the rows of labels number in
-        any way (block labels 0..n-1): each row is relabelled in order of
-        first appearance and its code looked up by binary search among the
-        codes of the elements, which are in lexicographic order.  Raises
-        ValueError when a row names no element."""
+        any way: each row's pair mask is looked up by binary search among
+        the sorted masks of the elements.  Raises ValueError when the rows
+        are not as wide as the elements' labels or a row names no element."""
         labels = np.asarray(labels)
-        codes, wanted = self._codes, _rgs_codes(labels)
-        found = np.minimum(np.searchsorted(codes, wanted), len(codes) - 1)
-        missing = np.flatnonzero(codes[found] != wanted)
+        width = self.labels.shape[-1]
+        if labels.ndim != 2 or labels.shape[1] != width:
+            raise ValueError(f"block labels of shape {labels.shape}: rows must have the elements' width {width}")
+        masks, order = self._masks
+        wanted = pair_masks(labels)
+        found = np.minimum(np.searchsorted(masks, wanted), len(masks) - 1)
+        missing = np.flatnonzero(masks[found] != wanted)
         if len(missing):
             raise ValueError(f"block labels {labels[missing[0]].tolist()} name no element of the poset")
-        return found
+        return order[found]
 
     @classmethod
     def from_poset(cls, elements, less) -> "OrderComplex":
@@ -364,20 +375,22 @@ class OrderComplex(FaceTableComplex):
 
     def locate(self, chain) -> tuple[int, int]:
         """Cell id of a chain given as vertex indices or as a Simplex, else
-        KeyError; the extensions of a prefix p are the run parent[j] == p."""
+        KeyError: the chain must be non-empty, its vertices integers in
+        range, each less than the next; find then extends it vertex by
+        vertex from the empty chain."""
         if isinstance(chain, Simplex):
             chain = [self.element_index[v] for v in chain]
-        if not 0 < len(chain) <= len(self.last):
-            raise KeyError(f"chain {tuple(chain)} is not a cell of this complex")
+        chain, m = tuple(chain), len(self.less)
+        if not (
+            chain
+            and all(isinstance(v, Integral) and 0 <= v < m for v in chain)
+            and all(self.less[a, b] for a, b in zip(chain, chain[1:]))
+        ):
+            raise KeyError(f"chain {chain} is not a cell of this complex")
         i = 0
-        for j, v in enumerate(chain):
-            # values of the array's dtype, or numpy casts all of parent[j]
-            lo, hi = np.searchsorted(self.parent[j], np.array([i, i + 1], dtype=self.parent[j].dtype))
-            k = lo + np.searchsorted(self.last[j][lo:hi], v)
-            if k == hi or self.last[j][k] != v:
-                raise KeyError(f"chain {tuple(chain)} is not a cell of this complex")
-            i = int(k)
-        return len(chain) - 1, i
+        for d, v in enumerate(chain):
+            i = self.find(d, i, v)
+        return len(chain) - 1, int(i)
 
     def simplex(self, d: int, i: int) -> Simplex:
         return Simplex(tuple(self.elements[v] for v in self.chains(d, [i])[0].tolist()))
@@ -401,20 +414,17 @@ class OrderComplex(FaceTableComplex):
     def face_table(self, d: int, cells: np.ndarray) -> np.ndarray:
         """(len(cells), d+1) int32 array whose column k holds, for each of
         the given cells of dimension d >= 1, the index of its face without
-        vertex k; computed in bulk from the prefix tree."""
-        # prefix[j]: index of the first j+1 vertices of each chain, in dimension j
-        prefix = [np.asarray(cells, dtype=np.int32)]
-        for j in range(d, 0, -1):
-            prefix.insert(0, self.parent[j][prefix[0]])
-        verts = [self.last[j][prefix[j]] for j in range(d + 1)]
-        table = np.empty((len(prefix[d]), d + 1), dtype=np.int32)
-        table[:, d] = prefix[d - 1]
+        vertex k: face d is the prefix, and face k < d is face k of the
+        prefix (the empty chain at d = 1) extended by the last vertex, one
+        find per column.  The prefixes' faces come from face_rows, so they
+        are read off face_array(d-1) once that is kept."""
+        prefix = self.parent[d][cells]
+        vertex = self.last[d][cells]
+        below = self.face_rows(d - 1, prefix) if d > 1 else np.zeros((len(prefix), 1), dtype=np.int32)
+        table = np.empty((len(prefix), d + 1), dtype=np.int32)
+        table[:, d] = prefix
         for k in range(d):
-            # start from the chain's first k vertices, then append the ones after vertex k
-            face = prefix[k - 1] if k else np.zeros(len(table), dtype=np.int32)
-            for j in range(k + 1, d + 1):
-                face = self.find(j - 1, face, verts[j])
-            table[:, k] = face
+            table[:, k] = self.find(d - 1, below[:, k], vertex)
         return table
 
     # bound in the class body: the per-layer tracer in perfbench/ wraps
@@ -509,25 +519,6 @@ def row_codes(table: np.ndarray) -> np.ndarray:
     for column in table.T:
         codes = codes * n + column
     return codes
-
-
-def _rgs_codes(labels: np.ndarray) -> np.ndarray:
-    """row_codes of the restricted-growth strings of the rows of labels
-    (block labels in 0..n-1), each row relabelled in order of first
-    appearance."""
-    m, n = labels.shape
-    rows = np.arange(m)
-    # canon[r, b]: the number of the block labelled b in row r, by first
-    # appearance (-1 until it appears)
-    canon = np.full((m, n), -1)
-    seen = np.zeros(m, dtype=np.int64)
-    rgs = np.empty((m, n), dtype=np.int64)
-    for j, b in enumerate(labels.T):
-        new = canon[rows, b] < 0
-        canon[rows[new], b[new]] = seen[new]
-        seen += new
-        rgs[:, j] = canon[rows, b]
-    return row_codes(rgs)
 
 
 def proper_part_complex(n: int) -> OrderComplex:

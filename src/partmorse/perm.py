@@ -58,8 +58,10 @@ class Perm:
 
     @classmethod
     def from_cycles(cls, n: int, text: str) -> "Perm":
-        """Parse cycle notation, e.g. "(2 3)(4 5)"; "" is the identity."""
+        """Parse cycle notation, e.g. "(2 3)(4 5)"; "" is the identity.  The
+        cycles must be disjoint."""
         images = list(range(1, n + 1))
+        seen: set[int] = set()
         text = text.strip()
         if text and text not in ("id", "()"):
             if text.count("(") != text.count(")") or not text.startswith("("):
@@ -77,6 +79,9 @@ class Perm:
                 for e in cycle:
                     if not 1 <= e <= n:
                         raise ValueError(f"point {e} out of range 1..{n}")
+                    if e in seen:
+                        raise ValueError(f"point {e} is in two cycles of {text!r}; write the cycles disjoint")
+                    seen.add(e)
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                     images[a - 1] = b
         return cls(images)

@@ -143,6 +143,13 @@ def test_homology_with_group(capsys):
     ]
 
 
+@pytest.mark.parametrize("group", ["(2 3)(2 3)", "(1 2)(1 3)"])
+def test_group_with_overlapping_cycles_is_config_error(capsys, group):
+    code, out, err = run(capsys, "homology", "--n", "4", "--group", group)
+    assert code == 2 and out == ""
+    assert "is in two cycles" in err
+
+
 def test_homology_max_dim(capsys):
     code, out, _ = run(capsys, "homology", "--n", "5", "--max-dim", "1")
     assert code == 0

@@ -159,6 +159,10 @@ def test_locate_checks_every_vertex():
     for bad in (chain[::-1], [chain[0], chain[0]], [chain[0], incomparable], []):
         with pytest.raises(KeyError):
             cx.locate(bad)
+    # vertices that are not integers
+    for bad in ([2.5], [0, 7.5], ["a"]):
+        with pytest.raises(KeyError):
+            cx.locate(bad)
     # longer than dim + 1: every vertex is a cell of the poset but no chain is that long
     top = cx.chains(cx.dim, [0])[0].tolist()
     with pytest.raises(KeyError):
@@ -307,6 +311,29 @@ def test_face_rows_agree_before_and_after_the_face_array():
             rows = cx.chains(d, cells)
             for k in range(d + 1):
                 assert np.array_equal(before[:, k], searched_cells(cx, np.delete(rows, k, axis=1)))
+
+
+def test_face_array_makes_one_find_per_column_once_the_layer_below_is_kept(monkeypatch):
+    cx = proper_part_complex(6)
+    calls = []
+    real = OrderComplex.find
+    monkeypatch.setattr(OrderComplex, "find", lambda self, *args: calls.append(1) or real(self, *args))
+    for d in range(1, cx.dim + 1):
+        calls.clear()
+        cx.face_array(d)
+        assert len(calls) == d, d
+
+
+def test_locate_labels_rejects_rows_of_another_width():
+    for n in range(4, 8):
+        cx = proper_part_complex(n)
+        for width in range(2, n + 3):
+            if width != n:
+                with pytest.raises(ValueError, match=f"width {n}"):
+                    cx.locate_labels(np.zeros((1, width), dtype=np.int32))
+    # a row of width 2 names no partition of {1,...,5}, even where its mask matches one
+    with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+        proper_part_complex(5).locate_labels(np.array([[0, 1]]))
 
 
 def test_map_chains_matches_searched_images():

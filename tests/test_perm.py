@@ -47,6 +47,11 @@ def test_from_cycles_rejects_garbage():
         Perm.from_cycles(4, "(2 2)")
     with pytest.raises(ValueError):
         Perm.from_cycles(4, "2 3")
+    # cycles that share a point are refused, not read as disjoint
+    for text, point in (("(2 3)(2 3)", 2), ("(1 2)(1 3)", 1), ("(1 2)(3 4 2)", 2)):
+        with pytest.raises(ValueError, match=f"point {point} is in two cycles"):
+            Perm.from_cycles(4, text)
+    assert Perm.from_cycles(4, "(1 2)(3 4)") == Perm([2, 1, 4, 3])
 
 
 def test_composition_convention():
