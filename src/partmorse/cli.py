@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import factorial
 
@@ -17,11 +18,11 @@ from .construction import (
     anchored_flags,
     build_main_matching,
     critical_set_witness,
-    fiber_keys,
     flag_orbits,
     get_action,
     get_complex,
     matching_report,
+    patchwork_keys,
     quotient_critical_cells,
 )
 from .homology import homology_of, verify_wedge
@@ -175,8 +176,9 @@ def _verification_checks(n: int) -> list[tuple[str, bool, str | None]]:
     action = get_action(n)
     matching = build_main_matching(n)
     cert = validate_matching(cx, matching)
-    checks.append(("main matching is a matching", cert.is_matching, None))
-    checks.append(("main matching is acyclic", cert.is_acyclic, None))
+    checks.append(("main matching is a matching", cert.is_matching, cert.defect))
+    cycle = cert.witness_cycle and "gradient cycle " + " -> ".join(cert.witness_cycle)
+    checks.append(("main matching is acyclic", cert.is_acyclic, cycle))
     witness = equivariance_witness(matching, action)
     checks.append(("main matching is equivariant", witness is None, witness))
 
@@ -184,8 +186,8 @@ def _verification_checks(n: int) -> list[tuple[str, bool, str | None]]:
     checks.append(("critical set is the flags plus the split vertex", witness is None, witness))
 
     # pairs stay in their fibers, so the zero fiber's survivors are the
-    # critical cells of the main matching with fiber key 0
-    witness = critical_set_witness(matching, [], among=[key == 0 for key in fiber_keys(cx)])
+    # critical cells of the main matching with key 0 or 1
+    witness = critical_set_witness(matching, [], among=[key < 2 for key in patchwork_keys(cx)])
     checks.append(("zero fiber collapses to the split vertex", witness is None, witness))
 
     # the action on the flags is free and transitive iff they form one
@@ -210,8 +212,8 @@ def _verification_checks(n: int) -> list[tuple[str, bool, str | None]]:
         witness = str(exc)
     checks.append(("full-group quotient has two critical cells", witness is None, witness))
 
-    data = morse_data(matching)
-    agree = homology_of(data.chain_data()) == nerve_homology
+    # a cyclic matching has no Morse complex; the acyclic line names its cycle
+    agree = cert.is_acyclic and homology_of(morse_data(matching).chain_data()) == nerve_homology
     checks.append(("Morse homology agrees with simplicial homology", agree, None))
 
     sym_quotient = QuotientComplex(cx, PermGroup.symmetric(n))
@@ -282,6 +284,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"--max-dim must be at least 0, got {args.max_dim}")
         if getattr(args, "format", None) == "csv" and args.command != "homology":
             raise ConfigError("csv output is only available for homology tables")
+        for path in filter(None, (getattr(args, "out", None), getattr(args, "dump_matching", None))):
+            if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigError(f"output path {path} is a directory or lies in no directory")
         code, payload = handlers[args.command](args)
         if payload is not None:
             _emit(_render(payload, args.format), args.out)

@@ -15,7 +15,7 @@ compares them and the split vertex with the critical cells.
 
 Every vertex predicate is one array operation on the nerve's
 restricted-growth table (OrderComplex.labels), label 0 being the block
-of 1: anchored, pair vertex, fiber key, the meet with the split vertex
+of 1: anchored, pair vertex, patchwork key, the meet with the split vertex
 (1 moved to the unused label n-1) and the lift (label 0 appended), with
 no Partition or Simplex form; split_vertex and pair_vertex are the
 Partition forms of the two named vertices, for callers.
@@ -31,7 +31,7 @@ from .morse import (
     Matching,
     check_equivariance,
     equivariant_patchwork_matching,
-    patchwork_pairs,
+    patchwork_matching,
     closure_matching,
     cone_matching,
     quotient_matching,
@@ -114,14 +114,16 @@ def anchored_flags(n: int) -> np.ndarray:
     return np.flatnonzero(cx.fold(_anchored_mask(cx.labels), np.logical_and)[cx.dim])
 
 
-def fiber_keys(cx: OrderComplex) -> list[np.ndarray]:
-    """key[d][i] = k when chain (d, i) starts with the pair vertex {1,k},
-    else 0.  A pair vertex is an atom, so it can only lead a chain, and
-    the key is that of the first vertex, k being the place of the last
-    label 0 in the vertex's row."""
+def patchwork_keys(cx: OrderComplex) -> list[np.ndarray]:
+    """The cell key of build_main_matching: key[d][i] is the largest key
+    of a vertex of chain (d, i), which is 0 for a vertex with {1} a block
+    (the cone stage), 1 for another vertex of the zero fiber (the closure
+    stage) and k for the pair vertex {1,k}, the place of the last label 0
+    in its row.  A pair vertex is an atom, so it can only lead a chain:
+    key k >= 2 is the fiber led by {1,k}, and key < 2 the zero fiber."""
     labels = cx.labels
     k = labels.shape[1] - np.argmax(labels[:, ::-1] == 0, axis=1)
-    return cx.fold(np.where(_pair_mask(labels), k, 0), lambda prefix, _: prefix)
+    return cx.fold(np.where(_pair_mask(labels), k, (labels == 0).sum(axis=1) > 1), np.maximum)
 
 
 def _key_action(g: Perm, k: int) -> int:
@@ -137,16 +139,18 @@ def fiber_zero_matching(n: int) -> Matching:
     in a singleton block are toggled on the split-off copy of their
     smallest such vertex.  Stage two cones what remains (chains of
     partitions with {1} a singleton) onto the split vertex.  The stages
-    are glued along the largest stage of a chain's vertices: 0 for a
-    cone vertex, 1 for another vertex of the zero fiber, 2 for a pair
-    vertex.
+    are glued along patchwork_keys clipped at 2, which puts the
+    pair-vertex fibers, holding no pairs here, at key 2.
     """
-    return Matching(get_complex(n), _fiber_zero_pairs(n))
+    cx = get_complex(n)
+    key = [np.minimum(layer, 2) for layer in patchwork_keys(cx)]
+    leq = np.triu(np.ones((3, 3), dtype=bool))
+    return patchwork_matching(cx, key, leq, _fiber_zero_pairs(n))
 
 
-def _fiber_zero_pairs(n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The pairs of fiber_zero_matching, with the patchwork checks run on
-    them but not yet the structural checks of a Matching."""
+def _fiber_zero_pairs(n: int) -> dict[int, dict]:
+    """The pairs of the zero fiber by stage, as {0: cone pairs, 1: closure
+    pairs}, each {d: (lo, hi)}, unchecked."""
     cx = get_complex(n)
     ground = np.flatnonzero(~_pair_mask(cx.labels))
     # the meet with the split vertex moves 1 into a block of its own, the
@@ -155,17 +159,9 @@ def _fiber_zero_pairs(n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     met[:, 0] = n - 1
     descend = np.arange(len(cx.labels))
     descend[ground] = cx.locate_labels(met)
-
-    stage1 = closure_matching(cx, descend.__getitem__, ground)
     fixed = ground[descend[ground] == ground]
-    stage2 = cone_matching(cx, fixed, _vertex(cx, _split_row(n)))
-
-    vstage = np.full(len(cx.less), 2)
-    vstage[ground] = 1
-    vstage[fixed] = 0
-    key = cx.fold(vstage, np.maximum)
-    leq = np.triu(np.ones((3, 3), dtype=bool))
-    return patchwork_pairs(cx, key, leq, {0: stage2, 1: stage1, 2: {}})
+    cone = cone_matching(cx, fixed, _vertex(cx, _split_row(n)))
+    return {0: cone, 1: closure_matching(cx, descend.__getitem__, ground)}
 
 
 def lift_cells(prev_cx: OrderComplex, cx: OrderComplex) -> list[np.ndarray]:
@@ -204,13 +200,14 @@ def build_main_matching(n: int) -> Matching:
         for d, (lo, hi) in prev.pair_arrays().items():
             last_pairs[d + 1] = (img[d][lo], img[d + 1][hi])
 
-    # the zero fiber lies below every fiber {1,k}, which are incomparable;
-    # its pairs are checked as a matching once, with all the others
+    # cone stage 0 < closure stage 1 < every fiber k, the fibers being
+    # incomparable; at n = 3 key 1 names no cell.  All pairs are checked once.
     leq = np.eye(n + 1, dtype=bool)
-    leq[0] = True
-    matching = equivariant_patchwork_matching(
-        cx, action, fiber_keys(cx), _key_action, leq, {0: _fiber_zero_pairs(n), n: last_pairs}
-    )
+    leq[0] = leq[1, 1:] = True
+    fibers = {**_fiber_zero_pairs(n), n: last_pairs}
+    if n == 3:
+        del fibers[1]
+    matching = equivariant_patchwork_matching(cx, action, patchwork_keys(cx), _key_action, leq, fibers)
     _matchings[n] = matching
     return matching
 

@@ -17,7 +17,8 @@ fiber gives a matching of the whole complex, and a group moves whole
 fibers across orbits through the image arrays of its generators
 (perm.ComplexAction.images); equivariance is one comparison per
 generator and dimension against up.  Cone and closure matchings are
-prefix-tree folds.  Assembly checks structure but not acyclicity: an
+prefix-tree folds, glued by construction with the pair-vertex fibers in
+one patchwork per size.  Assembly checks structure, not acyclicity: an
 assembled matching is certified once, by validate_matching.
 """
 from __future__ import annotations
@@ -146,6 +147,7 @@ class MatchingCertificate:
     critical_counts: tuple[int, ...]
     equivariant_under: str | None = None
     witness_cycle: tuple[str, ...] | None = None
+    defect: str | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -156,6 +158,8 @@ class MatchingCertificate:
         }
         if self.witness_cycle is not None:
             out["witnessCycle"] = list(self.witness_cycle)
+        if self.defect is not None:
+            out["defect"] = self.defect
         return out
 
 
@@ -260,10 +264,11 @@ def validate_matching(complex, pairs_or_matching, action=None) -> MatchingCertif
     """Certificate with matching-structure and acyclicity verdicts.
 
     Dangling cell references raise; structural defects (a cell in two
-    pairs, a non-face pair) yield isMatching=False.  A Matching is
-    checked again from its up arrays alone, and its down arrays must be
-    the partners these give.  When an action is supplied and the matching
-    is stable under it, equivariantUnder records the group.
+    pairs, a non-face pair) yield isMatching=False, the first one named
+    in defect.  A Matching is checked again from its up arrays alone, and
+    its down arrays must be the partners these give.  When an action is
+    supplied and the matching is stable under it, equivariantUnder
+    records the group.
     """
     matching = pairs_or_matching
     try:
@@ -275,16 +280,14 @@ def validate_matching(complex, pairs_or_matching, action=None) -> MatchingCertif
             matching = Matching(complex, matching)
     except DanglingCellError:
         raise
-    except InvalidMatchingError:
-        return MatchingCertificate(False, False, ())
+    except InvalidMatchingError as exc:
+        return MatchingCertificate(False, False, (), defect=str(exc))
     cycle = find_cycle(matching)
     counts = tuple(matching.critical_counts())
     equivariant_under = None
     if action is not None and check_equivariance(matching, action):
         equivariant_under = ", ".join(str(g) for g in action.group.generators) or "id"
-    witness = None
-    if cycle is not None:
-        witness = tuple(matching.complex.cell_label(d, i) for d, i in cycle)
+    witness = None if cycle is None else tuple(matching.complex.cell_label(d, i) for d, i in cycle)
     return MatchingCertificate(True, cycle is None, counts, equivariant_under, witness)
 
 
@@ -321,9 +324,8 @@ def _glue(complex, key, key_leq, fibers: dict) -> dict[int, tuple[np.ndarray, np
     return {d: tuple(np.concatenate(cells) for cells in zip(*pairs)) for d, pairs in parts.items()}
 
 
-def patchwork_pairs(complex, key, key_leq, fiber_pairs: dict) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Union of per-fiber matchings along an order-preserving cell key, as
-    {d: (lo, hi)} arrays.
+def patchwork_matching(complex, key, key_leq, fiber_pairs: dict) -> Matching:
+    """Union of per-fiber matchings along an order-preserving cell key.
 
     complex is an OrderComplex; key[d][i] is the key of cell (d, i), an id
     of a poset whose order is the boolean matrix key_leq over ids.  The
@@ -331,22 +333,17 @@ def patchwork_pairs(complex, key, key_leq, fiber_pairs: dict) -> dict[int, tuple
     comparison against face_array, and every pair of fiber_pairs[k], given
     as arrays or as a list of pairs, must lie in fiber k; a failure names
     the first bad cell and face, or pair.  The union is acyclic whenever
-    each piece is, which is not checked here, and neither is its
-    structure: a Matching built from the pairs checks that, and
-    validate_matching certifies acyclicity.
+    each piece is, which is not checked here: validate_matching certifies
+    acyclicity.
     """
-    return _glue(complex, key, key_leq, {k: _pair_arrays(complex, pairs) for k, pairs in fiber_pairs.items()})
-
-
-def patchwork_matching(complex, key, key_leq, fiber_pairs: dict) -> Matching:
-    """The Matching of patchwork_pairs."""
-    return Matching(complex, patchwork_pairs(complex, key, key_leq, fiber_pairs))
+    fibers = {k: _pair_arrays(complex, pairs) for k, pairs in fiber_pairs.items()}
+    return Matching(complex, _glue(complex, key, key_leq, fibers))
 
 
 def equivariant_patchwork_matching(complex, action, key, key_action, key_leq, rep_pairs: dict) -> Matching:
     """Assemble a group-stable matching from one matching per key orbit.
 
-    key and key_leq are as in patchwork_pairs; key_action(g, q) is the
+    key and key_leq are as in patchwork_matching; key_action(g, q) is the
     key id that g sends key id q to.  rep_pairs supplies exactly one
     fiber matching per key orbit, each stable under the stabilizer of its
     key.  A breadth-first search from each representative key r moves its

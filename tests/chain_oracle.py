@@ -16,7 +16,8 @@ breadth first, as PermGroup.generate did before it closed int32 tables.
 The construction's vertex predicates and its lift, one Partition or
 Simplex at a time, read off the blocks: is_anchored and is_pair_vertex
 are the references for the label masks of construction, fiber_of for
-fiber_keys, and lift_partition and lift_chain for lift_cells.
+the keys k >= 2 of patchwork_keys, and lift_partition and lift_chain
+for lift_cells.
 dense_boundary is the boundary map of one dimension as a dense matrix.
 """
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -256,7 +257,7 @@ def test_verify_names_a_flag_that_is_no_flag(capsys, monkeypatch):
 
 def test_verify_names_an_unmatched_cell(capsys, monkeypatch):
     import partmorse.cli as cli
-    from partmorse.construction import build_main_matching, fiber_keys
+    from partmorse.construction import build_main_matching, patchwork_keys
     from partmorse.morse import Matching
 
     real = build_main_matching(5)
@@ -264,7 +265,7 @@ def test_verify_names_an_unmatched_cell(capsys, monkeypatch):
     # unmatch one pair of the zero fiber: both its cells turn critical
     pairs = real.pair_arrays()
     lo, hi = pairs[1]
-    k = int(np.flatnonzero(fiber_keys(cx)[1][lo] == 0)[0])
+    k = int(np.flatnonzero(patchwork_keys(cx)[1][lo] < 2)[0])
     keep = np.arange(len(lo)) != k
     broken = Matching(cx, {**pairs, 1: (lo[keep], hi[keep])})
     monkeypatch.setattr(cli, "build_main_matching", lambda n: broken)
@@ -304,11 +305,47 @@ def test_verify_fails_a_matching_whose_partners_disagree(capsys, monkeypatch, n)
     # one vertex's up now names another vertex's partner, whose down is unchanged
     v, w = np.flatnonzero(real.up[0] >= 0)[:2]
     broken.up[0][v] = real.up[0][w]
-    assert not validate_matching(real.complex, broken).is_matching
+    cert = validate_matching(real.complex, broken)
+    assert not cert.is_matching
+    # the rebuilt edge of v does not hold v: the first defect names both
+    assert re.fullmatch(rf"cell \(0,{v}\) is not a regular face of \(1,\d+\) \(coefficient 0\)", cert.defect)
     monkeypatch.setitem(construction._matchings, n, broken)
-    code, out, _ = run(capsys, "verify", "--n", str(n))
+    code, out, err = run(capsys, "verify", "--n", str(n))
     assert code == 1
     assert "FAIL  main matching is a matching" in out.splitlines()
+    assert f"  main matching is a matching: {cert.defect}" in err.splitlines()
+
+
+def test_verify_names_the_cycle_of_a_cyclic_matching(capsys, monkeypatch):
+    from partmorse import construction
+    from partmorse.morse import Matching, validate_matching
+    from partmorse.ordercomplex import parse_simplex
+
+    real = construction.build_main_matching(5)
+    cx = real.complex
+    # four triangles a < v < c around the vertex v, each paired with the
+    # edge it shares with the one before: a cycle through all eight cells
+    v, atoms, coatoms = "1,2,3|4|5", ("1,2|3|4|5", "1,3|2|4|5"), ("1,2,3,4|5", "1,2,3,5|4")
+    ring = [(atoms[0], coatoms[0]), (atoms[1], coatoms[0]), (atoms[1], coatoms[1]), (atoms[0], coatoms[1])]
+    triangles = [cx.locate(parse_simplex(f"{a} < {v} < {c}")) for a, c in ring]
+    edges = [f"{atoms[0]} < {v}", f"{v} < {coatoms[0]}", f"{atoms[1]} < {v}", f"{v} < {coatoms[1]}"]
+    edges = [cx.locate(parse_simplex(e)) for e in edges]
+    cells = set(triangles + edges)
+    kept = [p for p in real.pairs if p[0] not in cells and p[1] not in cells]
+    assert len(kept) == len(real.pairs) - 4
+    broken = Matching(cx, kept + list(zip(edges, triangles)))
+    cert = validate_matching(cx, broken)
+    assert cert.is_matching and not cert.is_acyclic
+    assert len(cert.witness_cycle) == 9 and cert.witness_cycle[0] == cert.witness_cycle[-1]
+    assert set(cert.witness_cycle) == {cx.cell_label(d, i) for d, i in cells}
+    monkeypatch.setitem(construction._matchings, 5, broken)
+    code, out, err = run(capsys, "verify", "--n", "5")
+    assert code == 1
+    assert "PASS  main matching is a matching" in out.splitlines()
+    assert "FAIL  main matching is acyclic" in out.splitlines()
+    assert "FAIL  Morse homology agrees with simplicial homology" in out.splitlines()
+    assert f"  main matching is acyclic: gradient cycle {' -> '.join(cert.witness_cycle)}" in err.splitlines()
+    assert "Traceback" not in err
 
 
 def test_verify_prints_the_quotient_line_for_a_matching_that_is_not_equivariant(capsys, monkeypatch):
@@ -432,6 +469,30 @@ def test_csv_rejected_before_the_handler_runs(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: csv output is only available for homology tables\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complex", "--n", "4", "--out", "{missing}/x"],
+        ["complex", "--n", "4", "--out", "{dir}"],
+        ["matching", "--n", "4", "--dump-matching", "{missing}/x"],
+        ["matching", "--n", "4", "--dump-matching", "{dir}"],
+    ],
+)
+def test_unwritable_output_path_is_refused_before_the_handler_runs(capsys, monkeypatch, tmp_path, argv):
+    import partmorse.cli as cli
+
+    def no_build(n):
+        raise AssertionError(f"built the nerve at n = {n}")
+
+    monkeypatch.setattr(cli, "get_complex", no_build)
+    monkeypatch.setattr(cli, "matching_report", no_build)
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: output path {argv[-1]}")
+    assert "Traceback" not in err
 
 
 def test_out_writes_file(capsys, tmp_path):

@@ -12,7 +12,6 @@ from partmorse.construction import (
     anchored_flags,
     build_main_matching,
     block_size_label,
-    fiber_keys,
     fiber_zero_matching,
     get_action,
     get_complex,
@@ -20,6 +19,7 @@ from partmorse.construction import (
     matching_report,
     orbit_vertex_label,
     pair_vertex,
+    patchwork_keys,
     quotient_critical_cells,
     split_vertex,
 )
@@ -130,7 +130,8 @@ def test_fiber_vertex_is_unique_exhaustive():
 def test_cell_fiber_key_matches_fiber_of():
     for n in (3, 4, 5, 6):
         cx = get_complex(n)
-        key = fiber_keys(cx)
+        # the fiber key of a chain: k when {1,k} leads it, else 0
+        key = [np.where(layer >= 2, layer, 0) for layer in patchwork_keys(cx)]
         for d in range(cx.dim + 1):
             for i in range(cx.n_cells(d)):
                 k = int(key[d][i])
@@ -223,6 +224,7 @@ MAIN_MATCHING_SHA256 = {
     4: "18518341eae96df6290efa97ffe54d397e583830565a4b4fb604d5112048602e",
     5: "bdad953ec844b6ac457fc42e53df31fd1fbf446d055257c5c6039e92fcb6e106",
     6: "79d96a921acf6a22a678f4c855ca49b6b79ce5f9f737dbd979b6254e8a56fed5",
+    7: "b6428cc330461c388fb713dd66dd7d8b28018abdc4d9340059d933d9d534d3bb",
 }
 
 

@@ -8,10 +8,10 @@ from partmorse import construction
 from partmorse.construction import (
     _key_action,
     build_main_matching,
-    fiber_keys,
     get_action,
     get_complex,
     pair_vertex,
+    patchwork_keys,
     split_vertex,
 )
 from partmorse.homology import homology_of
@@ -311,9 +311,10 @@ def stage_keys(n):
     return key, np.triu(np.ones((3, 3), dtype=bool))
 
 
-def fiber_key_order(n):
+def key_order(n):
+    """The order of patchwork_keys: 0 below every key, 1 below 1..n."""
     leq = np.eye(n + 1, dtype=bool)
-    leq[0] = True
+    leq[0] = leq[1, 1:] = True
     return leq
 
 
@@ -325,7 +326,10 @@ def test_bulk_order_check_agrees_with_face_sweep():
         stage, stage_leq = stage_keys(n)
         # cells[0] lists the vertices in order, so stage[0] is the vertex stage
         assert all((a == b).all() for a, b in zip(cx.fold(stage[0], np.maximum), stage, strict=True))
-        for key, leq in ((stage, stage_leq), (fiber_keys(cx), fiber_key_order(n))):
+        # the one key clipped at 2 is the stage key
+        one = patchwork_keys(cx)
+        assert all((np.minimum(a, 2) == b).all() for a, b in zip(one, stage, strict=True))
+        for key, leq in ((stage, stage_leq), (one, key_order(n))):
             assert face_sweep_violation(cx, key, leq) is None
             assert bulk_violation(cx, key, leq) is None
             for _ in range(6):
@@ -342,26 +346,27 @@ def test_bulk_order_check_agrees_with_face_sweep():
 def test_patchwork_names_corrupted_fiber_key_cell():
     n = 5
     cx = get_complex(n)
-    key = fiber_keys(cx)
+    key = patchwork_keys(cx)
     fibers = main_fibers(n)
     # an edge led by the pair vertex {1,5}, moved into the zero fiber
     i = int(np.flatnonzero(key[1] == n)[0])
     key[1][i] = 0
     with pytest.raises(ValueError, match=rf"at cell \(1,{i}\) face \d+$"):
-        patchwork_matching(cx, key, fiber_key_order(n), fibers)
+        patchwork_matching(cx, key, key_order(n), fibers)
 
 
 def main_fibers(n):
-    """The representative fibers build_main_matching assembles: the zero
-    fiber and the fiber over the pair vertex {1,n}."""
-    key = fiber_keys(get_complex(n))
+    """The representative fibers build_main_matching assembles: the cone
+    and closure stages of the zero fiber and the fiber over the pair
+    vertex {1,n}."""
+    key = patchwork_keys(get_complex(n))
     pairs = build_main_matching(n).pairs
-    return {k: [p for p in pairs if key[p[0][0]][p[0][1]] == k] for k in (0, n)}
+    return {k: [p for p in pairs if key[p[0][0]][p[0][1]] == k] for k in (0, 1, n)}
 
 
 def assemble(n, rep_pairs):
     cx = get_complex(n)
-    return equivariant_patchwork_matching(cx, get_action(n), fiber_keys(cx), _key_action, fiber_key_order(n), rep_pairs)
+    return equivariant_patchwork_matching(cx, get_action(n), patchwork_keys(cx), _key_action, key_order(n), rep_pairs)
 
 
 def test_equivariant_patchwork_names_stabilizer_witness():
@@ -375,7 +380,7 @@ def test_equivariant_patchwork_names_stabilizer_witness():
     moved = next(p for p in fibers[n] if any(action.cell_image(g, p[0]) != p[0] for g in stabilizer))
     broken = [p for p in fibers[n] if p != moved]
     with pytest.raises(ValueError, match="not stabilizer-equivariant") as info:
-        assemble(n, {0: fibers[0], n: broken})
+        assemble(n, {**fibers, n: broken})
     witness = Perm.from_cycles(n, re.search(r"\(fails (.+)\)$", str(info.value)).group(1))
     assert witness in action.group
     assert act(witness, top) == top
@@ -390,6 +395,9 @@ def test_equivariant_patchwork_needs_one_representative_per_key_orbit():
         assemble(n, {**fibers, 2: []})
     with pytest.raises(ValueError, match="no representative"):
         assemble(n, {0: fibers[0]})
+    # the closure stage is a key orbit of its own
+    with pytest.raises(ValueError, match="no representative for the key orbit of 1$"):
+        assemble(n, {0: fibers[0], n: fibers[n]})
     with pytest.raises(ValueError, match="not the key of any cell"):
         assemble(n, {**fibers, -1: []})
 
@@ -414,7 +422,7 @@ def test_mutated_main_matching_fails_equivariance_n6():
     n = 6
     action = get_action(n)
     main = build_main_matching(n)
-    key = fiber_keys(get_complex(n))
+    key = patchwork_keys(get_complex(n))
     # a pair of the fiber over {1,2}, which the assembly reaches by transport
     dropped = next(p for p in main.pairs if key[p[0][0]][p[0][1]] == 2)
     assert check_equivariance(main, action)
@@ -425,7 +433,7 @@ def drop_transported_pair(n):
     """The main matching without one pair of the fiber over {1,2}, which
     the assembly reaches by transport, and that pair."""
     main = build_main_matching(n)
-    key = fiber_keys(main.complex)
+    key = patchwork_keys(main.complex)
     dropped = next(p for p in main.pairs if key[p[0][0]][p[0][1]] == 2)
     return Matching(main.complex, [p for p in main.pairs if p != dropped]), dropped
 
@@ -617,3 +625,15 @@ def test_cohomology_representatives_pair_to_identity():
     pairing = cohomology_pairing(data)
     assert pairing.shape == (1, 1)
     assert abs(int(np.linalg.det(pairing))) == 1
+
+
+def test_main_matching_glues_once_per_size(monkeypatch):
+    from partmorse import morse
+
+    calls = []
+    glue = morse._glue
+    monkeypatch.setattr(morse, "_glue", lambda cx, *args: calls.append(cx.dim + 3) or glue(cx, *args))
+    monkeypatch.setattr(construction, "_matchings", {})
+    build_main_matching(6)
+    # the nerve of size n has dimension n - 3
+    assert calls == [3, 4, 5, 6]
