@@ -23,6 +23,13 @@ the lift from one size to the next), one find per dimension.  At n = 8
 (m = 4138, f-vector 4138, 155477, 1208830, 3394790, 3919860, 1587600)
 every cell index fits in int32.
 
+Every 1-D gather by an integer index array (a layer read at the cells'
+prefixes or last vertices, the rank table at the flat index) is
+ndarray.take, not a subscript: a subscript casts an int32 index to intp
+and takes numpy's general indexing path, which on a layer of 10^5 cells
+costs about twice as much as take.  take treats a boolean array as 0s
+and 1s, so masks stay subscripts, and so does 2-D indexing.
+
 The order is checked once, over its pairs, before any chain is built:
 irreflexive and antisymmetric on the matrix, and transitive iff for each
 pair i < j (each 1-cell) row j of the relation is a subset of row i,
@@ -255,13 +262,16 @@ class OrderComplex(FaceTableComplex):
             parent.append(np.zeros(m, dtype=np.int32))
             last.append(np.arange(m, dtype=np.int32))
             first.append(np.zeros(1, dtype=np.int32))
-        while last and deg[last[-1]].any():
-            counts = deg[last[-1]]
+        while last:
+            counts = deg.take(last[-1])
+            if not counts.any():
+                break
             first.append(np.cumsum(counts, dtype=np.int32))
             first[-1] -= counts
-            offset = np.repeat(start[last[-1]] - first[-1], counts)
+            offset = np.repeat(start.take(last[-1]) - first[-1], counts)
+            offset += np.arange(len(offset), dtype=np.int32)
             parent.append(np.repeat(np.arange(len(counts), dtype=np.int32), counts))
-            last.append(succ[offset + np.arange(len(offset), dtype=np.int32)])
+            last.append(succ.take(offset))
         self.parent = parent
         self.last = last
         self._first = first
@@ -324,9 +334,9 @@ class OrderComplex(FaceTableComplex):
     def fold(self, vkey: np.ndarray, combine) -> list[np.ndarray]:
         """Per-dimension arrays folded along the prefix tree: a chain's entry
         combines its prefix chain's with vkey of its last vertex."""
-        out = [vkey[self.last[0]]]
+        out = [vkey.take(self.last[0])]
         for d in range(1, self.dim + 1):
-            out.append(combine(out[d - 1][self.parent[d]], vkey[self.last[d]]))
+            out.append(combine(out[d - 1].take(self.parent[d]), vkey.take(self.last[d])))
         return out
 
     def chains(self, d: int, cells=None) -> np.ndarray:
@@ -335,8 +345,8 @@ class OrderComplex(FaceTableComplex):
         idx = np.arange(self.n_cells(d)) if cells is None else np.asarray(cells, dtype=np.intp)
         out = np.empty((len(idx), d + 1), dtype=np.int32)
         for j in range(d, -1, -1):
-            out[:, j] = self.last[j][idx]
-            idx = self.parent[j][idx]
+            out[:, j] = self.last[j].take(idx)
+            idx = self.parent[j].take(idx)
         return out
 
     def find(self, d: int, prefix: np.ndarray, vertex: np.ndarray) -> np.ndarray:
@@ -354,7 +364,7 @@ class OrderComplex(FaceTableComplex):
         flat *= len(self.less)
         flat += vertex
         found = self._first[d].take(prefix)
-        found += self._rank[flat]
+        found += self._rank.take(flat)
         return found
 
     def map_chains(self, vmap: np.ndarray, target: "OrderComplex | None" = None, start: int | None = None):
@@ -370,7 +380,7 @@ class OrderComplex(FaceTableComplex):
         shift = 0 if start is None else 1
         img = np.array([start or 0], dtype=np.int32)
         for d in range(self.dim + 1):
-            img = target.find(d + shift, img[self.parent[d]], vmap[self.last[d]]).astype(np.int32, copy=False)
+            img = target.find(d + shift, img.take(self.parent[d]), vmap.take(self.last[d])).astype(np.int32, copy=False)
             yield img
 
     def locate(self, chain) -> tuple[int, int]:
@@ -418,8 +428,8 @@ class OrderComplex(FaceTableComplex):
         prefix (the empty chain at d = 1) extended by the last vertex, one
         find per column.  The prefixes' faces come from face_rows, so they
         are read off face_array(d-1) once that is kept."""
-        prefix = self.parent[d][cells]
-        vertex = self.last[d][cells]
+        prefix = self.parent[d].take(cells)
+        vertex = self.last[d].take(cells)
         below = self.face_rows(d - 1, prefix) if d > 1 else np.zeros((len(prefix), 1), dtype=np.int32)
         table = np.empty((len(prefix), d + 1), dtype=np.int32)
         table[:, d] = prefix

@@ -28,6 +28,11 @@ orbits by their smallest cell in array passes; orbit labels and orbit_of
 are int32, like the image arrays.  The boundary of an orbit maps the
 faces of its representative, read off the base's face rows, to their
 orbits.
+
+As in ordercomplex, a 1-D gather by an integer index array is
+ndarray.take, since a subscript casts an int32 index to intp and takes
+numpy's slower general indexing path; the propagation rounds of
+orbit_labels take into buffers kept across rounds.
 """
 
 from __future__ import annotations
@@ -181,10 +186,10 @@ class PermGroup:
             products = garr[:, frontier].reshape(-1, n)
             found = row_codes(products)
             order = np.argsort(found)
-            found = found[order]
+            found = found.take(order)
             at = np.minimum(np.searchsorted(seen, found), len(seen) - 1)
             # the first copy of each product that is not an element yet
-            fresh = seen[at] != found
+            fresh = seen.take(at) != found
             fresh[1:] &= found[1:] != found[:-1]
             frontier = products[order[fresh]]
             rows.append(frontier)
@@ -321,7 +326,7 @@ class ComplexAction:
         below, above = complex.chains(1).T if complex.dim else np.zeros((2, 0), dtype=np.int32)
         identity = np.arange(len(complex.less))
         for g, v in self.vertex_maps.items():
-            if not np.array_equal(np.sort(v), identity) or not complex.less[v[below], v[above]].all():
+            if not np.array_equal(np.sort(v), identity) or not complex.less[v.take(below), v.take(above)].all():
                 raise ValueError(f"{g} does not act by poset automorphisms")
         self._images: dict[Perm, list[np.ndarray]] = {}
         self._recent: dict[Perm, list[np.ndarray]] = {}
@@ -357,16 +362,23 @@ class ComplexAction:
 def orbit_labels(size: int, images) -> np.ndarray:
     """The smallest cell of the orbit of each of size cells under the generators
     with these image arrays, by min-label propagation with pointer jumping;
-    int32, like the image arrays."""
+    int32, like the image arrays.  Every round gathers into the same three
+    buffers.  take(out=) buffers its result unless indices are clipped, so
+    the image arrays are range-checked once and then taken with
+    mode="clip", which then clips nothing."""
+    for img in images:
+        if len(img) and not 0 <= img.min() <= img.max() < size:
+            raise IndexError(f"image array with entries outside 0..{size - 1}")
     label = np.arange(size, dtype=np.int32)
+    new, gathered = np.empty_like(label), np.empty_like(label)
     while True:
-        new = label
+        np.copyto(new, label)
         for img in images:
-            new = np.minimum(new, new[img])
-        new = new[new]
-        if np.array_equal(new, label):
+            np.minimum(new, new.take(img, out=gathered, mode="clip"), out=new)
+        new.take(new, out=gathered, mode="clip")
+        if np.array_equal(gathered, label):
             return label
-        label = new
+        label, gathered = gathered, label
 
 
 class QuotientComplex(FaceTableComplex):
@@ -388,7 +400,7 @@ class QuotientComplex(FaceTableComplex):
             # a cell labels itself iff it is the smallest of its orbit;
             # numbering orbits by that cell is first-appearance order
             is_rep = label == np.arange(len(label))
-            self.orbit_of.append((np.cumsum(is_rep, dtype=np.int32) - 1)[label])
+            self.orbit_of.append((np.cumsum(is_rep, dtype=np.int32) - 1).take(label))
             self.reps.append(np.flatnonzero(is_rep).tolist())
         super().__init__(len(layer) for layer in self.reps)
 
@@ -397,7 +409,7 @@ class QuotientComplex(FaceTableComplex):
 
     def face_table(self, d: int, cells) -> np.ndarray:
         """The orbits of the faces of the representatives of the given orbits."""
-        return self.orbit_of[d - 1][self.base.face_rows(d, np.asarray(self.reps[d])[cells])]
+        return self.orbit_of[d - 1].take(self.base.face_rows(d, np.take(self.reps[d], cells)))
 
     # bound in the class body: the per-layer tracer in perfbench/ wraps
     # QuotientComplex.__dict__["boundary_columns"] and fails without it

@@ -567,11 +567,26 @@ def count_objects(monkeypatch, run_it) -> dict[str, int]:
     return counts
 
 
+def sphere_table(dim: int, count: int) -> list[dict]:
+    """The homology table of a wedge of count spheres of dimension dim."""
+    return [{"dim": d, "betti": count if d == dim else 0, "torsion": []} for d in range(dim + 1)]
+
+
 def test_quotient_homology_makes_no_partitions_and_no_group_elements(monkeypatch, capsys):
     counts = count_objects(monkeypatch, lambda: main(["homology", "--n", "7", "--group", "(2 3),(2 3 4 5 6 7)"]))
-    capsys.readouterr()
+    # the nerve of Pi_7 modulo the stabilizer of 1 is one 4-sphere
+    assert json.loads(capsys.readouterr().out) == sphere_table(4, 1)
     # the two parsed generators only
     assert counts == {"Partition": 0, "Perm": 2}
+
+
+def test_quotient_by_a_young_subgroup_is_a_wedge_of_index_many_spheres(capsys):
+    # G = S_2 x S_4 on {2,3} and {4,5,6,7}, order 48, fixes 1: the quotient
+    # is a wedge of [S_6 : G] = 720 / 48 = 15 spheres of dimension n - 3
+    assert parse_group(7, "(2 3),(4 5),(4 5 6 7)").order == 48
+    code, out, _ = run(capsys, "homology", "--n", "7", "--group", "(2 3),(4 5),(4 5 6 7)")
+    assert code == 0
+    assert json.loads(out) == sphere_table(4, 15)
 
 
 def test_verify_checks_make_objects_for_generators_only(monkeypatch):

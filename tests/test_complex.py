@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 
@@ -428,6 +429,31 @@ def test_prefix_tree_rebuilds_every_chain():
             codes = cx.parent[d].astype(np.int64) * len(cx.elements) + cx.last[d]
             assert (np.diff(codes) > 0).all()
             assert codes.max() < max(cx.n_cells(d - 1), 1) * len(cx.elements)
+
+
+def int32_digest(arrays) -> str:
+    """sha256 of the arrays' entries as little-endian int32, one after another."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype="<i4").tobytes())
+    return h.hexdigest()
+
+
+# int32_digest of parent[0], last[0], parent[1], last[1], ... of proper_part_complex(n)
+NERVE_SHA256 = {
+    3: "c3f5aadf8ecfcdf7e6caaeac2626219a74494159a7667f8c25669592cd2c3154",
+    4: "9c952b4404f0d31248bbf39a74425f631a4f0c8ef7b3f68158a56f5230ce8082",
+    5: "5f7edd9ef1cc609e70e0e7b1f36d18a2a3e6b8cc4701bea2700e2d2193e12dc5",
+    6: "bd359c0bcdd5b6425d9210779c3b18e8cb037ff31fd363c69f51cf0c409318ca",
+    7: "a028858b761418b4c81ef24fb6c47e5ddc53a7dad3ef985cde972f6b09e5516b",
+}
+
+
+def test_prefix_tree_is_pinned():
+    for n, digest in NERVE_SHA256.items():
+        cx = proper_part_complex(n)
+        assert all(a.dtype == np.int32 for a in cx.parent + cx.last)
+        assert int32_digest(a for d in range(cx.dim + 1) for a in (cx.parent[d], cx.last[d])) == digest
 
 
 def test_face_table_matches_chain_lookup():

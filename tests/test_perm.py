@@ -8,12 +8,14 @@ from partmorse.perm import (
     PermGroup,
     QuotientComplex,
     act,
+    orbit_labels,
     orbits,
 )
 from partmorse.setpart import enumerate_proper, parse_partition
 from partmorse.ordercomplex import Simplex
 from chain_oracle import chain_positions, dense_boundary, perm_product_closure, relation_chains
 from test_acceptance import SUBGROUPS
+from test_complex import int32_digest
 
 N6_SUBGROUPS = [[], ["(2 3)"], ["(2 3 4)", "(3 4 5)", "(4 5 6)"], ["(2 3)", "(2 3 4 5 6)"]]
 
@@ -262,15 +264,38 @@ def int64_orbit_of(size, images):
         label = new
 
 
+N7_SUBGROUPS = [["(2 3)", "(2 3 4 5 6 7)"], ["(2 3)", "(4 5)", "(4 5 6 7)"], ["(1 2)", "(1 2 3 4 5 6 7)"]]
+
+
 def test_orbit_of_is_int32_and_equals_the_int64_result():
     groups = [PermGroup.from_cycle_strings(5, texts) for _, texts in SUBGROUPS[5]]
-    for group in groups + [PermGroup.from_cycle_strings(6, texts) for texts in N6_SUBGROUPS]:
+    groups += [PermGroup.from_cycle_strings(6, texts) for texts in N6_SUBGROUPS]
+    for group in groups + [PermGroup.from_cycle_strings(7, texts) for texts in N7_SUBGROUPS]:
         cx = proper_part_complex(group.n)
         qc = QuotientComplex(cx, group)
         images = [qc.action.images(g) for g in group.generators]
         for d in range(cx.dim + 1):
             assert qc.orbit_of[d].dtype == np.int32
             assert np.array_equal(qc.orbit_of[d], int64_orbit_of(cx.n_cells(d), [img[d] for img in images]))
+
+
+# int32_digest of orbit_of[0], reps[0], orbit_of[1], reps[1], ... of the
+# nerve of Pi_7 modulo the stabilizer of 1
+STABILIZER_QUOTIENT_N7_SHA256 = "842d6fb8638f2d005ca4cc95eec9f5238edd9b5df98a2df7e8363dfa44c2c3bb"
+
+
+def test_stabilizer_quotient_n7_orbits_are_pinned():
+    qc = QuotientComplex(proper_part_complex(7), PermGroup.point_stabilizer(7))
+    digest = int32_digest(a for d in range(qc.dim + 1) for a in (qc.orbit_of[d], qc.reps[d]))
+    assert digest == STABILIZER_QUOTIENT_N7_SHA256
+
+
+def test_orbit_labels_refuses_images_out_of_range():
+    images = [np.array([1, 2, 0], dtype=np.int32)]
+    assert orbit_labels(3, images).tolist() == [0, 0, 0]
+    for bad in ([1, 2, 3], [1, -1, 0]):
+        with pytest.raises(IndexError, match="outside 0..2"):
+            orbit_labels(3, images + [np.array(bad, dtype=np.int32)])
 
 
 def test_rgs_vertex_maps_match_act():
