@@ -434,32 +434,35 @@ def closure_matching(complex, descend, vertex_indices=None) -> dict[int, tuple[n
     by the operator is toggled on the image of its smallest such vertex.
     Critical cells are exactly the chains inside the image.
 
-    descend maps vertex index to vertex index; it must satisfy
-    d(x) <= x, d(d(x)) = d(x), and monotonicity, all checked here.  Then
-    the vertices before the smallest moving vertex m of a chain are fixed
-    and below d(m), so a chain is an upper cell iff d(m) is the vertex
-    just before m, and its partner is the face without d(m).
+    descend maps vertex index to vertex index; it must satisfy d(x) <= x,
+    d(d(x)) = d(x), and monotonicity at the order's pairs, all checked
+    here.  Then the vertices before the smallest moving vertex m of a chain
+    are fixed and below d(m), so a chain is an upper cell iff d(m) is the
+    vertex just before m, and its partner is the face without d(m).
     """
     m = len(complex.less)
     verts = np.arange(m) if vertex_indices is None else distinct(np.fromiter(vertex_indices, dtype=np.intp))
     image = np.arange(m)
     image[verts] = [descend(v) for v in verts.tolist()]
-    img, less = image[verts], complex.less
+    img = image[verts]
     bad = np.flatnonzero(~np.isin(img, verts))
     if len(bad):
         raise ValueError(f"operator escapes the ground poset at vertex {verts[bad[0]]}")
-    bad = np.flatnonzero((img != verts) & ~less[img, verts])
+    bad = np.flatnonzero((img != verts) & ~complex.related(img, verts))
     if len(bad):
         raise ValueError(f"operator is not descending at vertex {verts[bad[0]]}")
     bad = np.flatnonzero(image[img] != img)
     if len(bad):
         raise ValueError(f"operator is not idempotent at vertex {verts[bad[0]]}")
-    bad = np.argwhere(less[np.ix_(verts, verts)] & (img[:, None] != img) & ~less[np.ix_(img, img)])
+    keep = np.isin(np.arange(m), verts)
+    edges = np.stack(complex.pairs())
+    edges = edges[:, keep[edges].all(axis=0)]
+    moved = image[edges]
+    bad = np.flatnonzero((moved[0] != moved[1]) & ~complex.related(*moved))
     if len(bad):
-        v, u = verts[bad[0]]
+        v, u = edges[:, bad[0]]
         raise ValueError(f"operator is not monotone on {v} <= {u}")
 
-    keep = np.isin(np.arange(m), verts)
     moving = image != np.arange(m)
     inside = complex.fold(keep, np.logical_and)
     # pos: the position of the smallest moving vertex, -1 when none; hit:

@@ -16,12 +16,12 @@ from the pairs of the order (uint8 while no vertex has more than 256
 above it, as up to n = 7; uint16 at n = 8, 34 MB) at an int32 index,
 which bounds m to 46340.  find is the nerve's one chain lookup:
 face_table reads face k < d of a chain as face k of its prefix extended
-by its last vertex, one find per column, from the prefixes' face rows;
-locate folds find along a chain once its vertices are checked; and
-map_chains carries every cell along a vertex map (a group element, or
-the lift from one size to the next), one find per dimension.  At n = 8
-(m = 4138, f-vector 4138, 155477, 1208830, 3394790, 3919860, 1587600)
-every cell index fits in int32.
+by its last vertex, one find per table (a face that keeps the prefix's
+top keeps the cell's rank in its run); locate folds find along a chain
+once its vertices are checked; and map_chains carries every cell along a
+vertex map (a group element, or the lift from one size to the next), one
+find per dimension.  At n = 8 (m = 4138, f-vector 4138, 155477, 1208830,
+3394790, 3919860, 1587600) every cell index fits in int32.
 
 Every 1-D gather by an integer index array (a layer read at the cells'
 prefixes or last vertices, the rank table at the flat index) is
@@ -30,14 +30,14 @@ and takes numpy's general indexing path, which on a layer of 10^5 cells
 costs about twice as much as take.  take treats a boolean array as 0s
 and 1s, so masks stay subscripts, and so does 2-D indexing.
 
-The order is checked once, over its pairs, before any chain is built:
-irreflexive and antisymmetric on the matrix, and transitive iff for each
-pair i < j (each 1-cell) row j of the relation is a subset of row i,
-compared on rows packed into 64-bit words; a failure names a triple
-i < j < k without i < k.  proper_part_complex builds the refinement order
-of the proper part of the partition lattice from same-block pair
-bitmasks, p < q iff p != q and p's mask is a subset of q's, in blocks
-of rows.
+The order is listed once as its pairs i < j (layer 1) and then read at
+them and at the 2-chains, flat at i * m + j in int32 (related).  It is
+irreflexive and antisymmetric iff no pair's reverse holds, and, checked
+once layer 2 is built, transitive iff i < k for every 2-chain i < j < k;
+a failure names its first loop, pair or triple.  proper_part_complex
+builds the refinement order of the proper part of the partition lattice
+from same-block pair bitmasks, p < q iff p != q and p's mask is a subset
+of q's, in blocks of rows.
 
 The nerve of the partition lattice keeps its vertices as labels, their
 (m, n) int32 restricted-growth table; the Partition elements are made on
@@ -235,24 +235,23 @@ class OrderComplex(FaceTableComplex):
         m = len(self.elements if elements is not None else self.labels)
         if m * m >= 2**31:
             raise ValueError(f"{m} elements: the rank table index t * m + v would overflow int32")
-        less = np.asarray(less, dtype=bool)
+        less = np.ascontiguousarray(less, dtype=bool)
         if less.shape != (m, m):
             raise InvalidPosetError(f"relation shape {less.shape} != ({m}, {m})")
-        if less.trace() > 0 or (less & less.T).any():
-            raise InvalidPosetError("relation is not antisymmetric and irreflexive")
-        # the pairs i < j, row by row: the 1-cells of the nerve
-        below, above = np.nonzero(less)
-        witness = transitivity_witness(less, below, above)
-        if witness is not None:
-            i, j, k = witness
-            raise InvalidPosetError(f"relation is not transitive: {i} < {j} < {k} but not {i} < {k}")
         self.less = less
-        succ = above.astype(np.int32)
-        deg = less.sum(axis=1, dtype=np.int32)
+        # the pairs i < j, row by row: the 1-cells of the nerve
+        flat = np.flatnonzero(less).astype(np.int32)
+        below, above = np.divmod(flat, m)
+        loops, twice = np.flatnonzero(less.diagonal()), np.flatnonzero(self.related(above, below))
+        if len(loops) or len(twice):
+            i, j = (loops[0], loops[0]) if len(loops) else (below[twice[0]], above[twice[0]])
+            cause = f"{i} < {i}" if i == j else f"{i} < {j} and {j} < {i}"
+            raise InvalidPosetError(f"relation is not antisymmetric and irreflexive: {cause}")
+        deg = np.bincount(below, minlength=m).astype(np.int32)
         start = np.cumsum(deg, dtype=np.int32) - deg
 
         # each new layer extends every chain of the last by one vertex above
-        # its top; succ[start[v]:start[v] + deg[v]] lists the vertices above
+        # its top; above[start[v]:start[v] + deg[v]] lists the vertices above
         # v, and first[d][p] is where the run of the extensions of the chain
         # p of layer d-1 starts in layer d (the empty chain's run is layer 0)
         parent: list[np.ndarray] = []
@@ -263,6 +262,14 @@ class OrderComplex(FaceTableComplex):
             last.append(np.arange(m, dtype=np.int32))
             first.append(np.zeros(1, dtype=np.int32))
         while last:
+            # transitive iff i < k for every 2-chain i < j < k, checked before
+            # layer 3, which a cycle would never end; the first bad one is least
+            if len(last) == 3:
+                ok = self.related(parent[1].take(parent[2]), last[2])
+                if not ok.all():
+                    c = int(ok.argmin())
+                    i, j, k = parent[1][parent[2][c]], last[1][parent[2][c]], last[2][c]
+                    raise InvalidPosetError(f"relation is not transitive: {i} < {j} < {k} but not {i} < {k}")
             counts = deg.take(last[-1])
             if not counts.any():
                 break
@@ -271,14 +278,14 @@ class OrderComplex(FaceTableComplex):
             offset = np.repeat(start.take(last[-1]) - first[-1], counts)
             offset += np.arange(len(offset), dtype=np.int32)
             parent.append(np.repeat(np.arange(len(counts), dtype=np.int32), counts))
-            last.append(succ.take(offset))
+            last.append(above.take(offset))
         self.parent = parent
         self.last = last
         self._first = first
         # rank[t * m + v]: the position of v among the vertices above t, in
         # the smallest unsigned type that holds it (uint8 up to n = 7)
         self._rank = np.zeros(m * m, dtype=np.min_scalar_type(max(deg.max(initial=0) - 1, 0)))
-        self._rank[below * m + above] = np.arange(len(below)) - start[below]
+        self._rank[flat] = np.arange(len(flat), dtype=np.int32) - start.take(below)
         super().__init__(len(layer) for layer in last)
 
     @cached_property
@@ -330,6 +337,16 @@ class OrderComplex(FaceTableComplex):
                 if i != j and less(p, q):
                     rel[i, j] = True
         return cls(elements, rel)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs i < j of the order in row order: layer 1, (parent[1], last[1])."""
+        return (self.parent[1], self.last[1]) if self.dim > 0 else (np.zeros(0, dtype=np.int32),) * 2
+
+    def related(self, below, above) -> np.ndarray:
+        """Whether below[e] < above[e]: less read flat at below * m + above in int32."""
+        flat = np.multiply(below, len(self.less), dtype=np.int32)
+        flat += above
+        return self.less.ravel().take(flat)
 
     def fold(self, vkey: np.ndarray, combine) -> list[np.ndarray]:
         """Per-dimension arrays folded along the prefix tree: a chain's entry
@@ -426,15 +443,17 @@ class OrderComplex(FaceTableComplex):
         the given cells of dimension d >= 1, the index of its face without
         vertex k: face d is the prefix, and face k < d is face k of the
         prefix (the empty chain at d = 1) extended by the last vertex, one
-        find per column.  The prefixes' faces come from face_rows, so they
-        are read off face_array(d-1) once that is kept."""
+        find for k = d-1; face k < d-1 keeps the prefix's top, so it lies as
+        far into its run as the cell into its own.  The prefixes' faces come
+        from face_rows, read off face_array(d-1) once that is kept."""
         prefix = self.parent[d].take(cells)
-        vertex = self.last[d].take(cells)
         below = self.face_rows(d - 1, prefix) if d > 1 else np.zeros((len(prefix), 1), dtype=np.int32)
         table = np.empty((len(prefix), d + 1), dtype=np.int32)
         table[:, d] = prefix
-        for k in range(d):
-            table[:, k] = self.find(d - 1, below[:, k], vertex)
+        table[:, d - 1] = self.find(d - 1, below[:, d - 1], self.last[d].take(cells))
+        rank = cells - self._first[d].take(prefix)
+        for k in range(d - 1):
+            table[:, k] = self._first[d - 1].take(below[:, k]) + rank
         return table
 
     # bound in the class body: the per-layer tracer in perfbench/ wraps
@@ -479,28 +498,6 @@ def _rows(columns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         merged.append([(j, c) for j, c in acc.items() if c])
     indptr = np.cumsum([0] + [len(col) for col in merged], dtype=np.int64)
     return (indptr, *np.array([e for col in merged for e in col], dtype=np.int64).reshape(-1, 2).T)
-
-
-def transitivity_witness(less: np.ndarray, below: np.ndarray, above: np.ndarray, block: int = 1 << 16):
-    """A triple (i, j, k) with i < j < k but not i < k, or None when the
-    relation is transitive.  below[e] < above[e] must list every pair of
-    the relation; it is transitive iff row j is a subset of row i for
-    each pair i < j, compared on the rows packed into 64-bit words, in
-    blocks of at most block words.  The triple comes from the first bad
-    pair in the given order."""
-    packed = np.packbits(less, axis=1)
-    words = np.zeros((len(less), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    words = words.view(np.uint64)
-    outside = ~words
-    step = max(block // max(words.shape[1], 1), 1)
-    for s in range(0, len(below), step):
-        i, j = below[s : s + step], above[s : s + step]
-        bad = np.flatnonzero((words[j] & outside[i]).any(axis=1))
-        if len(bad):
-            i, j = int(i[bad[0]]), int(j[bad[0]])
-            return i, j, int(np.flatnonzero(less[j] & ~less[i])[0])
-    return None
 
 
 def pair_masks(labels: np.ndarray) -> np.ndarray:

@@ -15,19 +15,19 @@ of a point under the generator images (its stabilizer has order
 A group element acts on the nerve through a vertex map, built from the
 complex's restricted-growth table by permuting its columns and locating
 the rows (OrderComplex.locate_labels), and then on every cell at once
-through OrderComplex.map_chains: per-dimension int32 image arrays,
-the image of a chain being its prefix's image extended by the image of
-its last vertex.  A generator's vertex map is accepted iff it is a
-bijection that sends every 1-cell i < j of the nerve to a pair of the
-order; for a bijection that is the same as preserving the whole order,
-and it reads the order at the 1-cells only.  ComplexAction keeps the
-image arrays for the generators only; other elements are computed when
-asked for, not kept for the whole group.  QuotientComplex reads the
-generator images of one dimension at a time, keeping none, and labels
-orbits by their smallest cell in array passes; orbit labels and orbit_of
-are int32, like the image arrays.  The boundary of an orbit maps the
-faces of its representative, read off the base's face rows, to their
-orbits.
+through OrderComplex.map_chains: per-dimension int32 image arrays, the
+image of a chain being its prefix's image extended by the image of its
+last vertex.  A generator's vertex map is accepted iff it is a bijection
+that sends every 1-cell i < j of the nerve to a pair of the order; for a
+bijection that is the same as preserving the whole order, and it reads
+less once, flat, at the pairs' images.  ComplexAction keeps the image
+arrays for the generators only; other elements are computed when asked
+for, not kept for the whole group.  QuotientComplex reads the generator
+images of one dimension at a time, keeping none, and labels orbits by
+their smallest cell in array passes; orbit labels and orbit_of are
+int32, like the image arrays.  The boundary of an orbit maps the faces of
+its representative, read off the base's face rows, to their orbits.
+
 
 As in ordercomplex, a 1-D gather by an integer index array is
 ndarray.take, since a subscript casts an int32 index to intp and takes
@@ -323,10 +323,10 @@ class ComplexAction:
         # a bijection of the vertices that sends every pair i < j (every
         # 1-cell) to a pair of the order is an automorphism: the order has
         # as many pairs after it as before
-        below, above = complex.chains(1).T if complex.dim else np.zeros((2, 0), dtype=np.int32)
+        below, above = complex.pairs()
         identity = np.arange(len(complex.less))
         for g, v in self.vertex_maps.items():
-            if not np.array_equal(np.sort(v), identity) or not complex.less[v.take(below), v.take(above)].all():
+            if not np.array_equal(np.sort(v), identity) or not complex.related(v.take(below), v.take(above)).all():
                 raise ValueError(f"{g} does not act by poset automorphisms")
         self._images: dict[Perm, list[np.ndarray]] = {}
         self._recent: dict[Perm, list[np.ndarray]] = {}

@@ -19,6 +19,8 @@ are the references for the label masks of construction, fiber_of for
 the keys k >= 2 of patchwork_keys, and lift_partition and lift_chain
 for lift_cells.
 dense_boundary is the boundary map of one dimension as a dense matrix.
+monotonicity_witness checks a closure operator on two |verts|^2 boolean
+matrices, as closure_matching did before it read the pairs of the order.
 """
 
 import numpy as np
@@ -138,3 +140,13 @@ def dense_boundary(cx, d: int) -> np.ndarray:
     mat = np.zeros((cx.n_cells(d - 1), cx.n_cells(d)), dtype=np.int64)
     mat[faces, entry_cells(indptr)] = coeffs
     return mat
+
+
+def monotonicity_witness(less, verts, image):
+    """The first v < u in row order over verts x verts (sorted) whose images
+    differ and are not in order, as a pair of ints, or None: read off
+    less on verts x verts and on their images x images."""
+    verts = np.asarray(verts)
+    img = np.asarray(image)[verts]
+    bad = np.argwhere(less[np.ix_(verts, verts)] & (img[:, None] != img) & ~less[np.ix_(img, img)])
+    return tuple(verts[bad[0]].tolist()) if len(bad) else None

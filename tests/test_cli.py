@@ -316,36 +316,47 @@ def test_verify_fails_a_matching_whose_partners_disagree(capsys, monkeypatch, n)
     assert f"  main matching is a matching: {cert.defect}" in err.splitlines()
 
 
-def test_verify_names_the_cycle_of_a_cyclic_matching(capsys, monkeypatch):
+def verify_names_a_cycle_of_four_triangles(capsys, monkeypatch, n, dropped):
     from partmorse import construction
     from partmorse.morse import Matching, validate_matching
     from partmorse.ordercomplex import parse_simplex
 
-    real = construction.build_main_matching(5)
+    real = construction.build_main_matching(n)
     cx = real.complex
     # four triangles a < v < c around the vertex v, each paired with the
-    # edge it shares with the one before: a cycle through all eight cells
+    # edge it shares with the one before: a cycle through all eight cells,
+    # which the real matching holds in `dropped` pairs
+    rest = "".join(f"|{k}" for k in range(6, n + 1))
     v, atoms, coatoms = "1,2,3|4|5", ("1,2|3|4|5", "1,3|2|4|5"), ("1,2,3,4|5", "1,2,3,5|4")
+    v, atoms, coatoms = v + rest, tuple(a + rest for a in atoms), tuple(c + rest for c in coatoms)
     ring = [(atoms[0], coatoms[0]), (atoms[1], coatoms[0]), (atoms[1], coatoms[1]), (atoms[0], coatoms[1])]
     triangles = [cx.locate(parse_simplex(f"{a} < {v} < {c}")) for a, c in ring]
     edges = [f"{atoms[0]} < {v}", f"{v} < {coatoms[0]}", f"{atoms[1]} < {v}", f"{v} < {coatoms[1]}"]
     edges = [cx.locate(parse_simplex(e)) for e in edges]
     cells = set(triangles + edges)
     kept = [p for p in real.pairs if p[0] not in cells and p[1] not in cells]
-    assert len(kept) == len(real.pairs) - 4
+    assert len(kept) == len(real.pairs) - dropped
     broken = Matching(cx, kept + list(zip(edges, triangles)))
     cert = validate_matching(cx, broken)
     assert cert.is_matching and not cert.is_acyclic
     assert len(cert.witness_cycle) == 9 and cert.witness_cycle[0] == cert.witness_cycle[-1]
     assert set(cert.witness_cycle) == {cx.cell_label(d, i) for d, i in cells}
-    monkeypatch.setitem(construction._matchings, 5, broken)
-    code, out, err = run(capsys, "verify", "--n", "5")
+    monkeypatch.setitem(construction._matchings, n, broken)
+    code, out, err = run(capsys, "verify", "--n", str(n))
     assert code == 1
     assert "PASS  main matching is a matching" in out.splitlines()
     assert "FAIL  main matching is acyclic" in out.splitlines()
     assert "FAIL  Morse homology agrees with simplicial homology" in out.splitlines()
     assert f"  main matching is acyclic: gradient cycle {' -> '.join(cert.witness_cycle)}" in err.splitlines()
     assert "Traceback" not in err
+
+
+def test_verify_names_the_cycle_of_a_cyclic_matching(capsys, monkeypatch):
+    verify_names_a_cycle_of_four_triangles(capsys, monkeypatch, 5, 4)
+
+
+def test_verify_names_the_cycle_of_a_cyclic_matching_at_n6(capsys, monkeypatch):
+    verify_names_a_cycle_of_four_triangles(capsys, monkeypatch, 6, 8)
 
 
 def test_verify_prints_the_quotient_line_for_a_matching_that_is_not_equivariant(capsys, monkeypatch):

@@ -15,7 +15,6 @@ from partmorse.ordercomplex import (
     pair_masks,
     parse_simplex,
     proper_part_complex,
-    transitivity_witness,
 )
 from partmorse.perm import PermGroup, QuotientComplex
 from partmorse.setpart import Partition, enumerate_proper, parse_partition, proper_rgs
@@ -252,16 +251,9 @@ def test_every_dropped_composite_edge_names_a_violating_triple():
             OrderComplex(cx.elements, rel)
         i, j, k = map(int, re.search(r"(\d+) < (\d+) < (\d+) but not", str(info.value)).groups())
         assert rel[i, j] and rel[j, k] and not rel[i, k]
-        # blocks of one pair, of a few, and two blocks the second of which
-        # holds the first bad pair give the same witness
-        pairs = np.nonzero(rel)
-        bad = first_bad(a, c) - (first_bad(a, c) > position[a, c])
-        words = -(-len(rel) // 64)
-        for block in (words, 7 * words, bad * words):
-            assert transitivity_witness(rel, *pairs, block=block) == (i, j, k)
-    # in the last trial the two blocks of bad pairs are the whole list, so
-    # the first bad pair lies in the last block
-    assert 2 * bad >= len(pairs[0])
+        # the first bad pair i < j in row order, and the least k above j but not above i
+        assert (i, j) == tuple(np.argwhere(rel)[first_bad(a, c) - (first_bad(a, c) > position[a, c])])
+        assert k == np.flatnonzero(rel[j] & ~rel[i])[0]
 
 
 def test_find_locates_every_cell():
@@ -314,7 +306,7 @@ def test_face_rows_agree_before_and_after_the_face_array():
                 assert np.array_equal(before[:, k], searched_cells(cx, np.delete(rows, k, axis=1)))
 
 
-def test_face_array_makes_one_find_per_column_once_the_layer_below_is_kept(monkeypatch):
+def test_face_array_makes_one_find_per_table_once_the_layer_below_is_kept(monkeypatch):
     cx = proper_part_complex(6)
     calls = []
     real = OrderComplex.find
@@ -322,7 +314,7 @@ def test_face_array_makes_one_find_per_column_once_the_layer_below_is_kept(monke
     for d in range(1, cx.dim + 1):
         calls.clear()
         cx.face_array(d)
-        assert len(calls) == d, d
+        assert len(calls) == 1, d
 
 
 def test_locate_labels_rejects_rows_of_another_width():
@@ -413,6 +405,49 @@ def test_transitivity_check_catches_a_missing_composite_edge():
     rel[i, j] = False
     with pytest.raises(InvalidPosetError, match="not transitive"):
         OrderComplex(cx.elements, rel)
+
+
+def test_a_symmetric_pair_or_a_loop_is_named():
+    less = proper_part_complex(5).less
+    rng = np.random.default_rng(5)
+    below, above = np.nonzero(less)
+    for trial in range(12):
+        rel = less.copy()
+        if trial % 3 == 0:
+            loops = rng.choice(len(rel), 2, replace=False)
+            rel[loops, loops] = True
+            expected = f"{loops.min()} < {loops.min()}"
+        else:
+            picks = rng.choice(len(below), trial % 3, replace=False)
+            rel[above[picks], below[picks]] = True
+            # the first pair in row order whose reverse holds too
+            i, j = np.argwhere(rel & rel.T)[0]
+            expected = f"{i} < {j} and {j} < {i}"
+        with pytest.raises(InvalidPosetError, match="^relation is not antisymmetric and irreflexive: (.*)$") as info:
+            OrderComplex(None, rel, proper_rgs(5))
+        assert str(info.value).endswith(": " + expected)
+
+
+@pytest.mark.parametrize(
+    "pairs, triple",
+    [
+        ([(0, 1), (1, 2), (2, 0)], (0, 1, 2)),
+        ([(0, 1), (1, 2), (2, 3), (3, 0)], (0, 1, 2)),
+        # with the chords 0 < 2 and 1 < 3, the least bad chain is 0 < 1 < 3
+        ([(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 0)], (0, 1, 3)),
+    ],
+    ids=["3-cycle", "4-cycle", "4-cycle-with-chords"],
+)
+def test_an_antisymmetric_cycle_is_not_transitive(pairs, triple):
+    # a cycle has chains of every length: without the 2-chain check, made
+    # before layer 3 is built, the layers would never end
+    size = max(max(p) for p in pairs) + 1
+    rel = np.zeros((size, size), dtype=bool)
+    rel[tuple(np.transpose(pairs))] = True
+    assert not (rel & rel.T).any()
+    i, j, k = triple
+    with pytest.raises(InvalidPosetError, match=f"^relation is not transitive: {i} < {j} < {k} but not {i} < {k}$"):
+        OrderComplex(list(range(size)), rel)
 
 
 def test_prefix_tree_rebuilds_every_chain():

@@ -31,7 +31,7 @@ from partmorse.morse import (
 from partmorse.cli import main
 from partmorse.ordercomplex import ExplicitComplex, OrderComplex
 from partmorse.perm import QuotientComplex
-from chain_oracle import chain_positions, is_pair_vertex, relation_chains
+from chain_oracle import chain_positions, is_pair_vertex, monotonicity_witness, relation_chains
 from test_morse import divisors_of_six, hexagon
 
 
@@ -245,6 +245,32 @@ def stage_matchings(n):
 
     fixed = [v for v in ground if descend(v) == v]
     return cx, (descend, ground), (fixed, cx.element_index[split])
+
+
+def test_monotonicity_witness_matches_the_matrix_reference():
+    rng = np.random.default_rng(11)
+    raised = 0
+    for n in (4, 5, 6):
+        cx, (descend, ground), _ = stage_matchings(n)
+        image = np.arange(len(cx.less))
+        image[ground] = [descend(v) for v in ground]
+        moving = [v for v in ground if image[v] != v]
+        fixed = [v for v in ground if image[v] == v]
+        for _ in range(30):
+            # fix one to three moving vertices, or send them to another fixed
+            # point below: still descending and idempotent, not always monotone
+            bent = image.copy()
+            for v in rng.choice(moving, rng.integers(1, 4), replace=False).tolist():
+                below = [w for w in fixed if cx.less[w, v]]
+                bent[v] = v if not below or rng.random() < 0.5 else rng.choice(below)
+            witness = monotonicity_witness(cx.less, ground, bent)
+            if witness is None:
+                closure_matching(cx, bent.__getitem__, ground)
+            else:
+                raised += 1
+                with pytest.raises(ValueError, match=f"^operator is not monotone on {witness[0]} <= {witness[1]}$"):
+                    closure_matching(cx, bent.__getitem__, ground)
+    assert 10 <= raised < 90
 
 
 def test_cone_and_closure_agree_with_chain_by_chain_reference():
