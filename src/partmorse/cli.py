@@ -26,8 +26,8 @@ from .construction import (
     quotient_critical_cells,
 )
 from .homology import homology_of, verify_wedge
-from .morse import InvalidMatchingError, equivariance_witness, morse_data, validate_matching
-from .perm import PermGroup, QuotientComplex
+from .morse import InvalidMatchingError, equivariance_witness, morse_data, quotient_matching, validate_matching
+from .perm import ComplexAction, PermGroup, QuotientComplex
 
 
 class ConfigError(Exception):
@@ -114,53 +114,45 @@ def cmd_matching(args) -> tuple[int, object]:
 def cmd_quotient(args) -> tuple[int, object]:
     n = args.n
     group = parse_group(n, args.group)
-    payload: dict = {"n": n, "group": [str(g) for g in group.generators] or ["id"]}
-    if group.fixes_point(1):
+    if fixes_one := group.fixes_point(1):
         qm, qc = quotient_critical_cells(n, group)
-        stabilizer = get_action(n).group
-        index = group.index_in(stabilizer)
-        cert = validate_matching(qc, qm)
-        result = homology_of(qc)
-        critical = [
-            {"dim": d, "label": qc.cell_label(d, i)}
-            for d, layer in enumerate(qm.critical_cells())
-            for i in layer
-        ]
-        payload.update(
-            {
-                "fVector": list(qc.f_vector()),
-                "eulerCharacteristic": qc.euler_characteristic(),
-                "index": index,
-                "criticalCounts": qm.critical_counts(),
-                "criticalCells": critical,
-                "certificate": cert.to_json(),
-                "reducedHomology": result.to_json(),
-                "wedgeVerified": verify_wedge(result, n - 3, index),
-            }
+    else:
+        print(
+            "warning: group does not fix 1; skipping the quotient-matching "
+            "pathway, reporting quotient homology only",
+            file=sys.stderr,
         )
-        ok = cert.is_acyclic and payload["wedgeVerified"] and sum(qm.critical_counts()) == index + 1
-        return (0 if ok else 1), payload
-    print(
-        "warning: group does not fix 1; skipping the quotient-matching "
-        "pathway, reporting quotient homology only",
-        file=sys.stderr,
-    )
-    qc = QuotientComplex(get_complex(n), group)
+        qc = QuotientComplex(ComplexAction(get_complex(n), group))
     result = homology_of(qc)
+    payload: dict = {
+        "n": n,
+        "group": [str(g) for g in group.generators] or ["id"],
+        "fVector": list(qc.f_vector()),
+        "eulerCharacteristic": qc.euler_characteristic(),
+        "reducedHomology": result.to_json(),
+    }
+    if not fixes_one:
+        return 0, payload
+    index = group.index_in(get_action(n).group)
+    cert = validate_matching(qc, qm)
+    critical = [{"dim": d, "label": qc.cell_label(d, i)} for d, layer in enumerate(qm.critical_cells()) for i in layer]
     payload.update(
         {
-            "fVector": list(qc.f_vector()),
-            "eulerCharacteristic": qc.euler_characteristic(),
-            "reducedHomology": result.to_json(),
+            "index": index,
+            "criticalCounts": qm.critical_counts(),
+            "criticalCells": critical,
+            "certificate": cert.to_json(),
+            "wedgeVerified": verify_wedge(result, n - 3, index),
         }
     )
-    return 0, payload
+    ok = cert.is_acyclic and payload["wedgeVerified"] and sum(qm.critical_counts()) == index + 1
+    return (0 if ok else 1), payload
 
 
 def cmd_homology(args) -> tuple[int, object]:
     n = args.n
     group = parse_group(n, args.group)
-    target = get_complex(n) if group.order == 1 else QuotientComplex(get_complex(n), group)
+    target = get_complex(n) if group.order == 1 else QuotientComplex(ComplexAction(get_complex(n), group))
     result = homology_of(target, max_dim=args.max_dim)
     if args.format == "csv":
         return 0, result.to_csv()
@@ -206,7 +198,7 @@ def _verification_checks(n: int) -> list[tuple[str, bool, str | None]]:
     expected[0] += 1
     expected[n - 3] += 1
     try:
-        counts = quotient_critical_cells(n, action.group)[0].critical_counts()
+        counts = quotient_matching(matching, QuotientComplex(action)).critical_counts()
         witness = None if counts == expected else f"critical counts {counts}, expected {expected}"
     except InvalidMatchingError as exc:
         witness = str(exc)
@@ -216,7 +208,7 @@ def _verification_checks(n: int) -> list[tuple[str, bool, str | None]]:
     agree = cert.is_acyclic and homology_of(morse_data(matching).chain_data()) == nerve_homology
     checks.append(("Morse homology agrees with simplicial homology", agree, None))
 
-    sym_quotient = QuotientComplex(cx, PermGroup.symmetric(n))
+    sym_quotient = QuotientComplex(ComplexAction(cx, PermGroup.symmetric(n)))
     checks.append(("full symmetric quotient is homologically trivial", homology_of(sym_quotient).is_trivial(), None))
     return checks
 

@@ -18,7 +18,10 @@ restricted-growth table (OrderComplex.labels), label 0 being the block
 of 1: anchored, pair vertex, patchwork key, the meet with the split vertex
 (1 moved to the unused label n-1) and the lift (label 0 appended), with
 no Partition or Simplex form; split_vertex and pair_vertex are the
-Partition forms of the two named vertices, for callers.
+Partition forms of the two named vertices, for callers; no Perm is made
+beyond group generators.  get_action(n), the one action of the
+stabilizer of 1 at size n, serves the patchwork, the flag orbits and the
+stabilizer quotient.
 """
 
 from __future__ import annotations
@@ -207,7 +210,7 @@ def build_main_matching(n: int) -> Matching:
     fibers = {**_fiber_zero_pairs(n), n: last_pairs}
     if n == 3:
         del fibers[1]
-    matching = equivariant_patchwork_matching(cx, action, patchwork_keys(cx), _key_action, leq, fibers)
+    matching = equivariant_patchwork_matching(action, patchwork_keys(cx), _key_action, leq, fibers)
     _matchings[n] = matching
     return matching
 
@@ -216,12 +219,13 @@ def build_main_matching(n: int) -> Matching:
 
 
 def quotient_critical_cells(n: int, subgroup: PermGroup):
-    """Quotient the main matching by a subgroup fixing 1; returns the
-    quotient matching and the quotient complex."""
+    """Quotient the main matching by a subgroup fixing 1, over one action
+    of the subgroup; returns the quotient matching and the quotient
+    complex."""
     if not subgroup.fixes_point(1):
         raise ValueError("subgroup must fix 1")
     matching = build_main_matching(n)
-    qc = QuotientComplex(get_complex(n), subgroup)
+    qc = QuotientComplex(ComplexAction(get_complex(n), subgroup))
     qm = quotient_matching(matching, qc)
     return qm, qc
 

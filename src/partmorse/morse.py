@@ -13,13 +13,15 @@ int64 gradient-path counts of the Morse boundary and the pushed flow of
 the cycle representatives.  The patchwork pattern composes matchings: an
 order-preserving cell key (an int array per dimension, ordered by a
 boolean matrix and checked against face_array) plus one matching per
-fiber gives a matching of the whole complex, and a group moves whole
-fibers across orbits through the image arrays of its generators
-(perm.ComplexAction.images); equivariance is one comparison per
-generator and dimension against up.  Cone and closure matchings are
-prefix-tree folds, glued by construction with the pair-vertex fibers in
-one patchwork per size.  Assembly checks structure, not acyclicity: an
-assembled matching is certified once, by validate_matching.
+fiber gives a matching of the whole complex, and the generators of an
+action move whole fibers across orbits of its complex through their
+image arrays (perm.ComplexAction.images); equivariance is one comparison
+per generator and dimension against up, and a quotient matching checks
+it against the images that its quotient's action keeps.  Cone and
+closure matchings are prefix-tree folds, glued by construction with the
+pair-vertex fibers in one patchwork per size.  Assembly checks
+structure, not acyclicity: an assembled matching is certified once, by
+validate_matching.
 """
 from __future__ import annotations
 
@@ -340,8 +342,9 @@ def patchwork_matching(complex, key, key_leq, fiber_pairs: dict) -> Matching:
     return Matching(complex, _glue(complex, key, key_leq, fibers))
 
 
-def equivariant_patchwork_matching(complex, action, key, key_action, key_leq, rep_pairs: dict) -> Matching:
-    """Assemble a group-stable matching from one matching per key orbit.
+def equivariant_patchwork_matching(action, key, key_action, key_leq, rep_pairs: dict) -> Matching:
+    """Assemble a matching of action.complex stable under action.group
+    from one matching per key orbit.
 
     key and key_leq are as in patchwork_matching; key_action(g, q) is the
     key id that g sends key id q to.  rep_pairs supplies exactly one
@@ -355,6 +358,7 @@ def equivariant_patchwork_matching(complex, action, key, key_action, key_leq, re
     of r (Schreier's lemma), so the search checks the stabilizer condition,
     covers the orbit and transports the fiber in one pass.
     """
+    complex = action.complex
     keys = set(distinct(np.concatenate(key)).tolist())
     generators = action.group.generators
     fibers: dict = {}
@@ -465,9 +469,9 @@ def closure_matching(complex, descend, vertex_indices=None) -> dict[int, tuple[n
 
     moving = image != np.arange(m)
     inside = complex.fold(keep, np.logical_and)
-    # pos: the position of the smallest moving vertex, -1 when none; hit:
-    # whether the vertex just before it is its image
-    pos = np.where(moving[complex.last[0]], 0, -1)
+    # pos: the position of the smallest moving vertex, -1 when none, int8
+    # like a dimension; hit: whether the vertex just before it is its image
+    pos = np.where(moving[complex.last[0]], 0, -1).astype(np.int8)
     hit = np.zeros(len(pos), dtype=bool)
     pairs = {}
     for d in range(1, complex.dim + 1):
@@ -476,7 +480,7 @@ def closure_matching(complex, descend, vertex_indices=None) -> dict[int, tuple[n
         hit = np.where(new, complex.last[d - 1][parent] == image[last], hit[parent])
         pos = np.where(new, d, pos[parent])
         upper = np.flatnonzero(inside[d] & hit)
-        pairs[d - 1] = (complex.face_table(d, upper)[np.arange(len(upper)), pos[upper] - 1], upper)
+        pairs[d - 1] = (complex.face_array(d)[upper, pos[upper] - 1], upper)
     return pairs
 
 

@@ -4,13 +4,13 @@ A group keeps its elements as one sorted (order, n) int32 table of image
 rows (images minus one).  generate closes the generators by breadth-first
 search on that table, one gather per round, and finds new products by
 sort and binary search on their row codes; no np.unique, whose first
-call imports numpy.ma (about 15 ms per process).  Perm objects for the
-elements are made only when elements is read.  Fixed points,
-containment, orbits, and actions on complexes and quotients go through
-the generators only: a map that is a poset automorphism for every
-generator is one for every product of them, and an orbit is the closure
-of a point under the generator images (its stabilizer has order
-|G| / |orbit|).
+call imports numpy.ma (about 15 ms per process).  Membership is a search
+among the row codes; Perm objects for the elements are made only when
+elements is read.  Fixed points, subgroup containment, orbits, and
+actions on complexes and quotients go through the generators only: a map
+that is a poset automorphism for every generator is one for every
+product of them, and an orbit is the closure of a point under the
+generator images (its stabilizer has order |G| / |orbit|).
 
 A group element acts on the nerve through a vertex map, built from the
 complex's restricted-growth table by permuting its columns and locating
@@ -22,12 +22,13 @@ that sends every 1-cell i < j of the nerve to a pair of the order; for a
 bijection that is the same as preserving the whole order, and it reads
 less once, flat, at the pairs' images.  ComplexAction keeps the image
 arrays for the generators only; other elements are computed when asked
-for, not kept for the whole group.  QuotientComplex reads the generator
-images of one dimension at a time, keeping none, and labels orbits by
-their smallest cell in array passes; orbit labels and orbit_of are
-int32, like the image arrays.  The boundary of an orbit maps the faces of
-its representative, read off the base's face rows, to their orbits.
-
+for, not kept for the whole group.  One ComplexAction per group is built
+and proved once: a QuotientComplex is built over an action, reads the
+generator images of its action one dimension at a time, keeping none,
+and labels orbits by their smallest cell in array passes; orbit labels
+and orbit_of are int32, like the image arrays.  The boundary of an orbit
+maps the faces of its representative, read off the base's face rows, to
+their orbits.
 
 As in ordercomplex, a 1-D gather by an integer index array is
 ndarray.take, since a subscript casts an int32 index to intp and takes
@@ -271,7 +272,8 @@ class Orbit:
 def orbits(group: PermGroup, items) -> list[Orbit]:
     """Group the items into orbits; the representative is the canonically
     smallest member.  Members are closed under the generator images and
-    the stabilizer order is |G| / |orbit|."""
+    the stabilizer order is |G| / |orbit|.  Nothing in the program calls
+    orbits or act; they remain because perfbench's tracer wraps orbits."""
     seen: set = set()
     out = []
     for x in items:
@@ -382,21 +384,19 @@ def orbit_labels(size: int, images) -> np.ndarray:
 
 
 class QuotientComplex(FaceTableComplex):
-    """Cells are group orbits of cells; the boundary of an orbit is read
-    off a representative.  Distinct faces of a chain never share an
-    orbit, since an automorphism of finite order cannot carry one facet
-    of a chain onto another, so every coefficient is a sign."""
+    """Cells are orbits of the cells of an action's complex: it reads the
+    generator images of its action one dimension at a time, keeping none.
+    An orbit's boundary is read off a representative.  Distinct faces of a
+    chain never share an orbit, since an automorphism of finite order cannot
+    carry one facet of a chain onto another, so every coefficient is a sign."""
 
-    def __init__(self, complex: OrderComplex, group: PermGroup):
-        self.base = complex
-        self.group = group
-        self.action = ComplexAction(complex, group)
-        # the generator images of one dimension at a time, none kept
-        streams = [complex.map_chains(v) for v in self.action.vertex_maps.values()]
+    def __init__(self, action: ComplexAction):
+        self.action, self.group, self.base = action, action.group, action.complex
+        streams = [self.base.map_chains(v) for v in action.vertex_maps.values()]
         self.orbit_of: list[np.ndarray] = []
         self.reps: list[list[int]] = []
-        for d in range(complex.dim + 1):
-            label = orbit_labels(complex.n_cells(d), [next(s) for s in streams])
+        for d in range(self.base.dim + 1):
+            label = orbit_labels(self.base.n_cells(d), [next(s) for s in streams])
             # a cell labels itself iff it is the smallest of its orbit;
             # numbering orbits by that cell is first-appearance order
             is_rep = label == np.arange(len(label))

@@ -30,7 +30,7 @@ from partmorse.morse import (
     validate_matching,
 )
 from partmorse.ordercomplex import Simplex
-from partmorse.perm import Perm, PermGroup, QuotientComplex, act, orbits
+from partmorse.perm import ComplexAction, Perm, PermGroup, QuotientComplex, act, orbits
 from partmorse.setpart import enumerate_proper
 from chain_oracle import lift_partition
 
@@ -174,13 +174,13 @@ def test_criterion_07_full_group_quotient_structure(capsys):
 def test_criterion_08_symmetric_quotient_trivial(capsys):
     ok = True
     for n in FULL_RANGE:
-        qc = QuotientComplex(get_complex(n), PermGroup.symmetric(n))
+        qc = QuotientComplex(ComplexAction(get_complex(n), PermGroup.symmetric(n)))
         ok = ok and homology_of(qc).is_trivial()
     _report(capsys, 8, "quotient by the full symmetric group is homologically trivial for n=3..6", ok)
 
 
 def test_criterion_09_torsion_counterexample(capsys):
-    qc = QuotientComplex(get_complex(5), PermGroup.from_cycle_strings(5, ["(1 2 3 4 5)"]))
+    qc = QuotientComplex(ComplexAction(get_complex(5), PermGroup.from_cycle_strings(5, ["(1 2 3 4 5)"])))
     result = homology_of(qc)
     ok = result.torsion(1) == (5,) and result.betti(1) == 0
     _report(capsys, 9, "five-cycle quotient has H_1 torsion exactly (5)", ok)

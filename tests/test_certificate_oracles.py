@@ -31,7 +31,7 @@ from partmorse.homology import (
 )
 from partmorse.morse import InvalidMatchingError, Matching, closure_matching, gradient_chain, morse_data
 from partmorse.ordercomplex import ExplicitComplex, FaceTableComplex, proper_part_complex
-from partmorse.perm import PermGroup, QuotientComplex
+from partmorse.perm import ComplexAction, PermGroup, QuotientComplex
 from test_acceptance import SUBGROUPS, _subgroup
 from test_homology import HOMOLOGY_N6_GROUPS, boolean_proper_part, mod2_moore_space, simplicial_complex
 from test_morse import circle, divisors_of_six
@@ -227,7 +227,7 @@ def reference_gradient_chain(matching, cell):
 
 
 def quotient(n, texts):
-    return QuotientComplex(get_complex(n), PermGroup.from_cycle_strings(n, texts))
+    return QuotientComplex(ComplexAction(get_complex(n), PermGroup.from_cycle_strings(n, texts)))
 
 
 def morse_complex(matching):
@@ -238,7 +238,10 @@ COMPLEXES = {
     **{f"nerve-{n}": (lambda n=n: get_complex(n)) for n in (3, 4, 5, 6)},
     **{f"quotient-6-{g}": (lambda g=g: quotient(6, [g])) for g in HOMOLOGY_N6_GROUPS},
     "quotient-5-five-cycle": lambda: quotient(5, ["(1 2 3 4 5)"]),
-    **{f"symmetric-{n}": (lambda n=n: QuotientComplex(get_complex(n), PermGroup.symmetric(n))) for n in (4, 5, 6)},
+    **{
+        f"symmetric-{n}": (lambda n=n: QuotientComplex(ComplexAction(get_complex(n), PermGroup.symmetric(n))))
+        for n in (4, 5, 6)
+    },
     **{
         f"subgroup-{n}-{name}": (lambda n=n, texts=texts: quotient_critical_cells(n, _subgroup(n, texts))[1])
         for n, entries in SUBGROUPS.items()
@@ -380,7 +383,7 @@ def test_nerves_and_quotients_take_the_identities(monkeypatch):
         cx = proper_part_complex(n)
         cycle = "(" + " ".join(map(str, range(1, n + 1))) + ")"
         groups = [PermGroup.point_stabilizer(n), PermGroup.symmetric(n), PermGroup.from_cycle_strings(n, [cycle])]
-        for target in [cx] + [QuotientComplex(cx, g) for g in groups]:
+        for target in [cx] + [QuotientComplex(ComplexAction(cx, g)) for g in groups]:
             homology_of(target, reduced=False)
 
 

@@ -255,6 +255,29 @@ def test_verify_names_a_flag_that_is_no_flag(capsys, monkeypatch):
     assert f"  critical set is the flags plus the split vertex: {witness}" in err.splitlines()
 
 
+def test_verify_flag_count_check_can_fail(capsys, monkeypatch):
+    import partmorse.cli as cli
+    from partmorse.construction import anchored_flags
+
+    flags = anchored_flags(5)
+    monkeypatch.setattr(cli, "anchored_flags", lambda n: flags[1:])
+    code, out, _ = run(capsys, "verify", "--n", "5")
+    assert code == 1
+    assert "FAIL  flag count equals (n-1)! for n=5" in out.splitlines()
+
+
+def test_verify_symmetric_quotient_check_can_fail(capsys, monkeypatch):
+    from partmorse.perm import PermGroup
+
+    # the quotient of the n = 5 nerve by a five-cycle has Z/5 in H_1
+    five_cycle = PermGroup.from_cycle_strings(5, ["(1 2 3 4 5)"])
+    monkeypatch.setattr(PermGroup, "symmetric", classmethod(lambda cls, n: five_cycle))
+    code, out, _ = run(capsys, "verify", "--n", "5")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL  full symmetric quotient is homologically trivial"]
+
+
 def test_verify_names_an_unmatched_cell(capsys, monkeypatch):
     import partmorse.cli as cli
     from partmorse.construction import build_main_matching, patchwork_keys
@@ -608,3 +631,33 @@ def test_verify_checks_make_objects_for_generators_only(monkeypatch):
         # two generators for the stabilizer of 1 at each size from 4 to n
         # (one at n = 3) and two for the symmetric group
         assert counts == {"Partition": 0, "Perm": 2 * (n - 3) + 1 + 2}
+
+
+def test_verify_builds_one_stabilizer_action(monkeypatch, capsys):
+    from partmorse import construction
+    from partmorse.ordercomplex import OrderComplex
+    from partmorse.perm import ComplexAction
+
+    actions, image_passes = [], []
+    init, map_chains = ComplexAction.__init__, OrderComplex.map_chains
+
+    def counted_init(self, complex, group):
+        actions.append((complex.dim, group.order, group.fixes_point(1)))
+        init(self, complex, group)
+
+    def counted_map_chains(self, *args, **kwargs):
+        image_passes.append(self.dim)
+        return map_chains(self, *args, **kwargs)
+
+    monkeypatch.setattr(ComplexAction, "__init__", counted_init)
+    monkeypatch.setattr(OrderComplex, "map_chains", counted_map_chains)
+    for cache in ("_complexes", "_actions", "_matchings"):
+        monkeypatch.setattr(construction, cache, {})
+    assert main(["verify", "--n", "6"]) == 0
+    # the stabilizer of 1 at n = 6, order 5!, acts on the nerve of dimension
+    # 3 once: its quotient and the quotient matching share that action
+    assert actions.count((3, 120, True)) == 1
+    # each of its two generators, and each of the symmetric group's two,
+    # maps the nerve for the patchwork, for the stabilizer quotient and
+    # for the symmetric quotient
+    assert image_passes.count(3) == 6

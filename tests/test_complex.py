@@ -16,7 +16,7 @@ from partmorse.ordercomplex import (
     parse_simplex,
     proper_part_complex,
 )
-from partmorse.perm import PermGroup, QuotientComplex
+from partmorse.perm import ComplexAction, PermGroup, QuotientComplex
 from partmorse.setpart import Partition, enumerate_proper, parse_partition, proper_rgs
 from chain_oracle import chain_positions, dense_boundary, refinement_rows, relation_chains
 from test_homology import mod2_moore_space
@@ -97,7 +97,7 @@ def test_quotient_faces_are_orbits_of_representative_faces():
     # onto another, so distinct faces of a cell never share an orbit
     cx = proper_part_complex(5)
     for group in (PermGroup.point_stabilizer(5), PermGroup.symmetric(5)):
-        qc = QuotientComplex(cx, group)
+        qc = QuotientComplex(ComplexAction(cx, group))
         for d in range(1, qc.dim + 1):
             for i in range(qc.n_cells(d)):
                 base = cx.faces(d, qc.reps[d][i])
@@ -105,7 +105,7 @@ def test_quotient_faces_are_orbits_of_representative_faces():
 
 
 def quotient_of_five():
-    return QuotientComplex(proper_part_complex(5), PermGroup.from_cycle_strings(5, ["(2 3)", "(4 5)"]))
+    return QuotientComplex(ComplexAction(proper_part_complex(5), PermGroup.from_cycle_strings(5, ["(2 3)", "(4 5)"])))
 
 
 def morse_complex_of_five():
@@ -198,7 +198,7 @@ def test_quotient_construction_memory():
     group = PermGroup.point_stabilizer(7)
     tracemalloc.start()
     try:
-        qc = QuotientComplex(proper_part_complex(7), group)
+        qc = QuotientComplex(ComplexAction(proper_part_complex(7), group))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

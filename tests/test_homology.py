@@ -14,7 +14,7 @@ from partmorse.homology import (
     verify_wedge,
 )
 from partmorse.ordercomplex import ExplicitComplex, OrderComplex, proper_part_complex
-from partmorse.perm import PermGroup, QuotientComplex
+from partmorse.perm import ComplexAction, PermGroup, QuotientComplex
 
 # invariant factors computed once with an independent implementation
 SNF_ORACLE = {
@@ -304,7 +304,8 @@ def test_nerve_homology_matches_full_smith_normal_form(n):
 
 @pytest.mark.parametrize("n, generator", [(6, g) for g in HOMOLOGY_N6_GROUPS] + [(5, "(1 2 3 4 5)")])
 def test_quotient_homology_matches_full_smith_normal_form(n, generator):
-    assert_matches_full_snf(QuotientComplex(get_complex(n), PermGroup.from_cycle_strings(n, [generator])))
+    group = PermGroup.from_cycle_strings(n, [generator])
+    assert_matches_full_snf(QuotientComplex(ComplexAction(get_complex(n), group)))
 
 
 def test_fixture_homology_matches_full_smith_normal_form():

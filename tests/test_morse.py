@@ -365,8 +365,8 @@ def main_fibers(n):
 
 
 def assemble(n, rep_pairs):
-    cx = get_complex(n)
-    return equivariant_patchwork_matching(cx, get_action(n), patchwork_keys(cx), _key_action, key_order(n), rep_pairs)
+    action = get_action(n)
+    return equivariant_patchwork_matching(action, patchwork_keys(action.complex), _key_action, key_order(n), rep_pairs)
 
 
 def test_equivariant_patchwork_names_stabilizer_witness():
@@ -482,7 +482,8 @@ def test_group_steps_make_no_per_cell_calls(monkeypatch):
     monkeypatch.setattr(construction, "_actions", {})
     main = build_main_matching(6)
     assert check_equivariance(main, get_action(6))
-    quotient_matching(main, QuotientComplex(get_complex(6), PermGroup.from_cycle_strings(6, ["(2 3)", "(2 3 4 5 6)"])))
+    group = PermGroup.from_cycle_strings(6, ["(2 3)", "(2 3 4 5 6)"])
+    quotient_matching(main, QuotientComplex(ComplexAction(get_complex(6), group)))
     assert calls == []
 
 
@@ -496,7 +497,7 @@ def test_check_equivariance():
 def test_quotient_matching_critical_orbits():
     m = build_main_matching(4)
     group = PermGroup.from_cycle_strings(4, ["(2 3)"])
-    qc = QuotientComplex(get_complex(4), group)
+    qc = QuotientComplex(ComplexAction(get_complex(4), group))
     qm = quotient_matching(m, qc)
     cert = validate_matching(qc, qm)
     assert cert.is_matching and cert.is_acyclic
@@ -510,7 +511,7 @@ def test_quotient_matching_requires_equivariance():
     i = cx.element_index[cx.elements[0]]
     pairs = build_main_matching(4).pairs[:1]
     group = PermGroup.point_stabilizer(4)
-    qc = QuotientComplex(cx, group)
+    qc = QuotientComplex(ComplexAction(cx, group))
     broken = Matching(cx, pairs)
     with pytest.raises(ValueError):
         quotient_matching(broken, qc)

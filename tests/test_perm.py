@@ -272,7 +272,7 @@ def test_orbit_of_is_int32_and_equals_the_int64_result():
     groups += [PermGroup.from_cycle_strings(6, texts) for texts in N6_SUBGROUPS]
     for group in groups + [PermGroup.from_cycle_strings(7, texts) for texts in N7_SUBGROUPS]:
         cx = proper_part_complex(group.n)
-        qc = QuotientComplex(cx, group)
+        qc = QuotientComplex(ComplexAction(cx, group))
         images = [qc.action.images(g) for g in group.generators]
         for d in range(cx.dim + 1):
             assert qc.orbit_of[d].dtype == np.int32
@@ -285,7 +285,7 @@ STABILIZER_QUOTIENT_N7_SHA256 = "842d6fb8638f2d005ca4cc95eec9f5238edd9b5df98a2df
 
 
 def test_stabilizer_quotient_n7_orbits_are_pinned():
-    qc = QuotientComplex(proper_part_complex(7), PermGroup.point_stabilizer(7))
+    qc = QuotientComplex(ComplexAction(proper_part_complex(7), PermGroup.point_stabilizer(7)))
     digest = int32_digest(a for d in range(qc.dim + 1) for a in (qc.orbit_of[d], qc.reps[d]))
     assert digest == STABILIZER_QUOTIENT_N7_SHA256
 
@@ -325,7 +325,7 @@ def test_image_arrays_match_act():
 
 def test_quotient_complex_full_stabilizer():
     cx = proper_part_complex(4)
-    qc = QuotientComplex(cx, PermGroup.point_stabilizer(4))
+    qc = QuotientComplex(ComplexAction(cx, PermGroup.point_stabilizer(4)))
     assert isinstance(qc, QuotientComplex)
     assert qc.f_vector() == (5, 5)
     assert qc.total_cells() == 10
@@ -336,7 +336,7 @@ def test_quotient_complex_full_stabilizer():
 
 def test_quotient_complex_trivial_group_is_identity():
     cx = proper_part_complex(4)
-    qc = QuotientComplex(cx, PermGroup.trivial(4))
+    qc = QuotientComplex(ComplexAction(cx, PermGroup.trivial(4)))
     assert qc.f_vector() == cx.f_vector()
     for d in range(1, cx.dim + 1):
         assert np.array_equal(dense_boundary(qc, d), dense_boundary(cx, d))
@@ -345,7 +345,7 @@ def test_quotient_complex_trivial_group_is_identity():
 def test_quotient_complex_structure():
     cx = proper_part_complex(5)
     group = PermGroup.from_cycle_strings(5, ["(2 3)", "(4 5)"])
-    qc = QuotientComplex(cx, group)
+    qc = QuotientComplex(ComplexAction(cx, group))
     # every cell belongs to exactly one orbit, represented by a base cell
     for d in range(cx.dim + 1):
         for i in range(cx.n_cells(d)):
@@ -360,7 +360,7 @@ def test_quotient_complex_structure():
 
 def test_quotient_labels():
     cx = proper_part_complex(4)
-    qc = QuotientComplex(cx, PermGroup.point_stabilizer(4))
+    qc = QuotientComplex(ComplexAction(cx, PermGroup.point_stabilizer(4)))
     label = qc.cell_label(0, 0)
     assert label.startswith("[") and label.endswith("]")
 
@@ -368,14 +368,14 @@ def test_quotient_labels():
 def test_stabilizer_quotient_n7():
     cx = proper_part_complex(7)
     assert cx.f_vector() == (875, 16674, 74165, 114345, 56700)
-    qc = QuotientComplex(cx, PermGroup.point_stabilizer(7))
+    qc = QuotientComplex(ComplexAction(cx, PermGroup.point_stabilizer(7)))
     assert qc.f_vector() == (28, 208, 581, 671, 272)
 
 
 def test_quotient_orbits_match_element_walk():
     for group in oracle_groups() + [PermGroup.from_cycle_strings(6, ["(2 3)", "(2 3 4 5 6)"])]:
         cx = proper_part_complex(group.n)
-        qc = QuotientComplex(cx, group)
+        qc = QuotientComplex(ComplexAction(cx, group))
         where = {p: i for i, p in enumerate(cx.elements)}
         vmaps = [[where[act(g, p)] for p in cx.elements] for g in group.elements]
         chains = relation_chains(cx.less)
