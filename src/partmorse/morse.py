@@ -9,8 +9,10 @@ a cell in two pairs, CellComplex.incidence for the coefficients), and
 acyclicity by Kahn's topological sort of the modified face digraph
 (matched edges reversed) on the boundary arrays, one dimension pair at a
 time; its levels, kept on the Matching once sorted, also order the dense
-int64 gradient-path counts of the Morse boundary and the pushed flow of
-the cycle representatives.  The patchwork pattern composes matchings: an
+int64 gradient-path counts of the Morse boundary, walked only between
+dimensions that both hold critical cells, and the pushed flow of
+gradient_chain, the cycle representative of a critical cell that
+cohomology_pairing reads.  The patchwork pattern composes matchings: an
 order-preserving cell key (an int array per dimension, ordered by a
 boolean matrix and checked against face_array) plus one matching per
 fiber gives a matching of the whole complex, and the generators of an
@@ -405,9 +407,10 @@ def quotient_matching(matching: Matching, quotient) -> Matching:
         codes = _pair_codes(orbit_of[d][lo], orbit_of[d + 1][hi])
         pairs[d] = (codes >> 32, codes & 0xFFFFFFFF)
     result = Matching(quotient, pairs)
-    cert = validate_matching(quotient, result)
-    if not cert.is_acyclic:
-        raise InvalidMatchingError(f"quotient matching is cyclic: {cert.witness_cycle}")
+    cycle = find_cycle(result)
+    if cycle is not None:
+        witness = tuple(quotient.cell_label(d, i) for d, i in cycle)
+        raise InvalidMatchingError(f"quotient matching is cyclic: {witness}")
     return result
 
 
@@ -486,13 +489,12 @@ def closure_matching(complex, descend, vertex_indices=None) -> dict[int, tuple[n
 
 @dataclass
 class MorseData:
-    """Critical cells with gradient-path boundary and cycle representatives."""
+    """Critical cells with gradient-path boundary; gradient_chain gives their cycle representatives."""
 
     complex: object
     matching: Matching
     critical: list[list[int]]
     boundary: list[list[dict[int, int]]]
-    cycle_reps: dict[Cell, dict[int, int]] | None = None
 
     def critical_counts(self) -> list[int]:
         return [len(layer) for layer in self.critical]
@@ -533,8 +535,10 @@ def _morse_boundary(matching: Matching, d: int, critical: list[list[int]]) -> np
     sum over the other faces z of w of -[w:y][w:z] flow(z); flow[w] holds
     it, filled in reverse Kahn order, so that each flow it reads is done.
     A bound on every sum, taken before the sum, raises OverflowError
-    where int64 would wrap."""
+    where int64 would wrap.  No flow is walked without rows and columns."""
     (indptr, faces, coeffs), levels, sign = _gradient(matching, d)
+    if not (critical[d] and critical[d - 1]):
+        return np.zeros((len(critical[d]), len(critical[d - 1])), dtype=np.int64)
     up = matching.up[d - 1]
     column = np.full(len(up), -1)
     column[critical[d - 1]] = np.arange(len(critical[d - 1]))
@@ -562,17 +566,16 @@ def _morse_boundary(matching: Matching, d: int, critical: list[list[int]]) -> np
     return paths(np.asarray(critical[d], dtype=np.intp), np.ones(len(critical[d]), dtype=np.int64))
 
 
-def morse_data(matching: Matching, cycle_reps=False) -> MorseData:
-    """Critical cells, gradient-path boundary matrices, and optionally a
-    cycle representative per critical cell (the stabilized discrete flow)."""
+def morse_data(matching: Matching) -> MorseData:
+    """Critical cells and gradient-path boundary matrices; cycle
+    representatives are made on demand by gradient_chain."""
     cx = matching.complex
     critical = matching.critical_cells()
     boundary: list[list[dict[int, int]]] = [[]]
     for d in range(1, cx.dim + 1):
         rows = _morse_boundary(matching, d, critical).tolist()
         boundary.append([{c: v for c, v in enumerate(r) if v} for r in rows])
-    reps = {(d, i): gradient_chain(matching, (d, i)) for d in range(cx.dim + 1) for i in critical[d]} if cycle_reps else None
-    return MorseData(cx, matching, critical, boundary, reps)
+    return MorseData(cx, matching, critical, boundary)
 
 
 def gradient_chain(matching: Matching, cell: Cell) -> dict[int, int]:
@@ -598,25 +601,20 @@ def gradient_chain(matching: Matching, cell: Cell) -> dict[int, int]:
     return {i: int(v) for i, v in enumerate(chain.tolist()) if v}
 
 
-def cohomology_representatives(data: MorseData, d: int) -> list[dict[int, int]]:
+def cohomology_representatives(data: MorseData) -> list[dict[int, int]]:
     """One integer cochain per critical top cell: the signed count of
     alternating gradient paths from each top cell down-up to the critical
-    one.  Only the top dimension is supported.  There no cell is matched
-    upwards, so each step of a path lands on a cell matched downwards,
-    never on a critical one: the only path to a critical cell is the
-    empty one, and each cochain is the indicator of its cell."""
-    if d != data.complex.dim:
-        raise ValueError(f"representatives are only available in the top dimension {data.complex.dim}")
-    return [{c: 1} for c in data.critical[d]]
+    one.  No top cell is matched upwards, so a path steps only onto cells
+    matched downwards: the only path to a critical cell is the empty one,
+    and each cochain is the indicator of its cell."""
+    return [{c: 1} for c in data.critical[data.complex.dim]]
 
 
 def cohomology_pairing(data: MorseData) -> np.ndarray:
-    """Pairing matrix of the top cochain representatives against the
-    cycle representatives of the critical top cells."""
+    """Pairing matrix of the top cochain representatives against the cycle
+    representatives of the critical top cells, made by gradient_chain."""
     d = data.complex.dim
-    if data.cycle_reps is None:
-        raise ValueError("morse_data must be computed with cycle_reps=True")
-    cochains = cohomology_representatives(data, d)
-    reps = [data.cycle_reps[(d, c)] for c in data.critical[d]]
+    cochains = cohomology_representatives(data)
+    reps = [gradient_chain(data.matching, (d, c)) for c in data.critical[d]]
     mat = [[sum(v * r.get(s, 0) for s, v in z.items()) for r in reps] for z in cochains]
     return np.array(mat, dtype=np.int64).reshape(len(cochains), len(reps))

@@ -384,24 +384,25 @@ def orbit_labels(size: int, images) -> np.ndarray:
 
 
 class QuotientComplex(FaceTableComplex):
-    """Cells are orbits of the cells of an action's complex: it reads the
-    generator images of its action one dimension at a time, keeping none.
-    An orbit's boundary is read off a representative.  Distinct faces of a
-    chain never share an orbit, since an automorphism of finite order cannot
-    carry one facet of a chain onto another, so every coefficient is a sign."""
+    """Cells are orbits of the cells of an action's complex.  It reads the
+    generator images of its action one dimension at a time and keeps only
+    int32 arrays: orbit_of[d], and reps[d], the smallest cell of each
+    orbit, off which its boundary is read.  Distinct faces of a chain never
+    share an orbit, since an automorphism of finite order cannot carry one
+    facet of a chain onto another, so every coefficient is a sign."""
 
     def __init__(self, action: ComplexAction):
         self.action, self.group, self.base = action, action.group, action.complex
         streams = [self.base.map_chains(v) for v in action.vertex_maps.values()]
         self.orbit_of: list[np.ndarray] = []
-        self.reps: list[list[int]] = []
+        self.reps: list[np.ndarray] = []
         for d in range(self.base.dim + 1):
             label = orbit_labels(self.base.n_cells(d), [next(s) for s in streams])
             # a cell labels itself iff it is the smallest of its orbit;
             # numbering orbits by that cell is first-appearance order
             is_rep = label == np.arange(len(label))
             self.orbit_of.append((np.cumsum(is_rep, dtype=np.int32) - 1).take(label))
-            self.reps.append(np.flatnonzero(is_rep).tolist())
+            self.reps.append(np.flatnonzero(is_rep).astype(np.int32))
         super().__init__(len(layer) for layer in self.reps)
 
     def cell_label(self, d: int, i: int) -> str:
@@ -409,7 +410,7 @@ class QuotientComplex(FaceTableComplex):
 
     def face_table(self, d: int, cells) -> np.ndarray:
         """The orbits of the faces of the representatives of the given orbits."""
-        return self.orbit_of[d - 1].take(self.base.face_rows(d, np.take(self.reps[d], cells)))
+        return self.orbit_of[d - 1].take(self.base.face_rows(d, self.reps[d].take(cells)))
 
     # bound in the class body: the per-layer tracer in perfbench/ wraps
     # QuotientComplex.__dict__["boundary_columns"] and fails without it

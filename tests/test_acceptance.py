@@ -207,7 +207,7 @@ def test_criterion_10_morse_equals_simplicial(capsys):
 def test_criterion_11_cohomology_pairing_unimodular(capsys):
     ok = True
     for n in (4, 5):
-        data = morse_data(build_main_matching(n), cycle_reps=True)
+        data = morse_data(build_main_matching(n))
         pairing = cohomology_pairing(data)
         size = math.factorial(n - 1)
         ok = ok and pairing.shape == (size, size) and smith_normal_form(pairing) == (1,) * size

@@ -661,3 +661,29 @@ def test_verify_builds_one_stabilizer_action(monkeypatch, capsys):
     # maps the nerve for the patchwork, for the stabilizer quotient and
     # for the symmetric quotient
     assert image_passes.count(3) == 6
+
+
+def test_verify_certifies_each_matching_once(monkeypatch, capsys):
+    from partmorse import cli, construction, morse
+
+    built, validated = [], []
+    init, validate = morse.Matching.__init__, morse.validate_matching
+
+    def counted_init(self, complex, pairs):
+        built.append(complex.dim)
+        init(self, complex, pairs)
+
+    def counted_validate(*args, **kwargs):
+        validated.append(args[0].dim)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(morse.Matching, "__init__", counted_init)
+    for module in (morse, cli, construction):
+        monkeypatch.setattr(module, "validate_matching", counted_validate)
+    for cache in ("_complexes", "_actions", "_matchings"):
+        monkeypatch.setattr(construction, cache, {})
+    assert main(["verify", "--n", "6"]) == 0
+    # one patchwork per size 3..6, the rebuild inside validate_matching and
+    # the stabilizer quotient matching, which find_cycle checks in place
+    assert len(built) == 6
+    assert validated == [3]

@@ -534,13 +534,13 @@ def test_gradient_chain_of_circle_is_a_cycle():
 def test_morse_data_circle():
     cx = circle()
     m = Matching(cx, [((0, 0), (1, 0)), ((0, 1), (1, 1))])
-    data = morse_data(m, cycle_reps=True)
+    data = morse_data(m)
     assert data.critical_counts() == [1, 1]
     # the morse differential of the surviving edge is zero
     assert data.boundary[1] == [{}]
     hom = homology_of(data.chain_data(), reduced=False)
     assert hom.betti(0) == 1 and hom.betti(1) == 1
-    rep = data.cycle_reps[(1, 2)]
+    rep = gradient_chain(m, (1, 2))
     assert set(rep) == {0, 1, 2}
 
 
@@ -571,7 +571,7 @@ def test_kahn_sort_runs_once_per_dimension(monkeypatch):
     real = build_main_matching(5)
     fresh = Matching(real.complex, real.pair_arrays())
     assert validate_matching(real.complex, fresh).is_acyclic
-    data = morse_data(fresh, cycle_reps=True)
+    data = morse_data(fresh)
     assert calls == list(range(1, real.complex.dim + 1))
     assert data.boundary == morse_data(Matching(real.complex, real.pair_arrays())).boundary
 
@@ -620,12 +620,55 @@ def test_morse_homology_matches_simplicial_on_fixture():
 def test_cohomology_representatives_pair_to_identity():
     cx = circle()
     m = Matching(cx, [((0, 0), (1, 0)), ((0, 1), (1, 1))])
-    data = morse_data(m, cycle_reps=True)
-    reps = cohomology_representatives(data, 1)
+    data = morse_data(m)
+    reps = cohomology_representatives(data)
     assert len(reps) == 1
     pairing = cohomology_pairing(data)
     assert pairing.shape == (1, 1)
     assert abs(int(np.linalg.det(pairing))) == 1
+
+
+def chain_boundary(cx, d, chain) -> np.ndarray:
+    """The boundary of a {cell: coefficient} d-chain of the nerve, read off
+    face_array with the sign (-1)^k of face k."""
+    cells = np.array(list(chain))
+    coeffs = np.array(list(chain.values()), dtype=np.int64)[:, None] * (-1) ** np.arange(d + 1)
+    out = np.zeros(cx.n_cells(d - 1), dtype=np.int64)
+    np.add.at(out, cx.face_array(d)[cells], coeffs)
+    return out
+
+
+def test_gradient_chains_of_critical_flags_are_cycles():
+    # the cohomology pairing is the identity whatever the chains' other
+    # coefficients, so it cannot tell a cycle from a chain that is none
+    for n in (4, 5, 6):
+        m = build_main_matching(n)
+        cx, d = m.complex, m.complex.dim
+        for c in m.critical_cells()[d]:
+            chain = gradient_chain(m, (d, c))
+            assert len(chain) > 1 and chain[c] == 1
+            assert not chain_boundary(cx, d, chain).any(), (n, c)
+            # the check fails once one coefficient is flipped
+            w = next(w for w in chain if w != c)
+            assert chain_boundary(cx, d, {**chain, w: -chain[w]}).any()
+
+
+def test_morse_data_walks_no_flow_without_critical_cells_on_both_sides(monkeypatch):
+    from partmorse import morse
+
+    calls = []
+    positions = morse.entry_positions
+    monkeypatch.setattr(morse, "entry_positions", lambda *args: calls.append(1) or positions(*args))
+    # no dimension of the nerve has critical cells on both sides
+    for n, counts in ((5, [1, 0, 24]), (6, [1, 0, 0, 120])):
+        m = build_main_matching(n)
+        # sort every dimension first: only the Morse boundary is counted
+        assert find_cycle(m) is None
+        calls.clear()
+        data = morse_data(m)
+        assert data.critical_counts() == counts
+        assert data.boundary == [[]] + [[{} for _ in layer] for layer in data.critical[1:]]
+        assert calls == [], n
 
 
 def test_main_matching_glues_once_per_size(monkeypatch):

@@ -389,4 +389,4 @@ def test_quotient_orbits_match_element_walk():
                         expected[index[d][tuple(vmap[v] for v in chain)]] = len(reps)
                     reps.append(i)
             assert qc.orbit_of[d].tolist() == expected
-            assert qc.reps[d] == reps
+            assert qc.reps[d].tolist() == reps
