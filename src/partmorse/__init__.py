@@ -58,6 +58,7 @@ from .construction import (
     quotient_critical_cells,
     split_vertex,
 )
+from .trees import TreeQuotient
 from .homology import (
     DimHomology,
     HomologyResult,

@@ -10,9 +10,10 @@ acyclicity by Kahn's topological sort of the modified face digraph
 (matched edges reversed) on the boundary arrays, one dimension pair at a
 time; its levels, kept on the Matching once sorted, also order the dense
 int64 gradient-path counts of the Morse boundary, walked only between
-dimensions that both hold critical cells, and the pushed flow of
-gradient_chain, the cycle representative of a critical cell that
-cohomology_pairing reads.  The patchwork pattern composes matchings: an
+dimensions that both hold critical cells, and the pushed flows of
+gradient chains, the cycle representatives of critical cells, as int64
+columns: cohomology_pairing pushes all of its chains from one
+_gradient.  The patchwork pattern composes matchings: an
 order-preserving cell key (an int array per dimension, ordered by a
 boolean matrix and checked against face_array) plus one matching per
 fiber gives a matching of the whole complex, and the generators of an
@@ -578,27 +579,48 @@ def morse_data(matching: Matching) -> MorseData:
     return MorseData(cx, matching, critical, boundary)
 
 
+def _gradient_chains(matching: Matching, d: int, cells, gradient=None) -> np.ndarray:
+    """The stabilized discrete flows of the critical d-cells cells as the
+    int64 columns of an array with one row per d-cell: the flow of c is c
+    plus a_w w over the d-cells w matched downwards with y, where a_w is
+    -[w:y] times the sum of [u:y] a_u over u = c and the other cells that
+    have y as a face.  Every column is pushed at once from the cells along
+    the Kahn levels of gradient, _gradient(matching, d) when not given.
+    As in _morse_boundary, a bound on every partial sum, taken before the
+    sum, raises OverflowError where int64 would wrap."""
+    cells = np.asarray(cells, dtype=np.intp)
+    chains = np.zeros((matching.complex.n_cells(d), len(cells)), dtype=np.int64)
+    chains[cells, np.arange(len(cells))] = 1
+    if not d:
+        return chains
+    (indptr, faces, coeffs), levels, sign = gradient or _gradient(matching, d)
+    up = matching.up[d - 1]
+    bound = np.zeros(len(chains))
+    for level in [cells] + levels:
+        pos = entry_positions(indptr, level)
+        k = np.repeat(level, indptr[level + 1] - indptr[level])
+        w = up[faces[pos]]
+        via = (w >= 0) & (w != k)
+        w, k, coef = w[via], k[via], -sign[w[via]] * coeffs[pos[via]]
+        rows = chains[k]
+        # every partial sum of a cell is at most its bound
+        bound += np.bincount(w, np.abs(coef) * np.abs(rows).max(axis=1, initial=0), len(bound))
+        if bound.max(initial=0) >= 2.0**62:
+            raise OverflowError(f"a gradient chain coefficient in dimension {d} may exceed int64")
+        np.add.at(chains, w, coef[:, None] * rows)
+    return chains
+
+
 def gradient_chain(matching: Matching, cell: Cell) -> dict[int, int]:
     """Stabilized discrete flow of a critical d-cell c, the fixpoint of
-    x -> x + boundary(raise(x)) + raise(boundary(x)): c plus a_w w over
-    the d-cells w matched downwards with y, where a_w is -[w:y] times the
-    sum of [u:y] a_u over u = c and the other cells that have y as a face.
-    These are pushed along the Kahn levels, in Python integers."""
+    x -> x + boundary(raise(x)) + raise(boundary(x)), as {cell: coefficient}
+    (_gradient_chains)."""
     d, c = cell
     if matching.up[d][c] >= 0 or matching.down[d][c] >= 0:
         raise ValueError(f"cell {cell} is not critical")
-    chain = np.zeros(matching.complex.n_cells(d), dtype=object)
-    if d:
-        (indptr, faces, coeffs), levels, sign = _gradient(matching, d)
-        up = matching.up[d - 1]
-        for cells in [np.array([c])] + levels:
-            pos = entry_positions(indptr, cells)
-            k = np.repeat(cells, indptr[cells + 1] - indptr[cells])
-            w = up[faces[pos]]
-            via = (w >= 0) & (w != k)
-            np.add.at(chain, w[via], -sign[w[via]] * coeffs[pos[via]] * (chain[k[via]] + (k[via] == c)))
-    chain[c] = 1
-    return {i: int(v) for i, v in enumerate(chain.tolist()) if v}
+    chain = _gradient_chains(matching, d, [c])[:, 0]
+    support = np.flatnonzero(chain)
+    return dict(zip(support.tolist(), chain[support].tolist()))
 
 
 def cohomology_representatives(data: MorseData) -> list[dict[int, int]]:
@@ -610,11 +632,24 @@ def cohomology_representatives(data: MorseData) -> list[dict[int, int]]:
     return [{c: 1} for c in data.critical[data.complex.dim]]
 
 
+# entries of the gradient chains that cohomology_pairing pushes at once
+CHAIN_BLOCK = 1 << 22
+
+
 def cohomology_pairing(data: MorseData) -> np.ndarray:
     """Pairing matrix of the top cochain representatives against the cycle
-    representatives of the critical top cells, made by gradient_chain."""
-    d = data.complex.dim
+    representatives of the critical top cells, their gradient chains: one
+    _gradient serves every chain, pushed in blocks of columns of at most
+    CHAIN_BLOCK entries in all."""
+    d, matching = data.complex.dim, data.matching
     cochains = cohomology_representatives(data)
-    reps = [gradient_chain(data.matching, (d, c)) for c in data.critical[d]]
-    mat = [[sum(v * r.get(s, 0) for s, v in z.items()) for r in reps] for z in cochains]
-    return np.array(mat, dtype=np.int64).reshape(len(cochains), len(reps))
+    critical = np.asarray(data.critical[d], dtype=np.intp)
+    gradient = _gradient(matching, d) if d and len(critical) else None
+    step = max(CHAIN_BLOCK // max(data.complex.n_cells(d), 1), 1)
+    mat = np.zeros((len(cochains), len(critical)), dtype=object)
+    for s in range(0, len(critical), step):
+        chains = _gradient_chains(matching, d, critical[s : s + step], gradient)
+        for row, z in zip(mat, cochains):
+            # in Python integers, which do not wrap
+            row[s : s + step] = sum(v * chains[c].astype(object) for c, v in z.items())
+    return mat.astype(np.int64)

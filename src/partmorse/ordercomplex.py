@@ -49,9 +49,9 @@ way by their masks among the elements' masks, sorted once.
 CellComplex is the one chain-complex protocol: each complex supplies its
 boundary per dimension as compressed-row arrays (indptr, faces, coeffs)
 and inherits every other view.  The nerve and its quotients
-(perm.QuotientComplex) are FaceTableComplexes, which derive those arrays
-from a face table of fixed width d+1, and hand-built fixtures and Morse
-complexes are ExplicitComplexes, which build them once.
+(perm.QuotientComplex, trees.TreeQuotient) are FaceTableComplexes, which
+derive those arrays from a face table of fixed width d+1, and hand-built
+fixtures and Morse complexes are ExplicitComplexes, which build them once.
 """
 
 from __future__ import annotations

@@ -1,0 +1,284 @@
+"""The nerve of the partition lattice modulo a Young subgroup, built from
+leveled trees without the nerve.
+
+A d-chain p_0 < ... < p_d of proper partitions of [n] is a leveled rooted
+tree: its leaves are the points 1..n, level i holds the blocks of p_i,
+each block hangs under the block of the level above that contains it,
+and the root holds them all.  Colour the points by the orbits of a Young
+subgroup S_lambda, the permutations that keep every point's colour.  Two
+chains lie in one orbit iff their trees are isomorphic by a map that
+keeps the leaves' colours (restricted to the leaves, such a map is the
+permutation), so an orbit is a tree up to isomorphism.  Each has a
+canonical code (Aho, Hopcroft and Ullman, "The Design and Analysis of
+Computer Algorithms", 1974): a leaf's code is its colour, and a node's is
+the sorted list of its children's codes, interned.  Interning walks one
+trie of (state, child code) pairs, kept as sorted int64 keys state << 32
+| child with the state they lead to, whose states are numbered after the
+colours: equal codes are equal sorted lists, so codes are exact, agree
+across layers and batches, and a tree's root code fixes its depth.  No
+hash, and no np.unique, whose first call imports numpy.ma.
+
+Cells are built layer by layer, one per code.  Layer 0 codes every row
+of setpart.proper_rgs(n).  Layer d extends each cell of layer d-1 by
+each proper coarsening of its top partition, rgs_table(k)[1:-1] read at
+its k top labels; only the new top level and the root get new codes, the
+levels below keep the representative's.  The first candidate of each
+root code is kept, candidates taken in batches of about BATCH rows, and
+a layer is ordered by root code.  The representative that was extended
+is face d of its cell; face k < d deletes level k, recodes the levels
+above it and the root, and is found among the codes of layer d-1 by
+binary search.  A face that no cell codes raises InvalidComplexError,
+naming both chains.  A cell keeps its representative's labels, an
+(R, d+1, n) int8 array per layer, and nothing else of the build.
+
+As in QuotientComplex, an orbit's faces are the orbits of its
+representative's faces, with signs (-1)^k; the two complexes agree up to
+the numbering of their cells, which is here the order of the codes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .homology import InvalidComplexError
+from .ordercomplex import FaceTableComplex, distinct
+from .setpart import format_rgs, proper_rgs, rgs_table
+
+# candidate rows coded at once
+BATCH = 1 << 16
+
+
+def point_orbits(group) -> np.ndarray:
+    """The orbit of each point 1..n under the group's generators, numbered
+    by first appearance (a restricted-growth string)."""
+    orbit = np.full(group.n, -1, dtype=np.int8)
+    for start in range(group.n):
+        if orbit[start] < 0:
+            orbit[start], stack = orbit.max() + 1, [start]
+            while stack:
+                x = stack.pop()
+                for g in group.generators:
+                    y = g.images[x] - 1
+                    if orbit[y] < 0:
+                        orbit[y] = orbit[start]
+                        stack.append(y)
+    return orbit
+
+
+def young_colouring(group) -> np.ndarray | None:
+    """The point orbits of a group that is the full product of the
+    symmetric groups on its point orbits, |G| = prod |O|!; else None."""
+    orbit = point_orbits(group)
+    order = 1
+    for size in np.bincount(orbit).tolist():
+        for f in range(2, size + 1):
+            order *= f
+    return orbit if order == group.order else None
+
+
+def _first_per_code(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The position of the first entry of each distinct code, in increasing
+    code order, and those codes."""
+    order = np.argsort(codes, kind="stable")
+    codes = codes.take(order)
+    first = np.empty(len(codes), dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return order[first], codes[first]
+
+
+class _Codes:
+    """The interning trie: colours are the codes 0..c-1, the empty list is
+    state c, and each new (state, child) pair gets the next state."""
+
+    def __init__(self, colours: np.ndarray):
+        self.start = int(colours.max()) + 1
+        self.size = self.start + 1
+        # a sentinel above every key, so a search never runs off the end
+        self.keys = np.array([np.iinfo(np.int64).max])
+        self.states = np.array([-1], dtype=np.int32)
+
+    def step(self, state: np.ndarray, child: np.ndarray) -> np.ndarray:
+        """The state after appending child to the list of each state."""
+        key = np.left_shift(state, 32, dtype=np.int64)
+        key |= child
+        at = np.searchsorted(self.keys, key)
+        out = self.states.take(at)
+        missing = self.keys.take(at) != key
+        if missing.any():
+            key = key[missing]
+            new = distinct(key)
+            out[missing] = np.searchsorted(new, key) + self.size
+            where = np.searchsorted(self.keys, new)
+            self.keys = np.insert(self.keys, where, new)
+            self.states = np.insert(self.states, where, np.arange(self.size, self.size + len(new), dtype=np.int32))
+            self.size += len(new)
+        return out
+
+    def level(self, parent: np.ndarray, below) -> np.ndarray:
+        """Codes of the blocks of the (N, n) labels parent, whose children
+        are the blocks of below = (labels, codes), the level under it:
+        entry [x, b] is the code of block b of row x, -1 past the last
+        block.  The children of each block are sorted by code and appended
+        in rounds, the j-th child of every block in round j."""
+        rows, n = parent.shape
+        labels, codes = below
+        # the first point of each block of a restricted-growth string is
+        # where the running maximum rises
+        first = np.empty((rows, n), dtype=bool)
+        first[:, 0] = True
+        np.greater(labels[:, 1:], np.maximum.accumulate(labels, axis=1)[:, :-1], out=first[:, 1:])
+        cell = np.flatnonzero(first)
+        row = cell - cell % n
+        key = row + np.ravel(parent).take(cell)
+        key <<= 32
+        key |= np.ravel(codes).take(row + np.ravel(labels).take(cell))
+        key.sort()
+        block, child = key >> 32, (key & 0xFFFFFFFF).astype(np.int32)
+        change = np.empty(len(block), dtype=bool)
+        change[:1] = True
+        np.not_equal(block[1:], block[:-1], out=change[1:])
+        head = np.flatnonzero(change)
+        # blocks by falling child count: round j appends to the first alive[j]
+        size = np.append(head[1:], len(block)) - head
+        order = np.argsort(-size, kind="stable")
+        head = head.take(order)
+        alive = np.bincount(size, minlength=n + 1)[::-1].cumsum()[::-1]
+        state = np.full(len(head), self.start, dtype=np.int32)
+        for j in range(1, n + 1):
+            if not alive[j]:
+                break
+            state[: alive[j]] = self.step(state[: alive[j]], child.take(head[: alive[j]] + (j - 1)))
+        out = np.full(rows * n, -1, dtype=np.int32)
+        out[block.take(head)] = state
+        return out.reshape(rows, n)
+
+    def root(self, below) -> np.ndarray:
+        """The root code of each row of below = (labels, codes), its top level."""
+        return self.level(np.zeros_like(below[0]), below)[:, 0]
+
+
+class TreeQuotient(FaceTableComplex):
+    """The nerve of the proper part of the partition lattice of [n] modulo
+    the Young subgroup of the permutations that keep a colouring of the
+    points, given as its n colours (module docstring)."""
+
+    def __init__(self, colours):
+        # number the colours by first appearance
+        first: dict = {}
+        self.colours = np.array([first.setdefault(c, len(first)) for c in np.asarray(colours).tolist()], dtype=np.int8)
+        self.n = n = len(self.colours)
+        codes = _Codes(self.colours)
+        self._coarser = {k: rgs_table(k)[1:-1].astype(np.int8) for k in range(3, n)}
+        self._labels: list[np.ndarray] = []
+        roots: list[np.ndarray] = []
+        faces: list[np.ndarray] = []
+        layer = self._extend(codes, None)
+        while len(layer[0]):
+            labels, levels, root, below = layer
+            if self._labels:
+                faces.append(self._faces(codes, labels, levels, below, roots[-1]))
+            self._labels.append(labels)
+            roots.append(root)
+            layer = self._extend(codes, layer)
+        super().__init__(len(labels) for labels in self._labels)
+        for d, table in enumerate(faces, start=1):
+            self._face_tables[d] = table
+
+    def _leaves(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """The points as a level under level 0: the discrete partition, its
+        blocks coded by their colours."""
+        shape = (rows, self.n)
+        return np.broadcast_to(np.arange(self.n, dtype=np.int8), shape), np.broadcast_to(self.colours, shape)
+
+    def _extend(self, codes: _Codes, layer):
+        """The cells of the layer above layer = (labels, level codes, root
+        codes, faces d), as the same four arrays; layer 0 when layer is
+        None.  Candidates are coded in batches of about BATCH rows, and the
+        first of each root code is kept, in the order of the codes."""
+        parts, pending, count = [], [], 0
+
+        def code(new, rep):
+            # new top levels, over the tops of the cells rep of layer
+            low = self._leaves(len(new)) if layer is None else (layer[0][rep, -1], layer[1][rep, -1])
+            new_codes = codes.level(new, low)
+            keep, root = _first_per_code(codes.root((new, new_codes)))
+            new, new_codes, rep = new[keep, None], new_codes[keep, None], rep.take(keep)
+            if layer is not None:
+                new = np.concatenate([layer[0].take(rep, axis=0), new], axis=1)
+                new_codes = np.concatenate([layer[1].take(rep, axis=0), new_codes], axis=1)
+            parts.append((new, new_codes, root, rep))
+
+        if layer is None:
+            table = proper_rgs(self.n).astype(np.int8)
+            for s in range(0, len(table), BATCH):
+                part = table[s : s + BATCH]
+                code(part, np.zeros(len(part), dtype=np.int32))
+        else:
+            top = layer[0][:, -1]
+            blocks = top.max(axis=1) + 1
+            for k, coarser in self._coarser.items():
+                reps = np.flatnonzero(blocks == k).astype(np.int32)
+                step = max(BATCH // len(coarser), 1)
+                for s in range(0, len(reps), step):
+                    rep = reps[s : s + step]
+                    # row i * Q + j coarsens the top of rep[i] by coarser[j]
+                    new = coarser.take(top[rep], axis=1).transpose(1, 0, 2).reshape(-1, self.n)
+                    pending.append((new, np.repeat(rep, len(coarser))))
+                    count += len(new)
+                    if count >= BATCH:
+                        code(*(np.concatenate(a) for a in zip(*pending)))
+                        pending, count = [], 0
+            if pending:
+                code(*(np.concatenate(a) for a in zip(*pending)))
+        if not parts:
+            return (np.zeros((0, 0, self.n), dtype=np.int8),) * 4
+        keep, root = _first_per_code(np.concatenate([p[2] for p in parts]))
+        labels, levels, _, below = (np.concatenate([p[i] for p in parts]).take(keep, axis=0) for i in range(4))
+        return labels, levels, root, below
+
+    def _faces(self, codes: _Codes, labels, levels, below, lower_roots) -> np.ndarray:
+        """The face table of a layer of d-cells given as labels, level codes
+        and faces d, found by their root codes among lower_roots, the
+        sorted codes of the layer below.  Face k codes level k+1 over level
+        k-1 (the points when k = 0) and each level i > k+1 over its recoded
+        level i-1; level i is coded for every k < i at once, k-major."""
+        rows, d = len(labels), labels.shape[1] - 1
+        table = np.empty((rows, d + 1), dtype=np.int32)
+        table[:, d] = below
+        step = max(BATCH // d, 1)
+        for s in range(0, rows, step):
+            lab, lev = labels[s : s + step], levels[s : s + step]
+            m = len(lab)
+            recoded = np.zeros((0, self.n), dtype=np.int32)
+            for i in range(1, d + 1):
+                low = (lab[:, i - 2], lev[:, i - 2]) if i > 1 else self._leaves(m)
+                under = np.concatenate([np.tile(lab[:, i - 1], (i - 1, 1)), low[0]])
+                recoded = codes.level(np.tile(lab[:, i], (i, 1)), (under, np.concatenate([recoded, low[1]])))
+            root = codes.root((np.tile(lab[:, d], (d, 1)), recoded))
+            at = np.minimum(np.searchsorted(lower_roots, root), len(lower_roots) - 1)
+            missing = np.flatnonzero(lower_roots.take(at) != root)
+            if len(missing):
+                k, chain = divmod(int(missing[0]), m)
+                chain = lab[chain]
+                raise InvalidComplexError(
+                    f"face {k} [{_chain_label(np.delete(chain, k, axis=0))}] of {d}-cell "
+                    f"[{_chain_label(chain)}] is no cell of dimension {d - 1}"
+                )
+            table[s : s + m, :d] = at.reshape(d, m).T
+        return table
+
+    def chains(self, d: int) -> np.ndarray:
+        """The (R, d+1, n) int8 restricted-growth strings of the levels of
+        the representatives of the d-cells."""
+        return self._labels[d]
+
+    def cell_label(self, d: int, i: int) -> str:
+        return "[" + _chain_label(self._labels[d][i]) + "]"
+
+    def face_table(self, d: int, cells) -> np.ndarray:
+        return self.face_array(d)[cells]
+
+
+def _chain_label(levels: np.ndarray) -> str:
+    return " < ".join(format_rgs(row) for row in levels.tolist())

@@ -578,6 +578,10 @@ def test_quotient_homology_and_group_closure_do_not_import_numpy_ma():
     assert not imports_numpy_ma("PermGroup.symmetric(7)")
 
 
+def test_tree_quotient_homology_does_not_import_numpy_ma():
+    assert not imports_numpy_ma("main(['homology', '--n', '7', '--group', '(2 3),(2 3 4 5 6 7)'])")
+
+
 def count_objects(monkeypatch, run_it) -> dict[str, int]:
     """The Partition and Perm objects made while run_it runs, with the
     cached complexes, actions and matchings of construction emptied."""
@@ -621,6 +625,82 @@ def test_quotient_by_a_young_subgroup_is_a_wedge_of_index_many_spheres(capsys):
     code, out, _ = run(capsys, "homology", "--n", "7", "--group", "(2 3),(4 5),(4 5 6 7)")
     assert code == 0
     assert json.loads(out) == sphere_table(4, 15)
+
+
+class NerveBuilt(Exception):
+    pass
+
+
+def forbid_the_nerve(monkeypatch):
+    """Make building an OrderComplex or a ComplexAction raise NerveBuilt,
+    with the cached complexes and actions of construction emptied."""
+    from partmorse import construction
+    from partmorse.ordercomplex import OrderComplex
+    from partmorse.perm import ComplexAction
+
+    def refuse(self, *args, **kwargs):
+        raise NerveBuilt(type(self).__name__)
+
+    for cls in (OrderComplex, ComplexAction):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for cache in ("_complexes", "_actions"):
+        monkeypatch.setattr(construction, cache, {})
+
+
+@pytest.mark.parametrize("group", ["(2 3),(2 3 4 5 6 7)", "(4 2),(4 2 7 3 6 5)"])
+def test_stabilizer_homology_at_n7_builds_no_nerve(monkeypatch, capsys, group):
+    # the second spelling is the seed-1 conjugate that perfbench's quotient-n7 runs
+    forbid_the_nerve(monkeypatch)
+    code, out, _ = run(capsys, "homology", "--n", "7", "--group", group)
+    assert code == 0 and json.loads(out) == sphere_table(4, 1)
+
+
+@pytest.mark.parametrize(
+    "n, group",
+    [
+        (7, "(2 3),(4 5),(4 5 6 7)"),  # a Young subgroup of order 48 < 6!
+        (7, "(1 2 3 4 5 6 7)"),  # not a Young subgroup
+        (6, "(2 3),(2 3 4 5 6)"),  # below n = 7
+        (6, "(1 2),(1 2 3 4 5 6)"),
+    ],
+)
+def test_other_groups_take_the_nerve(monkeypatch, capsys, n, group):
+    forbid_the_nerve(monkeypatch)
+    with pytest.raises(NerveBuilt):
+        main(["homology", "--n", str(n), "--group", group])
+
+
+def test_n9_quotient_homology_by_s9_and_the_stabilizer_of_1(capsys):
+    code, out, _ = run(capsys, "homology", "--n", "9", "--group", "(2 3),(2 3 4 5 6 7 8 9)")
+    assert code == 0 and json.loads(out) == sphere_table(6, 1)
+    code, out, _ = run(capsys, "homology", "--n", "9", "--group", "(1 2),(1 2 3 4 5 6 7 8 9)", "--format", "csv")
+    assert code == 0 and out == "dim,betti,torsion\n" + "".join(f"{d},0,\n" for d in range(7))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "--n", "9", "--group", "(1 2 3 4 5 6 7 8 9)"],
+        ["homology", "--n", "9", "--group", "(2 3),(4 5),(4 5 6 7 8 9)"],
+        ["quotient", "--n", "9", "--group", "(2 3),(2 3 4 5 6 7 8 9)"],
+    ],
+)
+def test_other_n9_runs_are_refused_naming_the_one_that_runs(monkeypatch, capsys, argv):
+    forbid_the_nerve(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "57,153,600" in err and "only homology with --group S_9 or a point stabilizer" in err
+
+
+def test_n10_is_refused_before_the_group_is_generated(monkeypatch, capsys):
+    import partmorse.cli as cli
+
+    def no_group(*args):
+        raise AssertionError("generated the group")
+
+    monkeypatch.setattr(cli, "parse_group", no_group)
+    code, out, err = run(capsys, "homology", "--n", "10", "--group", "(1 2),(1 2 3 4 5 6 7 8 9 10)")
+    assert code == 2 and out == "" and "2,571,912,000" in err
 
 
 def test_verify_checks_make_objects_for_generators_only(monkeypatch):

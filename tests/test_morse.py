@@ -653,6 +653,45 @@ def test_gradient_chains_of_critical_flags_are_cycles():
             assert chain_boundary(cx, d, {**chain, w: -chain[w]}).any()
 
 
+def test_cohomology_pairing_runs_one_gradient(monkeypatch):
+    from partmorse import morse
+
+    calls = []
+    gradient = morse._gradient
+    monkeypatch.setattr(morse, "_gradient", lambda m, d: calls.append(d) or gradient(m, d))
+    for n in (5, 6):
+        m = build_main_matching(n)
+        d = m.complex.dim
+        data = morse_data(m)
+        # one chain per call, each with its own gradient
+        chains = [gradient_chain(m, (d, c)) for c in data.critical[d]]
+        calls.clear()
+        # the columns of the pairing, pushed in blocks of three columns
+        monkeypatch.setattr(morse, "CHAIN_BLOCK", 3 * m.complex.n_cells(d))
+        pairing = cohomology_pairing(data)
+        assert calls == [d]
+        expected = [[sum(v * r.get(s, 0) for s, v in z.items()) for r in chains] for z in cohomology_representatives(data)]
+        assert pairing.tolist() == expected
+        assert np.array_equal(pairing, np.eye(len(chains), dtype=np.int64))
+        # the chains pushed together are the chains pushed one by one
+        together = morse._gradient_chains(m, d, data.critical[d])
+        assert [dict((int(i), int(v)) for i, v in zip(np.flatnonzero(col), col[np.flatnonzero(col)])) for col in together.T] == chains
+
+
+def test_gradient_chains_refuse_coefficients_past_int64():
+    # a path of edges e_i = v_i -> v_{i+1}, each paired with v_i and meeting
+    # v_{i+1} with coefficient 2: the flow of the critical edge e_0 doubles
+    # along the path and would pass 2^63 on edge 64
+    steps = 64
+    labels = [[f"v{i}" for i in range(steps + 2)], [f"e{i}" for i in range(steps + 1)]]
+    faces = [[(0, -1), (1, 1)]] + [[(i, -1), (i + 1, 2)] for i in range(1, steps + 1)]
+    m = Matching(ExplicitComplex(labels, [faces]), [((0, i), (1, i)) for i in range(1, steps + 1)])
+    short = Matching(ExplicitComplex([labels[0][:12], labels[1][:11]], [faces[:11]]), [((0, i), (1, i)) for i in range(1, 11)])
+    assert gradient_chain(short, (1, 0)) == {0: 1, **{i: 2 ** (i - 1) for i in range(1, 11)}}
+    with pytest.raises(OverflowError, match="int64"):
+        gradient_chain(m, (1, 0))
+
+
 def test_morse_data_walks_no_flow_without_critical_cells_on_both_sides(monkeypatch):
     from partmorse import morse
 
