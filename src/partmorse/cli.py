@@ -2,13 +2,14 @@
 quotients, compute homology, verify the full certificate suite, and
 emit aggregate reports.
 
-homology by S_n or by a point stabilizer, the Young subgroups of order at
-least (n-1)!, runs from n = 7 up on trees.TreeQuotient, the quotient
-built from leveled trees without the nerve (12,740 cells for the
-stabilizer at n = 8, against 10.27 M in the nerve); it is the one run
-accepted at n = 9.  Every other group, and quotient and verify, which
-need the nerve's matching, build the nerve, up to n = 8.  Sizes past
-these are refused before anything is built.
+The homology of the nerve modulo S_n or a point stabilizer, the Young
+subgroups of order at least (n-1)!, is read at every n off
+trees.TreeQuotient, the quotient built from leveled trees without the
+nerve (12,740 cells for the stabilizer at n = 8, against 10.27 M in the
+nerve); homology by one of them is the one run accepted at n = 9.  The
+nerve is built, up to n = 8, for every other group and wherever a
+matching is pushed down to its orbits.  Sizes past these are refused
+before anything is built.
 
 Exit codes: 0 success, 1 a verification failed, 2 invalid configuration
 (a ConfigError); any other error propagates.
@@ -131,7 +132,7 @@ def cmd_quotient(args) -> tuple[int, object]:
             "pathway, reporting quotient homology only",
             file=sys.stderr,
         )
-        qc = QuotientComplex(ComplexAction(get_complex(n), group))
+        qc = _quotient(n, group)
     result = homology_of(qc)
     payload: dict = {
         "n": n,
@@ -158,17 +159,6 @@ def cmd_quotient(args) -> tuple[int, object]:
     return (0 if ok else 1), payload
 
 
-def _tree_colouring(group: PermGroup):
-    """The point colouring of a group whose quotient homology is read off
-    leveled trees: S_n or a point stabilizer, the Young subgroups of order
-    at least (n-1)!, from n = 7 up; else None.  Below n = 7 the nerve is
-    faster, and so it is for smaller groups, whose quotients are nearly
-    as large as the nerve."""
-    if group.n < 7 or group.order < factorial(group.n - 1):
-        return None
-    return young_colouring(group)
-
-
 def _too_large(n: int) -> str:
     top = factorial(n) * factorial(n - 1) // 2 ** (n - 1)
     text = f"--n {n} is too large: the nerve has {top:,} top cells, n!(n-1)!/2^(n-1)"
@@ -177,17 +167,21 @@ def _too_large(n: int) -> str:
     return text
 
 
+def _quotient(n: int, group: PermGroup):
+    """The nerve of the proper part of Pi_n modulo the group: off leveled
+    trees for S_n and the point stabilizers, the Young subgroups of order
+    at least (n-1)!; the nerve itself for the trivial group; else the
+    nerve's orbits, refused past n = 8."""
+    if group.order >= factorial(n - 1) and (colours := young_colouring(group)) is not None:
+        return TreeQuotient(colours)
+    if n > 8:
+        raise ConfigError(_too_large(n))
+    return get_complex(n) if group.order == 1 else QuotientComplex(ComplexAction(get_complex(n), group))
+
+
 def cmd_homology(args) -> tuple[int, object]:
     n = args.n
-    group = parse_group(n, args.group)
-    colours = _tree_colouring(group)
-    if colours is not None:
-        target = TreeQuotient(colours)
-    elif n > 8:
-        raise ConfigError(_too_large(n))
-    else:
-        target = get_complex(n) if group.order == 1 else QuotientComplex(ComplexAction(get_complex(n), group))
-    result = homology_of(target, max_dim=args.max_dim)
+    result = homology_of(_quotient(n, parse_group(n, args.group)), max_dim=args.max_dim)
     if args.format == "csv":
         return 0, result.to_csv()
     return 0, result.to_json()
@@ -242,8 +236,8 @@ def _verification_checks(n: int) -> list[tuple[str, bool, str | None]]:
     agree = cert.is_acyclic and homology_of(morse_data(matching).chain_data()) == nerve_homology
     checks.append(("Morse homology agrees with simplicial homology", agree, None))
 
-    sym_quotient = QuotientComplex(ComplexAction(cx, PermGroup.symmetric(n)))
-    checks.append(("full symmetric quotient is homologically trivial", homology_of(sym_quotient).is_trivial(), None))
+    sym_trivial = homology_of(TreeQuotient([0] * n)).is_trivial()
+    checks.append(("full symmetric quotient is homologically trivial", sym_trivial, None))
     return checks
 
 

@@ -42,6 +42,7 @@ import numpy as np
 
 from .homology import InvalidComplexError
 from .ordercomplex import FaceTableComplex, distinct
+from .perm import orbit_labels
 from .setpart import format_rgs, proper_rgs, rgs_table
 
 # candidate rows coded at once
@@ -51,18 +52,9 @@ BATCH = 1 << 16
 def point_orbits(group) -> np.ndarray:
     """The orbit of each point 1..n under the group's generators, numbered
     by first appearance (a restricted-growth string)."""
-    orbit = np.full(group.n, -1, dtype=np.int8)
-    for start in range(group.n):
-        if orbit[start] < 0:
-            orbit[start], stack = orbit.max() + 1, [start]
-            while stack:
-                x = stack.pop()
-                for g in group.generators:
-                    y = g.images[x] - 1
-                    if orbit[y] < 0:
-                        orbit[y] = orbit[start]
-                        stack.append(y)
-    return orbit
+    label = orbit_labels(group.n, [np.array(g.images, dtype=np.int32) - 1 for g in group.generators])
+    # a point labels itself iff it is the smallest of its orbit
+    return (np.cumsum(label == np.arange(group.n), dtype=np.int8) - 1).take(label)
 
 
 def young_colouring(group) -> np.ndarray | None:
@@ -182,8 +174,8 @@ class TreeQuotient(FaceTableComplex):
             roots.append(root)
             layer = self._extend(codes, layer)
         super().__init__(len(labels) for labels in self._labels)
-        for d, table in enumerate(faces, start=1):
-            self._face_tables[d] = table
+        self._faces = [np.empty((self.n_cells(0), 0), dtype=np.int32), *faces]
+        self._face_tables.update(enumerate(self._faces))
 
     def _leaves(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """The points as a level under level 0: the discrete partition, its
@@ -277,7 +269,8 @@ class TreeQuotient(FaceTableComplex):
         return "[" + _chain_label(self._labels[d][i]) + "]"
 
     def face_table(self, d: int, cells) -> np.ndarray:
-        return self.face_array(d)[cells]
+        """Read off the tables kept from the build; IndexError past the top."""
+        return self._faces[d][cells]
 
 
 def _chain_label(levels: np.ndarray) -> str:

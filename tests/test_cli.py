@@ -267,11 +267,13 @@ def test_verify_flag_count_check_can_fail(capsys, monkeypatch):
 
 
 def test_verify_symmetric_quotient_check_can_fail(capsys, monkeypatch):
-    from partmorse.perm import PermGroup
+    import partmorse.cli as cli
+    from partmorse.construction import get_complex
+    from partmorse.perm import ComplexAction, PermGroup, QuotientComplex
 
     # the quotient of the n = 5 nerve by a five-cycle has Z/5 in H_1
     five_cycle = PermGroup.from_cycle_strings(5, ["(1 2 3 4 5)"])
-    monkeypatch.setattr(PermGroup, "symmetric", classmethod(lambda cls, n: five_cycle))
+    monkeypatch.setattr(cli, "TreeQuotient", lambda colours: QuotientComplex(ComplexAction(get_complex(5), five_cycle)))
     code, out, _ = run(capsys, "verify", "--n", "5")
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -655,13 +657,42 @@ def test_stabilizer_homology_at_n7_builds_no_nerve(monkeypatch, capsys, group):
     assert code == 0 and json.loads(out) == sphere_table(4, 1)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_symmetric_and_stabilizer_homology_build_no_nerve_at_every_n(monkeypatch, capsys, n):
+    forbid_the_nerve(monkeypatch)
+    rest = " ".join(map(str, range(2, n + 1)))
+    backward = " ".join(map(str, range(n, 1, -1)))
+    # S_n, trivial, and the stabilizer of 1, one (n-3)-sphere, each by a
+    # transposition and a long cycle and by a conjugate of those
+    spellings = {
+        f"(1 2),(1 {rest})": 0,
+        f"({n} 1),({backward} 1)": 0,
+        f"(2 3),({rest})": 1,
+        f"({n} {n - 1}),({backward})": 1,
+    }
+    for group, spheres in spellings.items():
+        code, out, _ = run(capsys, "homology", "--n", str(n), "--group", group)
+        assert code == 0 and json.loads(out) == sphere_table(n - 3, spheres), group
+
+
+def test_quotient_by_s6_builds_no_nerve(monkeypatch, capsys):
+    forbid_the_nerve(monkeypatch)
+    code, out, err = run(capsys, "quotient", "--n", "6", "--group", "(1 2),(1 2 3 4 5 6)")
+    assert code == 0 and "group does not fix 1" in err
+    assert json.loads(out) == {
+        "eulerCharacteristic": 1,
+        "fVector": [9, 28, 36, 16],
+        "group": ["(1 2)", "(1 2 3 4 5 6)"],
+        "n": 6,
+        "reducedHomology": sphere_table(3, 0),
+    }
+
+
 @pytest.mark.parametrize(
     "n, group",
     [
         (7, "(2 3),(4 5),(4 5 6 7)"),  # a Young subgroup of order 48 < 6!
         (7, "(1 2 3 4 5 6 7)"),  # not a Young subgroup
-        (6, "(2 3),(2 3 4 5 6)"),  # below n = 7
-        (6, "(1 2),(1 2 3 4 5 6)"),
     ],
 )
 def test_other_groups_take_the_nerve(monkeypatch, capsys, n, group):
@@ -709,8 +740,8 @@ def test_verify_checks_make_objects_for_generators_only(monkeypatch):
     for n in (5, 6):
         counts = count_objects(monkeypatch, lambda: cli._verification_checks(n))
         # two generators for the stabilizer of 1 at each size from 4 to n
-        # (one at n = 3) and two for the symmetric group
-        assert counts == {"Partition": 0, "Perm": 2 * (n - 3) + 1 + 2}
+        # (one at n = 3); the symmetric quotient is built from trees
+        assert counts == {"Partition": 0, "Perm": 2 * (n - 3) + 1}
 
 
 def test_verify_builds_one_stabilizer_action(monkeypatch, capsys):
@@ -734,13 +765,13 @@ def test_verify_builds_one_stabilizer_action(monkeypatch, capsys):
     for cache in ("_complexes", "_actions", "_matchings"):
         monkeypatch.setattr(construction, cache, {})
     assert main(["verify", "--n", "6"]) == 0
-    # the stabilizer of 1 at n = 6, order 5!, acts on the nerve of dimension
-    # 3 once: its quotient and the quotient matching share that action
-    assert actions.count((3, 120, True)) == 1
-    # each of its two generators, and each of the symmetric group's two,
-    # maps the nerve for the patchwork, for the stabilizer quotient and
-    # for the symmetric quotient
-    assert image_passes.count(3) == 6
+    # the stabilizer of 1 at n = 6, order 5!, is the one group that acts on
+    # the nerve of dimension 3: its quotient and the quotient matching share
+    # that action, and the symmetric quotient is built from trees
+    assert [action for action in actions if action[0] == 3] == [(3, 120, True)]
+    # each of its two generators maps the nerve for the patchwork and for
+    # the stabilizer quotient
+    assert image_passes.count(3) == 4
 
 
 def test_verify_certifies_each_matching_once(monkeypatch, capsys):

@@ -114,3 +114,12 @@ def test_a_dropped_representative_fails_the_build_naming_the_face():
     # the face named is a partition of that orbit, of block sizes 3, 1, 1
     face = re.search(r"face 0 \[(\S+)\] of 1-cell \[", str(info.value)).group(1)
     assert sorted(len(block.split(",")) for block in face.split("|")) == [1, 1, 3]
+
+
+def test_a_face_array_past_the_top_is_an_index_error_in_every_complex():
+    cx = get_complex(5)
+    complexes = [cx, QuotientComplex(ComplexAction(cx, young_group([0, 1, 1, 1, 1]))), TreeQuotient([0, 1, 1, 1, 1])]
+    for complex in complexes:
+        assert complex.dim == 2
+        with pytest.raises(IndexError):
+            complex.face_array(3)
