@@ -8,12 +8,11 @@ API edge and converted once.  Structure is checked in bulk (bincount for
 a cell in two pairs, CellComplex.incidence for the coefficients), and
 acyclicity by Kahn's topological sort of the modified face digraph
 (matched edges reversed) on the boundary arrays, one dimension pair at a
-time; its levels, kept on the Matching once sorted, also order the dense
-int64 gradient-path counts of the Morse boundary, walked only between
-dimensions that both hold critical cells, and the pushed flows of
-gradient chains, the cycle representatives of critical cells, as int64
-columns: cohomology_pairing pushes all of its chains from one
-_gradient.  The patchwork pattern composes matchings: an
+time; its levels, kept on the Matching once sorted, also order the one
+discrete flow: the gradient chains of critical cells, their cycle
+representatives, pushed as int64 columns in blocks of CHAIN_BLOCK entries
+under one overflow guard.  The Morse boundary is their boundary at the
+critical cells (Forman).  The patchwork pattern composes matchings: an
 order-preserving cell key (an int array per dimension, ordered by a
 boolean matrix and checked against face_array) plus one matching per
 fiber gives a matching of the whole complex, and the generators of an
@@ -490,7 +489,7 @@ def closure_matching(complex, descend, vertex_indices=None) -> dict[int, tuple[n
 
 @dataclass
 class MorseData:
-    """Critical cells with gradient-path boundary; gradient_chain gives their cycle representatives."""
+    """Critical cells with the boundary of their gradient chains; gradient_chain gives those chains."""
 
     complex: object
     matching: Matching
@@ -529,46 +528,27 @@ def _gradient(matching: Matching, d: int):
 
 def _morse_boundary(matching: Matching, d: int, critical: list[list[int]]) -> np.ndarray:
     """The Morse boundary of dimension d as a dense int64 array, one row
-    per critical d-cell and one column per critical (d-1)-cell.
-
-    The flow of a (d-1)-cell y is its own column when y is critical, zero
-    when y is matched downwards, and else, with w the partner of y, the
-    sum over the other faces z of w of -[w:y][w:z] flow(z); flow[w] holds
-    it, filled in reverse Kahn order, so that each flow it reads is done.
-    A bound on every sum, taken before the sum, raises OverflowError
-    where int64 would wrap.  No flow is walked without rows and columns."""
-    (indptr, faces, coeffs), levels, sign = _gradient(matching, d)
-    if not (critical[d] and critical[d - 1]):
-        return np.zeros((len(critical[d]), len(critical[d - 1])), dtype=np.int64)
-    up = matching.up[d - 1]
-    column = np.full(len(up), -1)
-    column[critical[d - 1]] = np.arange(len(critical[d - 1]))
-    flow = np.zeros((len(sign), len(critical[d - 1])), dtype=np.int64)
-    peak = np.zeros(len(sign))
-
-    def paths(cells: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        pos = entry_positions(indptr, cells)
-        k = np.repeat(np.arange(len(cells)), indptr[cells + 1] - indptr[cells])
-        z, coef = faces[pos], scale[k] * coeffs[pos]
-        hit, via = column[z] >= 0, (up[z] >= 0) & (up[z] != cells[k])
-        # every partial sum of a cell is at most its bound
-        bound = np.bincount(k[hit], np.abs(coef[hit]), len(cells))
-        bound = bound + np.bincount(k[via], np.abs(coef[via]) * peak[up[z[via]]], len(cells))
-        if bound.max(initial=0) >= 2.0**62:
-            raise OverflowError(f"a Morse boundary coefficient in dimension {d} may exceed int64")
-        out = np.zeros((len(cells), flow.shape[1]), dtype=np.int64)
-        np.add.at(out, (k[hit], column[z[hit]]), coef[hit])
-        np.add.at(out, k[via], coef[via, None] * flow[up[z[via]]])
-        return out
-
-    for level in reversed(levels):
-        flow[level] = paths(level, -sign[level])
-        peak[level] = np.abs(flow[level]).max(axis=1, initial=0)
-    return paths(np.asarray(critical[d], dtype=np.intp), np.ones(len(critical[d]), dtype=np.int64))
+    per critical d-cell c: the boundary of the gradient chain of c at the
+    critical (d-1)-cells (Forman, Thm 8.10), read off each block of
+    _chain_blocks under the guard of _push.  _gradient certifies the
+    dimension first; no chain is pushed without rows and columns."""
+    gradient = _gradient(matching, d)
+    out = np.zeros((len(critical[d - 1]), len(critical[d])), dtype=np.int64)
+    if out.size:
+        (indptr, faces, coeffs), _, _ = gradient
+        column = np.full(len(matching.up[d - 1]), -1)
+        column[critical[d - 1]] = np.arange(len(critical[d - 1]))
+        owner = entry_cells(indptr)
+        # the critical faces of the d-cells that a gradient chain can hold
+        hit = np.flatnonzero((column[faces] >= 0) & (matching.up[d][owner] < 0))
+        y, w = column[faces[hit]], owner[hit]
+        for cols, chains in _chain_blocks(matching, d, critical[d], gradient):
+            _push(out[:, cols], y, coeffs[hit], chains[w], np.zeros(len(out)), d)
+    return out.T
 
 
 def morse_data(matching: Matching) -> MorseData:
-    """Critical cells and gradient-path boundary matrices; cycle
+    """Critical cells and Morse boundary matrices (_morse_boundary); cycle
     representatives are made on demand by gradient_chain."""
     cx = matching.complex
     critical = matching.critical_cells()
@@ -579,15 +559,24 @@ def morse_data(matching: Matching) -> MorseData:
     return MorseData(cx, matching, critical, boundary)
 
 
+def _push(out: np.ndarray, target: np.ndarray, coef: np.ndarray, rows: np.ndarray, bound: np.ndarray, d: int) -> None:
+    """out[target] += coef * rows after adding to bound[t], in floats, |coef|
+    times max |rows| over the entries into row t, which bounds every partial
+    sum there: OverflowError at 2^62, before int64 could wrap.  The one guard
+    of the gradient chains and of the Morse boundary read off them."""
+    bound += np.bincount(target, np.abs(coef).astype(float) * np.abs(rows).max(axis=1, initial=0), len(bound))
+    if bound.max(initial=0) >= 2.0**62:
+        raise OverflowError(f"a gradient chain or Morse boundary coefficient in dimension {d} may exceed int64")
+    np.add.at(out, target, coef[:, None] * rows)
+
+
 def _gradient_chains(matching: Matching, d: int, cells, gradient=None) -> np.ndarray:
     """The stabilized discrete flows of the critical d-cells cells as the
     int64 columns of an array with one row per d-cell: the flow of c is c
     plus a_w w over the d-cells w matched downwards with y, where a_w is
     -[w:y] times the sum of [u:y] a_u over u = c and the other cells that
-    have y as a face.  Every column is pushed at once from the cells along
-    the Kahn levels of gradient, _gradient(matching, d) when not given.
-    As in _morse_boundary, a bound on every partial sum, taken before the
-    sum, raises OverflowError where int64 would wrap."""
+    have y as a face.  Every column is pushed at once along the Kahn levels
+    of gradient, _gradient(matching, d) when not given, guarded by _push."""
     cells = np.asarray(cells, dtype=np.intp)
     chains = np.zeros((matching.complex.n_cells(d), len(cells)), dtype=np.int64)
     chains[cells, np.arange(len(cells))] = 1
@@ -600,15 +589,22 @@ def _gradient_chains(matching: Matching, d: int, cells, gradient=None) -> np.nda
         pos = entry_positions(indptr, level)
         k = np.repeat(level, indptr[level + 1] - indptr[level])
         w = up[faces[pos]]
-        via = (w >= 0) & (w != k)
-        w, k, coef = w[via], k[via], -sign[w[via]] * coeffs[pos[via]]
-        rows = chains[k]
-        # every partial sum of a cell is at most its bound
-        bound += np.bincount(w, np.abs(coef) * np.abs(rows).max(axis=1, initial=0), len(bound))
-        if bound.max(initial=0) >= 2.0**62:
-            raise OverflowError(f"a gradient chain coefficient in dimension {d} may exceed int64")
-        np.add.at(chains, w, coef[:, None] * rows)
+        via = np.flatnonzero((w >= 0) & (w != k))
+        _push(chains, w[via], -sign[w[via]] * coeffs[pos[via]], chains[k[via]], bound, d)
     return chains
+
+
+# entries of the gradient chains pushed at once
+CHAIN_BLOCK = 1 << 22
+
+
+def _chain_blocks(matching: Matching, d: int, cells, gradient):
+    """Pairs (cols, chains): the _gradient_chains of cells[cols] along the
+    one gradient, in blocks of at most CHAIN_BLOCK entries of chains."""
+    cells = np.asarray(cells, dtype=np.intp)
+    step = max(CHAIN_BLOCK // max(matching.complex.n_cells(d), 1), 1)
+    for s in range(0, len(cells), step):
+        yield slice(s, s + step), _gradient_chains(matching, d, cells[s : s + step], gradient)
 
 
 def gradient_chain(matching: Matching, cell: Cell) -> dict[int, int]:
@@ -632,24 +628,17 @@ def cohomology_representatives(data: MorseData) -> list[dict[int, int]]:
     return [{c: 1} for c in data.critical[data.complex.dim]]
 
 
-# entries of the gradient chains that cohomology_pairing pushes at once
-CHAIN_BLOCK = 1 << 22
-
-
 def cohomology_pairing(data: MorseData) -> np.ndarray:
     """Pairing matrix of the top cochain representatives against the cycle
     representatives of the critical top cells, their gradient chains: one
-    _gradient serves every chain, pushed in blocks of columns of at most
-    CHAIN_BLOCK entries in all."""
+    _gradient serves every chain, pushed in the blocks of _chain_blocks."""
     d, matching = data.complex.dim, data.matching
     cochains = cohomology_representatives(data)
-    critical = np.asarray(data.critical[d], dtype=np.intp)
-    gradient = _gradient(matching, d) if d and len(critical) else None
-    step = max(CHAIN_BLOCK // max(data.complex.n_cells(d), 1), 1)
+    critical = data.critical[d]
+    gradient = _gradient(matching, d) if d and critical else None
     mat = np.zeros((len(cochains), len(critical)), dtype=object)
-    for s in range(0, len(critical), step):
-        chains = _gradient_chains(matching, d, critical[s : s + step], gradient)
+    for cols, chains in _chain_blocks(matching, d, critical, gradient):
         for row, z in zip(mat, cochains):
             # in Python integers, which do not wrap
-            row[s : s + step] = sum(v * chains[c].astype(object) for c, v in z.items())
+            row[cols] = sum(v * chains[c].astype(object) for c, v in z.items())
     return mat.astype(np.int64)

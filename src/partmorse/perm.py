@@ -203,15 +203,6 @@ class PermGroup:
         return cls.generate(n, ())
 
     @classmethod
-    def symmetric(cls, n: int) -> "PermGroup":
-        if n == 1:
-            return cls.trivial(1)
-        gens = [Perm.from_cycles(n, "(1 2)")]
-        if n > 2:
-            gens.append(Perm.from_cycles(n, "(" + " ".join(map(str, range(1, n + 1))) + ")"))
-        return cls.generate(n, gens)
-
-    @classmethod
     def point_stabilizer(cls, n: int) -> "PermGroup":
         """All permutations of [n] fixing 1; order (n-1)!."""
         if n < 3:

@@ -19,6 +19,8 @@ are the references for the label masks of construction, fiber_of for
 the keys k >= 2 of patchwork_keys, and lift_partition and lift_chain
 for lift_cells.
 dense_boundary is the boundary map of one dimension as a dense matrix.
+symmetric_group builds S_n from (1 2) and the n-cycle through
+PermGroup.from_cycle_strings.
 monotonicity_witness checks a closure operator on two |verts|^2 boolean
 matrices, as closure_matching did before it read the pairs of the order.
 """
@@ -27,6 +29,7 @@ import numpy as np
 
 from partmorse.construction import pair_vertex
 from partmorse.ordercomplex import Simplex, entry_cells
+from partmorse.perm import PermGroup
 from partmorse.setpart import Partition
 
 
@@ -150,3 +153,10 @@ def monotonicity_witness(less, verts, image):
     img = np.asarray(image)[verts]
     bad = np.argwhere(less[np.ix_(verts, verts)] & (img[:, None] != img) & ~less[np.ix_(img, img)])
     return tuple(verts[bad[0]].tolist()) if len(bad) else None
+
+
+def symmetric_group(n: int) -> PermGroup:
+    """S_n generated by (1 2) and the n-cycle; by (1 2) alone at n = 2 and
+    by nothing at n = 1."""
+    cycle = "(" + " ".join(map(str, range(1, n + 1))) + ")"
+    return PermGroup.from_cycle_strings(n, ["(1 2)", cycle][: max(n - 1, 0)])

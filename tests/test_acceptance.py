@@ -32,7 +32,7 @@ from partmorse.morse import (
 from partmorse.ordercomplex import Simplex
 from partmorse.perm import ComplexAction, Perm, PermGroup, QuotientComplex, act, orbits
 from partmorse.setpart import enumerate_proper
-from chain_oracle import lift_partition
+from chain_oracle import lift_partition, symmetric_group
 
 FULL_RANGE = (3, 4, 5, 6)
 
@@ -174,7 +174,7 @@ def test_criterion_07_full_group_quotient_structure(capsys):
 def test_criterion_08_symmetric_quotient_trivial(capsys):
     ok = True
     for n in FULL_RANGE:
-        qc = QuotientComplex(ComplexAction(get_complex(n), PermGroup.symmetric(n)))
+        qc = QuotientComplex(ComplexAction(get_complex(n), symmetric_group(n)))
         ok = ok and homology_of(qc).is_trivial()
     _report(capsys, 8, "quotient by the full symmetric group is homologically trivial for n=3..6", ok)
 

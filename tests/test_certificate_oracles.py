@@ -29,9 +29,19 @@ from partmorse.homology import (
     homology_of,
     smith_normal_form,
 )
-from partmorse.morse import InvalidMatchingError, Matching, closure_matching, gradient_chain, morse_data
+from partmorse import morse
+from partmorse.morse import (
+    InvalidMatchingError,
+    Matching,
+    MorseData,
+    closure_matching,
+    cohomology_pairing,
+    gradient_chain,
+    morse_data,
+)
 from partmorse.ordercomplex import ExplicitComplex, FaceTableComplex, proper_part_complex
 from partmorse.perm import ComplexAction, PermGroup, QuotientComplex
+from chain_oracle import symmetric_group
 from test_acceptance import SUBGROUPS, _subgroup
 from test_homology import HOMOLOGY_N6_GROUPS, boolean_proper_part, mod2_moore_space, simplicial_complex
 from test_morse import circle, divisors_of_six
@@ -239,7 +249,7 @@ COMPLEXES = {
     **{f"quotient-6-{g}": (lambda g=g: quotient(6, [g])) for g in HOMOLOGY_N6_GROUPS},
     "quotient-5-five-cycle": lambda: quotient(5, ["(1 2 3 4 5)"]),
     **{
-        f"symmetric-{n}": (lambda n=n: QuotientComplex(ComplexAction(get_complex(n), PermGroup.symmetric(n))))
+        f"symmetric-{n}": (lambda n=n: QuotientComplex(ComplexAction(get_complex(n), symmetric_group(n))))
         for n in (4, 5, 6)
     },
     **{
@@ -382,7 +392,7 @@ def test_nerves_and_quotients_take_the_identities(monkeypatch):
     for n in (3, 4, 5, 6):
         cx = proper_part_complex(n)
         cycle = "(" + " ".join(map(str, range(1, n + 1))) + ")"
-        groups = [PermGroup.point_stabilizer(n), PermGroup.symmetric(n), PermGroup.from_cycle_strings(n, [cycle])]
+        groups = [PermGroup.point_stabilizer(n), symmetric_group(n), PermGroup.from_cycle_strings(n, [cycle])]
         for target in [cx] + [QuotientComplex(ComplexAction(cx, g)) for g in groups]:
             homology_of(target, reduced=False)
 
@@ -409,23 +419,55 @@ def matchings():
     return cases
 
 
-def test_morse_data_agrees_with_dict_reference():
+def test_morse_data_agrees_with_dict_reference(monkeypatch):
+    chains, whole = morse._gradient_chains, morse.CHAIN_BLOCK
+    widths = []
+    monkeypatch.setattr(morse, "_gradient_chains", lambda m, d, cells, *g: widths.append((d, len(cells))) or chains(m, d, cells, *g))
     for name, matching in matchings().items():
-        assert morse_data(matching).boundary == reference_morse_boundary(matching), name
+        sizes = [matching.complex.n_cells(d) for d in range(matching.complex.dim + 1)]
+        counts = matching.critical_counts()
+        # one block, blocks of one column, and of at least seven columns in every dimension
+        for block in (whole, 1, 7 * max(sizes)):
+            monkeypatch.setattr(morse, "CHAIN_BLOCK", block)
+            widths.clear()
+            assert morse_data(matching).boundary == reference_morse_boundary(matching), (name, block)
+            # the blocks cover the critical d-cells, each within the bound
+            for d in range(1, len(counts)):
+                assert sum(n for e, n in widths if e == d) == (counts[d] if counts[d - 1] else 0)
+            assert all(n * sizes[d] <= max(block, sizes[d]) for d, n in widths)
+            if name == "zero-5" and block < whole:
+                # its 72 critical 2-cells in 72 blocks, then in 11
+                assert [n for d, n in widths if d == 2] == ([1] * 72 if block == 1 else [7] * 10 + [2])
         if matching.complex.total_cells() < 3000:
             for d, layer in enumerate(matching.critical_cells()):
                 for i in layer:
                     assert gradient_chain(matching, (d, i)) == reference_gradient_chain(matching, (d, i)), name
 
 
-def coefficient_ladder(c):
-    """Two gradient steps that each multiply by c, then a critical edge of
-    coefficient c: its Morse boundary is c^3 times the critical vertex."""
-    cx = ExplicitComplex(
-        [["v0", "v1", "v2"], ["e1", "e2", "e3"]],
-        [[[(1, 1), (0, c)], [(2, 1), (1, c)], [(2, c)]]],
-    )
-    return Matching(cx, [((0, 1), (1, 0)), ((0, 2), (1, 1))])
+def coefficient_ladder(c, steps=2):
+    """steps gradient steps that each multiply by c, then a critical edge of
+    coefficient c: its Morse boundary is c^(steps + 1) times the critical
+    vertex, and its gradient chain holds c^steps."""
+    faces = [[(i, 1), (i - 1, c)] for i in range(1, steps + 1)] + [[(steps, c)]]
+    cx = ExplicitComplex([[f"v{i}" for i in range(steps + 1)], [f"e{i}" for i in range(1, steps + 2)]], [faces])
+    return Matching(cx, [((0, i), (1, i - 1)) for i in range(1, steps + 1)])
+
+
+def test_gradient_chains_raise_where_int64_would_wrap():
+    # the gradient chain of e4 on three steps is e4 - c e3 + c^2 e2 - c^3 e1;
+    # its bound, once taken in int64, wrapped at c = 3 * 2^20 (the chain then
+    # read 5 * 2^60 on e1) and at c = 2^22 (no e1 term at all)
+    matching = coefficient_ladder(1 << 20, steps=3)
+    chain = {3: 1, 2: -(1 << 20), 1: 1 << 40, 0: -(1 << 60)}
+    assert gradient_chain(matching, (1, 3)) == reference_gradient_chain(matching, (1, 3)) == chain
+    assert cohomology_pairing(MorseData(matching.complex, matching, matching.critical_cells(), [])).tolist() == [[1]]
+    for c in (3 << 20, 1 << 22):
+        matching = coefficient_ladder(c, steps=3)
+        assert reference_gradient_chain(matching, (1, 3))[0] == -(c**3)
+        data = MorseData(matching.complex, matching, matching.critical_cells(), [])
+        for run in (lambda: gradient_chain(matching, (1, 3)), lambda: cohomology_pairing(data), lambda: morse_data(matching)):
+            with pytest.raises(OverflowError, match="int64"):
+                run()
 
 
 def test_morse_boundary_is_exact_up_to_the_int64_bound():

@@ -577,7 +577,7 @@ def test_verify_does_not_import_numpy_ma():
 
 def test_quotient_homology_and_group_closure_do_not_import_numpy_ma():
     assert not imports_numpy_ma("main(['homology', '--n', '6', '--group', '(2 3),(2 3 4 5 6)'])")
-    assert not imports_numpy_ma("PermGroup.symmetric(7)")
+    assert not imports_numpy_ma("from chain_oracle import symmetric_group\nsymmetric_group(7)")
 
 
 def test_tree_quotient_homology_does_not_import_numpy_ma():

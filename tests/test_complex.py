@@ -18,7 +18,7 @@ from partmorse.ordercomplex import (
 )
 from partmorse.perm import ComplexAction, PermGroup, QuotientComplex
 from partmorse.setpart import Partition, enumerate_proper, parse_partition, proper_rgs
-from chain_oracle import chain_positions, dense_boundary, refinement_rows, relation_chains
+from chain_oracle import chain_positions, dense_boundary, refinement_rows, relation_chains, symmetric_group
 from test_homology import mod2_moore_space
 
 
@@ -96,7 +96,7 @@ def test_quotient_faces_are_orbits_of_representative_faces():
     # an automorphism of finite order cannot carry one facet of a chain
     # onto another, so distinct faces of a cell never share an orbit
     cx = proper_part_complex(5)
-    for group in (PermGroup.point_stabilizer(5), PermGroup.symmetric(5)):
+    for group in (PermGroup.point_stabilizer(5), symmetric_group(5)):
         qc = QuotientComplex(ComplexAction(cx, group))
         for d in range(1, qc.dim + 1):
             for i in range(qc.n_cells(d)):

@@ -27,7 +27,7 @@ from partmorse.morse import validate_matching
 from partmorse.ordercomplex import Simplex, parse_simplex
 from partmorse.perm import Perm, PermGroup, act
 from partmorse.setpart import Partition, parse_partition
-from chain_oracle import fiber_of, is_anchored, is_pair_vertex, lift_chain, lift_partition
+from chain_oracle import fiber_of, is_anchored, is_pair_vertex, lift_chain, lift_partition, symmetric_group
 
 
 def test_split_vertex():
@@ -245,7 +245,7 @@ def test_quotient_critical_cells_full_group():
 
 def test_quotient_critical_cells_requires_fixing_one():
     with pytest.raises(ValueError):
-        quotient_critical_cells(4, PermGroup.symmetric(4))
+        quotient_critical_cells(4, symmetric_group(4))
 
 
 def test_orbit_vertex_label_requires_full_stabilizer():

@@ -35,7 +35,7 @@ from partmorse.morse import (
 )
 from partmorse.ordercomplex import ExplicitComplex, OrderComplex
 from partmorse.perm import ComplexAction, Perm, PermGroup, QuotientComplex, act
-from chain_oracle import is_pair_vertex, relation_chains
+from chain_oracle import is_pair_vertex, relation_chains, symmetric_group
 from test_perm import oracle_groups
 
 
@@ -69,7 +69,7 @@ def test_group_predicates_agree_with_element_walk():
                 assert group.is_subgroup_of(other) == walk
                 seen_sub.add(walk)
     assert seen_fix == seen_sub == {True, False}
-    s4, stab = PermGroup.symmetric(4), PermGroup.point_stabilizer(4)
+    s4, stab = symmetric_group(4), PermGroup.point_stabilizer(4)
     assert not s4.fixes_point(1) and stab.fixes_point(1)
     assert not s4.is_subgroup_of(stab) and stab.is_subgroup_of(s4)
 
@@ -490,7 +490,7 @@ def test_group_steps_make_no_per_cell_calls(monkeypatch):
 def test_check_equivariance():
     m = build_main_matching(4)
     assert check_equivariance(m, get_action(4))
-    full = ComplexAction(get_complex(4), PermGroup.symmetric(4))
+    full = ComplexAction(get_complex(4), symmetric_group(4))
     assert not check_equivariance(m, full)
 
 

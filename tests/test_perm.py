@@ -13,7 +13,7 @@ from partmorse.perm import (
 )
 from partmorse.setpart import enumerate_proper, parse_partition
 from partmorse.ordercomplex import Simplex
-from chain_oracle import chain_positions, dense_boundary, perm_product_closure, relation_chains
+from chain_oracle import chain_positions, dense_boundary, perm_product_closure, relation_chains, symmetric_group
 from test_acceptance import SUBGROUPS
 from test_complex import int32_digest
 
@@ -23,7 +23,7 @@ N6_SUBGROUPS = [[], ["(2 3)"], ["(2 3 4)", "(3 4 5)", "(4 5 6)"], ["(2 3)", "(2 
 def oracle_groups():
     """Every acceptance subgroup of the stabilizer of 1, plus S_4 and S_5."""
     groups = [PermGroup.from_cycle_strings(n, texts) for n, entries in SUBGROUPS.items() for _, texts in entries]
-    return groups + [PermGroup.symmetric(4), PermGroup.symmetric(5)]
+    return groups + [symmetric_group(4), symmetric_group(5)]
 
 
 def test_perm_basics():
@@ -67,7 +67,7 @@ def test_composition_convention():
 
 
 def test_group_generation():
-    s4 = PermGroup.symmetric(4)
+    s4 = symmetric_group(4)
     assert s4.order == 24
     assert PermGroup.trivial(4).order == 1
     stab = PermGroup.point_stabilizer(5)
@@ -80,7 +80,7 @@ def test_group_generation():
 def test_closure_matches_perm_products():
     groups = [PermGroup.trivial(4)]
     groups += [PermGroup.point_stabilizer(n) for n in range(3, 8)]
-    groups += [PermGroup.symmetric(n) for n in range(1, 8)]
+    groups += [symmetric_group(n) for n in range(1, 8)]
     groups += [PermGroup.from_cycle_strings(5, texts) for _, texts in SUBGROUPS[5]]
     groups += [PermGroup.from_cycle_strings(6, texts) for texts in N6_SUBGROUPS]
     for group in groups:
@@ -119,14 +119,14 @@ def test_closure_past_int64_codes():
 
 
 def test_symmetric_8_order_without_elements():
-    group = PermGroup.symmetric(8)
+    group = symmetric_group(8)
     assert group.order == 40320
     assert Perm.from_cycles(8, "(1 8)(2 7 3)") in group
     assert "elements" not in group.__dict__
 
 
 def test_subgroup_relations():
-    s5 = PermGroup.symmetric(5)
+    s5 = symmetric_group(5)
     stab = PermGroup.point_stabilizer(5)
     sub = PermGroup.from_cycle_strings(5, ["(2 3)"])
     assert sub.is_subgroup_of(stab)
@@ -157,7 +157,7 @@ def test_act_on_simplex():
 
 def test_act_preserves_refinement():
     parts = enumerate_proper(4)
-    for g in PermGroup.symmetric(4).elements:
+    for g in symmetric_group(4).elements:
         for a in parts:
             for b in parts:
                 assert a.refines(b) == act(g, a).refines(act(g, b))
@@ -222,7 +222,7 @@ def test_complex_action_is_by_automorphisms():
 def test_complex_action_rejects_degree_mismatch():
     cx = proper_part_complex(4)
     with pytest.raises((KeyError, ValueError)):
-        ComplexAction(cx, PermGroup.symmetric(5))
+        ComplexAction(cx, symmetric_group(5))
 
 
 def test_complex_action_rejects_non_automorphisms():
