@@ -479,9 +479,11 @@ def closure_matching(complex, descend, vertex_indices=None) -> dict[int, tuple[n
     pairs = {}
     for d in range(1, complex.dim + 1):
         parent, last = complex.parent[d], complex.last[d]
-        new = (pos[parent] < 0) & moving[last]
-        hit = np.where(new, complex.last[d - 1][parent] == image[last], hit[parent])
-        pos = np.where(new, d, pos[parent])
+        up = pos.take(parent)
+        new = up < 0
+        new &= moving.take(last)
+        hit = np.where(new, complex.last[d - 1].take(parent) == image.take(last), hit.take(parent))
+        pos = np.where(new, d, up)
         upper = np.flatnonzero(inside[d] & hit)
         pairs[d - 1] = (complex.face_array(d)[upper, pos[upper] - 1], upper)
     return pairs

@@ -18,18 +18,38 @@ colours: equal codes are equal sorted lists, so codes are exact, agree
 across layers and batches, and a tree's root code fixes its depth.  No
 hash, and no np.unique, whose first call imports numpy.ma.
 
-Cells are built layer by layer, one per code.  Layer 0 codes every row
-of setpart.proper_rgs(n).  Layer d extends each cell of layer d-1 by
-each proper coarsening of its top partition, rgs_table(k)[1:-1] read at
-its k top labels; only the new top level and the root get new codes, the
-levels below keep the representative's.  The first candidate of each
-root code is kept, candidates taken in batches of about BATCH rows, and
-a layer is ordered by root code.  The representative that was extended
-is face d of its cell; face k < d deletes level k, recodes the levels
-above it and the root, and is found among the codes of layer d-1 by
-binary search.  A face that no cell codes raises InvalidComplexError,
-naming both chains.  A cell keeps its representative's labels, an
-(R, d+1, n) int8 array per layer, and nothing else of the build.
+Cells are built layer by layer, one per code.  Layer 0 codes rows of
+setpart.proper_rgs(n).  Layer d extends each cell of layer d-1 by proper
+coarsenings of its top partition, rgs_table(k)[1:-1] read at its k top
+labels; only the new top level and the root get new codes, the levels
+below keep the representative's.  The first candidate of each root code
+is kept, candidates taken in batches of about BATCH rows, and a layer is
+ordered by root code.
+
+Lemma: in every orbit of a Young subgroup on set partitions, the
+lexicographically least restricted-growth string numbers the points of
+each colour in non-decreasing order.  (If i < j share a colour and
+label(i) > label(j), swapping i and j gives a smaller string in the same
+orbit.)  So layer 0 codes only the rows that are non-decreasing on each
+colour, and layer d only the coarsenings that are non-decreasing on each
+class of top blocks with equal codes, which an automorphism of the
+representative swaps (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 26, 1998).  The first candidate of each code is the least,
+so the kept ones are those that coding every candidate keeps.  New codes
+are numbered by key within a round of the trie, so their numbers depend
+on the batch that first meets them; batches are counted before the
+filter, so they meet the same codes as before it, numbered the same.
+
+The representative that was extended is face d of its cell.  The build
+keeps the codes of the top level of each face k < d-1 of each cell of
+layer d-1, and for a cell of layer d with new top q, face k < d-1 is q
+over the top of face k of its representative and face d-1 is q over
+level d-2 (over the points when d = 1).  So one level coding and one
+root coding per layer give every face, which is then found among the
+root codes of layer d-1 by binary search.  A face that no cell codes
+raises InvalidComplexError, naming both chains.  A cell keeps its
+representative's labels, an (R, d+1, n) int8 array per layer, and
+nothing else of the build.
 
 As in QuotientComplex, an orbit's faces are the orbits of its
 representative's faces, with signs (-1)^k; the two complexes agree up to
@@ -45,7 +65,7 @@ from .ordercomplex import FaceTableComplex, distinct
 from .perm import orbit_labels
 from .setpart import format_rgs, proper_rgs, rgs_table
 
-# candidate rows coded at once
+# candidates per batch, counted before the lemma's filter
 BATCH = 1 << 16
 
 
@@ -79,6 +99,16 @@ def _first_per_code(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[first], codes[first]
 
 
+def non_decreasing(rows: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """keep[i, j]: whether the (Q, k) rows[j] is non-decreasing on each
+    class of equal entries of the (R, k) classes[i], taken in order."""
+    order = np.argsort(classes, axis=1, kind="stable")
+    sorted_classes = np.take_along_axis(classes, order, axis=1)
+    same = sorted_classes[:, 1:] == sorted_classes[:, :-1]
+    seen = rows[:, order]
+    return ~((seen[..., 1:] < seen[..., :-1]) & same).any(axis=2).T
+
+
 class _Codes:
     """The interning trie: colours are the codes 0..c-1, the empty list is
     state c, and each new (state, child) pair gets the next state."""
@@ -90,8 +120,10 @@ class _Codes:
         self.keys = np.array([np.iinfo(np.int64).max])
         self.states = np.array([-1], dtype=np.int32)
 
-    def step(self, state: np.ndarray, child: np.ndarray) -> np.ndarray:
-        """The state after appending child to the list of each state."""
+    def step(self, state: np.ndarray, child: np.ndarray, fresh: list) -> np.ndarray:
+        """The state after appending child to the list of each state.  The
+        sorted keys of the pairs not yet in the trie are numbered from size
+        and appended to fresh, to be entered by intern."""
         key = np.left_shift(state, 32, dtype=np.int64)
         key |= child
         at = np.searchsorted(self.keys, key)
@@ -101,18 +133,46 @@ class _Codes:
             key = key[missing]
             new = distinct(key)
             out[missing] = np.searchsorted(new, key) + self.size
+            fresh.append(new)
+            self.size += len(new)
+        return out
+
+    def intern(self, fresh: list) -> None:
+        """Enter the keys of fresh, numbered up to size in their order."""
+        if fresh:
+            new = np.concatenate(fresh)
+            state = np.arange(self.size - len(new), self.size, dtype=np.int32)
+            order = np.argsort(new)
+            new = new.take(order)
             where = np.searchsorted(self.keys, new)
             self.keys = np.insert(self.keys, where, new)
-            self.states = np.insert(self.states, where, np.arange(self.size, self.size + len(new), dtype=np.int32))
-            self.size += len(new)
+            self.states = np.insert(self.states, where, state.take(order))
+
+    def lists(self, child: np.ndarray, head: np.ndarray, size: np.ndarray) -> np.ndarray:
+        """The state of each sorted list child[head[i] : head[i] + size[i]].
+        The lists are built in rounds, the j-th entry of every list in
+        round j.  A key of round j holds the state of a list of j-1 codes,
+        so no round meets the new keys of another, and they are entered
+        once, at the end."""
+        # lists by falling size: round j appends to the first alive[j]
+        order = np.argsort(-size, kind="stable")
+        head = head.take(order)
+        alive = np.bincount(size)[::-1].cumsum()[::-1]
+        state = np.full(len(head), self.start, dtype=np.int32)
+        fresh: list = []
+        for j in range(1, len(alive)):
+            state[: alive[j]] = self.step(state[: alive[j]], child.take(head[: alive[j]] + (j - 1)), fresh)
+        self.intern(fresh)
+        out = np.empty_like(state)
+        out[order] = state
         return out
 
     def level(self, parent: np.ndarray, below) -> np.ndarray:
         """Codes of the blocks of the (N, n) labels parent, whose children
         are the blocks of below = (labels, codes), the level under it:
         entry [x, b] is the code of block b of row x, -1 past the last
-        block.  The children of each block are sorted by code and appended
-        in rounds, the j-th child of every block in round j."""
+        block.  A block's code is the list of its children's codes,
+        sorted."""
         rows, n = parent.shape
         labels, codes = below
         # the first point of each block of a restricted-growth string is
@@ -131,23 +191,18 @@ class _Codes:
         change[:1] = True
         np.not_equal(block[1:], block[:-1], out=change[1:])
         head = np.flatnonzero(change)
-        # blocks by falling child count: round j appends to the first alive[j]
-        size = np.append(head[1:], len(block)) - head
-        order = np.argsort(-size, kind="stable")
-        head = head.take(order)
-        alive = np.bincount(size, minlength=n + 1)[::-1].cumsum()[::-1]
-        state = np.full(len(head), self.start, dtype=np.int32)
-        for j in range(1, n + 1):
-            if not alive[j]:
-                break
-            state[: alive[j]] = self.step(state[: alive[j]], child.take(head[: alive[j]] + (j - 1)))
         out = np.full(rows * n, -1, dtype=np.int32)
-        out[block.take(head)] = state
+        out[block.take(head)] = self.lists(child, head, np.append(head[1:], len(block)) - head)
         return out.reshape(rows, n)
 
-    def root(self, below) -> np.ndarray:
-        """The root code of each row of below = (labels, codes), its top level."""
-        return self.level(np.zeros_like(below[0]), below)[:, 0]
+    def root(self, codes: np.ndarray) -> np.ndarray:
+        """The root code of each row of the codes of a level, as level
+        gives them: the list of its blocks' codes, sorted."""
+        rows, n = codes.shape
+        # the -1 past the last block sort first
+        codes = np.sort(codes, axis=1)
+        size = np.count_nonzero(codes >= 0, axis=1)
+        return self.lists(codes.ravel(), np.arange(n, (rows + 1) * n, n) - size, size)
 
 
 class TreeQuotient(FaceTableComplex):
@@ -166,12 +221,14 @@ class TreeQuotient(FaceTableComplex):
         roots: list[np.ndarray] = []
         faces: list[np.ndarray] = []
         layer = self._extend(codes, None)
+        # the codes of the top level of each face k < d of each d-cell
+        tops = np.empty((0, len(layer[0]), n), dtype=np.int32)
         while len(layer[0]):
-            labels, levels, root, below = layer
             if self._labels:
-                faces.append(self._faces(codes, labels, levels, below, roots[-1]))
-            self._labels.append(labels)
-            roots.append(root)
+                tops, table = self._faces(codes, layer, tops, roots[-1])
+                faces.append(table)
+            self._labels.append(layer[0])
+            roots.append(layer[2])
             layer = self._extend(codes, layer)
         super().__init__(len(labels) for labels in self._labels)
         self._faces = [np.empty((self.n_cells(0), 0), dtype=np.int32), *faces]
@@ -186,15 +243,16 @@ class TreeQuotient(FaceTableComplex):
     def _extend(self, codes: _Codes, layer):
         """The cells of the layer above layer = (labels, level codes, root
         codes, faces d), as the same four arrays; layer 0 when layer is
-        None.  Candidates are coded in batches of about BATCH rows, and the
-        first of each root code is kept, in the order of the codes."""
+        None.  Only the candidates that the lemma keeps are coded, in
+        batches of about BATCH candidates before that filter, and the first
+        of each root code is kept, in the order of the codes."""
         parts, pending, count = [], [], 0
 
         def code(new, rep):
             # new top levels, over the tops of the cells rep of layer
             low = self._leaves(len(new)) if layer is None else (layer[0][rep, -1], layer[1][rep, -1])
             new_codes = codes.level(new, low)
-            keep, root = _first_per_code(codes.root((new, new_codes)))
+            keep, root = _first_per_code(codes.root(new_codes))
             new, new_codes, rep = new[keep, None], new_codes[keep, None], rep.take(keep)
             if layer is not None:
                 new = np.concatenate([layer[0].take(rep, axis=0), new], axis=1)
@@ -205,19 +263,23 @@ class TreeQuotient(FaceTableComplex):
             table = proper_rgs(self.n).astype(np.int8)
             for s in range(0, len(table), BATCH):
                 part = table[s : s + BATCH]
+                part = part[non_decreasing(part, self.colours[None])[0]]
                 code(part, np.zeros(len(part), dtype=np.int32))
         else:
-            top = layer[0][:, -1]
+            top, top_codes = layer[0][:, -1], layer[1][:, -1]
             blocks = top.max(axis=1) + 1
             for k, coarser in self._coarser.items():
                 reps = np.flatnonzero(blocks == k).astype(np.int32)
                 step = max(BATCH // len(coarser), 1)
                 for s in range(0, len(reps), step):
                     rep = reps[s : s + step]
-                    # row i * Q + j coarsens the top of rep[i] by coarser[j]
-                    new = coarser.take(top[rep], axis=1).transpose(1, 0, 2).reshape(-1, self.n)
-                    pending.append((new, np.repeat(rep, len(coarser))))
-                    count += len(new)
+                    count += len(rep) * len(coarser)
+                    # top blocks of equal codes are swapped by an automorphism
+                    # of the representative, so the lemma applies to them
+                    i, j = np.nonzero(non_decreasing(coarser, top_codes[rep, :k]))
+                    rep = rep.take(i)
+                    # row x coarsens the top of rep[x] by coarser[j[x]]
+                    pending.append((coarser[j[:, None], top[rep]], rep))
                     if count >= BATCH:
                         code(*(np.concatenate(a) for a in zip(*pending)))
                         pending, count = [], 0
@@ -229,36 +291,46 @@ class TreeQuotient(FaceTableComplex):
         labels, levels, _, below = (np.concatenate([p[i] for p in parts]).take(keep, axis=0) for i in range(4))
         return labels, levels, root, below
 
-    def _faces(self, codes: _Codes, labels, levels, below, lower_roots) -> np.ndarray:
-        """The face table of a layer of d-cells given as labels, level codes
-        and faces d, found by their root codes among lower_roots, the
-        sorted codes of the layer below.  Face k codes level k+1 over level
-        k-1 (the points when k = 0) and each level i > k+1 over its recoded
-        level i-1; level i is coded for every k < i at once, k-major."""
-        rows, d = len(labels), labels.shape[1] - 1
-        table = np.empty((rows, d + 1), dtype=np.int32)
-        table[:, d] = below
-        step = max(BATCH // d, 1)
+    def _faces(self, codes: _Codes, layer, tops, lower_roots) -> tuple[np.ndarray, np.ndarray]:
+        """The face table of layer = (labels, level codes, root codes,
+        faces d+1), a layer of (d+1)-cells, and the codes of the top level
+        of each face k <= d, (d+1, R, n-2-d) k-major, as that level has at
+        most n-2-d blocks; tops holds those of the layer below.  A face is
+        found by its root code among lower_roots, the sorted root codes of
+        the layer below."""
+        labels, levels, _, below = layer
+        rows, d = len(labels), labels.shape[1] - 2
+        table = np.empty((rows, d + 2), dtype=np.int32)
+        table[:, d + 1] = below
+        width = self.n - 2 - d
+        face_tops = np.empty((d + 1, rows, width), dtype=np.int32)
+        step = max(BATCH // (d + 1), 1)
         for s in range(0, rows, step):
-            lab, lev = labels[s : s + step], levels[s : s + step]
+            lab, lev, rep = labels[s : s + step], levels[s : s + step], below[s : s + step]
             m = len(lab)
-            recoded = np.zeros((0, self.n), dtype=np.int32)
-            for i in range(1, d + 1):
-                low = (lab[:, i - 2], lev[:, i - 2]) if i > 1 else self._leaves(m)
-                under = np.concatenate([np.tile(lab[:, i - 1], (i - 1, 1)), low[0]])
-                recoded = codes.level(np.tile(lab[:, i], (i, 1)), (under, np.concatenate([recoded, low[1]])))
-            root = codes.root((np.tile(lab[:, d], (d, 1)), recoded))
+            # face k < d: the new top over the top of face k of the
+            # representative; face d: the new top over its level d-1
+            low = (lab[:, d - 1], lev[:, d - 1]) if d else self._leaves(m)
+            under = np.concatenate([np.tile(lab[:, d], (d, 1)), low[0]])
+            # level reads only the entries of the blocks of under
+            under_codes = np.empty((len(under), self.n), dtype=np.int32)
+            under_codes[: d * m, : tops.shape[2]] = tops[:, rep].reshape(d * m, tops.shape[2])
+            under_codes[d * m :] = low[1]
+            top = np.tile(lab[:, d + 1], (d + 1, 1))
+            new = codes.level(top, (under, under_codes))
+            root = codes.root(new)
             at = np.minimum(np.searchsorted(lower_roots, root), len(lower_roots) - 1)
             missing = np.flatnonzero(lower_roots.take(at) != root)
             if len(missing):
                 k, chain = divmod(int(missing[0]), m)
                 chain = lab[chain]
                 raise InvalidComplexError(
-                    f"face {k} [{_chain_label(np.delete(chain, k, axis=0))}] of {d}-cell "
-                    f"[{_chain_label(chain)}] is no cell of dimension {d - 1}"
+                    f"face {k} [{_chain_label(np.delete(chain, k, axis=0))}] of {d + 1}-cell "
+                    f"[{_chain_label(chain)}] is no cell of dimension {d}"
                 )
-            table[s : s + m, :d] = at.reshape(d, m).T
-        return table
+            face_tops[:, s : s + m] = new.reshape(d + 1, m, self.n)[:, :, :width]
+            table[s : s + m, : d + 1] = at.reshape(d + 1, m).T
+        return face_tops, table
 
     def chains(self, d: int) -> np.ndarray:
         """The (R, d+1, n) int8 restricted-growth strings of the levels of

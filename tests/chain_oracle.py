@@ -23,6 +23,10 @@ symmetric_group builds S_n from (1 2) and the n-cycle through
 PermGroup.from_cycle_strings.
 monotonicity_witness checks a closure operator on two |verts|^2 boolean
 matrices, as closure_matching did before it read the pairs of the order.
+tree_quotient_reference builds the chains and face tables of
+trees.TreeQuotient as it did before it filtered candidates and kept the
+tops of faces: every candidate is coded, and face k of a d-cell recodes
+every level above k.
 """
 
 import numpy as np
@@ -30,7 +34,9 @@ import numpy as np
 from partmorse.construction import pair_vertex
 from partmorse.ordercomplex import Simplex, entry_cells
 from partmorse.perm import PermGroup
-from partmorse.setpart import Partition
+from partmorse.setpart import Partition, proper_rgs, rgs_table
+from partmorse import trees
+from partmorse.trees import _Codes, _first_per_code
 
 
 def relation_chains(less) -> list[list[tuple[int, ...]]]:
@@ -160,3 +166,84 @@ def symmetric_group(n: int) -> PermGroup:
     by nothing at n = 1."""
     cycle = "(" + " ".join(map(str, range(1, n + 1))) + ")"
     return PermGroup.from_cycle_strings(n, ["(1 2)", cycle][: max(n - 1, 0)])
+
+
+def tree_quotient_reference(colours) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The chains and face tables of TreeQuotient(colours), per dimension.
+    Every proper partition, and every proper coarsening of the top of a
+    cell, is coded, in batches of about trees.BATCH rows; the first of
+    each root code is kept.  Face k < d of a d-cell codes level k+1 over
+    level k-1 (the points when k = 0), then each level above over the
+    recoded one, and is found by its root code among the sorted codes of
+    dimension d-1."""
+    batch = trees.BATCH
+    first: dict = {}
+    colours = np.array([first.setdefault(c, len(first)) for c in list(colours)], dtype=np.int8)
+    n = len(colours)
+    codes = _Codes(colours)
+    coarser = {k: rgs_table(k)[1:-1].astype(np.int8) for k in range(3, n)}
+
+    def leaves(rows):
+        return np.broadcast_to(np.arange(n, dtype=np.int8), (rows, n)), np.broadcast_to(colours, (rows, n))
+
+    def extend(layer):
+        parts, pending = [], []
+
+        def code(new, rep):
+            low = leaves(len(new)) if layer is None else (layer[0][rep, -1], layer[1][rep, -1])
+            new_codes = codes.level(new, low)
+            keep, root = _first_per_code(codes.root(new_codes))
+            new, new_codes, rep = new[keep, None], new_codes[keep, None], rep[keep]
+            if layer is not None:
+                new = np.concatenate([layer[0][rep], new], axis=1)
+                new_codes = np.concatenate([layer[1][rep], new_codes], axis=1)
+            parts.append((new, new_codes, root, rep))
+
+        if layer is None:
+            table = proper_rgs(n).astype(np.int8)
+            for s in range(0, len(table), batch):
+                code(table[s : s + batch], np.zeros(len(table[s : s + batch]), dtype=np.int32))
+        else:
+            top = layer[0][:, -1]
+            blocks = top.max(axis=1) + 1
+            for k, rows in coarser.items():
+                reps = np.flatnonzero(blocks == k)
+                step = max(batch // len(rows), 1)
+                for s in range(0, len(reps), step):
+                    rep = reps[s : s + step]
+                    new = rows.take(top[rep], axis=1).transpose(1, 0, 2).reshape(-1, n)
+                    pending.append((new, np.repeat(rep, len(rows))))
+                    if sum(len(p[0]) for p in pending) >= batch:
+                        code(*(np.concatenate(a) for a in zip(*pending)))
+                        pending = []
+            if pending:
+                code(*(np.concatenate(a) for a in zip(*pending)))
+        if not parts:
+            return None
+        keep, root = _first_per_code(np.concatenate([p[2] for p in parts]))
+        labels, levels, _, below = (np.concatenate([p[i] for p in parts])[keep] for i in range(4))
+        return labels, levels, root, below
+
+    def faces(labels, levels, below, lower_roots):
+        m, d = len(labels), labels.shape[1] - 1
+        table = np.empty((m, d + 1), dtype=np.int32)
+        table[:, d] = below
+        for k in range(d):
+            recoded = leaves(m) if k == 0 else (labels[:, k - 1], levels[:, k - 1])
+            for i in range(k + 1, d + 1):
+                recoded = labels[:, i], codes.level(labels[:, i], recoded)
+            root = codes.root(recoded[1])
+            at = np.searchsorted(lower_roots, root)
+            assert np.array_equal(lower_roots[np.minimum(at, len(lower_roots) - 1)], root), (k, d)
+            table[:, k] = at
+        return table
+
+    chains, tables, roots = [], [], None
+    layer = extend(None)
+    while layer is not None:
+        labels, levels, root, below = layer
+        tables.append(np.empty((len(labels), 0), dtype=np.int32) if roots is None else faces(labels, levels, below, roots))
+        chains.append(labels)
+        roots = root
+        layer = extend(layer)
+    return chains, tables

@@ -1,5 +1,6 @@
-"""TreeQuotient against QuotientComplex, the Euler numbers, and corrupted
-tree quotients."""
+"""TreeQuotient against QuotientComplex, against the build that codes every
+candidate and recodes every face, the Euler numbers, the lemma that picks
+the candidates, and corrupted tree quotients."""
 
 import re
 
@@ -9,9 +10,10 @@ import pytest
 from partmorse.construction import get_complex
 from partmorse.homology import InvalidComplexError, homology_of
 from partmorse.perm import ComplexAction, PermGroup, QuotientComplex
-from partmorse.setpart import rgs_table
-from partmorse.trees import TreeQuotient, point_orbits, young_colouring
-from chain_oracle import symmetric_group
+from partmorse import trees
+from partmorse.setpart import proper_rgs, rgs_table
+from partmorse.trees import TreeQuotient, _Codes, non_decreasing, point_orbits, young_colouring
+from chain_oracle import symmetric_group, tree_quotient_reference
 
 # Euler zigzag numbers E_0..E_9 (OEIS A000111)
 EULER = (1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936)
@@ -41,9 +43,20 @@ def orbit_numbers(cx, qc, tq, d) -> np.ndarray:
     return qc.orbit_of[d].take(cell)
 
 
+def assert_same_as_reference(tq, colours):
+    chains, tables = tree_quotient_reference(colours)
+    assert tq.dim + 1 == len(chains), colours
+    for d in range(tq.dim + 1):
+        assert tq.chains(d).dtype == chains[d].dtype and tq.chains(d).tobytes() == chains[d].tobytes(), (colours, d)
+        assert tq.face_array(d).dtype == tables[d].dtype and tq.face_array(d).tobytes() == tables[d].tobytes(), (colours, d)
+
+
 def assert_same_quotient(colours):
     n = len(colours)
     cx, tq = get_complex(n), TreeQuotient(colours)
+    # byte for byte the cells and faces of the build that codes every
+    # candidate and recodes every face
+    assert_same_as_reference(tq, colours)
     qc = QuotientComplex(ComplexAction(cx, young_group(colours)))
     assert tq.f_vector() == qc.f_vector(), colours
     assert homology_of(tq) == homology_of(qc), colours
@@ -67,6 +80,54 @@ def test_every_colouring_gives_the_nerve_quotient(n):
 @pytest.mark.parametrize("colours", [[0] * 7, [0] + [1] * 6], ids=["S_7", "Stab(1)"])
 def test_n7_quotients_match_the_nerve_quotient(colours):
     assert_same_quotient(colours)
+
+
+def test_n8_stabilizer_quotient_builds_the_reference_cells_and_faces():
+    colours = [0] + [1] * 7
+    assert_same_as_reference(TreeQuotient(colours), colours)
+
+
+@pytest.mark.parametrize("batch", [5, 60, 700])
+def test_small_batches_build_the_reference_cells_and_faces(batch, monkeypatch):
+    # codes are numbered per batch, so the batches must be those of the
+    # reference: counted before the lemma's filter
+    monkeypatch.setattr(trees, "BATCH", batch)
+    for colours in ([0] * 7, [0, 1, 1, 1, 1, 1, 1], [0, 1, 2, 1, 2, 2]):
+        assert_same_as_reference(TreeQuotient(colours), colours)
+
+
+def assert_kept_rows_reach_every_orbit(keep, n):
+    """For every colouring of [n], the proper partitions kept by keep(rows,
+    classes) have the root codes of all proper partitions."""
+    rows = proper_rgs(n).astype(np.int8)
+    for colours in rgs_table(n).astype(np.int8):
+        codes = _Codes(colours)
+
+        def roots(part):
+            below = np.broadcast_to(np.arange(n, dtype=np.int8), part.shape), np.broadcast_to(colours, part.shape)
+            return set(codes.root(codes.level(part, below)).tolist())
+
+        assert roots(rows[keep(rows, colours[None])[0]]) == roots(rows), colours.tolist()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_rows_non_decreasing_on_each_colour_reach_every_orbit(n):
+    assert_kept_rows_reach_every_orbit(non_decreasing, n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_rows_non_increasing_on_each_colour_miss_an_orbit(n):
+    # the lemma's inequality reversed: the same check must fail
+    def non_increasing(rows, classes):
+        return non_decreasing(-rows, classes)
+
+    with pytest.raises(AssertionError):
+        assert_kept_rows_reach_every_orbit(non_increasing, n)
+
+
+def test_the_lemma_keeps_62_of_875_rows_for_the_stabilizer_of_1_at_n_7():
+    colours = np.array([0] + [1] * 6, dtype=np.int8)
+    assert non_decreasing(proper_rgs(7).astype(np.int8), colours[None]).sum() == 62
 
 
 @pytest.mark.parametrize("n", range(3, 10))
