@@ -11,6 +11,11 @@ nerve is built, up to n = 8, for every other group and wherever a
 matching is pushed down to its orbits.  Sizes past these are refused
 before anything is built.
 
+Every subcommand's parser is made from one spec, COMMANDS; a run builds
+only the parser of the subcommand it names, and the full parser, whose
+help and errors the subcommand's parser reproduces, only when it names
+none or an unknown one, or for arguments the subcommand does not read.
+
 Exit codes: 0 success, 1 a verification failed, 2 invalid configuration
 (a ConfigError); any other error propagates.
 """
@@ -259,41 +264,69 @@ def cmd_report(args) -> tuple[int, object]:
     return 0, [matching_report(k) for k in range(3, args.n + 1)]
 
 
-def main(argv=None) -> int:
+GROUP_OPTION = ("--group", {"help": 'generators in cycle notation, e.g. "(2 3),(2 3 4 5)"'})
+
+# subcommand -> (handler, summary, whether it takes --out and --format,
+# its other options)
+COMMANDS = {
+    "complex": (cmd_complex, "cell counts of the nerve", True, ()),
+    "matching": (
+        cmd_matching,
+        "build and certify the main matching",
+        True,
+        (("--dump-matching", {"dest": "dump_matching", "help": "write the pair list here"}),),
+    ),
+    "quotient": (cmd_quotient, "quotient complex and matching", True, (GROUP_OPTION,)),
+    "homology": (
+        cmd_homology,
+        "integral homology table",
+        True,
+        (GROUP_OPTION, ("--max-dim", {"type": int, "default": None, "dest": "max_dim"})),
+    ),
+    "verify": (cmd_verify, "run the verification suite for one size", False, ()),
+    "report": (cmd_report, "aggregate matching reports for 3..n", True, ()),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, _, output, options = COMMANDS[name]
+    parser.add_argument("--n", type=int, required=True, help="ground-set size (>= 3)")
+    if output:
+        parser.add_argument("--out", help="write output to this path instead of stdout")
+        parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def full_parser() -> argparse.ArgumentParser:
+    """The parser with a subparser for every subcommand."""
     parser = argparse.ArgumentParser(
         prog="partmorse",
         description="equivariant acyclic matchings on the nerve of the partition lattice",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, _, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary), name)
+    return parser
 
-    def add(name, summary, output=True):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--n", type=int, required=True, help="ground-set size (>= 3)")
-        if output:
-            p.add_argument("--out", help="write output to this path instead of stdout")
-            p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        return p
 
-    group_help = 'generators in cycle notation, e.g. "(2 3),(2 3 4 5)"'
-    add("complex", "cell counts of the nerve")
-    matching = add("matching", "build and certify the main matching")
-    matching.add_argument("--dump-matching", dest="dump_matching", help="write the pair list here")
-    add("quotient", "quotient complex and matching").add_argument("--group", help=group_help)
-    homology = add("homology", "integral homology table")
-    homology.add_argument("--group", help=group_help)
-    homology.add_argument("--max-dim", type=int, default=None, dest="max_dim")
-    add("verify", "run the verification suite for one size", output=False)
-    add("report", "aggregate matching reports for 3..n")
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the one parser of the subcommand in argv[0], made as
+    full_parser makes it.  The full parser is built only for help, a
+    missing or unknown subcommand, and arguments the subcommand does not
+    read, which its top level names."""
+    if argv and argv[0] in COMMANDS:
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"partmorse {argv[0]}"), argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return full_parser().parse_args(argv)
 
-    args = parser.parse_args(argv)
-    handlers = {
-        "complex": cmd_complex,
-        "matching": cmd_matching,
-        "quotient": cmd_quotient,
-        "homology": cmd_homology,
-        "verify": cmd_verify,
-        "report": cmd_report,
-    }
+
+def main(argv=None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.n < 3:
             raise ConfigError(f"--n must be at least 3, got {args.n}")
@@ -308,7 +341,7 @@ def main(argv=None) -> int:
         for path in filter(None, (getattr(args, "out", None), getattr(args, "dump_matching", None))):
             if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
                 raise ConfigError(f"output path {path} is a directory or lies in no directory")
-        code, payload = handlers[args.command](args)
+        code, payload = COMMANDS[args.command][0](args)
         if payload is not None:
             _emit(_render(payload, args.format), args.out)
     except ConfigError as exc:

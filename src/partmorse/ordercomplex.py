@@ -515,19 +515,6 @@ def pair_masks(labels: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce((labels[:, a] == labels[:, b]) * bits, axis=1)
 
 
-def row_codes(table: np.ndarray) -> np.ndarray:
-    """Keys of the rows of an (m, n) table of values 0..n-1 that sort as
-    the rows do: base-n int64 codes up to n = 15, else the rows' bytes."""
-    m, n = table.shape
-    if n > 15:
-        table = np.ascontiguousarray(table, dtype=table.dtype.newbyteorder(">"))
-        return table.view(f"V{n * table.itemsize}").ravel()
-    codes = np.zeros(m, dtype=np.int64)
-    for column in table.T:
-        codes = codes * n + column
-    return codes
-
-
 def proper_part_complex(n: int) -> OrderComplex:
     """The nerve of the proper part of the partition lattice of {1,...,n},
     built from its restricted-growth table.  p < q iff p != q and p's pair

@@ -1,16 +1,16 @@
 """Permutations of {1,...,n}, generated subgroups, and their actions.
 
-A group keeps its elements as one sorted (order, n) int32 table of image
-rows (images minus one).  generate closes the generators by breadth-first
-search on that table, one gather per round, and finds new products by
-sort and binary search on their row codes; no np.unique, whose first
-call imports numpy.ma (about 15 ms per process).  Membership is a search
-among the row codes; Perm objects for the elements are made only when
-elements is read.  Fixed points, subgroup containment, orbits, and
-actions on complexes and quotients go through the generators only: a map
-that is a poset automorphism for every generator is one for every
-product of them, and an orbit is the closure of a point under the
-generator images (its stabilizer has order |G| / |orbit|).
+A group keeps its generators.  Its order and membership are read off a
+stabilizer chain (deterministic Schreier-Sims), built on first use: the
+order is the product of the orbit lengths, and g is an element iff it
+sifts to the identity.  Its elements are listed, as one sorted (order, n)
+int32 table of image rows (images minus one) made from the transversals,
+only when table or elements is read.  Fixed points, subgroup
+containment, orbits, and actions on complexes and quotients go through
+the generators only: a map that is a poset automorphism for every
+generator is one for every product of them, and an orbit is the closure
+of a point under the generator images (its stabilizer has order |G| /
+|orbit|).
 
 A group element acts on the nerve through a vertex map, built from the
 complex's restricted-growth table by permuting its columns and locating
@@ -40,10 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 import numpy as np
 
-from .ordercomplex import FaceTableComplex, OrderComplex, Simplex, row_codes
+from .ordercomplex import FaceTableComplex, OrderComplex, Simplex
 from .setpart import Partition
 
 
@@ -158,45 +159,110 @@ def act(g: Perm, x):
     raise TypeError(f"cannot act on {type(x).__name__}")
 
 
-class PermGroup:
-    """A permutation group on {1,...,n}, kept as the (order, n) int32 table
-    of its elements' images minus one, rows in lexicographic order."""
+def _compose(a: tuple, b: tuple) -> tuple:
+    """(a*b)(x) = a(b(x)), on tuples of images minus one.  Built from a
+    list: tuple() of an iterator leaves each result counted toward the
+    next garbage collection, and a run of a few hundred composes would
+    then set off a collection of about a millisecond."""
+    return tuple([a[x] for x in b])
 
-    def __init__(self, n: int, generators, table: np.ndarray):
+
+def stabilizer_chain(n: int, generators) -> list[tuple[int, np.ndarray]]:
+    """A stabilizer chain of the group the generators make, as tuples of
+    images minus one, by deterministic Schreier-Sims (Holt, Eick and
+    O'Brien, "Handbook of Computational Group Theory", 2005, 4.4.2).
+
+    Level l has a base point b_l, the strong generators that fix
+    b_0..b_{l-1}, and a transversal of the orbit of b_l under them: an
+    element u_p with u_p(b_l) = p for each orbit point p.  A sift divides
+    an element by u_p at each level, p its image of b_l, and stops where
+    p is off the orbit.  Levels are completed from the deepest up: each
+    Schreier generator u_{s(p)}^-1 s u_p of level l must sift to the
+    identity through the levels below; the first that does not is a new
+    strong generator of the levels down to where its sift stopped (a new
+    level if it went through them all), and completion resumes there.
+    Returns, per level, b_l and the (n, n) int32 array whose row p is
+    u_p^-1, or -1 for p off the orbit."""
+    identity = tuple(range(n))
+    base: list[int] = []
+    strong: list[list[tuple]] = []
+    # per level, orbit point p -> (u_p, u_p^-1)
+    transversals: list[dict[int, tuple[tuple, tuple]]] = []
+
+    def add_level(h: tuple) -> None:
+        base.append(next(x for x in identity if h[x] != x))
+        strong.append([])
+        transversals.append({})
+
+    def orbit(level: int) -> None:
+        b = base[level]
+        found = {b: (identity, identity)}
+        queue = [b]
+        for p in queue:
+            u = found[p][0]
+            for s in strong[level]:
+                if (q := s[p]) not in found:
+                    w = _compose(s, u)
+                    found[q] = (w, tuple(sorted(identity, key=w.__getitem__)))
+                    queue.append(q)
+        transversals[level] = found
+
+    def sift(g: tuple, level: int) -> tuple[tuple, int]:
+        while level < len(base) and (u := transversals[level].get(g[base[level]])) is not None:
+            g = _compose(u[1], g)
+            level += 1
+        return g, level
+
+    def unsifted(level: int) -> tuple[tuple, int] | None:
+        found = transversals[level]
+        for p, (u, _) in found.items():
+            for s in strong[level]:
+                h, stop = sift(_compose(found[s[p]][1], _compose(s, u)), level + 1)
+                if h != identity:
+                    return h, stop
+        return None
+
+    if generators := [g for g in generators if g != identity]:
+        add_level(generators[0])
+        strong[0] = generators
+        orbit(0)
+    level = len(base) - 1
+    while level >= 0:
+        if (found := unsifted(level)) is None:
+            level -= 1
+            continue
+        h, stop = found
+        if stop == len(base):
+            add_level(h)
+        for k in range(level + 1, stop + 1):
+            strong[k].append(h)
+            orbit(k)
+        level = stop
+    chain = []
+    for b, found in zip(base, transversals):
+        inverses = np.full((n, n), -1, dtype=np.int32)
+        inverses[list(found)] = [v for _, v in found.values()]
+        chain.append((b, inverses))
+    return chain
+
+
+class PermGroup:
+    """A permutation group on {1,...,n}, kept as its generators.  Order,
+    membership and elements are read off a stabilizer chain, built when
+    first needed; the elements are listed only when table or elements is
+    read."""
+
+    def __init__(self, n: int, generators):
         self.n = n
         self.generators = tuple(generators)
-        self.table = table
-        self._codes = row_codes(table)
+        for g in self.generators:
+            if g.n != n:
+                raise ValueError(f"generator {g} is not a permutation of [{n}]")
 
     @classmethod
     def generate(cls, n: int, generators) -> "PermGroup":
-        """Close the generators by breadth-first search over image rows:
-        each round composes every generator with every element found in the
-        round before, in one gather, and keeps the products whose codes are
-        new."""
-        gens = tuple(generators)
-        for g in gens:
-            if g.n != n:
-                raise ValueError(f"generator {g} is not a permutation of [{n}]")
-        garr = np.array([g.images for g in gens], dtype=np.int32).reshape(len(gens), n) - 1
-        frontier = np.arange(n, dtype=np.int32)[None]
-        rows, seen = [frontier], row_codes(frontier)
-        codes = [seen]
-        while len(frontier):
-            # (g*h)(x) = g(h(x)): row h of the frontier read through each g
-            products = garr[:, frontier].reshape(-1, n)
-            found = row_codes(products)
-            order = np.argsort(found)
-            found = found.take(order)
-            at = np.minimum(np.searchsorted(seen, found), len(seen) - 1)
-            # the first copy of each product that is not an element yet
-            fresh = seen.take(at) != found
-            fresh[1:] &= found[1:] != found[:-1]
-            frontier = products[order[fresh]]
-            rows.append(frontier)
-            codes.append(found[fresh])
-            seen = np.sort(np.concatenate([seen, found[fresh]]))
-        return cls(n, gens, np.concatenate(rows)[np.argsort(np.concatenate(codes))])
+        """The group the generators make; nothing is computed until read."""
+        return cls(n, generators)
 
     @classmethod
     def trivial(cls, n: int) -> "PermGroup":
@@ -217,20 +283,43 @@ class PermGroup:
         return cls.generate(n, (Perm.from_cycles(n, t) for t in texts))
 
     @cached_property
+    def _chain(self) -> list[tuple[int, np.ndarray]]:
+        return stabilizer_chain(self.n, [tuple(x - 1 for x in g.images) for g in self.generators])
+
+    @cached_property
+    def order(self) -> int:
+        """The product of the orbit lengths of the chain."""
+        return prod(int(np.count_nonzero(inverses[:, 0] >= 0)) for _, inverses in self._chain)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The (order, n) int32 table of the elements' images minus one,
+        rows in lexicographic order.  The products v_k...v_0 of one row
+        v_l of each level's inverse transversal are the inverses of the
+        elements u_0...u_k that sifting factors, so they run over the
+        group once each."""
+        rows = np.arange(self.n, dtype=np.int32)[None]
+        for _, inverses in self._chain:
+            # (v*r)(x) = v(r(x)) for every row v of the level and r of rows
+            rows = inverses[inverses[:, 0] >= 0].take(rows, axis=1).reshape(-1, self.n)
+        return rows[np.lexsort(rows.T[::-1])]
+
+    @cached_property
     def elements(self) -> tuple[Perm, ...]:
         """Every element as a Perm, in sorted order; made on first use."""
         return tuple(Perm(row) for row in (self.table + 1).tolist())
 
-    @property
-    def order(self) -> int:
-        return len(self.table)
-
     def __contains__(self, g: Perm) -> bool:
+        """Whether g sifts to the identity through the chain."""
         if g.n != self.n:
             return False
-        code = row_codes(np.array([g.images], dtype=self.table.dtype) - 1)
-        at = min(int(np.searchsorted(self._codes, code)[0]), len(self._codes) - 1)
-        return bool(self._codes[at] == code[0])
+        x = np.array(g.images, dtype=np.int32) - 1
+        for b, inverses in self._chain:
+            v = inverses[x[b]]
+            if v[0] < 0:
+                return False
+            x = v.take(x)
+        return bool((x == np.arange(self.n)).all())
 
     def __iter__(self):
         return iter(self.elements)

@@ -4,7 +4,8 @@ A partition is kept in canonical form: blocks sorted by their minimum
 element, elements sorted inside each block.  Its restricted-growth
 string lists the block number of each element 1..n.  rgs_table
 enumerates them as one int32 array in lexicographic order, which gives
-every partition a stable position; proper_rgs keeps the proper part.
+every partition a stable position; proper_rgs keeps the proper part, and
+rgs_tables gives the tables of every size up to n from one pass.
 Partition objects are made from the table only when asked for.
 """
 
@@ -190,15 +191,17 @@ def format_rgs(labels) -> str:
     return "|".join(",".join(b) for b in blocks)
 
 
-def rgs_table(n: int) -> np.ndarray:
-    """The restricted-growth strings of [n] as a (B_n, n) int32 array, in
-    lexicographic order.  A string extends by any label from 0 to its
-    maximum plus one, so each round repeats every row once per choice and
-    numbers the copies of a row by a running offset."""
+def rgs_tables(n: int) -> list[np.ndarray]:
+    """rgs_table(k) for k = 1..n, in one pass of its recurrence: a string
+    extends by any label from 0 to its maximum plus one, so each round
+    repeats every row once per choice and numbers the copies of a row by a
+    running offset, and round k-1 leaves rgs_table(k) in the first k
+    columns."""
     if n < 1:
         raise ValueError(f"ground-set size must be positive, got {n}")
     table = np.zeros((1, n), dtype=np.int32)
     top = np.zeros(1, dtype=np.int32)
+    tables = [table[:, :1]]
     for j in range(1, n):
         counts = top + 2
         rows = np.repeat(np.arange(len(table)), counts)
@@ -207,7 +210,14 @@ def rgs_table(n: int) -> np.ndarray:
         table = table[rows]
         table[:, j] = label
         top = np.maximum(top[rows], label)
-    return table
+        tables.append(table[:, : j + 1])
+    return tables
+
+
+def rgs_table(n: int) -> np.ndarray:
+    """The restricted-growth strings of [n] as a (B_n, n) int32 array, in
+    lexicographic order."""
+    return rgs_tables(n)[-1]
 
 
 def proper_rgs(n: int) -> np.ndarray:

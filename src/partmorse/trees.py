@@ -21,8 +21,9 @@ hash, and no np.unique, whose first call imports numpy.ma.
 Cells are built layer by layer, one per code.  Layer 0 codes rows of
 setpart.proper_rgs(n).  Layer d extends each cell of layer d-1 by proper
 coarsenings of its top partition, rgs_table(k)[1:-1] read at its k top
-labels; only the new top level and the root get new codes, the levels
-below keep the representative's.  The first candidate of each root code
+labels, the tables for k = 3..n taken from one pass of
+setpart.rgs_tables; only the new top level and the root get new codes,
+the levels below keep the representative's.  The first candidate of each root code
 is kept, candidates taken in batches of about BATCH rows, and a layer is
 ordered by root code.
 
@@ -63,7 +64,7 @@ import numpy as np
 from .homology import InvalidComplexError
 from .ordercomplex import FaceTableComplex, distinct
 from .perm import orbit_labels
-from .setpart import format_rgs, proper_rgs, rgs_table
+from .setpart import format_rgs, rgs_tables
 
 # candidates per batch, counted before the lemma's filter
 BATCH = 1 << 16
@@ -216,7 +217,11 @@ class TreeQuotient(FaceTableComplex):
         self.colours = np.array([first.setdefault(c, len(first)) for c in np.asarray(colours).tolist()], dtype=np.int8)
         self.n = n = len(self.colours)
         codes = _Codes(self.colours)
-        self._coarser = {k: rgs_table(k)[1:-1].astype(np.int8) for k in range(3, n)}
+        # the proper coarsenings of a partition with k blocks, read at its
+        # labels, for k = 3..n, from one pass; layer 0 takes those of the
+        # discrete partition
+        tables = rgs_tables(n)
+        self._coarser = {k: tables[k - 1][1:-1].astype(np.int8) for k in range(3, n + 1)}
         self._labels: list[np.ndarray] = []
         roots: list[np.ndarray] = []
         faces: list[np.ndarray] = []
@@ -260,7 +265,7 @@ class TreeQuotient(FaceTableComplex):
             parts.append((new, new_codes, root, rep))
 
         if layer is None:
-            table = proper_rgs(self.n).astype(np.int8)
+            table = self._coarser[self.n]
             for s in range(0, len(table), BATCH):
                 part = table[s : s + BATCH]
                 part = part[non_decreasing(part, self.colours[None])[0]]

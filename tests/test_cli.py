@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from partmorse import cli
 from partmorse.cli import main, parse_group, split_group_arg
 
 
@@ -183,19 +185,66 @@ def test_sizes_past_eight_are_refused_before_any_allocation(capsys, monkeypatch,
     assert code == 2 and "2,571,912,000" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--n", "5", "--out", "x"],
-        ["verify", "--n", "5", "--format", "text"],
-        ["complex", "--n", "5", "--max-dim", "1"],
-    ],
-)
+UNREAD_OPTIONS = [
+    ["verify", "--n", "5", "--out", "x"],
+    ["verify", "--n", "5", "--format", "text"],
+    ["complex", "--n", "5", "--max-dim", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS)
 def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def parse_exit(capsys, parse, argv) -> tuple[object, str, str]:
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "-h"] for name in cli.COMMANDS]
+    + [[name] for name in cli.COMMANDS]
+    + UNREAD_OPTIONS
+    + [
+        ["homology", "--n", "5", "--format", "xml"],
+        ["complex", "--n", "five"],
+        ["complex", "--n", "5", "extra"],
+        [],
+        ["frobnicate", "--n", "5"],
+        ["--help"],
+    ],
+)
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, argv):
+    full = parse_exit(capsys, cli.full_parser().parse_args, argv)
+    assert full[0] in (0, 2) and (full[1] or full[2])
+    assert parse_exit(capsys, main, argv) == full
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["partmorse", "verify", "--n", "3"])
+    assert main() == 0 and capsys.readouterr().out == verify_stdout(3)
+    monkeypatch.setattr(sys, "argv", ["partmorse", "verify"])
+    assert parse_exit(capsys, lambda argv: main(), None) == parse_exit(capsys, cli.full_parser().parse_args, ["verify"])
+
+
+def test_a_subcommand_builds_no_other_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "complex", "--n", "3")[0] == 0
+    assert built == ["partmorse complex"]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from partmorse.cli import main, parse_group
 from partmorse.ordercomplex import OrderComplex, proper_part_complex
 from partmorse.perm import (
     ComplexAction,
@@ -77,18 +78,40 @@ def test_group_generation():
     assert cyclic.order == 5
 
 
+# groups that move 1, by n
+MOVING_ONE = {
+    4: [["(1 2)(3 4)", "(1 3)(2 4)"], ["(1 2 3 4)"], ["(1 2 3)", "(2 3 4)"]],
+    5: [["(1 2 3 4 5)"], ["(1 2 3)", "(3 4 5)"], ["(1 2)", "(3 4 5)"], ["(1 2 3 4 5)", "(2 5)(3 4)"]],
+    6: [
+        ["(1 2)(3 4)(5 6)"],
+        ["(1 2 3)(4 5 6)"],
+        ["(1 2 3 4 5 6)", "(2 6)(3 5)"],
+        ["(1 2)(3 4)", "(1 3)(2 4)", "(5 6)"],
+        ["(1 2 3 4 5)", "(1 2)(3 6)"],
+        ["(1 4)(2 5)(3 6)", "(2 3)", "(1 2 3)"],
+    ],
+    7: [["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"], ["(1 2 3 4 5 6 7)", "(1 2 4)(3 6 5)", "(2 3)(4 7)"]],
+}
+
+
 def test_closure_matches_perm_products():
+    # the stabilizer chain against the closure: order, sorted elements,
+    # and, for n <= 6, membership of every permutation of [n]
     groups = [PermGroup.trivial(4)]
     groups += [PermGroup.point_stabilizer(n) for n in range(3, 8)]
-    groups += [symmetric_group(n) for n in range(1, 8)]
-    groups += [PermGroup.from_cycle_strings(5, texts) for _, texts in SUBGROUPS[5]]
+    groups += [symmetric_group(n) for n in range(1, 9)]
+    groups += [PermGroup.from_cycle_strings(n, texts) for n, entries in SUBGROUPS.items() for _, texts in entries]
     groups += [PermGroup.from_cycle_strings(6, texts) for texts in N6_SUBGROUPS]
+    groups += [PermGroup.from_cycle_strings(n, texts) for n, lists in MOVING_ONE.items() for texts in lists]
+    everything = {n: symmetric_group(n).elements for n in range(1, 7)}
     for group in groups:
         expected = perm_product_closure(group.n, group.generators)
         assert group.order == len(expected)
         assert group.table.dtype == np.int32
         assert group.elements == expected
-        assert all(g in group for g in expected)
+        if group.n <= 6:
+            members = set(expected)
+            assert [g in group for g in everything[group.n]] == [g in members for g in everything[group.n]]
 
 
 def test_membership_is_false_off_the_group():
@@ -100,14 +123,14 @@ def test_membership_is_false_off_the_group():
     assert Perm.from_cycles(5, "(2 3)") not in stab
     assert Perm.from_cycles(7, "(2 3)") not in stab
     assert Perm.identity(5) not in PermGroup.trivial(6)
-    # images 4,1,2,3 in base 4 and 1,2,3,5,4 in base 5 share the code 198
+    # a permutation of [4] is no member of a group on [5]
     assert Perm((4, 1, 2, 3)) not in PermGroup.from_cycle_strings(5, ["(4 5)"])
     assert Perm.identity(6) in PermGroup.trivial(6)
 
 
 def test_closure_past_int64_codes():
-    # base-n codes of image rows wrap in int64 from n = 16 on: the closure
-    # keys rows by their bytes there
+    # large degrees: a sift reads one row per level, and the table is
+    # sorted by every column
     for n in (15, 16, 20, 130):
         gens = [Perm.from_cycles(n, "(1 2)"), Perm.from_cycles(n, f"(3 4 {n})")]
         group = PermGroup.generate(n, gens)
@@ -116,6 +139,43 @@ def test_closure_past_int64_codes():
         assert Perm.from_cycles(n, "(3 4)") not in group
         assert Perm.identity(n - 1) not in group
     assert PermGroup.trivial(16).order == 1
+
+
+def test_order_at_n10_lists_no_element():
+    for text, order in (("(1 2),(1 2 3 4 5 6 7 8 9 10)", 3628800), ("(2 3),(2 3 4 5 6 7 8 9 10)", 362880)):
+        group = parse_group(10, text)
+        assert group.order == order
+        assert Perm.from_cycles(10, "(2 10)(3 9 4)") in group
+        assert "table" not in group.__dict__ and "elements" not in group.__dict__
+
+
+def forbid_listing(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"listed the elements of {self}")
+
+    monkeypatch.setattr(PermGroup, "table", property(refuse))
+
+
+def test_a_non_young_group_at_n9_is_refused_without_listing_it(monkeypatch, capsys):
+    forbid_listing(monkeypatch)
+    # A_9, of order 9!/2
+    assert parse_group(9, "(1 2 3),(1 2 3 4 5 6 7 8 9)").order == 181440
+    assert main(["homology", "--n", "9", "--group", "(1 2 3),(1 2 3 4 5 6 7 8 9)"]) == 2
+    assert "57,153,600" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "5"],
+        ["quotient", "--n", "5", "--group", "(2 3)"],
+        ["homology", "--n", "6", "--group", "(1 2 3)(4 5 6)"],
+        ["homology", "--n", "9", "--group", "(2 3),(2 3 4 5 6 7 8 9)"],
+    ],
+)
+def test_the_cli_lists_no_group(monkeypatch, capsys, argv):
+    forbid_listing(monkeypatch)
+    assert main(argv) == 0
 
 
 def test_symmetric_8_order_without_elements():
