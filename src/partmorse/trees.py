@@ -216,10 +216,12 @@ class TreeQuotient(FaceTableComplex):
         first: dict = {}
         self.colours = np.array([first.setdefault(c, len(first)) for c in np.asarray(colours).tolist()], dtype=np.int8)
         self.n = n = len(self.colours)
+        if n < 3:
+            raise ValueError(f"the proper part needs n >= 3, got {n}")
         codes = _Codes(self.colours)
         # the proper coarsenings of a partition with k blocks, read at its
-        # labels, for k = 3..n, from one pass; layer 0 takes those of the
-        # discrete partition
+        # labels, for k = 3..n, from one pass; layer 0 takes out those of
+        # the discrete partition, as no later top has n blocks
         tables = rgs_tables(n)
         self._coarser = {k: tables[k - 1][1:-1].astype(np.int8) for k in range(3, n + 1)}
         self._labels: list[np.ndarray] = []
@@ -265,7 +267,7 @@ class TreeQuotient(FaceTableComplex):
             parts.append((new, new_codes, root, rep))
 
         if layer is None:
-            table = self._coarser[self.n]
+            table = self._coarser.pop(self.n)
             for s in range(0, len(table), BATCH):
                 part = table[s : s + BATCH]
                 part = part[non_decreasing(part, self.colours[None])[0]]

@@ -137,6 +137,12 @@ def test_top_counts_are_euler_numbers(n):
     assert TreeQuotient([0] + [1] * (n - 1)).f_vector()[-1] == EULER[n]
 
 
+@pytest.mark.parametrize("n", range(3))
+def test_fewer_than_three_points_are_refused(n):
+    with pytest.raises(ValueError, match="the proper part needs n >= 3"):
+        TreeQuotient([0] * n)
+
+
 def test_colours_are_numbered_by_first_appearance():
     a, b = TreeQuotient([5, 2, 2, 5, 2]), TreeQuotient([0, 1, 1, 0, 1])
     assert a.f_vector() == b.f_vector()
