@@ -238,7 +238,7 @@ def _verification_checks(n: int) -> list[tuple[str, bool, str | None]]:
     checks.append(("full-group quotient has two critical cells", witness is None, witness))
 
     # a cyclic matching has no Morse complex; the acyclic line names its cycle
-    agree = cert.is_acyclic and homology_of(morse_data(matching).chain_data()) == nerve_homology
+    agree = cert.is_acyclic and homology_of(morse_data(matching)) == nerve_homology
     checks.append(("Morse homology agrees with simplicial homology", agree, None))
 
     sym_trivial = homology_of(TreeQuotient([0] * n)).is_trivial()

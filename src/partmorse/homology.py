@@ -295,15 +295,22 @@ def _coreduce(arrays: dict, sizes: dict[int, int]) -> dict[int, np.ndarray]:
     the boundary arrays of the d-cells for every d in sizes but the lowest.
     Each round takes the dimensions upwards and removes at once the unit
     live entries whose cell has one live face or whose face one live
-    coface, keeping one such entry per cell on either side."""
+    coface, keeping one such entry per cell on either side.  A dimension
+    with no live entry leaves the rounds; each is popped to be filtered,
+    so its old arrays go as the new ones come."""
     live = {d: np.ones(n, dtype=bool) for d, n in sizes.items()}
     entries = {d: (entry_cells(ip), f, np.abs(c) == 1) for d, (ip, f, c) in sorted(arrays.items())}
     changed = True
     while changed:
         changed = False
-        for d, (cells, faces, unit) in entries.items():
+        # popped and put back in order, so the dimensions stay ascending
+        for d in list(entries):
+            cells, faces, unit = entries.pop(d)
             alive = live[d][cells] & live[d - 1][faces]
-            cells, faces, unit = entries[d] = cells[alive], faces[alive], unit[alive]
+            cells, faces, unit = cells[alive], faces[alive], unit[alive]
+            if not len(cells):
+                continue
+            entries[d] = cells, faces, unit
             n_faces = np.bincount(cells, minlength=sizes[d])
             n_cofaces = np.bincount(faces, minlength=sizes[d - 1])
             pick = np.flatnonzero(unit & ((n_faces[cells] == 1) | (n_cofaces[faces] == 1)))
@@ -361,9 +368,11 @@ def homology_of(complex_like, reduced: bool = True, max_dim: int | None = None) 
         sizes[-1] = 1
         arrays[0] = (np.arange(sizes[0] + 1), np.zeros(sizes[0], dtype=np.int64), np.ones(sizes[0], dtype=np.int64))
     kept = {d: np.flatnonzero(flags) for d, flags in _coreduce(arrays, sizes).items()}
+    # a boundary map with no cell on one side has no invariant factor
     factors = {
         d: smith_normal_form((len(kept[d - 1]), _columns(arrays[d], kept[d], kept[d - 1], sizes[d - 1])))
         for d in arrays
+        if len(kept[d]) and len(kept[d - 1])
     }
     out = []
     for d in range(top + 1):

@@ -12,14 +12,18 @@ time; its levels, kept on the Matching once sorted, also order the one
 discrete flow: the gradient chains of critical cells, their cycle
 representatives, pushed as int64 columns in blocks of CHAIN_BLOCK entries
 under one overflow guard.  The Morse boundary is their boundary at the
-critical cells (Forman).  The patchwork pattern composes matchings: an
-order-preserving cell key (an int array per dimension, ordered by a
-boolean matrix and checked against face_array) plus one matching per
-fiber gives a matching of the whole complex, and the generators of an
-action move whole fibers across orbits of its complex through their
-image arrays (perm.ComplexAction.images); equivariance is one comparison
-per generator and dimension against up, and a quotient matching checks
-it against the images that its quotient's action keeps.  Cone and
+critical cells (Forman), and MorseData, the Morse complex, is a
+CellComplex on the critical cells that homology_of reads as it is.  The
+patchwork pattern composes matchings: an order-preserving cell key (an
+int array per dimension, ordered by a boolean matrix and checked against
+face_array) plus one matching per fiber gives a matching of the whole
+complex, and the generators of an action move whole fibers across orbits
+of its complex through their image arrays (perm.ComplexAction.images),
+onto keys not yet reached, and checks their stabilizer condition once,
+on the glued matching, in one pass per generator (Schreier's lemma, at
+equivariant_patchwork_matching).  Equivariance is one comparison per
+generator and dimension against up, and a quotient matching checks it
+against the images that its quotient's action keeps.  Cone and
 closure matchings are prefix-tree folds, glued by construction with the
 pair-vertex fibers in one patchwork per size.  Assembly checks
 structure, not acyclicity: an assembled matching is certified once, by
@@ -32,7 +36,7 @@ from itertools import chain
 
 import numpy as np
 
-from .ordercomplex import ExplicitComplex, distinct, entry_cells, entry_positions, parse_simplex
+from .ordercomplex import CellComplex, distinct, entry_cells, entry_positions, parse_simplex
 from .perm import Perm
 
 Cell = tuple[int, int]
@@ -295,21 +299,6 @@ def validate_matching(complex, pairs_or_matching, action=None) -> MatchingCertif
     return MatchingCertificate(True, cycle is None, counts, equivariant_under, witness)
 
 
-def _pair_codes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sorted distinct int64 codes lo << 32 | hi of a set of pairs."""
-    return distinct(lo.astype(np.int64) << 32 | hi)
-
-
-def _check_fiber(key, fiber, k) -> None:
-    """Every pair of the {d: (lo, hi)} fiber has both cells in fiber k;
-    a failure names the first bad pair of the lowest dimension."""
-    for d, (lo, hi) in sorted(fiber.items()):
-        bad = np.flatnonzero((key[d][lo] != k) | (key[d + 1][hi] != k))
-        if len(bad):
-            i, j = int(lo[bad[0]]), int(hi[bad[0]])
-            raise ValueError(f"pair ({(d, i)},{(d + 1, j)}) leaves fiber {k}")
-
-
 def _glue(complex, key, key_leq, fibers: dict) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The tail of both patchwork assemblers: checks that the key is
     order-preserving on faces and that each {d: (lo, hi)} fibers[k] lies
@@ -322,9 +311,12 @@ def _glue(complex, key, key_leq, fibers: dict) -> dict[int, tuple[np.ndarray, np
             raise ValueError(f"cell key not order-preserving at cell ({d},{j}) face {faces[j, k]}")
     parts: dict = {}
     for k, fiber in fibers.items():
-        _check_fiber(key, fiber, k)
-        for d, pair in fiber.items():
-            parts.setdefault(d, []).append(pair)
+        # a failure names the first bad pair of the lowest dimension
+        for d, (lo, hi) in sorted(fiber.items()):
+            bad = np.flatnonzero((key[d][lo] != k) | (key[d + 1][hi] != k))
+            if len(bad):
+                raise ValueError(f"pair ({(d, int(lo[bad[0]]))},{(d + 1, int(hi[bad[0]]))}) leaves fiber {k}")
+            parts.setdefault(d, []).append((lo, hi))
     return {d: tuple(np.concatenate(cells) for cells in zip(*pairs)) for d, pairs in parts.items()}
 
 
@@ -352,46 +344,58 @@ def equivariant_patchwork_matching(action, key, key_action, key_leq, rep_pairs: 
     key id that g sends key id q to.  rep_pairs supplies exactly one
     fiber matching per key orbit, each stable under the stabilizer of its
     key.  A breadth-first search from each representative key r moves its
-    fiber one generator step at a time, as whole {d: (lo, hi)} arrays
-    through the generator's image arrays, recording a transversal element
-    t_q with t_q(r) = q for every key q it reaches.  A step g from q onto
-    an already reached key must reproduce, as a set, the fiber stored
-    there; the elements t_{gq}^-1 g t_q so tested generate the stabilizer
-    of r (Schreier's lemma), so the search checks the stabilizer condition,
-    covers the orbit and transports the fiber in one pass.
+    fiber one generator step at a time onto each key q it reaches first,
+    as whole {d: (lo, hi)} arrays through the generator's image arrays,
+    recording a transversal element t_q with t_q(r) = q; a key reached
+    again is not compared.  Once the fibers are glued, one pass per
+    generator g checks that g sends each pair (lo, hi) of fiber q to a
+    pair of fiber gq: up[d][img[d][lo]] == img[d+1][hi] and
+    key[d][img[d][lo]] == gq, read off g's table of key_action.  That is
+    complete: each fiber of the orbit has the size of the fiber at r, so g
+    carries fiber q onto fiber gq, and the elements t_{gq}^-1 g t_q, which
+    generate the stabilizer of r (Schreier's lemma), carry the fiber at r
+    onto itself.  A failure names r and that element.
     """
     complex = action.complex
     keys = set(distinct(np.concatenate(key)).tolist())
     generators = action.group.generators
+    # tables[i][q]: the key id that generator i sends key q to
+    tables = np.zeros((len(generators), len(key_leq)), dtype=np.int64)
     fibers: dict = {}
+    # q -> (r, t_q as its images, composed without building a Perm)
+    origin: dict = {}
     for r, pairs in rep_pairs.items():
         if r not in keys:
             raise ValueError(f"representative {r} is not the key of any cell")
         if r in fibers:
             raise ValueError(f"representative {r} lies in the key orbit of another representative")
         fibers[r] = _pair_arrays(complex, pairs)
-        _check_fiber(key, fibers[r], r)
-        # t_q as its images, composed without building a Perm
-        transversal = {r: tuple(range(1, action.group.n + 1))}
+        origin[r] = (r, tuple(range(1, action.group.n + 1)))
         queue = [r]
         for q in queue:
-            for g in generators:
-                gq = key_action(g, q)
-                img = action.images(g)
-                # every fiber of the orbit is moved from fibers[r], so all of
-                # them hold the same dimensions
-                image = {d: (img[d][lo], img[d + 1][hi]) for d, (lo, hi) in fibers[q].items()}
-                if gq not in transversal:
-                    fibers[gq] = image
-                    transversal[gq] = tuple(g(x) for x in transversal[q])
+            for i, g in enumerate(generators):
+                gq = tables[i, q] = key_action(g, q)
+                if gq not in origin:
+                    img = action.images(g)
+                    fibers[gq] = {d: (img[d][lo], img[d + 1][hi]) for d, (lo, hi) in fibers[q].items()}
+                    origin[gq] = (r, tuple(g(x) for x in origin[q][1]))
                     queue.append(gq)
-                elif any(not np.array_equal(_pair_codes(*image[d]), _pair_codes(*fibers[gq][d])) for d in image):
-                    witness = Perm(transversal[gq]).inverse() * g * Perm(transversal[q])
-                    raise ValueError(f"fiber matching at {r} is not stabilizer-equivariant (fails {witness})")
     missing = keys - fibers.keys()
     if missing:
         raise ValueError(f"no representative for the key orbit of {min(missing)}")
-    return Matching(complex, _glue(complex, key, key_leq, fibers))
+    matching = Matching(complex, _glue(complex, key, key_leq, fibers))
+    pairs = matching.pair_arrays()
+    for g, table in zip(generators, tables):
+        img = action.images(g)
+        for d, (lo, hi) in pairs.items():
+            moved = img[d].take(lo)
+            bad = (matching.up[d].take(moved) != img[d + 1].take(hi)) | (key[d].take(moved) != table.take(key[d].take(lo)))
+            if bad.any():
+                q = int(key[d][lo[bad.argmax()]])
+                (r, t_q), t_gq = origin[q], origin[int(table[q])][1]
+                witness = Perm(t_gq).inverse() * g * Perm(t_q)
+                raise ValueError(f"fiber matching at {r} is not stabilizer-equivariant (fails {witness})")
+    return matching
 
 
 def quotient_matching(matching: Matching, quotient) -> Matching:
@@ -404,7 +408,8 @@ def quotient_matching(matching: Matching, quotient) -> Matching:
     orbit_of = quotient.orbit_of
     pairs = {}
     for d, (lo, hi) in matching.pair_arrays().items():
-        codes = _pair_codes(orbit_of[d][lo], orbit_of[d + 1][hi])
+        # the distinct pairs of orbits, sorted, as int64 codes lo << 32 | hi
+        codes = distinct(orbit_of[d][lo].astype(np.int64) << 32 | orbit_of[d + 1][hi])
         pairs[d] = (codes >> 32, codes & 0xFFFFFFFF)
     result = Matching(quotient, pairs)
     cycle = find_cycle(result)
@@ -489,22 +494,27 @@ def closure_matching(complex, descend, vertex_indices=None) -> dict[int, tuple[n
     return pairs
 
 
-@dataclass
-class MorseData:
-    """Critical cells with the boundary of their gradient chains; gradient_chain gives those chains."""
+class MorseData(CellComplex):
+    """The Morse complex on the critical cells critical[d]: boundary[d][j]
+    maps places in critical[d-1] to the coefficients of the boundary of
+    the gradient chain (gradient_chain) of the j-th critical d-cell."""
 
-    complex: object
-    matching: Matching
-    critical: list[list[int]]
-    boundary: list[list[dict[int, int]]]
+    def __init__(self, complex, matching: Matching, critical: list[list[int]], boundary: list[list[dict[int, int]]]):
+        self.complex, self.matching, self.critical, self.boundary = complex, matching, critical, boundary
+        super().__init__(len(layer) for layer in critical)
 
     def critical_counts(self) -> list[int]:
         return [len(layer) for layer in self.critical]
 
-    def chain_data(self) -> ExplicitComplex:
-        """The Morse complex, its cells labelled as the critical cells."""
-        labels = [self.complex.cell_labels(d, layer) for d, layer in enumerate(self.critical)]
-        return ExplicitComplex(labels, [[list(col.items()) for col in layer] for layer in self.boundary[1:]])
+    def cell_label(self, d: int, i: int) -> str:
+        return self.complex.cell_label(d, self.critical[d][i])
+
+    def boundary_arrays(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        columns = self.boundary[d] if d else [{}] * self.n_cells(0)
+        indptr = np.cumsum([0] + [len(col) for col in columns], dtype=np.int64)
+        faces = np.fromiter(chain.from_iterable(columns), dtype=np.int64, count=indptr[-1])
+        coeffs = np.fromiter(chain.from_iterable(col.values() for col in columns), dtype=np.int64, count=indptr[-1])
+        return indptr, faces, coeffs
 
 
 def _gradient(matching: Matching, d: int):
@@ -550,8 +560,9 @@ def _morse_boundary(matching: Matching, d: int, critical: list[list[int]]) -> np
 
 
 def morse_data(matching: Matching) -> MorseData:
-    """Critical cells and Morse boundary matrices (_morse_boundary); cycle
-    representatives are made on demand by gradient_chain."""
+    """The Morse complex of the matching: its critical cells and the Morse
+    boundary (_morse_boundary); cycle representatives are made on demand
+    by gradient_chain."""
     cx = matching.complex
     critical = matching.critical_cells()
     boundary: list[list[dict[int, int]]] = [[]]

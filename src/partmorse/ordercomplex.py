@@ -50,14 +50,15 @@ CellComplex is the one chain-complex protocol: each complex supplies its
 boundary per dimension as compressed-row arrays (indptr, faces, coeffs)
 and inherits every other view.  The nerve and its quotients
 (perm.QuotientComplex, trees.TreeQuotient) are FaceTableComplexes, which
-derive those arrays from a face table of fixed width d+1, and hand-built
-fixtures and Morse complexes are ExplicitComplexes, which build them once.
+derive those arrays from a face table of fixed width d+1; hand-built
+fixtures are ExplicitComplexes, which build them once, and the Morse
+complex morse.MorseData reads them off its Morse boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import cycle
 from numbers import Integral
 
@@ -465,7 +466,7 @@ class ExplicitComplex(CellComplex):
     """A small regular complex given by explicit cell names and face lists.
 
     Used for complexes that are not nerves of posets (test fixtures,
-    hand-built examples, Morse complexes).  `face_lists[d][i]` lists
+    hand-built examples).  `face_lists[d][i]` lists
     (face index, coefficient) pairs for cell i of dimension d; repeated
     faces merge into one coefficient, zeros drop, and faces keep their
     first-occurrence order.  Dimension 0 needs no entry.  The merged
@@ -507,12 +508,22 @@ def pair_masks(labels: np.ndarray) -> np.ndarray:
     partition refines another iff its mask is a subset of the other's.
     uint32 up to 32 pairs (n <= 8), uint64 up to 64 (n <= 11)."""
     labels = np.asarray(labels)
-    a, b = np.triu_indices(labels.shape[1], 1)
+    a, b, bits = _pair_bits(labels.shape[1])
+    return np.bitwise_or.reduce((labels[:, a] == labels[:, b]) * bits, axis=1)
+
+
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs a < b of pair_masks for width n and their bit weights,
+    made once per width and read-only, as every caller shares them."""
+    a, b = np.triu_indices(n, 1)
     if len(a) > 64:
         raise ValueError(f"{len(a)} pairs do not fit in a 64-bit mask")
     dtype = np.uint32 if len(a) <= 32 else np.uint64
-    bits = np.left_shift(dtype(1), np.arange(len(a), dtype=dtype))
-    return np.bitwise_or.reduce((labels[:, a] == labels[:, b]) * bits, axis=1)
+    out = a, b, np.left_shift(dtype(1), np.arange(len(a), dtype=dtype))
+    for x in out:
+        x.flags.writeable = False
+    return out
 
 
 def proper_part_complex(n: int) -> OrderComplex:

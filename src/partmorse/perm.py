@@ -24,8 +24,9 @@ less once, flat, at the pairs' images.  ComplexAction keeps the image
 arrays for the generators only; other elements are computed when asked
 for, not kept for the whole group.  One ComplexAction per group is built
 and proved once: a QuotientComplex is built over an action, reads the
-generator images of its action one dimension at a time, keeping none,
-and labels orbits by their smallest cell in array passes; orbit labels
+generator images of its action one dimension at a time, from the lists
+the action keeps or else from map_chains, keeping no more of them, and
+labels orbits by their smallest cell in array passes; orbit labels
 and orbit_of are int32, like the image arrays.  The boundary of an orbit
 maps the faces of its representative, read off the base's face rows, to
 their orbits.
@@ -426,9 +427,10 @@ class ComplexAction:
         an element g of the group."""
         found = self._images.get(g) or self._recent.get(g)
         if found is None:
-            if g not in self.group:
-                raise KeyError(f"{g} is not an element of {self.group}")
+            # a generator is an element without a sift
             generator = g in self.vertex_maps
+            if not generator and g not in self.group:
+                raise KeyError(f"{g} is not an element of {self.group}")
             found = list(self.complex.map_chains(self.vertex_maps[g] if generator else self.vertex_map(g)))
             if generator:
                 self._images[g] = found
@@ -465,15 +467,17 @@ def orbit_labels(size: int, images) -> np.ndarray:
 
 class QuotientComplex(FaceTableComplex):
     """Cells are orbits of the cells of an action's complex.  It reads the
-    generator images of its action one dimension at a time and keeps only
-    int32 arrays: orbit_of[d], and reps[d], the smallest cell of each
+    generator images of its action one dimension at a time, those the
+    action keeps from its lists and the others from map_chains, and keeps
+    only int32 arrays: orbit_of[d], and reps[d], the smallest cell of each
     orbit, off which its boundary is read.  Distinct faces of a chain never
     share an orbit, since an automorphism of finite order cannot carry one
     facet of a chain onto another, so every coefficient is a sign."""
 
     def __init__(self, action: ComplexAction):
         self.action, self.group, self.base = action, action.group, action.complex
-        streams = [self.base.map_chains(v) for v in action.vertex_maps.values()]
+        kept = action._images
+        streams = [iter(kept[g]) if g in kept else self.base.map_chains(v) for g, v in action.vertex_maps.items()]
         self.orbit_of: list[np.ndarray] = []
         self.reps: list[np.ndarray] = []
         for d in range(self.base.dim + 1):

@@ -27,12 +27,15 @@ tree_quotient_reference builds the chains and face tables of
 trees.TreeQuotient as it did before it filtered candidates and kept the
 tops of faces: every candidate is coded, and face k of a d-cell recodes
 every level above k.
+morse_chain_complex is the Morse complex as an ExplicitComplex, as
+MorseData.chain_data built it before MorseData was a complex itself:
+the critical cells' labels, and the face lists read off its boundary.
 """
 
 import numpy as np
 
 from partmorse.construction import pair_vertex
-from partmorse.ordercomplex import Simplex, entry_cells
+from partmorse.ordercomplex import ExplicitComplex, Simplex, entry_cells
 from partmorse.perm import PermGroup
 from partmorse.setpart import Partition, proper_rgs, rgs_table
 from partmorse import trees
@@ -247,3 +250,9 @@ def tree_quotient_reference(colours) -> tuple[list[np.ndarray], list[np.ndarray]
         roots = root
         layer = extend(layer)
     return chains, tables
+
+
+def morse_chain_complex(data) -> ExplicitComplex:
+    """The Morse complex of a MorseData, its cells labelled as the critical cells."""
+    labels = [data.complex.cell_labels(d, layer) for d, layer in enumerate(data.critical)]
+    return ExplicitComplex(labels, [[list(col.items()) for col in layer] for layer in data.boundary[1:]])

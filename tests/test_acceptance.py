@@ -192,15 +192,15 @@ def test_criterion_10_morse_equals_simplicial(capsys):
         cx = get_complex(n)
         want = homology_of(cx).to_json()
         for matching in (build_main_matching(n), fiber_zero_matching(n)):
-            got = homology_of(morse_data(matching).chain_data()).to_json()
+            got = homology_of(morse_data(matching)).to_json()
             ok = ok and got == want
     for n, entries in SUBGROUPS.items():
         for _, texts in entries:
             qm, qc = quotient_critical_cells(n, _subgroup(n, texts))
-            got = homology_of(morse_data(qm).chain_data()).to_json()
+            got = homology_of(morse_data(qm)).to_json()
             ok = ok and got == homology_of(qc).to_json()
     qm6, qc6 = quotient_critical_cells(6, get_action(6).group)
-    ok = ok and homology_of(morse_data(qm6).chain_data()).to_json() == homology_of(qc6).to_json()
+    ok = ok and homology_of(morse_data(qm6)).to_json() == homology_of(qc6).to_json()
     _report(capsys, 10, "Morse homology equals simplicial homology for every matching built", ok)
 
 

@@ -241,7 +241,7 @@ def quotient(n, texts):
 
 
 def morse_complex(matching):
-    return morse_data(matching).chain_data()
+    return morse_data(matching)
 
 
 COMPLEXES = {

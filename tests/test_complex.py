@@ -109,7 +109,7 @@ def quotient_of_five():
 
 
 def morse_complex_of_five():
-    return morse_data(build_main_matching(5)).chain_data()
+    return morse_data(build_main_matching(5))
 
 
 def test_boundary_columns_match_matrix():

@@ -12,6 +12,7 @@ from partmorse.construction import (
     get_complex,
     pair_vertex,
     patchwork_keys,
+    quotient_critical_cells,
     split_vertex,
 )
 from partmorse.homology import homology_of
@@ -35,7 +36,7 @@ from partmorse.morse import (
 )
 from partmorse.ordercomplex import ExplicitComplex, OrderComplex
 from partmorse.perm import ComplexAction, Perm, PermGroup, QuotientComplex, act
-from chain_oracle import is_pair_vertex, relation_chains, symmetric_group
+from chain_oracle import is_pair_vertex, morse_chain_complex, relation_chains, symmetric_group
 from test_perm import oracle_groups
 
 
@@ -388,6 +389,32 @@ def test_equivariant_patchwork_names_stabilizer_witness():
     assert image != set(broken)
 
 
+def test_a_fiber_transported_onto_the_wrong_key_is_refused():
+    n = 6
+    fibers = main_fibers(n)
+    action = get_action(n)
+    swap = {2: 3, 3: 2}
+
+    def conjugated(g, k):
+        # an action on the keys, but not the one the key arrays carry
+        k = _key_action(g, swap.get(k, k))
+        return swap.get(k, k)
+
+    with pytest.raises(ValueError, match="leaves fiber"):
+        equivariant_patchwork_matching(action, patchwork_keys(action.complex), conjugated, key_order(n), fibers)
+
+    long_cycle = action.group.generators[1]
+
+    def wrong_step(g, k):
+        # the long cycle sends key 2 to 3; this names 6, which the search
+        # reached first, so the step moves no fiber and only the check on
+        # the glued matching can see it
+        return 6 if (g, k) == (long_cycle, 2) else _key_action(g, k)
+
+    with pytest.raises(ValueError, match="fiber matching at 6 is not stabilizer-equivariant"):
+        equivariant_patchwork_matching(action, patchwork_keys(action.complex), wrong_step, key_order(n), fibers)
+
+
 def test_equivariant_patchwork_needs_one_representative_per_key_orbit():
     n = 5
     fibers = main_fibers(n)
@@ -538,7 +565,7 @@ def test_morse_data_circle():
     assert data.critical_counts() == [1, 1]
     # the morse differential of the surviving edge is zero
     assert data.boundary[1] == [{}]
-    hom = homology_of(data.chain_data(), reduced=False)
+    hom = homology_of(data, reduced=False)
     assert hom.betti(0) == 1 and hom.betti(1) == 1
     rep = gradient_chain(m, (1, 2))
     assert set(rep) == {0, 1, 2}
@@ -600,13 +627,27 @@ def test_sorted_partner_arrays_are_frozen_and_replacements_sorted_again():
 
 
 def test_chain_data_labels_are_critical_cell_labels():
+    # the Morse complex is MorseData itself; its cells are named as the critical cells
     m = build_main_matching(5)
-    chain = morse_data(m).chain_data()
+    data = morse_data(m)
     for d, layer in enumerate(m.critical_cells()):
-        assert [chain.cell_label(d, k) for k in range(chain.n_cells(d))] == [
-            m.complex.cell_label(d, i) for i in layer
-        ]
-    assert chain.f_vector() == tuple(m.critical_counts())
+        assert [data.cell_label(d, k) for k in range(data.n_cells(d))] == [m.complex.cell_label(d, i) for i in layer]
+    assert data.f_vector() == tuple(m.critical_counts())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_morse_data_is_the_complex_of_the_explicit_route(n):
+    matchings = [build_main_matching(n)]
+    for group in (get_action(n).group, PermGroup.from_cycle_strings(n, ["(2 3)"])):
+        matchings.append(quotient_critical_cells(n, group)[0])
+    for m in matchings:
+        data = morse_data(m)
+        oracle = morse_chain_complex(data)
+        assert data.f_vector() == oracle.f_vector() == tuple(m.critical_counts())
+        for d in range(data.dim + 1):
+            assert all(map(np.array_equal, data.boundary_arrays(d), oracle.boundary_arrays(d)))
+            assert data.cell_labels(d, range(data.n_cells(d))) == oracle.labels[d]
+        assert homology_of(data) == homology_of(oracle) == homology_of(m.complex)
 
 
 def test_morse_homology_matches_simplicial_on_fixture():
@@ -614,7 +655,7 @@ def test_morse_homology_matches_simplicial_on_fixture():
     gcd2 = {1: 1, 2: 2, 3: 1, 6: 2}
     m = Matching(cx, closure_matching(cx, lambda v: cx.element_index[gcd2[cx.elements[v]]]))
     data = morse_data(m)
-    assert homology_of(data.chain_data()).to_json() == homology_of(cx).to_json()
+    assert homology_of(data).to_json() == homology_of(cx).to_json()
 
 
 def test_cohomology_representatives_pair_to_identity():

@@ -453,3 +453,48 @@ def test_quotient_orbits_match_element_walk():
                     reps.append(i)
             assert qc.orbit_of[d].tolist() == expected
             assert qc.reps[d].tolist() == reps
+
+
+def test_a_quotient_reads_the_images_its_action_keeps(monkeypatch):
+    passes = []
+    map_chains = OrderComplex.map_chains
+
+    def counted_map_chains(self, *args, **kwargs):
+        passes.append(self.dim)
+        return map_chains(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrderComplex, "map_chains", counted_map_chains)
+    for n, texts in ((5, ["(2 3)", "(4 5)"]), (5, ["(1 2 3 4 5)"]), (6, ["(2 3)", "(2 3 4 5 6)"]), (6, ["(1 2)(3 4)(5 6)"])):
+        cx = proper_part_complex(n)
+        group = PermGroup.from_cycle_strings(n, texts)
+        streaming = ComplexAction(cx, group)
+        passes.clear()
+        streamed = QuotientComplex(streaming)
+        # streaming makes the action keep no image
+        assert len(passes) == len(group.generators) and not streaming._images
+        for kept in range(1, len(group.generators) + 1):
+            keeping = ComplexAction(cx, group)
+            for g in group.generators[:kept]:
+                keeping.images(g)
+            passes.clear()
+            quotient = QuotientComplex(keeping)
+            assert len(passes) == len(group.generators) - kept
+            assert list(keeping._images) == list(group.generators[:kept])
+            for d in range(cx.dim + 1):
+                assert np.array_equal(quotient.orbit_of[d], streamed.orbit_of[d])
+                assert np.array_equal(quotient.reps[d], streamed.reps[d])
+                assert quotient.orbit_of[d].dtype == quotient.reps[d].dtype == np.int32
+
+
+def test_generator_images_sift_nothing(monkeypatch):
+    cx = proper_part_complex(5)
+    group = PermGroup.from_cycle_strings(5, ["(2 3)", "(2 3 4 5)"])
+    action = ComplexAction(cx, group)
+
+    def no_sift(self, g):
+        raise AssertionError("sifted a generator")
+
+    monkeypatch.setattr(PermGroup, "__contains__", no_sift)
+    for g in group.generators:
+        assert len(action.images(g)) == cx.dim + 1
+    assert "_chain" not in vars(group)
