@@ -10,16 +10,15 @@ boundary squares to zero by column gathers alone; any other pair of
 dimensions, or one where an identity fails, is decided exactly: the
 composed arrays summed per (cell, face of a face) after a sort, in blocks
 of bounded size, naming the lowest cell whose boundary of a boundary is
-not zero.  Then it removes unit pairs: a (d-1)-cell a and a d-cell
-b with [b : a] = +-1, where a is the only live face of b (a coreduction)
-or b the only live coface of a (a free-face collapse).  Either is a
-Gaussian elimination whose correction term vanishes, so nothing fills in
-(Mrozek-Batko, "Coreduction homology algorithm"; Skoldberg, "Morse
-theory from an algebraic viewpoint"); the pairs are taken in rounds, from
-live-face and live-coface counts of the arrays.  The empty cell below the
-vertices (reduced homology, or unreduced homology of a nonempty complex
-whose edges augment to zero, which then gains one Z in H_0) starts the
-cascade.  Only unit coefficients are paired, so torsion is never lost.
+not zero.  Then it removes coreduction pairs: a d-cell b whose only
+live face is a (d-1)-cell a, with [b : a] = +-1.  This is a Gaussian
+elimination whose correction term vanishes, as the live boundary of b is
++-a alone, so nothing fills in (Mrozek-Batko, "Coreduction homology
+algorithm", 2009); the pairs are taken in rounds, from the live-face
+counts of the arrays.  The empty cell below the vertices (reduced
+homology, or unreduced homology of a nonempty complex whose edges
+augment to zero, which then gains one Z in H_0) starts the cascade.
+Only unit coefficients are paired, so torsion is never lost.
 
 What survives goes to smith_normal_form as sparse columns: a first phase
 consumes +-1 pivots (chosen by a lazy minimum-fill heap), and the textbook
@@ -290,14 +289,14 @@ def _once(keys: np.ndarray, size: int) -> np.ndarray:
 
 
 def _coreduce(arrays: dict, sizes: dict[int, int]) -> dict[int, np.ndarray]:
-    """Remove unit pairs (module docstring) until none is left; returns the
-    live flags of the cells of each dimension in sizes, arrays[d] holding
-    the boundary arrays of the d-cells for every d in sizes but the lowest.
-    Each round takes the dimensions upwards and removes at once the unit
-    live entries whose cell has one live face or whose face one live
-    coface, keeping one such entry per cell on either side.  A dimension
-    with no live entry leaves the rounds; each is popped to be filtered,
-    so its old arrays go as the new ones come."""
+    """Remove coreduction pairs (module docstring) until none is left;
+    returns the live flags of the cells of each dimension in sizes,
+    arrays[d] holding the boundary arrays of the d-cells for every d in
+    sizes but the lowest.  Each round takes the dimensions upwards and
+    removes at once the unit live entries whose cell has one live face,
+    keeping one cell per face; such a cell has no other live entry to be
+    picked by.  A dimension with no live entry leaves the rounds; each is
+    popped to be filtered, so its old arrays go as the new ones come."""
     live = {d: np.ones(n, dtype=bool) for d, n in sizes.items()}
     entries = {d: (entry_cells(ip), f, np.abs(c) == 1) for d, (ip, f, c) in sorted(arrays.items())}
     changed = True
@@ -311,10 +310,7 @@ def _coreduce(arrays: dict, sizes: dict[int, int]) -> dict[int, np.ndarray]:
             if not len(cells):
                 continue
             entries[d] = cells, faces, unit
-            n_faces = np.bincount(cells, minlength=sizes[d])
-            n_cofaces = np.bincount(faces, minlength=sizes[d - 1])
-            pick = np.flatnonzero(unit & ((n_faces[cells] == 1) | (n_cofaces[faces] == 1)))
-            pick = pick[_once(cells[pick], sizes[d])]
+            pick = np.flatnonzero(unit & (np.bincount(cells, minlength=sizes[d])[cells] == 1))
             pick = pick[_once(faces[pick], sizes[d - 1])]
             live[d][cells[pick]] = False
             live[d - 1][faces[pick]] = False

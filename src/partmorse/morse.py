@@ -642,16 +642,14 @@ def cohomology_representatives(data: MorseData) -> list[dict[int, int]]:
 
 
 def cohomology_pairing(data: MorseData) -> np.ndarray:
-    """Pairing matrix of the top cochain representatives against the cycle
-    representatives of the critical top cells, their gradient chains: one
-    _gradient serves every chain, pushed in the blocks of _chain_blocks."""
+    """Pairing matrix of the top cochain representatives, the indicators of
+    the critical top cells, against their gradient chains: row i is the
+    chains at critical cell i.  One _gradient serves every chain, pushed in
+    the blocks of _chain_blocks; _push keeps every entry below 2^62."""
     d, matching = data.complex.dim, data.matching
-    cochains = cohomology_representatives(data)
     critical = data.critical[d]
     gradient = _gradient(matching, d) if d and critical else None
-    mat = np.zeros((len(cochains), len(critical)), dtype=object)
+    mat = np.zeros((len(critical), len(critical)), dtype=np.int64)
     for cols, chains in _chain_blocks(matching, d, critical, gradient):
-        for row, z in zip(mat, cochains):
-            # in Python integers, which do not wrap
-            row[cols] = sum(v * chains[c].astype(object) for c, v in z.items())
-    return mat.astype(np.int64)
+        mat[:, cols] = chains[critical]
+    return mat

@@ -237,9 +237,9 @@ class TreeQuotient(FaceTableComplex):
             self._labels.append(layer[0])
             roots.append(layer[2])
             layer = self._extend(codes, layer)
+        del self._coarser
         super().__init__(len(labels) for labels in self._labels)
-        self._faces = [np.empty((self.n_cells(0), 0), dtype=np.int32), *faces]
-        self._face_tables.update(enumerate(self._faces))
+        self._face_tables.update(enumerate([np.empty((self.n_cells(0), 0), dtype=np.int32), *faces]))
 
     def _leaves(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """The points as a level under level 0: the discrete partition, its
@@ -349,7 +349,9 @@ class TreeQuotient(FaceTableComplex):
 
     def face_table(self, d: int, cells) -> np.ndarray:
         """Read off the tables kept from the build; IndexError past the top."""
-        return self._faces[d][cells]
+        if d not in self._face_tables:
+            raise IndexError(f"no face table of dimension {d}")
+        return self._face_tables[d][cells]
 
 
 def _chain_label(levels: np.ndarray) -> str:

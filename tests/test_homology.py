@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
-from partmorse.construction import get_complex
+from partmorse import homology
+from partmorse.construction import build_main_matching, get_complex
 from partmorse.homology import (
     DimHomology,
     HomologyResult,
@@ -13,8 +15,10 @@ from partmorse.homology import (
     smith_normal_form,
     verify_wedge,
 )
+from partmorse.morse import morse_data
 from partmorse.ordercomplex import ExplicitComplex, OrderComplex, proper_part_complex
 from partmorse.perm import ComplexAction, PermGroup, QuotientComplex
+from partmorse.trees import TreeQuotient
 
 # invariant factors computed once with an independent implementation
 SNF_ORACLE = {
@@ -250,8 +254,6 @@ def test_augmentation_checked():
 def test_unreduced_homology_reduces_like_reduced(monkeypatch):
     # an augmented nonempty complex gets the empty cell in both modes, so
     # unreduced homology sends no more cells to Smith normal form
-    from partmorse import homology
-
     seen = []
     snf = homology.smith_normal_form
 
@@ -313,6 +315,31 @@ def test_fixture_homology_matches_full_smith_normal_form():
     assert_matches_full_snf(mod2_moore_space())
     for n in (3, 4):
         assert_matches_full_snf(boolean_proper_part(n))
+
+
+# the complexes of the paper, each with its reduced top Betti number
+PAPER_COMPLEXES = {
+    **{f"nerve-{n}": (lambda n=n: get_complex(n), math.factorial(n - 1)) for n in range(3, 8)},
+    **{f"symmetric-tree-{n}": (lambda n=n: TreeQuotient([0] * n), 0) for n in range(3, 9)},
+    **{f"stabilizer-tree-{n}": (lambda n=n: TreeQuotient([0] + [1] * (n - 1)), 1) for n in range(3, 9)},
+    **{f"morse-{n}": (lambda n=n: morse_data(build_main_matching(n)), math.factorial(n - 1)) for n in range(3, 7)},
+}
+
+
+@pytest.mark.parametrize("name", PAPER_COMPLEXES)
+def test_coreduction_alone_computes_the_paper_complexes(name, monkeypatch):
+    # the cells left are the top homology's basis, so Smith normal form
+    # is never called
+    make, top_betti = PAPER_COMPLEXES[name]
+    cx = make()
+    left, calls = [], []
+    coreduce, snf = homology._coreduce, homology.smith_normal_form
+    monkeypatch.setattr(homology, "_coreduce", lambda arrays, sizes: left.append(coreduce(arrays, sizes)) or left[-1])
+    monkeypatch.setattr(homology, "smith_normal_form", lambda matrix: calls.append(matrix) or snf(matrix))
+    result = homology_of(cx)
+    assert calls == []
+    assert sum(int(flags.sum()) for flags in left[0].values()) == top_betti
+    assert verify_wedge(result, cx.dim, top_betti)
 
 
 def test_empty_and_negative_truncations():

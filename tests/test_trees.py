@@ -191,3 +191,11 @@ def test_a_face_array_past_the_top_is_an_index_error_in_every_complex():
         assert complex.dim == 2
         with pytest.raises(IndexError):
             complex.face_array(3)
+
+
+def test_the_build_keeps_one_store_of_face_tables():
+    tq = TreeQuotient([0] * 5)
+    # no list of the tables beside _face_tables, and no build table left
+    assert "_faces" not in vars(tq) and "_coarser" not in vars(tq)
+    for d in range(tq.dim + 1):
+        assert np.array_equal(tq.face_table(d, [1, 0]), tq.face_array(d)[[1, 0]])
