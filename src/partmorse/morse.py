@@ -4,7 +4,8 @@ A Matching is kept in one format: partner arrays up[d] and down[d], -1
 for an unmatched cell.  Its producers hand over sets of pairs as {d:
 (lo, hi)}, one index array each for the lower cells of dimension d and
 their upper partners; tuple lists ((d, i), (d+1, j)) are accepted at the
-API edge and converted once.  Structure is checked in bulk (bincount for
+API edge and converted once.  Structure is checked in bulk (an index
+array by its min and max against its dimension's cell count, bincount for
 a cell in two pairs, CellComplex.incidence for the coefficients), and
 acyclicity by Kahn's topological sort of the modified face digraph
 (matched edges reversed) on the boundary arrays, one dimension pair at a
@@ -16,7 +17,8 @@ critical cells (Forman), and MorseData, the Morse complex, is a
 CellComplex on the critical cells that homology_of reads as it is.  The
 patchwork pattern composes matchings: an order-preserving cell key (an
 int array per dimension, ordered by a boolean matrix and checked against
-face_array) plus one matching per fiber gives a matching of the whole
+face_array) plus one matching per fiber, checked to lie in its fiber in
+one pass per dimension over the glued pairs, gives a matching of the whole
 complex, and the generators of an action move whole fibers across orbits
 of its complex through their image arrays (perm.ComplexAction.images),
 onto keys not yet reached, and checks their stabilizer condition once,
@@ -56,22 +58,25 @@ def _pair_arrays(complex, pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     cells of dimension d and their upper partners.  pairs is given so, or
     as tuples ((d, lo), (d+1, hi)), kept in list order per dimension; a
     cell the complex lacks raises DanglingCellError, and then a pair that
-    does not span one dimension InvalidMatchingError."""
+    does not span one dimension InvalidMatchingError.  An index array of
+    dimension e is checked by its min and max against n_cells(e), 0 for e
+    outside the complex; its first bad cell is looked for only then."""
     if isinstance(pairs, dict):
-        cells = [(np.full(len(c), e), c) for d, (lo, hi) in pairs.items() for e, c in ((d, lo), (d + 1, hi))]
-    else:
-        # rows (dim, index): the lower and then the upper cell of each pair
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(pairs)), dtype=np.int64, count=4 * len(pairs))
-        flat = flat.reshape(-1, 2)
-        cells = [(flat[:, 0], flat[:, 1])]
+        for d, (lo, hi) in pairs.items():
+            for e, idx in ((d, lo), (d + 1, hi)):
+                size = complex.n_cells(e)
+                if len(idx) and (idx.min() < 0 or idx.max() >= size):
+                    raise DanglingCellError(f"dangling cell ({e}, {idx[(idx < 0) | (idx >= size)][0]})")
+        return pairs
+    # rows (dim, index): the lower and then the upper cell of each pair
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(pairs)), dtype=np.int64, count=4 * len(pairs))
+    flat = flat.reshape(-1, 2)
+    dims, idx = flat.T
     # a dimension out of range reads the trailing 0, at -1 or dim + 1
     sizes = np.array([complex.n_cells(d) for d in range(complex.dim + 1)] + [0])
-    for dims, idx in cells:
-        bad = np.flatnonzero((idx < 0) | (idx >= sizes[np.clip(dims, -1, complex.dim + 1)]))
-        if len(bad):
-            raise DanglingCellError(f"dangling cell ({dims[bad[0]]}, {idx[bad[0]]})")
-    if isinstance(pairs, dict):
-        return pairs
+    bad = np.flatnonzero((idx < 0) | (idx >= sizes[np.clip(dims, -1, complex.dim + 1)]))
+    if len(bad):
+        raise DanglingCellError(f"dangling cell ({dims[bad[0]]}, {idx[bad[0]]})")
     lo, hi = flat[0::2], flat[1::2]
     bad = np.flatnonzero(hi[:, 0] != lo[:, 0] + 1)
     if len(bad):
@@ -301,8 +306,11 @@ def validate_matching(complex, pairs_or_matching, action=None) -> MatchingCertif
 
 def _glue(complex, key, key_leq, fibers: dict) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The tail of both patchwork assemblers: checks that the key is
-    order-preserving on faces and that each {d: (lo, hi)} fibers[k] lies
-    in fiber k, then concatenates the fibers per dimension, in order."""
+    order-preserving on faces, concatenates the {d: (lo, hi)} fibers[k]
+    per dimension, in order, and checks that each pair lies in its fiber
+    k in one pass per dimension, against the fiber keys repeated from the
+    fiber lengths.  A failure names the first fiber that has a bad pair,
+    its lowest such dimension and its first bad pair there."""
     for d in range(1, complex.dim + 1):
         faces = complex.face_array(d)
         leq = key_leq[key[d - 1][faces], key[d][:, None]]
@@ -310,14 +318,24 @@ def _glue(complex, key, key_leq, fibers: dict) -> dict[int, tuple[np.ndarray, np
             j, k = np.argwhere(~leq)[0]
             raise ValueError(f"cell key not order-preserving at cell ({d},{j}) face {faces[j, k]}")
     parts: dict = {}
-    for k, fiber in fibers.items():
-        # a failure names the first bad pair of the lowest dimension
+    for p, fiber in enumerate(fibers.values()):
         for d, (lo, hi) in sorted(fiber.items()):
-            bad = np.flatnonzero((key[d][lo] != k) | (key[d + 1][hi] != k))
-            if len(bad):
-                raise ValueError(f"pair ({(d, int(lo[bad[0]]))},{(d + 1, int(hi[bad[0]]))}) leaves fiber {k}")
-            parts.setdefault(d, []).append((lo, hi))
-    return {d: tuple(np.concatenate(cells) for cells in zip(*pairs)) for d, pairs in parts.items()}
+            parts.setdefault(d, []).append((p, lo, hi))
+    names, glued, bad = list(fibers), {}, []
+    for d, part in parts.items():
+        p, lo, hi = zip(*part)
+        p = np.repeat(p, [len(cells) for cells in lo])
+        lo, hi = glued[d] = np.concatenate(lo), np.concatenate(hi)
+        k = np.take(names, p)
+        miss = (key[d][lo] != k) | (key[d + 1][hi] != k)
+        if miss.any():
+            i = int(miss.argmax())
+            bad.append((p[i], d, i))
+    if bad:
+        p, d, i = min(bad)
+        lo, hi = glued[d]
+        raise ValueError(f"pair ({(d, int(lo[i]))},{(d + 1, int(hi[i]))}) leaves fiber {names[p]}")
+    return glued
 
 
 def patchwork_matching(complex, key, key_leq, fiber_pairs: dict) -> Matching:
@@ -357,7 +375,7 @@ def equivariant_patchwork_matching(action, key, key_action, key_leq, rep_pairs: 
     onto itself.  A failure names r and that element.
     """
     complex = action.complex
-    keys = set(distinct(np.concatenate(key)).tolist())
+    keys = set(chain.from_iterable(np.flatnonzero(np.bincount(layer)).tolist() for layer in key))
     generators = action.group.generators
     # tables[i][q]: the key id that generator i sends key q to
     tables = np.zeros((len(generators), len(key_leq)), dtype=np.int64)
@@ -419,13 +437,23 @@ def quotient_matching(matching: Matching, quotient) -> Matching:
     return result
 
 
+def _vertex_array(complex, vertex_indices) -> np.ndarray:
+    """The vertex indices as an intp array; ValueError names the first one
+    outside 0..m-1 for the m elements of the ground poset."""
+    verts = np.fromiter(vertex_indices, dtype=np.intp)
+    bad = np.flatnonzero((verts < 0) | (verts >= len(complex.less)))
+    if len(bad):
+        raise ValueError(f"vertex index {verts[bad[0]]} is not in 0..{len(complex.less) - 1}")
+    return verts
+
+
 def cone_matching(complex, vertex_indices, apex_index: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Matching pairs sigma \\ {apex} <-> sigma + {apex} over all chains
     inside the given vertex set, as {d: (lo, hi)} arrays; the apex must be
     the subposet maximum.  The upper cells are the chains inside the set
     that end at the apex, each paired with its prefix chain, so the only
     cell left unmatched is the apex vertex itself."""
-    keep = np.isin(np.arange(len(complex.less)), list(vertex_indices))
+    keep = np.isin(np.arange(len(complex.less)), _vertex_array(complex, vertex_indices))
     if not keep[apex_index]:
         raise ValueError("apex not inside the vertex set")
     bad = np.flatnonzero(keep & ~complex.less[:, apex_index])
@@ -453,7 +481,7 @@ def closure_matching(complex, descend, vertex_indices=None) -> dict[int, tuple[n
     vertex just before m, and its partner is the face without d(m).
     """
     m = len(complex.less)
-    verts = np.arange(m) if vertex_indices is None else distinct(np.fromiter(vertex_indices, dtype=np.intp))
+    verts = np.arange(m) if vertex_indices is None else distinct(_vertex_array(complex, vertex_indices))
     image = np.arange(m)
     image[verts] = [descend(v) for v in verts.tolist()]
     img = image[verts]

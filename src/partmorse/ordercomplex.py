@@ -99,9 +99,13 @@ def parse_simplex(text: str, n: int | None = None) -> Simplex:
 
 
 def distinct(values) -> np.ndarray:
-    """The sorted distinct entries of an array, by one sort and a mask."""
-    values = np.sort(np.asarray(values).ravel())
-    return values[np.diff(values, prepend=values[:1] - 1) != 0] if len(values) else values
+    """The sorted distinct entries of an array, raveled, in its dtype: one
+    sort, then one np.not_equal of neighbours into a preallocated mask."""
+    values = np.sort(values, axis=None)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def entry_cells(indptr: np.ndarray) -> np.ndarray:

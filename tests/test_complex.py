@@ -12,6 +12,7 @@ from partmorse.ordercomplex import (
     InvalidPosetError,
     OrderComplex,
     Simplex,
+    distinct,
     pair_masks,
     parse_simplex,
     proper_part_complex,
@@ -54,6 +55,26 @@ def test_parse_simplex():
     s = parse_simplex("1,3|2|4 < 1,3|2,4")
     assert s.dim == 1
     assert str(s) == "1,3|2|4 < 1,3|2,4"
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([], dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.array([3, 1, 3, 3, 1], dtype=np.int64),
+        np.array([-2, 5, -7, -2, 0], dtype=np.int64),
+        np.array([4, -1, 4, 2**31 - 1, -(2**31)], dtype=np.int32),
+        np.array([2**40, -(2**40), 2**40, np.iinfo(np.int64).min], dtype=np.int64),
+        np.array([[3, 1, 2], [2, 3, -1]], dtype=np.int32),
+    ],
+    ids=["empty", "one", "repeated", "negative", "int32", "int64", "2-D"],
+)
+def test_distinct_is_the_sorted_set_of_entries_in_their_dtype(values):
+    out = distinct(values)
+    assert out.ndim == 1 and out.dtype == values.dtype
+    assert out.tolist() == sorted(set(values.ravel().tolist()))
+    assert np.array_equal(out, np.unique(values))
 
 
 def test_order_complex_of_divisor_poset():

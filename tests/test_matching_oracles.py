@@ -219,6 +219,23 @@ def test_corrupted_main_matching_gets_the_reference_verdict():
         Matching(cx, {0: (np.array([cx.n_cells(0)]), np.array([0]))})
 
 
+def test_array_pairs_name_their_first_dangling_cell():
+    cx = get_complex(6)
+    top, ups = cx.dim, cx.n_cells(2)
+    one = np.array([0])
+    cases = {
+        "dangling cell (1, -2)": {0: (np.array([0, 1]), np.array([0, 1])), 1: (np.array([0, -2, -5]), np.array([0, 1, 2]))},
+        f"dangling cell (2, {ups})": {1: (np.array([0, 1]), np.array([3, ups, ups + 1]))},
+        # a dimension key outside the complex has no cells
+        "dangling cell (-1, 0)": {-1: (one, one)},
+        f"dangling cell ({top + 1}, 0)": {top: (one, one)},
+    }
+    for text, pairs in cases.items():
+        with pytest.raises(DanglingCellError) as info:
+            Matching(cx, pairs)
+        assert str(info.value) == text
+
+
 def test_irregular_incidence_gets_the_reference_verdict():
     # an edge glued at both ends to one vertex: coefficient +2 or -2; the
     # circle's edges next to it are regular

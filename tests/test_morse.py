@@ -184,6 +184,24 @@ def test_cone_matching_needs_maximum():
         cone_matching(cx, [0, 1], 3)
 
 
+def test_cone_matching_refuses_a_vertex_index_outside_the_poset():
+    cx = get_complex(4)
+    with pytest.raises(ValueError, match=r"^vertex index 1000000 is not in 0\.\.12$"):
+        cone_matching(cx, [0, 10**6, -3], 0)
+
+
+def test_closure_matching_refuses_a_negative_vertex_index():
+    cx = get_complex(4)
+    with pytest.raises(ValueError, match=r"^vertex index -3 is not in 0\.\.12$"):
+        closure_matching(cx, lambda v: v, [0, -3])
+
+
+def test_closure_matching_refuses_a_vertex_index_past_the_top():
+    cx = get_complex(4)
+    with pytest.raises(ValueError, match=r"^vertex index 1000000 is not in 0\.\.12$"):
+        closure_matching(cx, lambda v: v, [0, 10**6])
+
+
 def test_closure_matching_collapses_to_image():
     cx = divisors_of_six()
     # gcd with 2 is a descending idempotent monotone operator
@@ -251,6 +269,39 @@ def test_patchwork_rejects_pair_across_fibers():
     fibers = {0: [], 1: [], 2: [], 3: [(cx.locate((1,)), cx.locate((1, 3)))]}
     with pytest.raises(ValueError, match="leaves fiber 3"):
         patchwork_matching(cx, cx.last, leq, fibers)
+
+
+def test_patchwork_names_the_first_failing_fiber_then_its_lowest_dimension():
+    from partmorse import morse
+
+    cx = get_complex(6)
+    # every key is below every other, so only fiber membership can fail
+    key = [np.arange(cx.n_cells(d)) % 3 for d in range(cx.dim + 1)]
+    leq = np.ones((3, 3), dtype=bool)
+    pairs = build_main_matching(6).pair_arrays()
+    own = {
+        k: {d: (lo[inside], hi[inside]) for d, (lo, hi) in pairs.items() for inside in [(key[d][lo] == k) & (key[d + 1][hi] == k)]}
+        for k in (1, 2, 0)
+    }
+
+    def spoiled(k, other, dims):
+        # pairs of fiber other put after the first three pairs of fiber k
+        fiber = dict(own[k])
+        for d in dims:
+            (lo, hi), (x, y) = own[k][d], own[other][d]
+            fiber[d] = (np.concatenate([lo[:3], x[4:6], lo[3:]]), np.concatenate([hi[:3], y[4:6], hi[3:]]))
+        return fiber
+
+    # fiber 2 fails in dimensions 1 and 2, fiber 0 after it in 0 and 2
+    fibers = {1: own[1], 2: spoiled(2, 1, [2, 1]), 0: spoiled(0, 2, [0, 2])}
+    lo, hi = own[1][1]
+    with pytest.raises(ValueError) as info:
+        patchwork_matching(cx, key, leq, fibers)
+    assert str(info.value) == f"pair ({(1, int(lo[4]))},{(2, int(hi[4]))}) leaves fiber 2"
+    # the glued dimensions come in the order the fibers first name them
+    glued = morse._glue(cx, key, leq, {1: {2: own[1][2], 1: own[1][1]}, 2: {0: own[2][0]}})
+    assert list(glued) == [1, 2, 0]
+    assert np.array_equal(glued[1][0], own[1][1][0]) and np.array_equal(glued[0][1], own[2][0][1])
 
 
 def hexagon():
