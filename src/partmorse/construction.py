@@ -1,27 +1,31 @@
 """The equivariant acyclic matching on the partition-lattice nerve.
 
-The construction splits the cells of the nerve by the atom a chain
-starts with: chains led by a "pair vertex" (a doubleton {1,k} plus
-singletons) form one fiber per k, and everything else forms the zero
-fiber.  The zero fiber collapses onto the split vertex {{1},{2,...,n}}
-through a closure operator followed by a cone; the fiber over {1,n} is a
-lifted copy of the whole construction one size down; the remaining
-fibers are transported copies under the stabilizer of 1.  What survives
-is the split vertex plus one free orbit of top-dimensional chains of
-"anchored" partitions (all blocks away from 1 singleton).  These special
-cells are kept as cell indices of the nerve: anchored_flags folds the
-anchored vertices along the prefix tree, and critical_set_witness
-compares them and the split vertex with the critical cells.
+The paper splits the cells of the nerve by the atom a chain starts with:
+chains led by a "pair vertex" (a doubleton {1,k} plus singletons) form
+one fiber per k, and the rest form the zero fiber, which collapses onto
+the split vertex {{1},{2,...,n}} through a closure operator and then a
+cone (fiber_zero_matching).  The fiber over {1,n} is a lifted copy of
+the whole construction one size down, and the other fibers are its
+transports under the stabilizer of 1, glued by the Equivariant
+Patchwork Theorem.  build_main_matching reads that matching off each
+chain by the rule the recursion unrolls to, in one fold along the
+prefix tree of the nerve of size n alone: un-lifting a chain led by
+{1,k} (swap k and n, delete n) leaves a chain one size down, and what
+the un-lifts leave falls to the zero fiber of a smaller size.  The tests
+keep the lift-and-patchwork assembly as the rule's oracle.  What
+survives is the split vertex plus one free orbit of top-dimensional
+chains of "anchored" partitions (all blocks away from 1 singleton), kept
+as cell indices: anchored_flags folds the anchored vertices along the
+prefix tree, and critical_set_witness compares them and the split vertex
+with the critical cells.
 
 Every vertex predicate is one array operation on the nerve's
 restricted-growth table (OrderComplex.labels), label 0 being the block
-of 1: anchored, pair vertex, patchwork key, the meet with the split vertex
-(1 moved to the unused label n-1) and the lift (label 0 appended), with
-no Partition or Simplex form; split_vertex and pair_vertex are the
-Partition forms of the two named vertices, for callers; no Perm is made
-beyond group generators.  get_action(n), the one action of the
-stabilizer of 1 at size n, serves the patchwork, the flag orbits and the
-stabilizer quotient.
+of 1, with no Partition or Simplex form; split_vertex and pair_vertex
+are the Partition forms of the two named vertices, for callers; no Perm
+is made beyond group generators.  get_action(n), the one action of the
+stabilizer of 1 at size n, serves the equivariance check, the flag
+orbits and the stabilizer quotient.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import numpy as np
 from .morse import (
     Matching,
     check_equivariance,
-    equivariant_patchwork_matching,
     patchwork_matching,
     closure_matching,
     cone_matching,
@@ -41,7 +44,7 @@ from .morse import (
     validate_matching,
 )
 from .ordercomplex import OrderComplex, distinct, proper_part_complex
-from .perm import ComplexAction, Perm, PermGroup, QuotientComplex, orbit_labels
+from .perm import ComplexAction, PermGroup, QuotientComplex, orbit_labels
 from .setpart import Partition
 
 
@@ -54,7 +57,7 @@ def pair_vertex(n: int, k: int) -> Partition:
     """The atom {{1,k}, singletons}."""
     if not 2 <= k <= n:
         raise ValueError(f"pair vertex needs 2 <= k <= n, got {k}")
-    return Partition.from_rgs(_pair_row(n, k))
+    return Partition.from_rgs([0 if e in (1, k) else e - 1 - (e > k) for e in range(1, n + 1)])
 
 
 # -- the predicates on restricted-growth tables -------------------------
@@ -74,11 +77,6 @@ def _pair_mask(labels: np.ndarray) -> np.ndarray:
 def _split_row(n: int) -> list[int]:
     """The restricted-growth string of split_vertex(n)."""
     return [0] + [1] * (n - 1)
-
-
-def _pair_row(n: int, k: int) -> list[int]:
-    """The restricted-growth string of pair_vertex(n, k)."""
-    return [0 if e in (1, k) else e - 1 - (e > k) for e in range(1, n + 1)]
 
 
 def _vertex(cx: OrderComplex, row) -> int:
@@ -118,7 +116,7 @@ def anchored_flags(n: int) -> np.ndarray:
 
 
 def patchwork_keys(cx: OrderComplex) -> list[np.ndarray]:
-    """The cell key of build_main_matching: key[d][i] is the largest key
+    """The cell key of the paper's patchwork: key[d][i] is the largest key
     of a vertex of chain (d, i), which is 0 for a vertex with {1} a block
     (the cone stage), 1 for another vertex of the zero fiber (the closure
     stage) and k for the pair vertex {1,k}, the place of the last label 0
@@ -129,22 +127,15 @@ def patchwork_keys(cx: OrderComplex) -> list[np.ndarray]:
     return cx.fold(np.where(_pair_mask(labels), k, (labels == 0).sum(axis=1) > 1), np.maximum)
 
 
-def _key_action(g: Perm, k: int) -> int:
-    return g(k) if k else 0
-
-
 def fiber_zero_matching(n: int) -> Matching:
     """Matching on the chains with no pair vertex; only the split vertex
-    survives.
-
-    Stage one collapses along the descending closure operator
+    survives.  Stage one collapses along the descending closure operator
     x -> meet(x, split): chains holding a vertex that does not keep 1
     in a singleton block are toggled on the split-off copy of their
     smallest such vertex.  Stage two cones what remains (chains of
     partitions with {1} a singleton) onto the split vertex.  The stages
     are glued along patchwork_keys clipped at 2, which puts the
-    pair-vertex fibers, holding no pairs here, at key 2.
-    """
+    pair-vertex fibers, holding no pairs here, at key 2."""
     cx = get_complex(n)
     key = [np.minimum(layer, 2) for layer in patchwork_keys(cx)]
     leq = np.triu(np.ones((3, 3), dtype=bool))
@@ -167,20 +158,16 @@ def _fiber_zero_pairs(n: int) -> dict[int, dict]:
     return {0: cone, 1: closure_matching(cx, descend.__getitem__, ground)}
 
 
-def lift_cells(prev_cx: OrderComplex, cx: OrderComplex) -> list[np.ndarray]:
-    """lift_cells(...)[d][i] is the index in dimension d+1 of cx, the nerve
-    one size up, of the lift of cell (d, i) of prev_cx: the new element n
-    joins the block of 1 in every vertex, which on restricted-growth
-    strings appends label 0, and the pair vertex {1,n} is put in front."""
-    labels = prev_cx.labels
-    n = labels.shape[1] + 1
-    vmap = cx.locate_labels(np.column_stack([labels, np.zeros(len(labels), dtype=labels.dtype)]))
-    return list(prev_cx.map_chains(vmap, cx, start=_vertex(cx, _pair_row(n, n))))
-
-
 def build_main_matching(n: int) -> Matching:
     """The stabilizer-equivariant acyclic matching on the nerve of the
-    proper partition lattice, assembled fiber by fiber.
+    proper partition lattice, by one fold along the prefix tree.  With
+    b(v) the size of the block of 1 and c(v) the number of blocks, a
+    chain v_0 < ... < v_d has p, the length of its leading run of anchored
+    v_i with b(v_i) = i+2, and q, its first index >= p with b(v_q) > p+1,
+    if any.  Given q, it drops v_{q-1} iff q >= p+1 and c(v_{q-1}) =
+    c(v_q)+1 (closure stage); else v_d iff d >= p and c(v_d) = 2 (cone
+    stage, which at d = p closes off the lifted split vertex).  Its
+    partner is the face without that vertex, read off face_array.
 
     Critical cells: the split vertex and the (n-1)! anchored flags.
     """
@@ -189,30 +176,28 @@ def build_main_matching(n: int) -> Matching:
     if n in _matchings:
         return _matchings[n]
     cx = get_complex(n)
-    action = get_action(n)
-
-    last_pairs = {}
-    if n > 3:
-        prev = build_main_matching(n - 1)
-        img = lift_cells(prev.complex, cx)
-        # the lift leaves the bare pair-vertex chain unmatched; close it
-        # off against the lift of the split vertex one size down
-        bottom = _vertex(cx, _pair_row(n, n))
-        first_edge = img[0][_vertex(prev.complex, _split_row(n - 1))]
-        last_pairs = {0: (np.array([bottom]), np.array([first_edge]))}
-        for d, (lo, hi) in prev.pair_arrays().items():
-            last_pairs[d + 1] = (img[d][lo], img[d + 1][hi])
-
-    # cone stage 0 < closure stage 1 < every fiber k, the fibers being
-    # incomparable; at n = 3 key 1 names no cell.  All pairs are checked once.
-    leq = np.eye(n + 1, dtype=bool)
-    leq[0] = leq[1, 1:] = True
-    fibers = {**_fiber_zero_pairs(n), n: last_pairs}
-    if n == 3:
-        del fibers[1]
-    matching = equivariant_patchwork_matching(action, patchwork_keys(cx), _key_action, leq, fibers)
-    _matchings[n] = matching
-    return matching
+    b = (cx.labels == 0).sum(axis=1).astype(np.int8)
+    c = (cx.labels.max(axis=1) + 1).astype(np.int8)
+    anchored = _anchored_mask(cx.labels)
+    # per chain: p, q (-1 while none) and hit, the closure test at q; the
+    # vertices are the 0-cells in order
+    p = (anchored & (b == 2)).astype(np.int8)
+    q = np.where(b > p + 1, 0, -1).astype(np.int8)
+    hit = np.zeros(len(b), dtype=bool)
+    pairs = {}
+    for d in range(1, cx.dim + 1):
+        parent, v = cx.parent[d], cx.last[d]
+        bv, cv = b.take(v), c.take(v)
+        p, q = p.take(parent), q.take(parent)
+        p[(p == d) & anchored.take(v) & (bv == d + 2)] = d + 1
+        new = (q < 0) & (p <= d) & (bv > p + 1)
+        hit = np.where(new, (p < d) & (c.take(cx.last[d - 1].take(parent)) == cv + 1), hit.take(parent))
+        q[new] = d
+        upper = np.flatnonzero(np.where(q < 0, (p <= d) & (cv == 2), hit))
+        drop = np.where(q[upper] < 0, d, q[upper] - 1)
+        pairs[d - 1] = (cx.face_array(d)[upper, drop], upper)
+    _matchings[n] = Matching(cx, pairs)
+    return _matchings[n]
 
 
 # -- quotients and labels ----------------------------------------------

@@ -16,18 +16,18 @@ under one overflow guard.  The Morse boundary is their boundary at the
 critical cells (Forman), and MorseData, the Morse complex, is a
 CellComplex on the critical cells that homology_of reads as it is.  The
 patchwork pattern composes matchings: an order-preserving cell key (an
-int array per dimension, ordered by a boolean matrix and checked against
-face_array) plus one matching per fiber, checked to lie in its fiber in
-one pass per dimension over the glued pairs, gives a matching of the whole
-complex, and the generators of an action move whole fibers across orbits
-of its complex through their image arrays (perm.ComplexAction.images),
-onto keys not yet reached, and checks their stabilizer condition once,
-on the glued matching, in one pass per generator (Schreier's lemma, at
-equivariant_patchwork_matching).  Equivariance is one comparison per
-generator and dimension against up, and a quotient matching checks it
-against the images that its quotient's action keeps.  Cone and
-closure matchings are prefix-tree folds, glued by construction with the
-pair-vertex fibers in one patchwork per size.  Assembly checks
+int array per dimension of ids of a boolean order matrix, checked in
+range and against face_array) plus one matching per fiber, checked to
+lie in its fiber in one pass per dimension over the glued pairs, gives a
+matching of the whole complex, and the generators of an action move
+whole fibers across orbits of its complex through their image arrays
+(perm.ComplexAction.images), onto keys not yet reached, and checks their
+stabilizer condition once, on the glued matching, in one pass per
+generator (Schreier's lemma, at equivariant_patchwork_matching).
+Equivariance is one comparison per generator and dimension against up,
+and a quotient matching checks it against the images that its
+quotient's action keeps.  Cone and closure matchings are prefix-tree
+folds, which construction glues into the zero fiber.  Assembly checks
 structure, not acyclicity: an assembled matching is certified once, by
 validate_matching.
 """
@@ -59,11 +59,14 @@ def _pair_arrays(complex, pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     as tuples ((d, lo), (d+1, hi)), kept in list order per dimension; a
     cell the complex lacks raises DanglingCellError, and then a pair that
     does not span one dimension InvalidMatchingError.  An index array of
-    dimension e is checked by its min and max against n_cells(e), 0 for e
-    outside the complex; its first bad cell is looked for only then."""
+    dimension e must have an integer dtype (else InvalidMatchingError) and
+    is checked by its min and max against n_cells(e), 0 for e outside the
+    complex; its first bad cell is looked for only then."""
     if isinstance(pairs, dict):
         for d, (lo, hi) in pairs.items():
             for e, idx in ((d, lo), (d + 1, hi)):
+                if idx.dtype.kind not in "iu":
+                    raise InvalidMatchingError(f"cells of dimension {e} given as {idx.dtype}, not as integers")
                 size = complex.n_cells(e)
                 if len(idx) and (idx.min() < 0 or idx.max() >= size):
                     raise DanglingCellError(f"dangling cell ({e}, {idx[(idx < 0) | (idx >= size)][0]})")
@@ -304,13 +307,22 @@ def validate_matching(complex, pairs_or_matching, action=None) -> MatchingCertif
     return MatchingCertificate(True, cycle is None, counts, equivariant_under, witness)
 
 
+def _check_key_ids(key, key_leq) -> None:
+    """ValueError naming the first cell whose key is no id of key_leq."""
+    for d, layer in enumerate(key):
+        if len(layer) and (layer.min() < 0 or layer.max() >= len(key_leq)):
+            i = int(np.flatnonzero((layer < 0) | (layer >= len(key_leq)))[0])
+            raise ValueError(f"cell ({d},{i}) has key {layer[i]}, not an id 0..{len(key_leq) - 1} of the key order")
+
+
 def _glue(complex, key, key_leq, fibers: dict) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The tail of both patchwork assemblers: checks that the key is
-    order-preserving on faces, concatenates the {d: (lo, hi)} fibers[k]
-    per dimension, in order, and checks that each pair lies in its fiber
-    k in one pass per dimension, against the fiber keys repeated from the
-    fiber lengths.  A failure names the first fiber that has a bad pair,
-    its lowest such dimension and its first bad pair there."""
+    """The tail of both patchwork assemblers, which check first that the
+    keys are ids of key_leq: checks that the key is order-preserving on
+    faces, concatenates the {d: (lo, hi)} fibers[k] per dimension, in
+    order, and checks that each pair lies in its fiber k in one pass per
+    dimension, against the fiber keys repeated from the fiber lengths.  A
+    failure names the first fiber that has a bad pair, its lowest such
+    dimension and its first bad pair there."""
     for d in range(1, complex.dim + 1):
         faces = complex.face_array(d)
         leq = key_leq[key[d - 1][faces], key[d][:, None]]
@@ -342,14 +354,16 @@ def patchwork_matching(complex, key, key_leq, fiber_pairs: dict) -> Matching:
     """Union of per-fiber matchings along an order-preserving cell key.
 
     complex is an OrderComplex; key[d][i] is the key of cell (d, i), an id
-    of a poset whose order is the boolean matrix key_leq over ids.  The
-    key must be order-preserving on faces, checked per dimension in one
-    comparison against face_array, and every pair of fiber_pairs[k], given
-    as arrays or as a list of pairs, must lie in fiber k; a failure names
-    the first bad cell and face, or pair.  The union is acyclic whenever
+    of a poset whose order is the boolean matrix key_leq over ids, else a
+    ValueError names the first cell.  The key must be order-preserving on
+    faces, checked per dimension in one comparison against face_array,
+    and every pair of fiber_pairs[k], given as arrays or as a list of
+    pairs, must lie in fiber k; a failure names the first bad cell and
+    face, or pair.  The union is acyclic whenever
     each piece is, which is not checked here: validate_matching certifies
     acyclicity.
     """
+    _check_key_ids(key, key_leq)
     fibers = {k: _pair_arrays(complex, pairs) for k, pairs in fiber_pairs.items()}
     return Matching(complex, _glue(complex, key, key_leq, fibers))
 
@@ -375,6 +389,7 @@ def equivariant_patchwork_matching(action, key, key_action, key_leq, rep_pairs: 
     onto itself.  A failure names r and that element.
     """
     complex = action.complex
+    _check_key_ids(key, key_leq)
     keys = set(chain.from_iterable(np.flatnonzero(np.bincount(layer)).tolist() for layer in key))
     generators = action.group.generators
     # tables[i][q]: the key id that generator i sends key q to

@@ -18,6 +18,14 @@ Simplex at a time, read off the blocks: is_anchored and is_pair_vertex
 are the references for the label masks of construction, fiber_of for
 the keys k >= 2 of patchwork_keys, and lift_partition and lift_chain
 for lift_cells.
+patchwork_main_matching is the paper's assembly of the main matching,
+the oracle of build_main_matching's rule: the matching one size down,
+lifted by lift_cells into the fiber over {1,n}, transported to the
+other pair-vertex fibers and glued to the zero fiber by
+equivariant_patchwork_matching, with key_action moving the keys of
+patchwork_keys.  rule_pairs is the rule read off the vertex rows
+of whole chains, not folded along the prefix tree; its mutations are
+the faults the certificates must catch.
 dense_boundary is the boundary map of one dimension as a dense matrix.
 symmetric_group builds S_n from (1 2) and the n-cycle through
 PermGroup.from_cycle_strings.
@@ -32,9 +40,21 @@ MorseData.chain_data built it before MorseData was a complex itself:
 the critical cells' labels, and the face lists read off its boundary.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
-from partmorse.construction import pair_vertex
+from partmorse.construction import (
+    _anchored_mask,
+    _fiber_zero_pairs,
+    _split_row,
+    _vertex,
+    get_action,
+    get_complex,
+    pair_vertex,
+    patchwork_keys,
+)
+from partmorse.morse import equivariant_patchwork_matching
 from partmorse.ordercomplex import ExplicitComplex, Simplex, entry_cells
 from partmorse.perm import PermGroup
 from partmorse.setpart import Partition, proper_rgs, rgs_table
@@ -143,6 +163,97 @@ def lift_chain(s: Simplex) -> Simplex:
     add n to the block of 1 in every vertex and prepend the pair vertex."""
     n = s.vertices[0].n + 1
     return Simplex((pair_vertex(n, n),) + tuple(lift_partition(v) for v in s))
+
+
+def lift_cells(prev_cx, cx) -> list[np.ndarray]:
+    """lift_cells(...)[d][i] is the index in dimension d+1 of cx, the nerve
+    one size up, of the lift of cell (d, i) of prev_cx: the new element n
+    joins the block of 1 in every vertex, which on restricted-growth
+    strings appends label 0, and the pair vertex {1,n} is put in front."""
+    labels = prev_cx.labels
+    n = labels.shape[1] + 1
+    vmap = cx.locate_labels(np.column_stack([labels, np.zeros(len(labels), dtype=labels.dtype)]))
+    start = _vertex(cx, pair_vertex(n, n).rgs)
+    return list(prev_cx.map_chains(vmap, cx, start=start))
+
+
+def key_action(g, k: int) -> int:
+    """The key id that g sends the key k of patchwork_keys to."""
+    return g(k) if k else 0
+
+
+def key_order(n: int) -> np.ndarray:
+    """The order of patchwork_keys: cone stage 0 < closure stage 1 < every
+    fiber k, the fibers being incomparable."""
+    leq = np.eye(n + 1, dtype=bool)
+    leq[0] = leq[1, 1:] = True
+    return leq
+
+
+@lru_cache(maxsize=None)
+def patchwork_main_matching(n: int):
+    """The main matching at size n >= 3 assembled fiber by fiber, over the
+    nerves and stabilizer actions of every size 3..n."""
+    cx = get_complex(n)
+    last_pairs = {}
+    if n > 3:
+        prev = patchwork_main_matching(n - 1)
+        img = lift_cells(prev.complex, cx)
+        # the lift leaves the bare pair-vertex chain unmatched; close it
+        # off against the lift of the split vertex one size down
+        bottom = _vertex(cx, pair_vertex(n, n).rgs)
+        first_edge = img[0][_vertex(prev.complex, _split_row(n - 1))]
+        last_pairs = {0: (np.array([bottom]), np.array([first_edge]))}
+        for d, (lo, hi) in prev.pair_arrays().items():
+            last_pairs[d + 1] = (img[d][lo], img[d + 1][hi])
+    # at n = 3 key 1 names no cell
+    fibers = {**_fiber_zero_pairs(n), n: last_pairs}
+    if n == 3:
+        del fibers[1]
+    keys = patchwork_keys(cx)
+    return equivariant_patchwork_matching(get_action(n), keys, key_action, key_order(n), fibers)
+
+
+def rule_pairs(cx, mutation=None) -> dict:
+    """The pairs of build_main_matching on the nerve cx, {d: (lo, hi)},
+    by the rule on the vertex rows of each dimension's chains: p counts the
+    leading v_i anchored with a block of 1 of size i+2, q is the first
+    index >= p whose block of 1 is larger than p+1, and the chain drops
+    v_{q-1} when q >= p+1 and v_{q-1} has one block more than v_q, else,
+    with no q, v_d when d >= p and v_d has two blocks.  mutation breaks
+    one case: "closure-late" runs the closure test one vertex late, on
+    v_q and v_{q+1}, dropping v_q; "cone-first" drops v_0 in the cone
+    stage; "split-alone-early" drops v_{p-1}, not v_p, from a chain
+    v_0 < ... < v_p ending at the lift of the split vertex."""
+    labels = cx.labels
+    size, blocks, anchored = (labels == 0).sum(axis=1), labels.max(axis=1) + 1, _anchored_mask(labels)
+    pairs = {}
+    for d in range(1, cx.dim + 1):
+        rows = cx.chains(d)
+        b, c = size[rows], blocks[rows]
+        run = anchored[rows] & (b == np.arange(2, d + 3))
+        p = np.where(run.all(axis=1), d + 1, run.argmin(axis=1))
+        later = (b > p[:, None] + 1) & (np.arange(d + 1) >= p[:, None])
+        found = later.any(axis=1) & (p <= d)
+        q = later.argmax(axis=1)
+        at = np.arange(len(rows))
+        if mutation == "closure-late":
+            upper = found & (q < d) & (c[at, q] == c[at, np.minimum(q + 1, d)] + 1)
+            drop = q
+        else:
+            upper = found & (q >= p + 1) & (c[at, q - 1] == c[at, q] + 1)
+            drop = q - 1
+        cone = ~found & (p <= d) & (c[:, d] == 2)
+        cone_drop = np.full(len(rows), d)
+        if mutation == "cone-first":
+            cone_drop[:] = 0
+        elif mutation == "split-alone-early":
+            cone_drop[p == d] = d - 1
+        upper |= cone
+        drop = np.where(cone, cone_drop, drop)
+        cells = np.flatnonzero(upper)
+        pairs[d - 1] = (cx.face_array(d)[cells, drop[cells]], cells)
+    return pairs
 
 
 def dense_boundary(cx, d: int) -> np.ndarray:

@@ -788,9 +788,10 @@ def test_verify_checks_make_objects_for_generators_only(monkeypatch):
 
     for n in (5, 6):
         counts = count_objects(monkeypatch, lambda: cli._verification_checks(n))
-        # two generators for the stabilizer of 1 at each size from 4 to n
-        # (one at n = 3); the symmetric quotient is built from trees
-        assert counts == {"Partition": 0, "Perm": 2 * (n - 3) + 1}
+        # the two generators of the stabilizer of 1 at size n alone; the
+        # main matching makes no group, and the symmetric quotient is
+        # built from trees
+        assert counts == {"Partition": 0, "Perm": 2}
 
 
 def test_verify_builds_one_stabilizer_action(monkeypatch, capsys):
@@ -818,8 +819,9 @@ def test_verify_builds_one_stabilizer_action(monkeypatch, capsys):
     # the nerve of dimension 3: its quotient and the quotient matching share
     # that action, and the symmetric quotient is built from trees
     assert [action for action in actions if action[0] == 3] == [(3, 120, True)]
-    # each of its two generators maps the nerve once, for the patchwork;
-    # the stabilizer quotient reads the images the action keeps
+    # each of its two generators maps the nerve once: the equivariance
+    # check, the flag orbits and the stabilizer quotient read the images
+    # the action keeps
     assert image_passes.count(3) == 2
 
 
@@ -843,7 +845,7 @@ def test_verify_certifies_each_matching_once(monkeypatch, capsys):
     for cache in ("_complexes", "_actions", "_matchings"):
         monkeypatch.setattr(construction, cache, {})
     assert main(["verify", "--n", "6"]) == 0
-    # one patchwork per size 3..6, the rebuild inside validate_matching and
-    # the stabilizer quotient matching, which find_cycle checks in place
-    assert len(built) == 6
+    # the main matching at n = 6 alone, the rebuild inside validate_matching
+    # and the stabilizer quotient matching, which find_cycle checks in place
+    assert built == [3, 3, 3]
     assert validated == [3]

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from itertools import permutations
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from partmorse.construction import (
     _anchored_mask,
+    _fiber_zero_pairs,
     _pair_mask,
     anchored_flags,
     build_main_matching,
@@ -15,7 +17,6 @@ from partmorse.construction import (
     fiber_zero_matching,
     get_action,
     get_complex,
-    lift_cells,
     matching_report,
     orbit_vertex_label,
     pair_vertex,
@@ -23,11 +24,21 @@ from partmorse.construction import (
     quotient_critical_cells,
     split_vertex,
 )
-from partmorse.morse import validate_matching
+from partmorse.morse import Matching, patchwork_matching, validate_matching
 from partmorse.ordercomplex import Simplex, parse_simplex
 from partmorse.perm import Perm, PermGroup, act
 from partmorse.setpart import Partition, parse_partition
-from chain_oracle import fiber_of, is_anchored, is_pair_vertex, lift_chain, lift_partition, symmetric_group
+from chain_oracle import (
+    fiber_of,
+    is_anchored,
+    is_pair_vertex,
+    lift_cells,
+    lift_chain,
+    lift_partition,
+    patchwork_main_matching,
+    rule_pairs,
+    symmetric_group,
+)
 
 
 def test_split_vertex():
@@ -201,6 +212,50 @@ def test_fiber_zero_matching_single_critical_vertex():
         # only chains avoiding the pair vertices are touched
         for (d, a), _ in m.pairs:
             assert fiber_of(cx.simplex(d, a)) == 0
+
+
+def test_zero_fiber_key_out_of_range_names_its_cell():
+    n = 5
+    cx = get_complex(n)
+    key = [np.minimum(layer, 2) for layer in patchwork_keys(cx)]
+    leq = np.triu(np.ones((3, 3), dtype=bool))
+    fibers = _fiber_zero_pairs(n)
+    # a top cell in no pair has no coface either, so read as the last key's
+    # column, key -1 would pass the order and fiber checks
+    i = int(np.flatnonzero(fiber_zero_matching(n).down[cx.dim] < 0)[0])
+    for bad in (-1, 3):
+        key[cx.dim][i] = bad
+        with pytest.raises(ValueError, match=rf"^cell \({cx.dim},{i}\) has key {bad}, not an id 0..2 of the key order$"):
+            patchwork_matching(cx, key, leq, fibers)
+
+
+def same_matching(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a.up + a.down, b.up + b.down, strict=True))
+
+
+def test_rule_is_the_patchwork_assembly():
+    for n in range(3, 8):
+        cx = get_complex(n)
+        main = build_main_matching(n)
+        # pair for pair: the same partner arrays; the fold along the prefix
+        # tree and the rule on whole chains agree too
+        assert same_matching(main, patchwork_main_matching(n)), n
+        assert same_matching(main, Matching(cx, rule_pairs(cx))), n
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("mutation", ["closure-late", "cone-first", "split-alone-early"])
+def test_mutated_rule_fails_the_matching_check(n, mutation):
+    cx = get_complex(n)
+    pairs = rule_pairs(cx, mutation)
+    # verify's matching line: each mutation matches a cell twice, and that
+    # cell lies in a pair the mutation made
+    cert = validate_matching(cx, pairs)
+    assert not cert.is_matching and not cert.is_acyclic
+    d, i = map(int, re.fullmatch(r"cell \((\d+), (\d+)\) appears in two pairs", cert.defect).groups())
+    made = {((e, a), (e + 1, b)) for e, (lo, hi) in pairs.items() for a, b in zip(lo.tolist(), hi.tolist())}
+    made -= set(build_main_matching(n).pairs)
+    assert any((d, i) in pair for pair in made)
 
 
 def test_main_matching_is_cached():

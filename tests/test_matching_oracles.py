@@ -236,6 +236,23 @@ def test_array_pairs_name_their_first_dangling_cell():
         assert str(info.value) == text
 
 
+def test_array_pairs_of_no_integer_type_are_refused():
+    cx = get_complex(5)
+    empty, one = np.array([]), np.array([0])
+    # an empty float array names no cell, but is no index array either
+    cases = {
+        "cells of dimension -1 given as float64, not as integers": {-1: (empty, empty)},
+        "cells of dimension 0 given as float64, not as integers": {0: (np.array([0.0]), one)},
+        "cells of dimension 1 given as bool, not as integers": {0: (one, np.array([True]))},
+    }
+    for text, pairs in cases.items():
+        with pytest.raises(InvalidMatchingError) as info:
+            Matching(cx, pairs)
+        assert type(info.value) is InvalidMatchingError and str(info.value) == text
+        cert = validate_matching(cx, pairs)
+        assert not cert.is_matching and cert.defect == text
+
+
 def test_irregular_incidence_gets_the_reference_verdict():
     # an edge glued at both ends to one vertex: coefficient +2 or -2; the
     # circle's edges next to it are regular
@@ -304,7 +321,7 @@ def test_cone_and_closure_agree_with_chain_by_chain_reference():
 
 
 def test_each_face_table_is_built_once_per_complex(monkeypatch, capsys):
-    # rebuild n = 3..6 from scratch; the cached objects come back afterwards
+    # rebuild n = 6 from scratch; the cached objects come back afterwards
     for cache in ("_complexes", "_actions", "_matchings"):
         monkeypatch.setattr(construction, cache, {})
     builds, complexes = Counter(), []
@@ -318,7 +335,8 @@ def test_each_face_table_is_built_once_per_complex(monkeypatch, capsys):
 
         monkeypatch.setattr(cls, "face_table", counted)
     assert check_equivariance(build_main_matching(6), construction.get_action(6))
-    assert sorted(construction._complexes) == [3, 4, 5, 6]
+    # the main matching reads one nerve, of its own size
+    assert sorted(construction._complexes) == [6]
     assert main(["verify", "--n", "6"]) == 0
     assert builds and max(builds.values()) == 1
 

@@ -6,7 +6,6 @@ import pytest
 
 from partmorse import construction
 from partmorse.construction import (
-    _key_action,
     build_main_matching,
     get_action,
     get_complex,
@@ -36,7 +35,7 @@ from partmorse.morse import (
 )
 from partmorse.ordercomplex import ExplicitComplex, OrderComplex
 from partmorse.perm import ComplexAction, Perm, PermGroup, QuotientComplex, act
-from chain_oracle import is_pair_vertex, morse_chain_complex, relation_chains, symmetric_group
+from chain_oracle import is_pair_vertex, key_action, key_order, morse_chain_complex, relation_chains, symmetric_group
 from test_perm import oracle_groups
 
 
@@ -363,13 +362,6 @@ def stage_keys(n):
     return key, np.triu(np.ones((3, 3), dtype=bool))
 
 
-def key_order(n):
-    """The order of patchwork_keys: 0 below every key, 1 below 1..n."""
-    leq = np.eye(n + 1, dtype=bool)
-    leq[0] = leq[1, 1:] = True
-    return leq
-
-
 def test_bulk_order_check_agrees_with_face_sweep():
     rng = random.Random(6)
     caught = 0
@@ -418,7 +410,7 @@ def main_fibers(n):
 
 def assemble(n, rep_pairs):
     action = get_action(n)
-    return equivariant_patchwork_matching(action, patchwork_keys(action.complex), _key_action, key_order(n), rep_pairs)
+    return equivariant_patchwork_matching(action, patchwork_keys(action.complex), key_action, key_order(n), rep_pairs)
 
 
 def test_equivariant_patchwork_names_stabilizer_witness():
@@ -448,7 +440,7 @@ def test_a_fiber_transported_onto_the_wrong_key_is_refused():
 
     def conjugated(g, k):
         # an action on the keys, but not the one the key arrays carry
-        k = _key_action(g, swap.get(k, k))
+        k = key_action(g, swap.get(k, k))
         return swap.get(k, k)
 
     with pytest.raises(ValueError, match="leaves fiber"):
@@ -460,7 +452,7 @@ def test_a_fiber_transported_onto_the_wrong_key_is_refused():
         # the long cycle sends key 2 to 3; this names 6, which the search
         # reached first, so the step moves no fiber and only the check on
         # the glued matching can see it
-        return 6 if (g, k) == (long_cycle, 2) else _key_action(g, k)
+        return 6 if (g, k) == (long_cycle, 2) else key_action(g, k)
 
     with pytest.raises(ValueError, match="fiber matching at 6 is not stabilizer-equivariant"):
         equivariant_patchwork_matching(action, patchwork_keys(action.complex), wrong_step, key_order(n), fibers)
@@ -478,6 +470,15 @@ def test_equivariant_patchwork_needs_one_representative_per_key_orbit():
         assemble(n, {0: fibers[0], n: fibers[n]})
     with pytest.raises(ValueError, match="not the key of any cell"):
         assemble(n, {**fibers, -1: []})
+
+
+def test_equivariant_patchwork_names_a_key_out_of_range():
+    n = 5
+    key = patchwork_keys(get_complex(n))
+    for bad in (-1, n + 1):
+        key[0][0] = bad
+        with pytest.raises(ValueError, match=rf"^cell \(0,0\) has key {bad}, not an id 0..{n} of the key order$"):
+            equivariant_patchwork_matching(get_action(n), key, key_action, key_order(n), main_fibers(n))
 
 
 def test_check_equivariance_matches_element_walk():
@@ -535,13 +536,13 @@ def test_equivariant_patchwork_names_stabilizer_witness_n6():
     fibers = main_fibers(n)
     assert assemble(n, fibers).pairs == build_main_matching(n).pairs
     for r in fibers:
-        stabilizer = [g for g in action.group.elements if _key_action(g, r) == r]
+        stabilizer = [g for g in action.group.elements if key_action(g, r) == r]
         moved = next(p for p in fibers[r] if any(action.cell_image(g, p[0]) != p[0] for g in stabilizer))
         broken = [p for p in fibers[r] if p != moved]
         with pytest.raises(ValueError, match=f"fiber matching at {r} is not stabilizer-equivariant") as info:
             assemble(n, {**fibers, r: broken})
         witness = Perm.from_cycles(n, re.search(r"\(fails (.+)\)$", str(info.value)).group(1))
-        assert witness in action.group and _key_action(witness, r) == r
+        assert witness in action.group and key_action(witness, r) == r
         image = {(action.cell_image(witness, a), action.cell_image(witness, b)) for a, b in broken}
         assert image != set(broken)
 
@@ -555,10 +556,12 @@ def test_group_steps_make_no_per_cell_calls(monkeypatch):
         return cell_image(self, g, cell)
 
     monkeypatch.setattr(ComplexAction, "cell_image", counted)
-    # rebuild n = 3..6 from scratch; the cached matchings come back afterwards
+    # a fresh action at n = 6; the cached one comes back afterwards
     monkeypatch.setattr(construction, "_matchings", {})
     monkeypatch.setattr(construction, "_actions", {})
     main = build_main_matching(6)
+    # the patchwork moves its fibers by whole image arrays
+    assert assemble(6, main_fibers(6)).pairs == main.pairs
     assert check_equivariance(main, get_action(6))
     group = PermGroup.from_cycle_strings(6, ["(2 3)", "(2 3 4 5 6)"])
     quotient_matching(main, QuotientComplex(ComplexAction(get_complex(6), group)))
@@ -802,13 +805,25 @@ def test_morse_data_walks_no_flow_without_critical_cells_on_both_sides(monkeypat
         assert calls == [], n
 
 
-def test_main_matching_glues_once_per_size(monkeypatch):
+def test_main_matching_builds_nothing_of_another_size(monkeypatch):
     from partmorse import morse
 
-    calls = []
-    glue = morse._glue
-    monkeypatch.setattr(morse, "_glue", lambda cx, *args: calls.append(cx.dim + 3) or glue(cx, *args))
-    monkeypatch.setattr(construction, "_matchings", {})
-    build_main_matching(6)
-    # the nerve of size n has dimension n - 3
-    assert calls == [3, 4, 5, 6]
+    built = []
+
+    def counting(kind, real):
+        # the nerve of size n has dimension n - 3
+        return lambda self, cx, *args: built.append((kind, cx.dim + 3)) or real(self, cx, *args)
+
+    monkeypatch.setattr(ComplexAction, "__init__", counting("action", ComplexAction.__init__))
+    monkeypatch.setattr(morse.Matching, "__init__", counting("matching", morse.Matching.__init__))
+    real_nerve = construction.proper_part_complex
+    monkeypatch.setattr(construction, "proper_part_complex", lambda n: built.append(("nerve", n)) or real_nerve(n))
+    for n in (3, 6):
+        for cache in ("_complexes", "_actions", "_matchings"):
+            monkeypatch.setattr(construction, cache, {})
+        built.clear()
+        build_main_matching(n)
+        # one nerve and one matching of size n, read off its chains: no
+        # action and nothing one size down
+        assert built == [("nerve", n), ("matching", n)]
+        assert list(construction._complexes) == [n] and construction._actions == {}
