@@ -3,7 +3,6 @@
 from .setpart import (
     Partition,
     PartitionParseError,
-    all_partitions,
     enumerate_proper,
     format_partition,
     parse_partition,
@@ -34,7 +33,6 @@ from .morse import (
     check_equivariance,
     closure_matching,
     cohomology_pairing,
-    cohomology_representatives,
     cone_matching,
     equivariance_witness,
     equivariant_patchwork_matching,
@@ -47,16 +45,12 @@ from .morse import (
 )
 from .construction import (
     anchored_flags,
-    block_size_label,
     build_main_matching,
     fiber_zero_matching,
     get_action,
     get_complex,
     matching_report,
-    orbit_vertex_label,
-    pair_vertex,
     quotient_critical_cells,
-    split_vertex,
 )
 from .trees import TreeQuotient
 from .homology import (

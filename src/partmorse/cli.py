@@ -36,8 +36,8 @@ from .construction import (
     get_action,
     get_complex,
     matching_report,
-    patchwork_keys,
     quotient_critical_cells,
+    zero_fiber_witness,
 )
 from .homology import homology_of, verify_wedge
 from .morse import InvalidMatchingError, equivariance_witness, morse_data, quotient_matching, validate_matching
@@ -148,7 +148,7 @@ def cmd_quotient(args) -> tuple[int, object]:
     }
     if not fixes_one:
         return 0, payload
-    index = group.index_in(get_action(n).group)
+    index = group.index_in(PermGroup.point_stabilizer(n))
     cert = validate_matching(qc, qm)
     critical = [{"dim": d, "label": qc.cell_label(d, i)} for d, layer in enumerate(qm.critical_cells()) for i in layer]
     payload.update(
@@ -210,9 +210,7 @@ def _verification_checks(n: int) -> list[tuple[str, bool, str | None]]:
     witness = critical_set_witness(matching, flags)
     checks.append(("critical set is the flags plus the split vertex", witness is None, witness))
 
-    # pairs stay in their fibers, so the zero fiber's survivors are the
-    # critical cells of the main matching with key 0 or 1
-    witness = critical_set_witness(matching, [], among=[key < 2 for key in patchwork_keys(cx)])
+    witness = zero_fiber_witness(matching)
     checks.append(("zero fiber collapses to the split vertex", witness is None, witness))
 
     # the action on the flags is free and transitive iff they form one

@@ -21,16 +21,13 @@ with the critical cells.
 
 Every vertex predicate is one array operation on the nerve's
 restricted-growth table (OrderComplex.labels), label 0 being the block
-of 1, with no Partition or Simplex form; split_vertex and pair_vertex
-are the Partition forms of the two named vertices, for callers; no Perm
-is made beyond group generators.  get_action(n), the one action of the
-stabilizer of 1 at size n, serves the equivariance check, the flag
-orbits and the stabilizer quotient.
+of 1, with no Partition or Simplex form, and no Perm is made beyond
+group generators.  get_action(n), the one action of the stabilizer of 1
+at size n, serves the equivariance check, the flag orbits and the
+stabilizer quotient.
 """
 
 from __future__ import annotations
-
-from math import factorial
 
 import numpy as np
 
@@ -45,19 +42,6 @@ from .morse import (
 )
 from .ordercomplex import OrderComplex, distinct, proper_part_complex
 from .perm import ComplexAction, PermGroup, QuotientComplex, orbit_labels
-from .setpart import Partition
-
-
-def split_vertex(n: int) -> Partition:
-    """The partition {{1},{2,...,n}}: the unique critical vertex."""
-    return Partition.from_rgs(_split_row(n))
-
-
-def pair_vertex(n: int, k: int) -> Partition:
-    """The atom {{1,k}, singletons}."""
-    if not 2 <= k <= n:
-        raise ValueError(f"pair vertex needs 2 <= k <= n, got {k}")
-    return Partition.from_rgs([0 if e in (1, k) else e - 1 - (e > k) for e in range(1, n + 1)])
 
 
 # -- the predicates on restricted-growth tables -------------------------
@@ -75,7 +59,7 @@ def _pair_mask(labels: np.ndarray) -> np.ndarray:
 
 
 def _split_row(n: int) -> list[int]:
-    """The restricted-growth string of split_vertex(n)."""
+    """The restricted-growth string of the split vertex {{1},{2,...,n}}."""
     return [0] + [1] * (n - 1)
 
 
@@ -200,7 +184,7 @@ def build_main_matching(n: int) -> Matching:
     return _matchings[n]
 
 
-# -- quotients and labels ----------------------------------------------
+# -- quotients, witnesses and reports -----------------------------------
 
 
 def quotient_critical_cells(n: int, subgroup: PermGroup):
@@ -213,22 +197,6 @@ def quotient_critical_cells(n: int, subgroup: PermGroup):
     qc = QuotientComplex(ComplexAction(get_complex(n), subgroup))
     qm = quotient_matching(matching, qc)
     return qm, qc
-
-
-def block_size_label(p: Partition) -> str:
-    """Number-partition label distinguishing the block of 1; the
-    partition 1,2|3|4 gets "2⊕1+1", the split vertex 1|2,3,4 gets "1⊕3"."""
-    first = len(p.block_containing(1))
-    rest = sorted((len(b) for b in p.blocks if 1 not in b), reverse=True)
-    return f"{first}⊕" + "+".join(str(v) for v in rest)
-
-
-def orbit_vertex_label(qc: QuotientComplex, i: int) -> str:
-    """Label of a vertex orbit of the quotient by the full stabilizer of 1."""
-    n = qc.base.labels.shape[1]
-    if qc.group.order != factorial(n - 1) or not qc.group.fixes_point(1):
-        raise ValueError("labels require the quotient by the full stabilizer of 1")
-    return block_size_label(Partition.from_rgs(qc.base.labels[qc.reps[0][i]].tolist()))
 
 
 def flag_orbits(n: int, flags) -> tuple[np.ndarray, np.ndarray]:
@@ -259,6 +227,24 @@ def critical_set_witness(matching: Matching, flags, among=None) -> str | None:
             i = int(odd.argmax())
             return f"{'missing' if wanted[d][i] else 'unexpected'} cell ({d}, {i}): {cx.cell_label(d, i)}"
     return None
+
+
+def zero_fiber_witness(matching: Matching) -> str | None:
+    """None when the zero fiber of a matching on the nerve, its cells of
+    patchwork_keys below 2, collapses to the split vertex: no pair has
+    exactly one cell in it, and the split vertex is its one critical cell.
+    Otherwise the first pair with one cell in it, by dimension then lower
+    cell, named with its labels, or else the cell critical_set_witness
+    names among the zero fiber."""
+    cx = matching.complex
+    zero = [key < 2 for key in patchwork_keys(cx)]
+    for d, (lo, hi) in matching.pair_arrays().items():
+        cross = np.flatnonzero(zero[d][lo] != zero[d + 1][hi])
+        if len(cross):
+            i, j = lo[cross[0]], hi[cross[0]]
+            labels = f"{cx.cell_label(d, i)} -> {cx.cell_label(d + 1, j)}"
+            return f"pair ({d}, {i}) -> ({d + 1}, {j}) crosses the zero fiber: {labels}"
+    return critical_set_witness(matching, [], among=zero)
 
 
 def matching_report(n: int) -> dict:

@@ -675,20 +675,12 @@ def gradient_chain(matching: Matching, cell: Cell) -> dict[int, int]:
     return dict(zip(support.tolist(), chain[support].tolist()))
 
 
-def cohomology_representatives(data: MorseData) -> list[dict[int, int]]:
-    """One integer cochain per critical top cell: the signed count of
-    alternating gradient paths from each top cell down-up to the critical
-    one.  No top cell is matched upwards, so a path steps only onto cells
-    matched downwards: the only path to a critical cell is the empty one,
-    and each cochain is the indicator of its cell."""
-    return [{c: 1} for c in data.critical[data.complex.dim]]
-
-
 def cohomology_pairing(data: MorseData) -> np.ndarray:
-    """Pairing matrix of the top cochain representatives, the indicators of
-    the critical top cells, against their gradient chains: row i is the
-    chains at critical cell i.  One _gradient serves every chain, pushed in
-    the blocks of _chain_blocks; _push keeps every entry below 2^62."""
+    """Pairing matrix of the top cochain representatives against their
+    gradient chains: row i is the chains at critical cell i.  No top cell
+    is matched upwards, so each representative is the indicator of its
+    critical cell.  One _gradient serves every chain, pushed in the blocks
+    of _chain_blocks; _push keeps every entry below 2^62."""
     d, matching = data.complex.dim, data.matching
     critical = data.critical[d]
     gradient = _gradient(matching, d) if d and critical else None

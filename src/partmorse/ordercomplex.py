@@ -19,9 +19,9 @@ face_table reads face k < d of a chain as face k of its prefix extended
 by its last vertex, one find per table (a face that keeps the prefix's
 top keeps the cell's rank in its run); locate folds find along a chain
 once its vertices are checked; and map_chains carries every cell along a
-vertex map (a group element, or the lift from one size to the next), one
-find per dimension.  At n = 8 (m = 4138, f-vector 4138, 155477, 1208830,
-3394790, 3919860, 1587600) every cell index fits in int32.
+group element's vertex map, one find per dimension.  At n = 8 (m = 4138,
+f-vector 4138, 155477, 1208830, 3394790, 3919860, 1587600) every cell
+index fits in int32.
 
 Every 1-D gather by an integer index array (a layer read at the cells'
 prefixes or last vertices, the rank table at the flat index) is
@@ -389,20 +389,16 @@ class OrderComplex(FaceTableComplex):
         found += self._rank.take(flat)
         return found
 
-    def map_chains(self, vmap: np.ndarray, target: "OrderComplex | None" = None, start: int | None = None):
+    def map_chains(self, vmap: np.ndarray):
         """Yield, for d = 0..dim, an int32 array holding for each cell of
-        dimension d the index in target (default: this complex) of its
-        image chain: vmap applied to every vertex, with the target vertex
-        start prepended when given, which raises the dimension by one.
-        A chain's image is its prefix's image extended by the image of its
-        last vertex, img[d] = target.find(d, img[d-1][parent[d]], vmap[last[d]]),
+        dimension d the index of its image chain, vmap applied to every
+        vertex.  A chain's image is its prefix's image extended by the image
+        of its last vertex, img[d] = find(d, img[d-1][parent[d]], vmap[last[d]]),
         so vmap must send chains to chains; nothing here checks that."""
-        target = self if target is None else target
         vmap = np.asarray(vmap, dtype=np.int32)
-        shift = 0 if start is None else 1
-        img = np.array([start or 0], dtype=np.int32)
+        img = np.zeros(1, dtype=np.int32)
         for d in range(self.dim + 1):
-            img = target.find(d + shift, img.take(self.parent[d]), vmap.take(self.last[d])).astype(np.int32, copy=False)
+            img = self.find(d, img.take(self.parent[d]), vmap.take(self.last[d])).astype(np.int32, copy=False)
             yield img
 
     def locate(self, chain) -> tuple[int, int]:

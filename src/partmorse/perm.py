@@ -21,13 +21,13 @@ last vertex.  A generator's vertex map is accepted iff it is a bijection
 that sends every 1-cell i < j of the nerve to a pair of the order; for a
 bijection that is the same as preserving the whole order, and it reads
 less once, flat, at the pairs' images.  ComplexAction keeps the image
-arrays for the generators only; other elements are computed when asked
-for, not kept for the whole group.  One ComplexAction per group is built
-and proved once: a QuotientComplex is built over an action, reads the
-generator images of its action one dimension at a time, from the lists
-the action keeps or else from map_chains, keeping no more of them, and
-labels orbits by their smallest cell in array passes; orbit labels
-and orbit_of are int32, like the image arrays.  The boundary of an orbit
+arrays of the generators alone and refuses any other element, since a
+check on the generators covers the group.  One ComplexAction per group
+is built and proved once: a QuotientComplex is built over an action,
+reads the generator images of its action one dimension at a time, from
+the lists the action keeps or else from map_chains, keeping no more of
+them, and labels orbits by their smallest cell in array passes; orbit
+labels and orbit_of are int32, like the image arrays.  The boundary of an orbit
 maps the faces of its representative, read off the base's face rows, to
 their orbits.
 
@@ -391,12 +391,10 @@ class ComplexAction:
     to the one that labels g(e) as the partition labels e, found among the
     complex's label rows by OrderComplex.locate_labels.  They are built
     and checked to be poset automorphisms for the generators only.  A
-    complex built from its elements derives its label rows from them.  An
-    element acts on cells as the per-dimension int32 image arrays of
-    OrderComplex.map_chains: those of the generators are kept once
-    computed; those of another element are computed when asked for, and
-    only the most recent such element's are kept (all 720 elements of the
-    stabilizer at n = 7 would take about 750 MB).
+    complex built from its elements derives its label rows from them.  A
+    generator acts on cells as the per-dimension int32 image arrays of
+    OrderComplex.map_chains, kept once computed; images refuses any other
+    element.
     """
 
     def __init__(self, complex: OrderComplex, group: PermGroup):
@@ -412,7 +410,6 @@ class ComplexAction:
             if not np.array_equal(np.sort(v), identity) or not complex.related(v.take(below), v.take(above)).all():
                 raise ValueError(f"{g} does not act by poset automorphisms")
         self._images: dict[Perm, list[np.ndarray]] = {}
-        self._recent: dict[Perm, list[np.ndarray]] = {}
 
     def vertex_map(self, g: Perm) -> np.ndarray:
         """vertex_map(g)[v] is the index of the image of vertex v under g."""
@@ -423,23 +420,17 @@ class ComplexAction:
         return self.complex.locate_labels(labels[:, np.argsort(g.images)])
 
     def images(self, g: Perm) -> list[np.ndarray]:
-        """images(g)[d][i] is the index of the image of cell (d, i) under
-        an element g of the group."""
-        found = self._images.get(g) or self._recent.get(g)
+        """images(g)[d][i] is the index of the image of cell (d, i) under a
+        generator g of the group; KeyError names any other element."""
+        found = self._images.get(g)
         if found is None:
-            # a generator is an element without a sift
-            generator = g in self.vertex_maps
-            if not generator and g not in self.group:
-                raise KeyError(f"{g} is not an element of {self.group}")
-            found = list(self.complex.map_chains(self.vertex_maps[g] if generator else self.vertex_map(g)))
-            if generator:
-                self._images[g] = found
-            else:
-                self._recent = {g: found}
+            if g not in self.vertex_maps:
+                raise KeyError(f"{g} is not a generator of {self.group}")
+            found = self._images[g] = list(self.complex.map_chains(self.vertex_maps[g]))
         return found
 
     def cell_image(self, g: Perm, cell: tuple[int, int]) -> tuple[int, int]:
-        """Image of cell (dim, index) under an element g of the group."""
+        """Image of cell (dim, index) under a generator g of the group."""
         return cell[0], int(self.images(g)[cell[0]][cell[1]])
 
 

@@ -65,34 +65,10 @@ class Partition:
         labels = list(labels)
         return cls(len(labels), [[e for e, c in enumerate(labels, start=1) if c == b] for b in range(max(labels) + 1)])
 
-    @classmethod
-    def discrete(cls, n: int) -> "Partition":
-        return cls(n, [(e,) for e in range(1, n + 1)])
-
-    @classmethod
-    def total(cls, n: int) -> "Partition":
-        return cls(n, [tuple(range(1, n + 1))])
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     @property
     def rgs(self) -> tuple[int, ...]:
         """Restricted-growth encoding: block index of each element 1..n."""
         return self._rgs
-
-    def is_discrete(self) -> bool:
-        return len(self.blocks) == self.n
-
-    def is_total(self) -> bool:
-        return len(self.blocks) == 1
-
-    def is_proper(self) -> bool:
-        return 1 < len(self.blocks) < self.n
-
-    def block_containing(self, e: int) -> tuple[int, ...]:
-        return self.blocks[self._block_index[e]]
 
     def refines(self, other: "Partition") -> bool:
         """True iff every block of self lies inside a block of other."""
@@ -105,19 +81,6 @@ class Partition:
                 if idx[e] != target:
                     return False
         return True
-
-    def meet(self, other: "Partition") -> "Partition":
-        """Common refinement: blocks are the nonempty pairwise intersections.
-
-        The result may be the discrete partition; callers working inside
-        the proper part must check.
-        """
-        if self.n != other.n:
-            raise ValueError(f"mismatched ground sets: {self.n} vs {other.n}")
-        cells: dict[tuple[int, int], list[int]] = {}
-        for e in range(1, self.n + 1):
-            cells.setdefault((self._block_index[e], other._block_index[e]), []).append(e)
-        return Partition(self.n, cells.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
@@ -226,12 +189,6 @@ def proper_rgs(n: int) -> np.ndarray:
     if n < 3:
         raise ValueError(f"the proper part needs n >= 3, got {n}")
     return rgs_table(n)[1:-1]
-
-
-def all_partitions(n: int) -> list[Partition]:
-    """All partitions of {1,...,n}, ordered lexicographically by
-    restricted-growth encoding (total partition first, discrete last)."""
-    return [Partition.from_rgs(row) for row in rgs_table(n).tolist()]
 
 
 def enumerate_proper(n: int) -> list[Partition]:

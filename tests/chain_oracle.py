@@ -9,15 +9,22 @@ proper_part_complex did before it compared pair bitmasks.
 
 Two more references stand beside the array tables of the package:
 recursive_rgs grows the restricted-growth strings of [n] one element at a
-time by recursion, as all_partitions did before setpart.rgs_table, and
+time by recursion, as setpart did before rgs_table, and
 perm_product_closure closes a generating set by multiplying Perm objects
 breadth first, as PermGroup.generate did before it closed int32 tables.
+
+The Partition forms the tests name vertices and orbits by live here, not
+in the package, which works on label rows: all_partitions, meet (the
+closure operator of the zero fiber is the meet with split_vertex),
+pair_vertex, block_size_label and orbit_vertex_label.  element_images
+gives the image arrays of any group element; ComplexAction keeps those
+of the generators alone.
 
 The construction's vertex predicates and its lift, one Partition or
 Simplex at a time, read off the blocks: is_anchored and is_pair_vertex
 are the references for the label masks of construction, fiber_of for
 the keys k >= 2 of patchwork_keys, and lift_partition and lift_chain
-for lift_cells.
+for lift_cells, which folds find along the prefix tree one size up.
 patchwork_main_matching is the paper's assembly of the main matching,
 the oracle of build_main_matching's rule: the matching one size down,
 lifted by lift_cells into the fiber over {1,n}, transported to the
@@ -41,6 +48,7 @@ the critical cells' labels, and the face lists read off its boundary.
 """
 
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -51,7 +59,6 @@ from partmorse.construction import (
     _vertex,
     get_action,
     get_complex,
-    pair_vertex,
     patchwork_keys,
 )
 from partmorse.morse import equivariant_patchwork_matching
@@ -93,6 +100,23 @@ def refinement_rows(elements) -> np.ndarray:
     return rel
 
 
+def all_partitions(n: int) -> list[Partition]:
+    """All partitions of {1,...,n}, ordered lexicographically by
+    restricted-growth encoding (total partition first, discrete last)."""
+    return [Partition.from_rgs(row) for row in rgs_table(n).tolist()]
+
+
+def meet(a: Partition, b: Partition) -> Partition:
+    """The common refinement of two partitions of one set: its blocks are
+    the nonempty pairwise intersections of theirs."""
+    if a.n != b.n:
+        raise ValueError(f"mismatched ground sets: {a.n} vs {b.n}")
+    cells: dict[tuple[int, int], list[int]] = {}
+    for e, key in enumerate(zip(a.rgs, b.rgs), start=1):
+        cells.setdefault(key, []).append(e)
+    return Partition(a.n, cells.values())
+
+
 def recursive_rgs(n: int) -> list[tuple[int, ...]]:
     """The restricted-growth strings of [n] in lexicographic order, each
     extended by recursion with every label from 0 to its maximum plus one."""
@@ -128,6 +152,40 @@ def perm_product_closure(n: int, generators) -> tuple:
                     new.append(p)
         frontier = new
     return tuple(sorted(els))
+
+
+def split_vertex(n: int) -> Partition:
+    """The partition {{1},{2,...,n}}: the unique critical vertex."""
+    return Partition(n, [(1,), range(2, n + 1)])
+
+
+def pair_vertex(n: int, k: int) -> Partition:
+    """The atom {{1,k}, singletons}."""
+    if not 2 <= k <= n:
+        raise ValueError(f"pair vertex needs 2 <= k <= n, got {k}")
+    return Partition(n, [(1, k)] + [(e,) for e in range(2, n + 1) if e != k])
+
+
+def block_size_label(p: Partition) -> str:
+    """Number-partition label distinguishing the block of 1; the
+    partition 1,2|3|4 gets "2⊕1+1", the split vertex 1|2,3,4 gets "1⊕3"."""
+    rest = sorted((len(b) for b in p.blocks[1:]), reverse=True)
+    return f"{len(p.blocks[0])}⊕" + "+".join(str(v) for v in rest)
+
+
+def orbit_vertex_label(qc, i: int) -> str:
+    """block_size_label of vertex orbit i of the quotient of the nerve by
+    the full stabilizer of 1."""
+    n = qc.base.labels.shape[1]
+    if qc.group.order != factorial(n - 1) or not qc.group.fixes_point(1):
+        raise ValueError("labels require the quotient by the full stabilizer of 1")
+    return block_size_label(Partition.from_rgs(qc.base.labels[qc.reps[0][i]].tolist()))
+
+
+def element_images(action, g) -> list[np.ndarray]:
+    """The image arrays of any element g of the acting group, which
+    ComplexAction.images gives for the generators alone."""
+    return list(action.complex.map_chains(action.vertex_map(g)))
 
 
 def is_anchored(p: Partition) -> bool:
@@ -172,9 +230,15 @@ def lift_cells(prev_cx, cx) -> list[np.ndarray]:
     strings appends label 0, and the pair vertex {1,n} is put in front."""
     labels = prev_cx.labels
     n = labels.shape[1] + 1
-    vmap = cx.locate_labels(np.column_stack([labels, np.zeros(len(labels), dtype=labels.dtype)]))
-    start = _vertex(cx, pair_vertex(n, n).rgs)
-    return list(prev_cx.map_chains(vmap, cx, start=start))
+    vmap = cx.locate_labels(np.column_stack([labels, np.zeros(len(labels), dtype=labels.dtype)])).astype(np.int32)
+    img = np.array([_vertex(cx, pair_vertex(n, n).rgs)], dtype=np.int32)
+    out = []
+    # the image of a chain is its prefix's image extended by the image of
+    # its last vertex, one dimension up
+    for d in range(prev_cx.dim + 1):
+        img = cx.find(d + 1, img.take(prev_cx.parent[d]), vmap.take(prev_cx.last[d])).astype(np.int32)
+        out.append(img)
+    return out
 
 
 def key_action(g, k: int) -> int:

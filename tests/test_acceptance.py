@@ -15,11 +15,8 @@ from partmorse.construction import (
     fiber_zero_matching,
     get_action,
     get_complex,
-    orbit_vertex_label,
-    pair_vertex,
     patchwork_keys,
     quotient_critical_cells,
-    split_vertex,
 )
 from partmorse.homology import homology_of, smith_normal_form, verify_wedge
 from partmorse.morse import (
@@ -32,7 +29,7 @@ from partmorse.morse import (
 from partmorse.ordercomplex import Simplex
 from partmorse.perm import ComplexAction, Perm, PermGroup, QuotientComplex, act, orbits
 from partmorse.setpart import enumerate_proper
-from chain_oracle import lift_partition, symmetric_group
+from chain_oracle import element_images, is_pair_vertex, lift_partition, orbit_vertex_label, split_vertex, symmetric_group
 
 FULL_RANGE = (3, 4, 5, 6)
 
@@ -226,8 +223,9 @@ def _transport_well_defined(n, sample=None):
     else:
         pair_list = list(matching.pairs)
     for g in elements:
-        for a, b in pair_list:
-            if (action.cell_image(g, a), action.cell_image(g, b)) not in pair_set:
+        img = element_images(action, g)
+        for (d, a), (e, b) in pair_list:
+            if ((d, img[d][a]), (e, img[e][b])) not in pair_set:
                 return False
     return True
 
@@ -241,7 +239,7 @@ def _lift_intertwines(n, sample=None):
         perms = rng.sample(perms, min(sample, len(perms)))
     for p in parts:
         q = lift_partition(p)
-        if q.block_containing(1)[-1] != n or q.is_total():
+        if q.blocks[0][-1] != n or len(q.blocks) == 1:
             return False
         for g in perms:
             if act(g, q) != lift_partition(act(Perm(g.images[: n - 1]), p)):
@@ -262,7 +260,7 @@ def _fiber_vertex_unique(n, sample=None):
         cells = random.Random(331 + n).sample(cells, min(sample * 1000, len(cells)))
     for d, i in cells:
         chain = cx.simplex(d, i)
-        hits = [v for v in chain if v.num_blocks == n - 1 and len(v.block_containing(1)) == 2]
+        hits = [v for v in chain if is_pair_vertex(v)]
         if len(hits) > 1:
             return False
         if hits and chain.vertices[0] != hits[0]:

@@ -353,6 +353,34 @@ def test_verify_names_an_unmatched_cell(capsys, monkeypatch):
     assert f"  zero fiber collapses to the split vertex: {witness}" in err.splitlines()
 
 
+def test_verify_names_a_pair_that_crosses_the_zero_fiber(capsys, monkeypatch):
+    import partmorse.cli as cli
+    from partmorse.construction import build_main_matching, patchwork_keys
+    from partmorse.morse import Matching
+
+    real = build_main_matching(5)
+    cx = real.complex
+    key = patchwork_keys(cx)
+    # y, the first edge led by a pair vertex, and x, its face without that
+    # vertex, which lies in the zero fiber
+    y = int(np.flatnonzero(key[1] >= 2)[0])
+    x = int(cx.face_array(1)[y, 0])
+    assert key[0][x] < 2
+    # the pairs that hold x or y make way for the pair (x, y)
+    pairs = real.pair_arrays()
+    (lo0, hi0), (lo1, hi1) = pairs[0], pairs[1]
+    keep0, keep1 = (lo0 != x) & (hi0 != y), lo1 != y
+    pairs[0] = (np.append(lo0[keep0], x), np.append(hi0[keep0], y))
+    pairs[1] = (lo1[keep1], hi1[keep1])
+    broken = Matching(cx, pairs)
+    monkeypatch.setattr(cli, "build_main_matching", lambda n: broken)
+    code, out, err = run(capsys, "verify", "--n", "5")
+    assert code == 1
+    assert "FAIL  zero fiber collapses to the split vertex" in out.splitlines()
+    witness = f"pair (0, {x}) -> (1, {y}) crosses the zero fiber: {cx.cell_label(0, x)} -> {cx.cell_label(1, y)}"
+    assert f"  zero fiber collapses to the split vertex: {witness}" in err.splitlines()
+
+
 def test_verify_names_a_pair_that_breaks_equivariance(capsys, monkeypatch):
     import partmorse.cli as cli
     from partmorse.construction import get_action
@@ -823,6 +851,27 @@ def test_verify_builds_one_stabilizer_action(monkeypatch, capsys):
     # check, the flag orbits and the stabilizer quotient read the images
     # the action keeps
     assert image_passes.count(3) == 2
+
+
+def test_quotient_builds_one_action(monkeypatch, capsys):
+    from partmorse import construction
+    from partmorse.perm import ComplexAction
+
+    orders = []
+    init = ComplexAction.__init__
+
+    def counted_init(self, complex, group):
+        orders.append(group.order)
+        init(self, complex, group)
+
+    monkeypatch.setattr(ComplexAction, "__init__", counted_init)
+    for cache in ("_complexes", "_actions", "_matchings"):
+        monkeypatch.setattr(construction, cache, {})
+    code, out, _ = run(capsys, "quotient", "--n", "6", "--group", "(2 3)")
+    assert code == 0 and json.loads(out)["index"] == 60
+    # the action of (2 3) alone: the index reads the order of the
+    # stabilizer of 1 off its generators, with no action of it
+    assert orders == [2]
 
 
 def test_verify_certifies_each_matching_once(monkeypatch, capsys):

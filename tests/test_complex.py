@@ -19,7 +19,7 @@ from partmorse.ordercomplex import (
 )
 from partmorse.perm import ComplexAction, PermGroup, QuotientComplex
 from partmorse.setpart import Partition, enumerate_proper, parse_partition, proper_rgs
-from chain_oracle import chain_positions, dense_boundary, refinement_rows, relation_chains, symmetric_group
+from chain_oracle import chain_positions, dense_boundary, lift_cells, refinement_rows, relation_chains, symmetric_group
 from test_homology import mod2_moore_space
 
 
@@ -359,7 +359,7 @@ def test_map_chains_matches_searched_images():
         # the lift: n joins the block of 1, and the pair vertex {1,n} goes in front
         lift = cx.locate_labels(np.column_stack([prev.labels, np.zeros(len(prev.labels), dtype=np.int32)]))
         pair = cx.locate_labels(np.array([[0, *range(1, n - 1), 0]]))[0]
-        for d, (img, up) in enumerate(zip(cx.map_chains(vmap), prev.map_chains(lift, cx, start=pair))):
+        for d, (img, up) in enumerate(zip(cx.map_chains(vmap), lift_cells(prev, cx))):
             assert img.dtype == up.dtype == np.int32
             assert np.array_equal(img, searched_cells(cx, vmap[cx.chains(d)])), (n, d)
             rows = np.column_stack([np.full(prev.n_cells(d), pair), lift[prev.chains(d)]])

@@ -13,30 +13,30 @@ from partmorse.construction import (
     _pair_mask,
     anchored_flags,
     build_main_matching,
-    block_size_label,
     fiber_zero_matching,
     get_action,
     get_complex,
     matching_report,
-    orbit_vertex_label,
-    pair_vertex,
     patchwork_keys,
     quotient_critical_cells,
-    split_vertex,
 )
 from partmorse.morse import Matching, patchwork_matching, validate_matching
 from partmorse.ordercomplex import Simplex, parse_simplex
 from partmorse.perm import Perm, PermGroup, act
 from partmorse.setpart import Partition, parse_partition
 from chain_oracle import (
+    block_size_label,
     fiber_of,
     is_anchored,
     is_pair_vertex,
     lift_cells,
     lift_chain,
     lift_partition,
+    orbit_vertex_label,
+    pair_vertex,
     patchwork_main_matching,
     rule_pairs,
+    split_vertex,
     symmetric_group,
 )
 
@@ -104,7 +104,7 @@ def test_anchored_flags_shape():
             assert s.dim == n - 3
             assert all(is_anchored(v) for v in s)
             assert is_pair_vertex(s.vertices[0])
-            sizes = [len(v.block_containing(1)) for v in s]
+            sizes = [len(v.blocks[0]) for v in s]
             assert sizes == list(range(2, n))
     assert len(set(anchored_flags(5).tolist())) == 24
     with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from partmorse import construction
 from partmorse.construction import (
     build_main_matching,
     get_complex,
-    split_vertex,
 )
 from partmorse.morse import (
     DanglingCellError,
@@ -31,7 +30,7 @@ from partmorse.morse import (
 from partmorse.cli import main
 from partmorse.ordercomplex import ExplicitComplex, OrderComplex
 from partmorse.perm import QuotientComplex
-from chain_oracle import chain_positions, is_pair_vertex, monotonicity_witness, relation_chains
+from chain_oracle import chain_positions, is_pair_vertex, meet, monotonicity_witness, relation_chains, split_vertex
 from test_morse import divisors_of_six, hexagon
 
 
@@ -275,7 +274,7 @@ def stage_matchings(n):
     ground = [v for v, p in enumerate(cx.elements) if not is_pair_vertex(p)]
 
     def descend(v):
-        return cx.element_index[cx.elements[v].meet(split)]
+        return cx.element_index[meet(cx.elements[v], split)]
 
     fixed = [v for v in ground if descend(v) == v]
     return cx, (descend, ground), (fixed, cx.element_index[split])

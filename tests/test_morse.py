@@ -9,10 +9,8 @@ from partmorse.construction import (
     build_main_matching,
     get_action,
     get_complex,
-    pair_vertex,
     patchwork_keys,
     quotient_critical_cells,
-    split_vertex,
 )
 from partmorse.homology import homology_of
 from partmorse.morse import (
@@ -21,7 +19,6 @@ from partmorse.morse import (
     check_equivariance,
     closure_matching,
     cohomology_pairing,
-    cohomology_representatives,
     cone_matching,
     equivariance_witness,
     equivariant_patchwork_matching,
@@ -35,7 +32,18 @@ from partmorse.morse import (
 )
 from partmorse.ordercomplex import ExplicitComplex, OrderComplex
 from partmorse.perm import ComplexAction, Perm, PermGroup, QuotientComplex, act
-from chain_oracle import is_pair_vertex, key_action, key_order, morse_chain_complex, relation_chains, symmetric_group
+from chain_oracle import (
+    element_images,
+    is_pair_vertex,
+    key_action,
+    key_order,
+    meet,
+    morse_chain_complex,
+    pair_vertex,
+    relation_chains,
+    split_vertex,
+    symmetric_group,
+)
 from test_perm import oracle_groups
 
 
@@ -353,7 +361,7 @@ def stage_keys(n):
     cx = get_complex(n)
     split = split_vertex(n)
     ground = {v for v, p in enumerate(cx.elements) if not is_pair_vertex(p)}
-    fixed = {v for v in ground if cx.elements[v].meet(split) == cx.elements[v]}
+    fixed = {v for v in ground if meet(cx.elements[v], split) == cx.elements[v]}
 
     def stage(chain):
         return 0 if set(chain) <= fixed else 1 if set(chain) <= ground else 2
@@ -413,6 +421,20 @@ def assemble(n, rep_pairs):
     return equivariant_patchwork_matching(action, patchwork_keys(action.complex), key_action, key_order(n), rep_pairs)
 
 
+def pair_images(action, g, pairs) -> set:
+    """The images of the pairs ((d, a), (d+1, b)) under an element g."""
+    img = element_images(action, g)
+    return {((d, int(img[d][a])), (e, int(img[e][b]))) for (d, a), (e, b) in pairs}
+
+
+def drop_a_moved_pair(action, elements, pairs) -> list:
+    """The pairs without the first one whose lower cell one of the
+    elements moves."""
+    images = [element_images(action, g) for g in elements]
+    moved = next(p for p in pairs if any(img[p[0][0]][p[0][1]] != p[0][1] for img in images))
+    return [p for p in pairs if p != moved]
+
+
 def test_equivariant_patchwork_names_stabilizer_witness():
     n = 5
     action = get_action(n)
@@ -421,15 +443,13 @@ def test_equivariant_patchwork_names_stabilizer_witness():
     assert assemble(n, fibers).pairs == build_main_matching(n).pairs
     # drop a pair that some element fixing the key moves
     stabilizer = [g for g in action.group.elements if act(g, top) == top]
-    moved = next(p for p in fibers[n] if any(action.cell_image(g, p[0]) != p[0] for g in stabilizer))
-    broken = [p for p in fibers[n] if p != moved]
+    broken = drop_a_moved_pair(action, stabilizer, fibers[n])
     with pytest.raises(ValueError, match="not stabilizer-equivariant") as info:
         assemble(n, {**fibers, n: broken})
     witness = Perm.from_cycles(n, re.search(r"\(fails (.+)\)$", str(info.value)).group(1))
     assert witness in action.group
     assert act(witness, top) == top
-    image = {(action.cell_image(witness, a), action.cell_image(witness, b)) for a, b in broken}
-    assert image != set(broken)
+    assert pair_images(action, witness, broken) != set(broken)
 
 
 def test_a_fiber_transported_onto_the_wrong_key_is_refused():
@@ -486,12 +506,9 @@ def test_check_equivariance_matches_element_walk():
     for group in oracle_groups():
         action = ComplexAction(get_complex(group.n), group)
         main = build_main_matching(group.n)
+        images = [element_images(action, g) for g in group.elements]
         for m in (main, Matching(main.complex, main.pairs[1:])):
-            walk = all(
-                m.up[a[0]][action.cell_image(g, a)[1]] == action.cell_image(g, b)[1]
-                for g in group.elements
-                for a, b in m.pairs
-            )
+            walk = all(m.up[d][img[d][a]] == img[e][b] for img in images for (d, a), (e, b) in m.pairs)
             assert check_equivariance(m, action) == walk
             seen.add(walk)
     assert seen == {True, False}
@@ -537,14 +554,12 @@ def test_equivariant_patchwork_names_stabilizer_witness_n6():
     assert assemble(n, fibers).pairs == build_main_matching(n).pairs
     for r in fibers:
         stabilizer = [g for g in action.group.elements if key_action(g, r) == r]
-        moved = next(p for p in fibers[r] if any(action.cell_image(g, p[0]) != p[0] for g in stabilizer))
-        broken = [p for p in fibers[r] if p != moved]
+        broken = drop_a_moved_pair(action, stabilizer, fibers[r])
         with pytest.raises(ValueError, match=f"fiber matching at {r} is not stabilizer-equivariant") as info:
             assemble(n, {**fibers, r: broken})
         witness = Perm.from_cycles(n, re.search(r"\(fails (.+)\)$", str(info.value)).group(1))
         assert witness in action.group and key_action(witness, r) == r
-        image = {(action.cell_image(witness, a), action.cell_image(witness, b)) for a, b in broken}
-        assert image != set(broken)
+        assert pair_images(action, witness, broken) != set(broken)
 
 
 def test_group_steps_make_no_per_cell_calls(monkeypatch):
@@ -716,8 +731,6 @@ def test_cohomology_representatives_pair_to_identity():
     cx = circle()
     m = Matching(cx, [((0, 0), (1, 0)), ((0, 1), (1, 1))])
     data = morse_data(m)
-    reps = cohomology_representatives(data)
-    assert len(reps) == 1
     pairing = cohomology_pairing(data)
     assert pairing.shape == (1, 1)
     assert abs(int(np.linalg.det(pairing))) == 1
@@ -765,7 +778,8 @@ def test_cohomology_pairing_runs_one_gradient(monkeypatch):
         monkeypatch.setattr(morse, "CHAIN_BLOCK", 3 * m.complex.n_cells(d))
         pairing = cohomology_pairing(data)
         assert calls == [d]
-        expected = [[sum(v * r.get(s, 0) for s, v in z.items()) for r in chains] for z in cohomology_representatives(data)]
+        # the representatives are the indicators of the critical top cells
+        expected = [[r.get(c, 0) for r in chains] for c in data.critical[d]]
         assert pairing.tolist() == expected
         assert np.array_equal(pairing, np.eye(len(chains), dtype=np.int64))
         # the chains pushed together are the chains pushed one by one

