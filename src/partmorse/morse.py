@@ -254,8 +254,12 @@ def equivariance_witness(matching: Matching, action) -> str | None:
     Only the generators are applied: a generator that maps the finite pair
     set into itself permutes it, and products of such maps do too.  A
     generator with image arrays img keeps the pairs (lo, hi) of dimension
-    d iff up[d][img[d][lo]] == img[d+1][hi] throughout.
+    d iff up[d][img[d][lo]] == img[d+1][hi] throughout.  An action on a
+    complex of another f-vector raises ValueError naming both.
     """
+    ours, theirs = matching.complex.f_vector(), action.complex.f_vector()
+    if ours != theirs:
+        raise ValueError(f"the action is on a complex with f-vector {theirs}, the matching on one with f-vector {ours}")
     label = matching.complex.cell_label
     pairs = matching.pair_arrays()
     for g in action.group.generators:
@@ -538,12 +542,13 @@ def closure_matching(complex, descend, vertex_indices=None) -> dict[int, tuple[n
 
 
 class MorseData(CellComplex):
-    """The Morse complex on the critical cells critical[d]: boundary[d][j]
-    maps places in critical[d-1] to the coefficients of the boundary of
-    the gradient chain (gradient_chain) of the j-th critical d-cell."""
+    """The Morse complex on the critical cells critical[d]: its boundary
+    arrays in dimension d >= 1, kept as arrays[d], map the j-th critical
+    d-cell to the boundary of its gradient chain (gradient_chain) at places
+    in critical[d-1]."""
 
-    def __init__(self, complex, matching: Matching, critical: list[list[int]], boundary: list[list[dict[int, int]]]):
-        self.complex, self.matching, self.critical, self.boundary = complex, matching, critical, boundary
+    def __init__(self, complex, matching: Matching, critical: list[list[int]], arrays: list[tuple]):
+        self.complex, self.matching, self.critical, self.arrays = complex, matching, critical, arrays
         super().__init__(len(layer) for layer in critical)
 
     def critical_counts(self) -> list[int]:
@@ -553,11 +558,7 @@ class MorseData(CellComplex):
         return self.complex.cell_label(d, self.critical[d][i])
 
     def boundary_arrays(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        columns = self.boundary[d] if d else [{}] * self.n_cells(0)
-        indptr = np.cumsum([0] + [len(col) for col in columns], dtype=np.int64)
-        faces = np.fromiter(chain.from_iterable(columns), dtype=np.int64, count=indptr[-1])
-        coeffs = np.fromiter(chain.from_iterable(col.values() for col in columns), dtype=np.int64, count=indptr[-1])
-        return indptr, faces, coeffs
+        return self.arrays[d]
 
 
 def _gradient(matching: Matching, d: int):
@@ -604,15 +605,19 @@ def _morse_boundary(matching: Matching, d: int, critical: list[list[int]]) -> np
 
 def morse_data(matching: Matching) -> MorseData:
     """The Morse complex of the matching: its critical cells and the Morse
-    boundary (_morse_boundary); cycle representatives are made on demand
-    by gradient_chain."""
+    boundary (_morse_boundary), whose nonzero entries, row by row, are the
+    boundary arrays; cycle representatives are made on demand by
+    gradient_chain."""
     cx = matching.complex
     critical = matching.critical_cells()
-    boundary: list[list[dict[int, int]]] = [[]]
+    empty = np.zeros(0, dtype=np.int64)
+    arrays = [(np.zeros(len(critical[0]) + 1, dtype=np.int64), empty, empty)]
     for d in range(1, cx.dim + 1):
-        rows = _morse_boundary(matching, d, critical).tolist()
-        boundary.append([{c: v for c, v in enumerate(r) if v} for r in rows])
-    return MorseData(cx, matching, critical, boundary)
+        block = _morse_boundary(matching, d, critical)
+        rows, faces = np.nonzero(block)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(block)))])
+        arrays.append((indptr, faces, block[rows, faces]))
+    return MorseData(cx, matching, critical, arrays)
 
 
 def _push(out: np.ndarray, target: np.ndarray, coef: np.ndarray, rows: np.ndarray, bound: np.ndarray, d: int) -> None:

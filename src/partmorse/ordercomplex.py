@@ -52,7 +52,7 @@ and inherits every other view.  The nerve and its quotients
 (perm.QuotientComplex, trees.TreeQuotient) are FaceTableComplexes, which
 derive those arrays from a face table of fixed width d+1; hand-built
 fixtures are ExplicitComplexes, which build them once, and the Morse
-complex morse.MorseData reads them off its Morse boundary.
+complex morse.MorseData keeps them, read once off its Morse boundary.
 """
 
 from __future__ import annotations
@@ -331,17 +331,6 @@ class OrderComplex(FaceTableComplex):
         if len(missing):
             raise ValueError(f"block labels {labels[missing[0]].tolist()} name no element of the poset")
         return order[found]
-
-    @classmethod
-    def from_poset(cls, elements, less) -> "OrderComplex":
-        """Build from an element list and a strict-order predicate."""
-        m = len(elements)
-        rel = np.zeros((m, m), dtype=bool)
-        for i, p in enumerate(elements):
-            for j, q in enumerate(elements):
-                if i != j and less(p, q):
-                    rel[i, j] = True
-        return cls(elements, rel)
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The pairs i < j of the order in row order: layer 1, (parent[1], last[1])."""

@@ -3,11 +3,9 @@
 A group keeps its generators.  Its order and membership are read off a
 stabilizer chain (deterministic Schreier-Sims), built on first use: the
 order is the product of the orbit lengths, and g is an element iff it
-sifts to the identity.  Its elements are listed, as one sorted (order, n)
-int32 table of image rows (images minus one) made from the transversals,
-only when table or elements is read.  Fixed points, subgroup
-containment, orbits, and actions on complexes and quotients go through
-the generators only: a map that is a poset automorphism for every
+sifts to the identity.  Its elements are never listed.  Fixed points,
+subgroup containment, orbits, and actions on complexes and quotients go
+through the generators only: a map that is a poset automorphism for every
 generator is one for every product of them, and an orbit is the closure
 of a point under the generator images (its stabilizer has order |G| /
 |orbit|).
@@ -248,10 +246,9 @@ def stabilizer_chain(n: int, generators) -> list[tuple[int, np.ndarray]]:
 
 
 class PermGroup:
-    """A permutation group on {1,...,n}, kept as its generators.  Order,
-    membership and elements are read off a stabilizer chain, built when
-    first needed; the elements are listed only when table or elements is
-    read."""
+    """A permutation group on {1,...,n}, kept as its generators.  Order
+    and membership are read off a stabilizer chain, built when first
+    needed; the elements are never listed."""
 
     def __init__(self, n: int, generators):
         self.n = n
@@ -292,24 +289,6 @@ class PermGroup:
         """The product of the orbit lengths of the chain."""
         return prod(int(np.count_nonzero(inverses[:, 0] >= 0)) for _, inverses in self._chain)
 
-    @cached_property
-    def table(self) -> np.ndarray:
-        """The (order, n) int32 table of the elements' images minus one,
-        rows in lexicographic order.  The products v_k...v_0 of one row
-        v_l of each level's inverse transversal are the inverses of the
-        elements u_0...u_k that sifting factors, so they run over the
-        group once each."""
-        rows = np.arange(self.n, dtype=np.int32)[None]
-        for _, inverses in self._chain:
-            # (v*r)(x) = v(r(x)) for every row v of the level and r of rows
-            rows = inverses[inverses[:, 0] >= 0].take(rows, axis=1).reshape(-1, self.n)
-        return rows[np.lexsort(rows.T[::-1])]
-
-    @cached_property
-    def elements(self) -> tuple[Perm, ...]:
-        """Every element as a Perm, in sorted order; made on first use."""
-        return tuple(Perm(row) for row in (self.table + 1).tolist())
-
     def __contains__(self, g: Perm) -> bool:
         """Whether g sifts to the identity through the chain."""
         if g.n != self.n:
@@ -321,9 +300,6 @@ class PermGroup:
                 return False
             x = v.take(x)
         return bool((x == np.arange(self.n)).all())
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         """A group lies in another iff its generators do."""

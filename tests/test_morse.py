@@ -30,15 +30,18 @@ from partmorse.morse import (
     quotient_matching,
     validate_matching,
 )
-from partmorse.ordercomplex import ExplicitComplex, OrderComplex
+from partmorse.ordercomplex import ExplicitComplex
 from partmorse.perm import ComplexAction, Perm, PermGroup, QuotientComplex, act
 from chain_oracle import (
     element_images,
+    group_elements,
     is_pair_vertex,
     key_action,
     key_order,
     meet,
     morse_chain_complex,
+    morse_columns,
+    poset_complex,
     pair_vertex,
     relation_chains,
     split_vertex,
@@ -55,7 +58,7 @@ def circle():
 
 
 def divisors_of_six():
-    return OrderComplex.from_poset([1, 2, 3, 6], less=lambda a, b: a != b and b % a == 0)
+    return poset_complex([1, 2, 3, 6], less=lambda a, b: a != b and b % a == 0)
 
 
 def test_incidence_column():
@@ -68,12 +71,12 @@ def test_group_predicates_agree_with_element_walk():
     seen_fix, seen_sub = set(), set()
     for group in groups:
         for x in range(1, group.n + 1):
-            walk = all(g(x) == x for g in group.elements)
+            walk = all(g(x) == x for g in group_elements(group))
             assert group.fixes_point(x) == walk
             seen_fix.add(walk)
         for other in groups:
             if other.n == group.n:
-                walk = all(g in other for g in group.elements)
+                walk = all(g in other for g in group_elements(group))
                 assert group.is_subgroup_of(other) == walk
                 seen_sub.add(walk)
     assert seen_fix == seen_sub == {True, False}
@@ -314,7 +317,7 @@ def test_patchwork_names_the_first_failing_fiber_then_its_lowest_dimension():
 def hexagon():
     """The nerve of the face poset of a triangle boundary: a hexagon
     whose vertices alternate between the triangle's vertices and edges."""
-    return OrderComplex.from_poset(["a", "b", "c", "ab", "bc", "ca"], less=lambda p, q: len(p) < len(q) and p in q)
+    return poset_complex(["a", "b", "c", "ab", "bc", "ca"], less=lambda p, q: len(p) < len(q) and p in q)
 
 
 def test_patchwork_leaves_acyclicity_to_validation():
@@ -442,7 +445,7 @@ def test_equivariant_patchwork_names_stabilizer_witness():
     fibers = main_fibers(n)
     assert assemble(n, fibers).pairs == build_main_matching(n).pairs
     # drop a pair that some element fixing the key moves
-    stabilizer = [g for g in action.group.elements if act(g, top) == top]
+    stabilizer = [g for g in group_elements(action.group) if act(g, top) == top]
     broken = drop_a_moved_pair(action, stabilizer, fibers[n])
     with pytest.raises(ValueError, match="not stabilizer-equivariant") as info:
         assemble(n, {**fibers, n: broken})
@@ -506,12 +509,27 @@ def test_check_equivariance_matches_element_walk():
     for group in oracle_groups():
         action = ComplexAction(get_complex(group.n), group)
         main = build_main_matching(group.n)
-        images = [element_images(action, g) for g in group.elements]
+        images = [element_images(action, g) for g in group_elements(group)]
         for m in (main, Matching(main.complex, main.pairs[1:])):
             walk = all(m.up[d][img[d][a]] == img[e][b] for img in images for (d, a), (e, b) in m.pairs)
             assert check_equivariance(m, action) == walk
             seen.add(walk)
     assert seen == {True, False}
+
+
+def test_an_action_on_another_complex_is_refused_by_its_f_vector():
+    # the matching of one size against the action of the other: no index
+    # array of one complex may be read at the cells of the other
+    for m, n in ((5, 6), (6, 5)):
+        matching, action = build_main_matching(m), get_action(n)
+        sizes = re.escape(f"f-vector {action.complex.f_vector()}, the matching on one with f-vector {matching.complex.f_vector()}")
+        for run in (
+            lambda: quotient_matching(matching, QuotientComplex(action)),
+            lambda: check_equivariance(matching, action),
+            lambda: validate_matching(matching.complex, matching, action),
+        ):
+            with pytest.raises(ValueError, match=sizes):
+                run()
 
 
 def test_mutated_main_matching_fails_equivariance_n6():
@@ -553,7 +571,7 @@ def test_equivariant_patchwork_names_stabilizer_witness_n6():
     fibers = main_fibers(n)
     assert assemble(n, fibers).pairs == build_main_matching(n).pairs
     for r in fibers:
-        stabilizer = [g for g in action.group.elements if key_action(g, r) == r]
+        stabilizer = [g for g in group_elements(action.group) if key_action(g, r) == r]
         broken = drop_a_moved_pair(action, stabilizer, fibers[r])
         with pytest.raises(ValueError, match=f"fiber matching at {r} is not stabilizer-equivariant") as info:
             assemble(n, {**fibers, r: broken})
@@ -633,7 +651,7 @@ def test_morse_data_circle():
     data = morse_data(m)
     assert data.critical_counts() == [1, 1]
     # the morse differential of the surviving edge is zero
-    assert data.boundary[1] == [{}]
+    assert data.boundary_columns(1) == [{}]
     hom = homology_of(data, reduced=False)
     assert hom.betti(0) == 1 and hom.betti(1) == 1
     rep = gradient_chain(m, (1, 2))
@@ -669,7 +687,7 @@ def test_kahn_sort_runs_once_per_dimension(monkeypatch):
     assert validate_matching(real.complex, fresh).is_acyclic
     data = morse_data(fresh)
     assert calls == list(range(1, real.complex.dim + 1))
-    assert data.boundary == morse_data(Matching(real.complex, real.pair_arrays())).boundary
+    assert morse_columns(data) == morse_columns(morse_data(Matching(real.complex, real.pair_arrays())))
 
 
 def test_sorted_partner_arrays_are_frozen_and_replacements_sorted_again():
@@ -815,7 +833,7 @@ def test_morse_data_walks_no_flow_without_critical_cells_on_both_sides(monkeypat
         calls.clear()
         data = morse_data(m)
         assert data.critical_counts() == counts
-        assert data.boundary == [[]] + [[{} for _ in layer] for layer in data.critical[1:]]
+        assert morse_columns(data) == [[]] + [[{} for _ in layer] for layer in data.critical[1:]]
         assert calls == [], n
 
 
